@@ -30,7 +30,6 @@ from repro.core.engine import (
     SelectionSession,
     WalkEngine,
     make_engine,
-    parse_engine_spec,
 )
 from repro.core.engine_mp import MultiprocessDMEngine
 from repro.core.greedy import GreedyResult, greedy_dm, greedy_engine, greedy_select
@@ -90,7 +89,6 @@ __all__ = [
     "horizon_opinions",
     "make_engine",
     "make_score",
-    "parse_engine_spec",
     "min_seeds_to_win",
     "random_walk_select",
     "sandwich_select",

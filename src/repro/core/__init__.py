@@ -17,7 +17,6 @@ from repro.core.engine import (
     SelectionSession,
     WalkEngine,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.engine_mp import MultiprocessDMEngine
@@ -63,7 +62,6 @@ __all__ = [
     "greedy_engine",
     "greedy_select",
     "make_engine",
-    "parse_engine_spec",
     "spec_is_exact_dm",
     "lambda_copeland",
     "lambda_cumulative",

@@ -1994,7 +1994,7 @@ class EngineSpec:
         return ":".join(parts)
 
     def kwargs(self) -> dict[str, object]:
-        """The factory kwargs this spec pins (the legacy tuple's dict)."""
+        """The factory kwargs this spec pins (only the fields it sets)."""
         out: dict[str, object] = {}
         if self.workers is not None:
             out["workers"] = self.workers
@@ -2047,26 +2047,6 @@ class EngineSpec:
         return self.canonical()
 
 
-def parse_engine_spec(spec: object) -> tuple[str, dict[str, object]]:
-    """Split an engine spec string into ``(registry name, spec kwargs)``.
-
-    .. deprecated:: the ``(name, kwargs)`` tuple is the legacy surface;
-       new code should hold the structured spec itself —
-       ``EngineSpec.parse(spec)`` — and use its ``.canonical()`` /
-       ``.kwargs()`` / ``.build()`` instead of unpacking tuples.  This
-       thin front-end remains so existing callers keep working.
-
-    The accepted grammar and the single ``ValueError`` for malformed
-    specs are documented on :meth:`EngineSpec.parse`.
-    """
-    if isinstance(spec, EngineSpec):
-        return spec.name, spec.kwargs()
-    if not isinstance(spec, str):
-        raise _spec_error(spec)
-    parsed = EngineSpec.parse(spec)
-    return parsed.name, parsed.kwargs()
-
-
 def spec_is_exact_dm(spec: object) -> bool:
     """True when ``spec`` names an exact DM backend (``None`` = default).
 
@@ -2077,15 +2057,10 @@ def spec_is_exact_dm(spec: object) -> bool:
     """
     if spec is None:
         return True
-    if isinstance(spec, EngineSpec):
-        return spec.name in EXACT_DM_NAMES
-    if not isinstance(spec, str):
-        return False
     try:
-        name, _ = parse_engine_spec(spec)
+        return EngineSpec.parse(spec).name in EXACT_DM_NAMES
     except ValueError:
         return False
-    return name in EXACT_DM_NAMES
 
 
 def make_engine(

@@ -21,8 +21,8 @@ id chunks and score vectors, never matrices.
 
 Transports (the data plane)
 ---------------------------
-Every message still rides a pipe, but *what* rides it is transport-
-dependent:
+Every message is one framed pickle, but *what* it carries, and over
+which connection, is transport-dependent:
 
 ``"pipe"`` (default)
     Arrays are pickled into the message: candidate chunks out, score
@@ -38,6 +38,14 @@ dependent:
     trajectory through a single shared slab that every worker adopts by
     one memcpy instead of replaying the extension.  Messages shrink to
     ``(segment, dtype, shape, offset)`` tuples.
+``"tcp"`` (``dm-mp:tcp=<host:port,...>``)
+    :class:`~repro.core.engine_net.HostPool`: the pipe message bodies,
+    framed over sockets to remote ``net-worker`` hosts.
+
+All three share one supervised dispatch loop (:meth:`MultiprocessDMEngine._run`)
+and one fan-out builder (:meth:`MultiprocessDMEngine._fan_out`), the only
+place that chooses inline vs slab request encoding; a transport supplies
+just its pool lifecycle hooks.
 
 The serialization tax is measured, not guessed:
 :attr:`~repro.core.engine.EngineStats.ipc_bytes` counts every byte the
@@ -76,7 +84,7 @@ import multiprocessing as mp
 import os
 import pickle
 import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -520,14 +528,26 @@ def _worker_loop(
             )
 
 
-class _WorkerHandle:
-    """One pool member: the process and the parent end of its pipe."""
+class _Handle:
+    """One live pool member: a local worker process or a remote host.
 
-    __slots__ = ("process", "conn")
+    ``conn`` is the parent end of its pipe or its framed socket, ``stats``
+    its ``worker_stats`` entry (``slot`` indexes it), and ``label`` names
+    it in errors.  ``process`` is ``None`` for a remote host, which no
+    local pid can reap (:func:`~repro.utils.workers.stop_worker_pool`
+    then only sends the stop and closes the socket).
+    """
 
-    def __init__(self, process, conn) -> None:
-        self.process = process
+    __slots__ = ("conn", "stats", "slot", "label", "process")
+
+    def __init__(
+        self, conn, stats: EngineStats, slot: int, label: str, process=None
+    ) -> None:
         self.conn = conn
+        self.stats = stats
+        self.slot = slot
+        self.label = label
+        self.process = process
 
 
 class MultiprocessDMSession(BatchedDMSession):
@@ -631,6 +651,12 @@ class MultiprocessDMEngine(BatchedDMEngine):
     scaling metric of ``benchmarks/bench_engine_mp.py``.
     """
 
+    #: Transports this class accepts, and what its pool members are
+    #: called in errors (:class:`~repro.core.engine_net.HostPool`: tcp
+    #: hosts).
+    _TRANSPORTS: tuple[str, ...] = TRANSPORTS
+    _MEMBER = "worker"
+
     def __init__(
         self,
         problem: FJVoteProblem,
@@ -645,9 +671,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
         workers = int(workers)
         if workers < 1:
             raise ValueError(f"dm-mp needs at least one worker, got {workers}")
-        if transport not in TRANSPORTS:
+        if transport not in self._TRANSPORTS:
             raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
+                f"transport must be one of {self._TRANSPORTS}, got {transport!r}"
             )
         self.workers = workers
         self.transport = str(transport)
@@ -666,7 +692,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
         self.pool_busy_s = 0.0
         self._pool_started: float | None = None
         self._engine_kwargs = dict(kwargs)
-        self._handles: list[_WorkerHandle] | None = None
+        self._handles: list[_Handle] | None = None
         self._session_counter = 0
         self._arena = None
         self._request_slabs = None
@@ -685,7 +711,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> list[_WorkerHandle]:
+    def _ensure_pool(self) -> list[_Handle]:
         if self._handles is None:
             ctx = mp.get_context(self.start_method)
             problem_payload = self.problem
@@ -714,15 +740,15 @@ class MultiprocessDMEngine(BatchedDMEngine):
                 self._reply_slabs = [ShmSlab(arena) for _ in range(self.workers)]
             self._shm_info = shm_info
             self._handles = [
-                self._spawn_worker(ctx, problem_payload, shm_info)
-                for _ in range(self.workers)
+                self._spawn_worker(ctx, problem_payload, shm_info, index)
+                for index in range(self.workers)
             ]
             self._dead = set()
             self._pool_started = time.monotonic()
         return self._handles
 
-    def _spawn_worker(self, ctx, problem_payload, shm_info) -> _WorkerHandle:
-        """Start one pool member and hand back its handle."""
+    def _spawn_worker(self, ctx, problem_payload, shm_info, index: int) -> _Handle:
+        """Start pool member ``index`` and hand back its handle."""
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=_worker_main,
@@ -731,7 +757,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(process, parent_conn)
+        return _Handle(
+            parent_conn, self.worker_stats[index], index, f"worker {index}", process
+        )
 
     def close(self) -> None:
         """Stop the pool and unlink its shm segments (idempotent).
@@ -769,7 +797,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
 
     def ping(self) -> list[tuple[int, str]]:
         """Round-trip every worker; returns ``(pid, process name)`` pairs."""
-        return self._run([("ping",)] * self.workers)
+        return self._run([("ping",)] * len(self._ensure_pool()))
 
     def pool_stats(self) -> dict[str, object]:
         """Live pool accounting (the serving layer's ``stats`` op).
@@ -806,151 +834,143 @@ class MultiprocessDMEngine(BatchedDMEngine):
     # Dispatch
     # ------------------------------------------------------------------
     def _run(self, messages: Sequence[tuple], pending: Sequence | None = None) -> list:
-        """Supervised dispatch: send, gather, survive worker deaths.
+        """Supervised dispatch: send, gather, survive member deaths.
 
-        Workers compute concurrently — all sends complete before the first
-        receive — and replies are folded into ``stats`` / ``worker_stats``.
+        The one dispatch loop for every transport — worker pipes, shm
+        descriptors and TCP hosts alike; subclasses only supply the pool
+        lifecycle hooks (:meth:`_ensure_pool`, :meth:`_heal_pool`,
+        :meth:`_inject_faults`, :meth:`_lose`).  ``messages[i]`` goes to
+        the ``i``-th live handle.  Members compute concurrently — all
+        sends complete before the first receive — and replies are folded
+        into ``stats`` and the member's ``worker_stats`` entry.
         ``pending[i]``, when set, names the reply-slab region reserved for
         message ``i`` (the shm transport); the result is copied out of the
-        slab on receipt.  Every byte actually crossing a pipe, in either
-        direction, lands in ``stats.ipc_bytes``.
+        slab on receipt.  Every byte actually crossing a pipe or socket,
+        in either direction, lands in ``stats.ipc_bytes``.
 
-        A worker whose pipe fails mid-round (EOF, broken pipe) is marked
-        lost (``stats.workers_lost``): its chunked message re-dispatches
-        to a survivor in the same round (``stats.chunks_resharded`` —
-        slots are kept, so ``results[i]`` always answers ``messages[i]``
-        and the chunk-order concatenation never observes the loss), while
-        broadcast copies are simply dropped.  Dead slots are healed by
-        :meth:`_respawn_worker` at the start of the next dispatch, so the
-        pool returns to full strength with journal-replayed state.  A
-        worker-side ``err`` status still raises — the evaluation itself
-        failed on a live worker and would fail anywhere.
+        A member whose connection fails mid-round (EOF, broken pipe,
+        reset) is handed to :meth:`_lose`: its chunked message
+        re-dispatches to a survivor in the same round
+        (``stats.chunks_resharded`` — slots are kept, so ``results[i]``
+        always answers ``messages[i]`` and the chunk-order concatenation
+        never observes the loss), while broadcast copies are simply
+        dropped.  :meth:`_heal_pool` restores lost members at the start
+        of a later dispatch with journal-replayed state.  A member-side
+        ``err`` status still raises — the evaluation itself failed on a
+        live member and would fail anywhere.
         """
-        handles = self._ensure_pool()
+        self._ensure_pool()
         self._heal_pool()
-        self._inject_worker_faults()
+        self._inject_faults()
+        handles = list(self._handles or [])
+        refs = list(pending) if pending is not None else [None] * len(messages)
         round_start = time.monotonic()
         try:
-            messages = list(messages)
+            live = list(handles)
             results: dict[int, object] = {}
             failed: list[int] = []
-            dispatched: list[tuple[int, _WorkerHandle]] = []
+            dispatched: list[tuple[int, _Handle]] = []
             for index, message in enumerate(messages):
-                if index in self._dead:
-                    failed.append(index)
-                    continue
                 handle = handles[index]
                 try:
                     self.stats.ipc_bytes += _send_message(handle.conn, message)
                     dispatched.append((index, handle))
                 except (BrokenPipeError, ConnectionError, OSError):
-                    self._lose_worker(index)
+                    live.remove(handle)
+                    self._lose(handle)
                     failed.append(index)
             for index, handle in dispatched:
                 try:
-                    reply, nbytes = _recv_message(handle.conn)
+                    results[index] = self._receive(handle, refs[index])
                 except (EOFError, ConnectionError, OSError):
-                    self._lose_worker(index)
+                    live.remove(handle)
+                    self._lose(handle)
                     failed.append(index)
-                    continue
-                self.stats.ipc_bytes += nbytes
-                result = self._fold_reply(index, reply)
-                if pending is not None and pending[index] is not None:
-                    result = np.array(
-                        self._reply_slabs[index].view(pending[index])
-                    )
-                results[index] = result
-            if failed:
-                if messages[failed[0]][0] in _BROADCAST_OPS:
-                    # Survivors already served the broadcast; the
-                    # journal replay on respawn covers the dead workers.
-                    if len(self._dead) >= len(handles):
-                        self.close()
-                        raise RuntimeError("dm-mp: every worker died")
-                else:
-                    self._redispatch(messages, sorted(failed), results, pending)
+            if failed and messages[failed[0]][0] not in _BROADCAST_OPS:
+                self._redispatch(messages, sorted(failed), results, refs, live)
+            elif not live:
+                # Survivors already served a broadcast and the journal
+                # replay covers lost members — unless nobody survived.
+                raise self._all_lost()
             return [results[index] for index in sorted(results)]
         finally:
             self.pool_rounds += 1
             self.pool_busy_s += time.monotonic() - round_start
 
-    def _fold_reply(self, slot: int, reply: tuple):
-        """Account one worker reply; raises on a worker-side ``err``."""
-        status, result, stats = reply
-        if status != "ok":
-            self.close()
-            raise RuntimeError(f"dm-mp worker {slot} failed:\n{result}")
-        for name, value in zip(_EVOLUTION_COUNTERS, stats):
-            setattr(self.stats, name, getattr(self.stats, name) + value)
-            worker = self.worker_stats[slot]
-            setattr(worker, name, getattr(worker, name) + value)
-        return result
-
-    def _lose_worker(self, index: int) -> None:
-        """Mark slot ``index`` dead; the next dispatch respawns it."""
-        if index in self._dead:
-            return
-        self._dead.add(index)
-        self.stats.workers_lost += 1
-        if self._handles is not None:
-            try:
-                self._handles[index].conn.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-
     def _redispatch(
         self,
-        messages: list,
+        messages: Sequence[tuple],
         queue: list[int],
         results: dict[int, object],
-        pending: Sequence | None,
+        refs: list,
+        live: list[_Handle],
     ) -> None:
-        """Re-shard a dead worker's chunks across the survivors, in waves.
+        """Re-shard lost members' chunks across the survivors, in waves.
 
         Each wave assigns at most one queued message per survivor; a
         survivor that dies mid-wave sends its message back into the
-        queue.  Slab copy-out always uses the *message* index — the shm
-        refs baked into a message name the originating slot's slabs, and
-        segments attach by name, so any worker can fill them.
+        queue.  Slab copy-out always uses the *message*'s reply ref — the
+        shm refs baked into a message name the originating slot's slabs,
+        and segments attach by name, so any worker can fill them.
         """
         while queue:
-            handles = self._handles or []
-            survivors = [
-                slot for slot in range(len(handles)) if slot not in self._dead
-            ]
-            if not survivors:
-                self.close()
-                raise RuntimeError(
-                    "dm-mp: every worker was lost before the round's "
-                    "chunks could be re-dispatched"
-                )
-            wave: list[tuple[int, int, _WorkerHandle]] = []
-            for slot, index in zip(survivors, list(queue)):
-                handle = handles[slot]
+            if not live:
+                raise self._all_lost()
+            wave: list[tuple[int, _Handle]] = []
+            for handle, index in zip(list(live), list(queue)):
                 try:
                     self.stats.ipc_bytes += _send_message(
                         handle.conn, messages[index]
                     )
                 except (BrokenPipeError, ConnectionError, OSError):
-                    self._lose_worker(slot)
+                    live.remove(handle)
+                    self._lose(handle)
                     continue
                 self.stats.chunks_resharded += 1
-                wave.append((index, slot, handle))
+                wave.append((index, handle))
                 queue.remove(index)
-            for index, slot, handle in wave:
+            for index, handle in wave:
                 try:
-                    reply, nbytes = _recv_message(handle.conn)
+                    results[index] = self._receive(handle, refs[index])
                 except (EOFError, ConnectionError, OSError):
-                    self._lose_worker(slot)
+                    live.remove(handle)
+                    self._lose(handle)
                     queue.append(index)
-                    continue
-                self.stats.ipc_bytes += nbytes
-                result = self._fold_reply(slot, reply)
-                if pending is not None and pending[index] is not None:
-                    result = np.array(
-                        self._reply_slabs[index].view(pending[index])
-                    )
-                results[index] = result
+
+    def _receive(self, handle: _Handle, reply_ref: tuple | None = None):
+        """One reply off ``handle``: account it, raise on a member ``err``.
+
+        Transport failures (EOF/OSError) propagate to the caller — the
+        *member* died and its message can be re-dispatched; an ``err``
+        status means the evaluation itself failed on a live member.  With
+        ``reply_ref`` set the payload is copied out of the reply slab.
+        """
+        reply, nbytes = _recv_message(handle.conn)
+        self.stats.ipc_bytes += nbytes
+        status, result, stats = reply
+        if status != "ok":
+            self.close()
+            raise RuntimeError(f"dm-mp {handle.label} failed:\n{result}")
+        for name, value in zip(_EVOLUTION_COUNTERS, stats):
+            setattr(self.stats, name, getattr(self.stats, name) + value)
+            setattr(handle.stats, name, getattr(handle.stats, name) + value)
+        if reply_ref is not None:
+            result = np.array(self._arena.view(reply_ref))
+        return result
+
+    def _all_lost(self) -> RuntimeError:
+        """Tear the pool down; the error for a round no member can run."""
+        self.close()
+        return RuntimeError(f"dm-mp: every {self._MEMBER} of the pool was lost")
+
+    def _lose(self, handle: _Handle) -> None:
+        """Mark a failed worker's slot dead; the next dispatch respawns it."""
+        self._dead.add(handle.slot)
+        self.stats.workers_lost += 1
+        try:
+            handle.conn.close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
 
     def _heal_pool(self) -> None:
         """Respawn every dead slot before the next round dispatches."""
@@ -981,12 +1001,12 @@ class MultiprocessDMEngine(BatchedDMEngine):
         if self.transport == "shm":
             skeleton, _ = self.problem.share_arrays()
             problem_payload = (skeleton, self._shared_refs)
-        handles[index] = self._spawn_worker(ctx, problem_payload, self._shm_info)
+        handles[index] = self._spawn_worker(ctx, problem_payload, self._shm_info, index)
         self.stats.workers_respawned += 1
-        self._replay_journal(index, handles[index])
+        self._replay_journal(handles[index])
 
-    def _replay_journal(self, slot: int, handle: _WorkerHandle) -> None:
-        """Ship the coordinator-side journal to one (re)spawned worker."""
+    def _replay_journal(self, handle: _Handle) -> None:
+        """Ship the coordinator-side journal to one (re)joined member."""
         replay: list[tuple] = []
         for sid, (base, seeds) in self._session_journal.items():
             replay.append(("adopt", sid, base, seeds))
@@ -994,11 +1014,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
         for message in replay:
             self.stats.ipc_bytes += _send_message(handle.conn, message)
         for _ in replay:
-            reply, nbytes = _recv_message(handle.conn)
-            self.stats.ipc_bytes += nbytes
-            self._fold_reply(slot, reply)
+            self._receive(handle)
 
-    def _inject_worker_faults(self) -> None:
+    def _inject_faults(self) -> None:
         """The ``mp-kill-worker`` fault point: SIGKILL a planned victim.
 
         The kill is real — detection and recovery then run the exact
@@ -1007,17 +1025,14 @@ class MultiprocessDMEngine(BatchedDMEngine):
         """
         if faults.active() is None or self._handles is None:
             return
-        for index, handle in enumerate(self._handles):
-            process = getattr(handle, "process", None)
-            if index in self._dead or process is None:
-                continue
+        for handle in self._handles:
             spec = faults.maybe_fail(
-                "mp-kill-worker", worker=index, round=self.pool_rounds
+                "mp-kill-worker", worker=handle.slot, round=self.pool_rounds
             )
             if spec is not None:
-                process.kill()
+                handle.process.kill()
                 # Reap before dispatch so the death is visible this round.
-                process.join(timeout=5.0)
+                handle.process.join(timeout=5.0)
 
     def _chunk_indices(self, count: int) -> list[np.ndarray]:
         """Deterministic contiguous index chunks, one per worker, no empties."""
@@ -1030,7 +1045,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
     def _slab_request(
         self,
         worker: int,
-        arrays: list[np.ndarray],
+        arrays: Sequence[np.ndarray],
         reply_shape: tuple[int, ...],
     ) -> tuple[list[tuple], tuple]:
         """One shm request: write ``arrays`` to the worker's request slab
@@ -1041,7 +1056,6 @@ class MultiprocessDMEngine(BatchedDMEngine):
         pre-``ensure`` of the full message, aligned writes, reservation)
         is spelled out for every fan-out op.
         """
-        self._ensure_pool()
         request = self._request_slabs[worker]
         request.begin()
         request.ensure(sum(a.nbytes for a in arrays) + 8 * len(arrays))
@@ -1051,25 +1065,40 @@ class MultiprocessDMEngine(BatchedDMEngine):
         reply.ensure(8 * int(np.prod(reply_shape, dtype=np.int64)))
         return refs, reply.reserve(np.float64, reply_shape)
 
-    def _sets_message(
-        self, op: str, chunk_sets: list[np.ndarray], worker: int
-    ) -> tuple[tuple, tuple | None]:
-        """Build a ``chunk``/``rows`` request; returns ``(message, pending)``.
+    def _fan_out(
+        self,
+        op: str,
+        head: tuple,
+        count: int,
+        arrays: Callable[[np.ndarray], Sequence[np.ndarray]],
+        row_shape: tuple[int, ...] = (),
+    ) -> np.ndarray:
+        """One fanned-out round: chunk, encode, dispatch, concatenate.
 
-        Seed sets travel flattened as ``(lengths, values)``; under the shm
-        transport both land in the worker's request slab and the reply
-        payload region is reserved up front, so the message itself is a
-        few descriptor tuples.
+        The ``count`` items split into contiguous chunks, one per live
+        member; chunk ``idx`` becomes the request
+        ``(op, *head, *arrays(idx), reply)``.  This is the one place the
+        data plane is chosen: under shm the arrays land in the member's
+        request slab and ``reply`` reserves a ``(chunk, *row_shape)``
+        float64 region of its reply slab, so the message is a few
+        descriptor tuples; otherwise arrays ride inline and ``reply`` is
+        ``None``.  Replies concatenate in chunk order, which keeps
+        results byte-identical at every pool size.
         """
-        lengths, values = _flatten_sets(chunk_sets)
-        if op == "rows":
-            shape: tuple[int, ...] = (len(chunk_sets), self.problem.n)
-        else:
-            shape = (len(chunk_sets),)
-        if self.transport != "shm":
-            return (op, lengths, values, None), None
-        refs, payload_ref = self._slab_request(worker, [lengths, values], shape)
-        return (op, refs[0], refs[1], (_SHM_TAG, *payload_ref)), payload_ref
+        self._ensure_pool()  # the chunk count follows the live members
+        messages, pending = [], []
+        for worker, idx in enumerate(self._chunk_indices(count)):
+            fields = arrays(idx)
+            if self.transport == "shm":
+                refs, reply_ref = self._slab_request(
+                    worker, fields, (idx.size, *row_shape)
+                )
+                messages.append((op, *head, *refs, (_SHM_TAG, *reply_ref)))
+                pending.append(reply_ref)
+            else:
+                messages.append((op, *head, *fields, None))
+                pending.append(None)
+        return np.concatenate(self._run(messages, pending))
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -1089,15 +1118,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
             return np.empty(0, dtype=np.float64)
         if len(sets) < self.min_fanout:
             return self._chunked_scores(sets)
-        chunks = self._chunk_indices(len(sets))
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            message, reply_ref = self._sets_message(
-                "chunk", [sets[i] for i in idx], worker
-            )
-            messages.append(message)
-            pending.append(reply_ref)
-        return np.concatenate(self._run(messages, pending))
+        return self._fan_out(
+            "chunk", (), len(sets), lambda idx: _flatten_sets([sets[i] for i in idx])
+        )
 
     def target_opinion_rows(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
         """``(C, n)`` horizon opinion rows, fanned out across the pool.
@@ -1110,19 +1133,13 @@ class MultiprocessDMEngine(BatchedDMEngine):
         sets = self._normalize_sets(seed_sets)
         if len(sets) < self.min_fanout:
             return super().target_opinion_rows(sets)
-        chunks = self._chunk_indices(len(sets))
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            message, reply_ref = self._sets_message(
-                "rows", [sets[i] for i in idx], worker
-            )
-            messages.append(message)
-            pending.append(reply_ref)
-        results = self._run(messages, pending)
-        rows = np.empty((len(sets), self.problem.n), dtype=np.float64)
-        for idx, block in zip(chunks, results):
-            rows[idx[0] : idx[-1] + 1] = block
-        return rows
+        return self._fan_out(
+            "rows",
+            (),
+            len(sets),
+            lambda idx: _flatten_sets([sets[i] for i in idx]),
+            (self.problem.n,),
+        )
 
     def session_extension_values(
         self,
@@ -1144,22 +1161,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
             return self.extension_values(
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
-        chunks = self._chunk_indices(cand.size)
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            part = cand[idx]
-            if self.transport == "shm":
-                refs, payload_ref = self._slab_request(
-                    worker, [part], (int(part.size),)
-                )
-                messages.append(
-                    ("ext", sid, base, seeds, refs[0], (_SHM_TAG, *payload_ref))
-                )
-                pending.append(payload_ref)
-            else:
-                messages.append(("ext", sid, base, seeds, part, None))
-                pending.append(None)
-        return np.concatenate(self._run(messages, pending))
+        return self._fan_out(
+            "ext", (sid, base, seeds), cand.size, lambda idx: [cand[idx]]
+        )
 
     def session_extension_rows(
         self,
@@ -1188,33 +1192,9 @@ class MultiprocessDMEngine(BatchedDMEngine):
             return self.extension_rows(
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
-        chunks = self._chunk_indices(cand.size)
-        messages, pending = [], []
-        for worker, idx in enumerate(chunks):
-            part = cand[idx]
-            if self.transport == "shm":
-                refs, payload_ref = self._slab_request(
-                    worker, [part], (int(part.size), n)
-                )
-                messages.append(
-                    (
-                        "extrows",
-                        sid,
-                        base,
-                        seeds,
-                        refs[0],
-                        (_SHM_TAG, *payload_ref),
-                    )
-                )
-                pending.append(payload_ref)
-            else:
-                messages.append(("extrows", sid, base, seeds, part, None))
-                pending.append(None)
-        results = self._run(messages, pending)
-        rows = np.empty((cand.size, n), dtype=np.float64)
-        for idx, block in zip(chunks, results):
-            rows[idx[0] : idx[-1] + 1] = block
-        return rows
+        return self._fan_out(
+            "extrows", (sid, base, seeds), cand.size, lambda idx: [cand[idx]], (n,)
+        )
 
     def apply_delta(self, report, *, sessions: str = "auto") -> None:
         """Broadcast a delta to the pool, then refresh the parent engine.

@@ -1,24 +1,29 @@
 """Multi-host candidate sharding over TCP (``--engine dm-mp:tcp=...``).
 
-:class:`HostPool` is the coordinator: it shards candidate chunks across
-remote worker pools exactly the way
-:class:`~repro.core.engine_mp.MultiprocessDMEngine` shards them across
-local processes — same framed ops (``chunk``, ``commit``, ``delta``,
-``extrows``, ``stop``), same exact
-:attr:`~repro.core.engine.EngineStats.ipc_bytes` accounting — except the
-frames ride length-prefixed TCP sockets instead of pipes.  Each host runs
-``repro net-worker`` (:func:`run_net_worker`): an accept loop that
-handshakes one coordinator at a time, builds the same private
+:class:`HostPool` is the coordinator.  It is a
+:class:`~repro.core.engine_mp.MultiprocessDMEngine` whose pool members are
+remote hosts instead of local processes, and it owns only the
+connections: dialing and handshaking hosts, closing them, re-dialing lost
+ones, the ``net-sever-host`` fault point and the hook that drops a lost
+host from the shard set.  Everything else is the multiprocess engine's
+own code, run unchanged: the chunking, the framed ops (``chunk``,
+``rows``, ``ext``, ``extrows``, ``commit``, ``delta``, ``adopt``,
+``ping``, ``stop``), the one supervised dispatch loop with its re-shard
+waves, and the exact :attr:`~repro.core.engine.EngineStats.ipc_bytes`
+accounting.  Only the bytes travel differently: frames ride
+length-prefixed TCP sockets (:class:`FramedSocket`) instead of pipes.
+Each host runs ``repro net-worker`` (:func:`run_net_worker`): an accept
+loop that handshakes one coordinator at a time, builds the same private
 :class:`~repro.core.engine.BatchedDMEngine` a forked pool member would
 (or a whole host-side ``dm-mp`` pool with ``--workers``), and serves the
 shared :func:`~repro.core.engine_mp._worker_loop`.
 
-Determinism is inherited, not re-proved: the coordinator reuses the
-multiprocess engine's chunking (`np.array_split` contiguous chunks,
-results concatenated in chunk order), so selections are byte-identical
-to ``dm`` at every host count — and stay byte-identical when a host is
-lost mid-run, because re-sharding only moves *which* connection evaluates
-a chunk, never the chunk contents or their concatenation order.
+Determinism is inherited, not re-proved: chunks are ``np.array_split``
+contiguous ranges concatenated in chunk order, so selections are
+byte-identical to ``dm`` at every host count — and stay byte-identical
+when a host is lost mid-run, because re-sharding only moves *which*
+connection evaluates a chunk, never the chunk contents or their
+concatenation order.
 
 Failure model
 -------------
@@ -29,7 +34,9 @@ survivors (``stats.chunks_resharded``); later rounds shard across the
 survivors while the coordinator keeps re-dialing the lost address on a
 deterministic backoff schedule — a host that comes back is re-handshaken
 with the current problem, journal-replayed, and restored to its original
-shard slot (``stats.hosts_rejoined``).  Broadcast ops (``ping`` /
+shard slot (``stats.hosts_rejoined``).  A pool reused after
+:meth:`HostPool.close` reconnects every host and shards across all of
+them again, whatever was lost before.  Broadcast ops (``ping`` /
 ``commit`` / ``delta``) are simply dropped for dead hosts — a worker
 that misses a commit rebuilds its session trajectory lazily from the
 ``(base, seeds)`` pair every fan-out message carries, bitwise identical
@@ -57,20 +64,16 @@ import time
 from typing import Callable, Sequence
 
 from repro.core import faults
-from repro.core.engine import BatchedDMEngine, EngineStats
+from repro.core.engine import BatchedDMEngine
 from repro.core.engine_mp import (
-    _BROADCAST_OPS,
-    _EVOLUTION_COUNTERS,
     _PICKLE_PROTOCOL,
-    _STOP_BYTES,
     MultiprocessDMEngine,
+    _Handle,
     _recv_message,
-    _send_message,
     _worker_loop,
 )
 from repro.core.problem import FJVoteProblem
 from repro.utils.retry import backoff_schedule, with_backoff
-from repro.utils.workers import stop_worker_pool
 
 #: Re-dial ladder for lost hosts (seconds between rejoin attempts);
 #: deterministic — the attempt count indexes it, the tail repeats.
@@ -181,23 +184,6 @@ def _connect(address: str, timeout: float) -> FramedSocket:
         ) from exc
 
 
-class _HostHandle:
-    """One connected host: framed socket, address, per-host counters.
-
-    Duck-typed for :func:`~repro.utils.workers.stop_worker_pool` minus
-    the ``process`` attribute — there is no local process to reap, the
-    remote ``net-worker`` loops back to ``accept`` when the stop frame
-    (or EOF) arrives.
-    """
-
-    __slots__ = ("conn", "address", "stats")
-
-    def __init__(self, conn: FramedSocket, address: str, stats: EngineStats) -> None:
-        self.conn = conn
-        self.address = address
-        self.stats = stats
-
-
 class HostPool(MultiprocessDMEngine):
     """Exact DM evaluation sharded across remote ``net-worker`` hosts.
 
@@ -215,13 +201,17 @@ class HostPool(MultiprocessDMEngine):
         host's engine through the handshake, exactly like the process
         pool ships its ``engine_kwargs``.
 
-    Everything above the wire is inherited from
-    :class:`MultiprocessDMEngine` with the pipe-style message bodies
-    (arrays pickled into frames, no shm slabs): sessions broadcast
-    commits, deltas ship patched columns, ``min_fanout`` keeps tiny
-    rounds local.  Only connection management, dispatch-with-degradation
-    and teardown are socket-specific.
+    Everything above the connections is inherited from
+    :class:`MultiprocessDMEngine` — chunking, the pipe-style message
+    bodies (arrays pickled into frames, no shm slabs), the supervised
+    dispatch loop with its re-shard waves, session commit broadcasts,
+    delta shipping and ``min_fanout``.  This class owns only the
+    connections: handshake, connect, close, rejoin, the sever fault
+    point and the lose hook that drops a host from the shard set.
     """
+
+    _TRANSPORTS = ("tcp",)
+    _MEMBER = "host"
 
     def __init__(
         self,
@@ -240,23 +230,19 @@ class HostPool(MultiprocessDMEngine):
         super().__init__(
             problem,
             workers=len(hosts),
-            transport="pipe",
+            transport="tcp",
             min_fanout=min_fanout,
             **kwargs,
         )
-        # "pipe" above selects the pickled-frames message bodies in the
-        # inherited fan-out paths; the data plane is really TCP.
-        self.transport = "tcp"
         self.hosts = hosts
         self.connect_timeout = float(connect_timeout)
-        self._handles: list[_HostHandle] | None = None
         #: Lost addresses pending rejoin: address -> [attempts, next_retry].
         self._lost_hosts: dict[str, list[float]] = {}
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Connection lifecycle
     # ------------------------------------------------------------------
-    def _handshake(self, address: str, timeout: float) -> _HostHandle:
+    def _handshake(self, address: str, timeout: float) -> _Handle:
         """Dial one host and ship the hello (problem + engine kwargs).
 
         The handshake always carries the *current* problem, so a host
@@ -281,12 +267,17 @@ class HostPool(MultiprocessDMEngine):
             conn.close()
             raise
         slot = self.hosts.index(address)
-        return _HostHandle(conn, address, self.worker_stats[slot])
+        return _Handle(conn, self.worker_stats[slot], slot, f"tcp host {address}")
 
-    def _ensure_pool(self) -> list[_HostHandle]:
-        """Connect and handshake every host (idempotent, all-or-nothing)."""
+    def _ensure_pool(self) -> list[_Handle]:
+        """Connect and handshake every host (idempotent, all-or-nothing).
+
+        The shard count is re-derived from the connected hosts, so a pool
+        reused after :meth:`close` shards across every host again however
+        many were lost before.
+        """
         if self._handles is None:
-            handles: list[_HostHandle] = []
+            handles: list[_Handle] = []
             try:
                 for address in self.hosts:
                     handles.append(
@@ -297,26 +288,21 @@ class HostPool(MultiprocessDMEngine):
                     handle.conn.close()
                 raise
             self._handles = handles
+            self.workers = len(handles)
             self._lost_hosts = {}
             self._pool_started = time.monotonic()
         return self._handles
 
     def close(self) -> None:
-        """Send stop frames and close every socket (idempotent).
+        """Send stop frames, close every socket, forget pending rejoins.
 
-        Reuses the shared guarded-stop ladder; host handles carry no
-        local process, so only the send and the socket close apply.
+        The inherited teardown applies as is: host handles carry no local
+        process, so only the guarded stop send and the socket close run.
         """
-        handles, self._handles = self._handles, None
-        self._pool_started = None
         self._lost_hosts = {}
-        if handles:
-            stop_worker_pool(handles, lambda conn: conn.send_bytes(_STOP_BYTES))
+        super().close()
 
-    # ------------------------------------------------------------------
-    # Dispatch with graceful degradation
-    # ------------------------------------------------------------------
-    def _lose_host(self, handle: _HostHandle) -> None:
+    def _lose(self, handle: _Handle) -> None:
         """Drop a dead host: later rounds shard across the survivors
         while the rejoin schedule re-dials its address."""
         handles = self._handles or []
@@ -327,10 +313,10 @@ class HostPool(MultiprocessDMEngine):
         if handles:
             self.workers = len(handles)
         self._lost_hosts.setdefault(
-            handle.address, [0, time.monotonic() + _REJOIN_DELAYS[0]]
+            self.hosts[handle.slot], [0, time.monotonic() + _REJOIN_DELAYS[0]]
         )
 
-    def _try_rejoin(self) -> None:
+    def _heal_pool(self) -> None:
         """Re-dial lost hosts whose backoff deadline has passed.
 
         A successful dial re-runs the full handshake (current problem),
@@ -353,12 +339,12 @@ class HostPool(MultiprocessDMEngine):
                 continue
             del self._lost_hosts[address]
             self._handles.append(handle)
-            self._handles.sort(key=lambda h: self.hosts.index(h.address))
+            self._handles.sort(key=lambda h: h.slot)
             self.workers = len(self._handles)
             self.stats.hosts_rejoined += 1
-            self._replay_journal(self.hosts.index(address), handle)
+            self._replay_journal(handle)
 
-    def _inject_host_faults(self) -> None:
+    def _inject_faults(self) -> None:
         """The ``net-sever-host`` fault point: cut a planned host's socket.
 
         Closing the coordinator side mid-round makes the next send fail
@@ -370,129 +356,18 @@ class HostPool(MultiprocessDMEngine):
             return
         for handle in list(self._handles):
             spec = faults.maybe_fail(
-                "net-sever-host", host=handle.address, round=self.pool_rounds
+                "net-sever-host",
+                host=self.hosts[handle.slot],
+                round=self.pool_rounds,
             )
             if spec is not None:
                 handle.conn.close()
 
-    def _receive(self, handle: _HostHandle):
-        """One reply off ``handle``; folds counters, raises on worker err.
-
-        Transport failures (EOF/OSError) propagate to the caller — they
-        mean the *host* died and its chunk can be re-dispatched; a
-        worker-side ``err`` status means the evaluation itself failed on
-        a live host and re-running it elsewhere would fail the same way.
-        """
-        reply, nbytes = _recv_message(handle.conn)
-        self.stats.ipc_bytes += nbytes
-        status, result, stats = reply
-        if status != "ok":
-            self.close()
-            raise RuntimeError(
-                f"dm-mp tcp host {handle.address} failed:\n{result}"
-            )
-        for name, value in zip(_EVOLUTION_COUNTERS, stats):
-            setattr(self.stats, name, getattr(self.stats, name) + value)
-            setattr(handle.stats, name, getattr(handle.stats, name) + value)
-        return result
-
-    def _run(self, messages: Sequence[tuple], pending: Sequence | None = None) -> list:
-        """Fan out one round over the hosts, re-sharding around losses.
-
-        Chunked ops keep their slots: ``results[i]`` always answers
-        ``messages[i]``, however many times host failures re-dispatch it,
-        so the caller's chunk-order concatenation (the byte-identity
-        contract) never observes the loss.  ``pending`` is unused — the
-        tcp data plane has no reply slabs.
-        """
-        del pending  # tcp frames carry their payloads inline
-        self._ensure_pool()
-        self._try_rejoin()
-        self._inject_host_faults()
-        handles = list(self._handles or [])
-        round_start = time.monotonic()
-        try:
-            messages = list(messages)
-            results: dict[int, object] = {}
-            failed: list[int] = []
-            dispatched: list[tuple[int, _HostHandle]] = []
-            for index, message in enumerate(messages):
-                handle = handles[index]
-                try:
-                    self.stats.ipc_bytes += _send_message(handle.conn, message)
-                    dispatched.append((index, handle))
-                except (BrokenPipeError, ConnectionError, OSError):
-                    self._lose_host(handle)
-                    failed.append(index)
-            for index, handle in dispatched:
-                try:
-                    results[index] = self._receive(handle)
-                except (EOFError, ConnectionError, OSError):
-                    self._lose_host(handle)
-                    failed.append(index)
-            if failed:
-                if messages[failed[0]][0] in _BROADCAST_OPS:
-                    # Survivors already served the broadcast; missed
-                    # commits self-heal from the next fan-out's seeds.
-                    if not self._handles:
-                        self.close()
-                        raise RuntimeError(
-                            "dm-mp tcp: every host is unreachable"
-                        )
-                else:
-                    self._redispatch(messages, sorted(failed), results)
-            return [results[index] for index in sorted(results)]
-        finally:
-            self.pool_rounds += 1
-            self.pool_busy_s += time.monotonic() - round_start
-
-    def _redispatch(
-        self,
-        messages: list,
-        queue: list[int],
-        results: dict[int, object],
-    ) -> None:
-        """Re-shard a lost host's chunks across the survivors, in waves.
-
-        Each wave assigns at most one queued chunk per survivor (keeping
-        hosts busy concurrently); a survivor that dies mid-wave sends its
-        chunk back into the queue.  Runs until every chunk has a result
-        or no hosts remain.
-        """
-        while queue:
-            survivors = list(self._handles or [])
-            if not survivors:
-                self.close()
-                raise RuntimeError(
-                    "dm-mp tcp: every host was lost before the round's "
-                    "chunks could be re-sharded"
-                )
-            wave: list[tuple[int, _HostHandle]] = []
-            for handle, index in zip(survivors, list(queue)):
-                try:
-                    self.stats.ipc_bytes += _send_message(
-                        handle.conn, messages[index]
-                    )
-                except (BrokenPipeError, ConnectionError, OSError):
-                    self._lose_host(handle)
-                    continue
-                self.stats.chunks_resharded += 1
-                wave.append((index, handle))
-                queue.remove(index)
-            for index, handle in wave:
-                try:
-                    results[index] = self._receive(handle)
-                except (EOFError, ConnectionError, OSError):
-                    self._lose_host(handle)
-                    queue.append(index)
-
-    # ------------------------------------------------------------------
     def pool_stats(self) -> dict[str, object]:
         """The process pool's snapshot plus host fleet accounting."""
         stats = super().pool_stats()
-        connected = [h.address for h in (self._handles or [])]
         stats["hosts"] = list(self.hosts)
-        stats["hosts_connected"] = connected
+        stats["hosts_connected"] = [self.hosts[h.slot] for h in (self._handles or [])]
         stats["hosts_lost"] = int(self.stats.hosts_lost)
         stats["hosts_rejoined"] = int(self.stats.hosts_rejoined)
         stats["chunks_resharded"] = int(self.stats.chunks_resharded)

@@ -101,14 +101,10 @@ _MASTER_CACHE_CAP = 8
 #: Format 2 switched block generation to one deterministic rng stream per
 #: walk (``generate_reverse_walks_streamed``), which is what lets a graph
 #: delta regenerate individual walks instead of whole blocks.  Format 3
-#: records a crc32 per block part in the manifest; block bytes and names
-#: are unchanged, so format-2 directories open read-compatibly and are
-#: upgraded in place on first open.
+#: records a crc32 per block part in the manifest.  A store is a cache
+#: regenerable from its deterministic identity, so any other format is
+#: refused rather than upgraded.
 STORE_FORMAT = 3
-
-#: On-disk formats this build can open.  Format 2 lacks checksums; its
-#: blocks are checksummed once at open and the manifest upgraded.
-_COMPAT_FORMATS = (2, 3)
 
 #: Default cap on memory-mapped blocks kept resident per store.
 DEFAULT_RESIDENT_BLOCKS = 64
@@ -598,7 +594,15 @@ class WalkStore:
         path = self.store_dir / "manifest.json"
         if path.exists():
             existing = json.loads(path.read_text())
-            volatile = ("graph_versions", "checksums", "format")
+            disk_format = existing.get("format")
+            if disk_format != STORE_FORMAT:
+                raise ValueError(
+                    f"store at {self.store_dir} uses on-disk format "
+                    f"{disk_format!r}; this build reads format "
+                    f"{STORE_FORMAT} only (the store is a regenerable "
+                    "cache: point at a fresh directory)"
+                )
+            volatile = ("graph_versions", "checksums")
             identity = {k: v for k, v in manifest.items() if k not in volatile}
             disk_identity = {
                 k: v for k, v in existing.items() if k not in volatile
@@ -614,13 +618,6 @@ class WalkStore:
                     f"identity ({diffs}); reuse the original seed/horizon/"
                     "block_walks or point at a fresh directory"
                 )
-            disk_format = existing.get("format")
-            if disk_format not in _COMPAT_FORMATS:
-                raise ValueError(
-                    f"store at {self.store_dir} uses on-disk format "
-                    f"{disk_format!r}; this build reads formats "
-                    f"{list(_COMPAT_FORMATS)}"
-                )
             if existing.get("graph_versions") != manifest["graph_versions"]:
                 raise ValueError(
                     f"store at {self.store_dir} holds walks drawn at graph "
@@ -634,24 +631,8 @@ class WalkStore:
                 str(stem): {part: int(crc) for part, crc in parts.items()}
                 for stem, parts in existing.get("checksums", {}).items()
             }
-            if disk_format != STORE_FORMAT:
-                # Format-2 store: checksum the blocks it already holds
-                # once, then upgrade the manifest in place.
-                self._adopt_disk_checksums()
-                self._write_manifest()
         else:
             self._write_manifest()
-
-    def _adopt_disk_checksums(self) -> None:
-        """Record crc32s for pre-checksum (format-2) blocks already on disk."""
-        for path in sorted(self.store_dir.glob("*.npy")):
-            pieces = path.name.split(".")
-            if len(pieces) != 3 or pieces[1] not in ("walks", "lengths"):
-                continue
-            stem, part = pieces[0], pieces[1]
-            self._checksums.setdefault(stem, {})[part] = zlib.crc32(
-                path.read_bytes()
-            )
 
     def _block_stem(self, candidate: int, kind: str, index: int) -> str:
         """Checksum-ledger key of one block: its identity, minus the part."""

@@ -52,7 +52,7 @@ Error codes
 ``unknown-op``
     ``op`` is not one of :data:`OPS`.
 ``bad-engine-spec``
-    ``engine`` failed :func:`repro.core.engine.parse_engine_spec`; the
+    ``engine`` failed :meth:`repro.core.engine.EngineSpec.parse`; the
     registry's message is carried verbatim.
 ``engine-not-loaded``
     A well-formed spec this server was not started with.

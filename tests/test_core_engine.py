@@ -17,10 +17,10 @@ from repro.core.engine import (
     ENGINE_NAMES,
     BatchedDMEngine,
     DMEngine,
+    EngineSpec,
     ObjectiveEngine,
     WalkEngine,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.engine_mp import MultiprocessDMEngine
@@ -153,9 +153,13 @@ def test_make_engine_specs():
 
 
 def test_parse_engine_spec_and_exactness():
-    assert parse_engine_spec("dm-batched") == ("dm-batched", {})
-    assert parse_engine_spec("dm-mp") == ("dm-mp", {})
-    assert parse_engine_spec("dm-mp:4") == ("dm-mp", {"workers": 4})
+    for spec, name, kwargs in (
+        ("dm-batched", "dm-batched", {}),
+        ("dm-mp", "dm-mp", {}),
+        ("dm-mp:4", "dm-mp", {"workers": 4}),
+    ):
+        parsed = EngineSpec.parse(spec)
+        assert (parsed.name, parsed.kwargs()) == (name, kwargs)
     for spec in (None, "dm", "dm-batched", "dm-mp", "dm-mp:2"):
         assert spec_is_exact_dm(spec), spec
     for spec in ("rw", "sketch", "dm-mp:0", "nope", 7):
@@ -873,15 +877,17 @@ def test_mp_transport_validated():
 
 
 def test_parse_engine_spec_shm_suffix():
-    assert parse_engine_spec("dm-mp:shm") == ("dm-mp", {"transport": "shm"})
-    assert parse_engine_spec("dm-mp:3:shm") == (
+    shm = EngineSpec.parse("dm-mp:shm")
+    assert (shm.name, shm.kwargs()) == ("dm-mp", {"transport": "shm"})
+    sized = EngineSpec.parse("dm-mp:3:shm")
+    assert (sized.name, sized.kwargs()) == (
         "dm-mp",
         {"workers": 3, "transport": "shm"},
     )
     assert spec_is_exact_dm("dm-mp:2:shm")
     for bad in ("dm-mp:shm:2", "dm-mp:shm:shm", "rw-store:shm", "dm:shm"):
         with pytest.raises(ValueError):
-            parse_engine_spec(bad)
+            EngineSpec.parse(bad)
 
 
 def test_make_engine_builds_shm_transport():

@@ -15,6 +15,7 @@ The central contracts:
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.imm import imm
 from repro.core.engine import (
+    EngineSpec,
     EstimatorPrecisionWarning,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.greedy import greedy_engine
@@ -382,7 +383,7 @@ def test_malformed_rw_store_specs_rejected(bad):
     """Malformed rw-store:<shards> forms fail with the registry's single
     ValueError, naming every spec and both parameterized forms."""
     with pytest.raises(ValueError) as excinfo:
-        parse_engine_spec(bad)
+        EngineSpec.parse(bad)
     message = str(excinfo.value)
     assert "rw-store:<shards>" in message
     assert "dm-mp:<workers>" in message
@@ -525,6 +526,25 @@ def test_mmap_manifest_mismatch_rejected(tmp_path):
     WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
 
 
+def test_old_store_format_refused(tmp_path):
+    """A pre-checksum (format-2) manifest is refused with a structured
+    error naming the format; nothing is upgraded or deleted in place."""
+    problem = make_problem(22, n=10, r=2)
+    store = WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
+    store.uniform_view(0, 8)
+    store.close()
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["format"] = 2
+    del manifest["checksums"]
+    path.write_text(json.dumps(manifest))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(ValueError, match="on-disk format 2"):
+        WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert json.loads(path.read_text()) == manifest
+
+
 def test_mmap_lru_bounds_resident_blocks(tmp_path):
     """Pools must scale past the resident cap: evicted blocks re-open on
     demand and every view stays byte-identical to the unbounded store."""
@@ -560,10 +580,10 @@ def test_mmap_spec_and_store_dir_conflicts():
         make_engine("rw-store", problem, store=shared, store_dir="/tmp/x")
     for bad in ("rw-store:mmap=", "rw-store:2:mmap=", "rw-store:mmap"):
         with pytest.raises(ValueError):
-            parse_engine_spec(bad)
-    name, kwargs = parse_engine_spec("rw-store:2:mmap=/data/walks:v1")
-    assert name == "rw-store"
-    assert kwargs == {"shards": 2, "store_dir": "/data/walks:v1"}
+            EngineSpec.parse(bad)
+    spec = EngineSpec.parse("rw-store:2:mmap=/data/walks:v1")
+    assert spec.name == "rw-store"
+    assert spec.kwargs() == {"shards": 2, "store_dir": "/data/walks:v1"}
 
 
 def test_engine_close_only_closes_private_store():

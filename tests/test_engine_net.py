@@ -25,7 +25,6 @@ from repro.core.engine import (
     ENGINE_NAMES,
     EngineSpec,
     make_engine,
-    parse_engine_spec,
     spec_is_exact_dm,
 )
 from repro.core.engine_net import FramedSocket, HostPool, run_net_worker
@@ -189,6 +188,37 @@ def test_lost_host_reshards_chunks_to_survivors(two_hosts):
         engine.close()
 
 
+def test_pool_reused_after_close_shards_across_every_host():
+    """Regression: a host lost before ``close()`` must not leave the pool
+    at reduced width — reconnecting re-derives the shard count from the
+    connected hosts, so both hosts get work again."""
+    # Each host serves the original connection and the reconnect.
+    started = [start_worker(connections=2) for _ in range(2)]
+    hosts = [addr for addr, _ in started]
+    problem = make_problem(3, "cumulative", 12)
+    sets = [np.array([i, (i + 3) % 13]) for i in range(13)]
+    with make_engine("dm-batched", problem) as ref:
+        expected = ref.evaluate(sets)
+    engine = _tcp_engine(problem, hosts)
+    try:
+        assert np.array_equal(expected, engine.evaluate(sets))
+        engine._handles[0].conn.close()
+        assert np.array_equal(expected, engine.evaluate(sets))
+        assert engine.workers == 1
+        engine.close()
+        work = [w.dense_column_steps + w.sparse_steps for w in engine.worker_stats]
+        assert np.array_equal(expected, engine.evaluate(sets))
+        assert engine.workers == 2
+        assert engine.pool_stats()["hosts_connected"] == hosts
+        after = [w.dense_column_steps + w.sparse_steps for w in engine.worker_stats]
+        assert all(a > b for a, b in zip(after, work)), (work, after)
+    finally:
+        engine.close()
+    for _, thread in started:
+        thread.join(10)
+        assert not thread.is_alive()
+
+
 def test_lost_host_during_session_still_matches(two_hosts):
     problem = make_problem(9, "plurality", 8)
     cands = np.arange(13)
@@ -334,8 +364,6 @@ def test_engine_spec_rejects_malformed_tcp_forms(bad):
     # The single registry error names every engine, like the CLI tests pin.
     for name in ENGINE_NAMES:
         assert name in str(excinfo.value)
-    with pytest.raises(ValueError):
-        parse_engine_spec(bad)
 
 
 def test_engine_spec_constructor_validates_fields():
@@ -371,7 +399,7 @@ def test_engine_spec_with_store_dir():
 def test_engine_spec_parse_passthrough_and_exactness():
     spec = EngineSpec.parse("dm-mp:2")
     assert EngineSpec.parse(spec) is spec
-    assert parse_engine_spec(spec) == ("dm-mp", {"workers": 2})
+    assert (spec.name, spec.kwargs()) == ("dm-mp", {"workers": 2})
     assert spec_is_exact_dm(spec)
     assert spec_is_exact_dm("dm-mp:tcp=a:1")
     assert not spec_is_exact_dm(EngineSpec.parse("rw"))
@@ -442,10 +470,8 @@ def test_engine_spec_canonical_round_trips(spec):
     assert parsed.canonical() == spec
     # canonical() is a fixed point, and parse is total on its own output
     assert EngineSpec.parse(parsed.canonical()).canonical() == spec
-    # the legacy tuple front-end agrees with the structured form
-    name, kwargs = parse_engine_spec(spec)
-    assert name == parsed.name
-    assert kwargs == parsed.kwargs()
+    # kwargs() carries every field the spec sets
+    assert EngineSpec(parsed.name, **parsed.kwargs()) == parsed
 
 
 # ----------------------------------------------------------------------

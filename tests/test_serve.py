@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.core.engine import parse_engine_spec
+from repro.core.engine import EngineSpec
 from repro.core.problem import FJVoteProblem
 from repro.serve.batcher import CoalescingBatcher, EngineHub
 from repro.serve.protocol import (
@@ -194,14 +194,14 @@ def test_coalesced_gains_independent_of_batch_composition():
 # Structured errors
 # ----------------------------------------------------------------------
 def test_bad_engine_spec_is_a_structured_error():
-    """A malformed spec answers with parse_engine_spec's own message as a
+    """A malformed spec answers with EngineSpec.parse's own message as a
     protocol error — not a dropped connection, not a server crash."""
     hub = EngineHub(make_problem(), ["dm-batched"])
     try:
         batcher = CoalescingBatcher(hub)
         for bad_spec in ("dm-mp:0", "warp-drive", "rw-store:"):
             with pytest.raises(ValueError) as registry_err:
-                parse_engine_spec(bad_spec)
+                EngineSpec.parse(bad_spec)
             (response,) = batcher.execute(
                 [make_request(0, "marginal_gain", seeds=[], candidates=[1],
                               engine=bad_spec)]
