@@ -321,7 +321,9 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
     advance the problem (the store already holds their patches), steps
     after it are forwarded through :meth:`WalkStore.apply_delta` so only
     the walks they invalidated are re-drawn.  A store that matches *no*
-    point of the journal raises the manifest version-mismatch error.
+    point of the journal — or is refused outright (another identity, a
+    format other than the current one) — stops the command with its
+    one-line error, never a traceback.
 
     Prints one grep-able ``delta:`` line aggregating every step's
     :class:`~repro.core.problem.DeltaReport`, mirroring the ``store:``
@@ -340,7 +342,7 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
         store = _wire_store_dir(args, problem)
     except ValueError as exc:
         if not steps:
-            raise
+            raise SystemExit(str(exc)) from None
         open_error = exc
     added = removed = opinions = 0
     touched: set[int] = set()
@@ -375,7 +377,7 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
         structural = structural or report.structural
         refreshed += report.competitor_rows_refreshed
     if open_error is not None:
-        raise open_error
+        raise SystemExit(str(open_error))
     if steps:
         print(
             f"delta: steps={len(steps)} edges added={added} "

@@ -155,12 +155,10 @@ class EngineStats:
     sparse_nnz: int = 0
     dense_column_steps: int = 0
     trajectory_steps: int = 0
-    #: Sparse-phase re-pin surgery: steps handled by data-only in-place
-    #: writes, entries spliced in by the sorted merge (structure misses),
-    #: and full COO->CSR rebuilds (the legacy ``repin="rebuild"`` path).
+    #: Sparse-phase re-pin: products re-pinned, and pinned entries the
+    #: product did not store that were spliced in at the end of their rows.
     repin_steps: int = 0
     repin_inserted: int = 0
-    repin_rebuilds: int = 0
     #: Committed session trajectories refreshed in place by a delta
     #: correction (``apply_delta``'s fast path) instead of a full rebuild.
     #: The correction work itself lands in ``sparse_steps``/``sparse_nnz``.
@@ -843,6 +841,48 @@ class BatchedDMSession(SelectionSession):
         )
 
 
+class _PinLayout:
+    """The pinned coordinates of one ``_evolve_blocks`` call, laid out once.
+
+    :meth:`locate` finds the pins among a product's unsorted CSR entries.
+    With at most one pin per column (every session path) a per-column slot
+    table answers it in one O(nnz) gather; wider columns search each
+    entry's flattened key in the pin keys, sorted here once.  ``by_row`` is
+    the order missing pins are spliced in.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, c: int, width: int):
+        self.rows = rows
+        self.cols = cols
+        self.c = c
+        self.by_row = np.argsort(rows, kind="stable")
+        self.slot_row: np.ndarray | None = None
+        if width <= 1:
+            # int32 rows: ``take`` gathers them ~40% faster than int64 fancy
+            # indexing on the product's int32 indices.
+            self.slot_row = np.full(c, -1, dtype=np.int32)
+            self.slot_row[cols] = rows
+            self.slot_pin = np.zeros(c, dtype=np.int64)
+            self.slot_pin[cols] = np.arange(cols.size)
+        else:
+            keys = rows * np.int64(c) + cols
+            self.key_order = np.argsort(keys, kind="stable")
+            self.keys = keys[self.key_order]
+
+    def locate(
+        self, entry_rows: np.ndarray, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the pinned entries and, for each, its pin index."""
+        if self.slot_row is not None:
+            hit = np.flatnonzero(self.slot_row.take(indices) == entry_rows)
+            return hit, self.slot_pin[indices[hit]]
+        entry_keys = entry_rows * np.int64(self.c) + indices
+        pos = np.searchsorted(self.keys, entry_keys)
+        pos[pos == self.keys.size] = 0
+        hit = np.flatnonzero(self.keys[pos] == entry_keys)
+        return hit, self.key_order[pos[hit]]
+
+
 class BatchedDMEngine(ObjectiveEngine):
     """Exact DM evaluation of many seed sets in one batched FJ evolution.
 
@@ -860,20 +900,18 @@ class BatchedDMEngine(ObjectiveEngine):
         the shared sparse phase (cache knob: ``n * batch_rows * 8`` bytes
         per block).  Default: auto-sized to stay within
         ``max_batch_bytes``, capped at 64 columns — small enough to keep a
-        block LLC-resident through the bandwidth-bound dense products,
-        measured fastest across 500 <= n <= 8000.
+        block LLC-resident through the bandwidth-bound dense products.
+        The cap was picked from ``benchmarks/bench_engine_batched.py``
+        runs (500 <= n <= 8000) on a host whose cache sizes were not
+        recorded.  On a 2-core Xeon with 2 MiB L2 per core, the sparse
+        retweet graph at n=4000 costs 0.47 ns per nnz·column-step at 32
+        columns against 0.53-0.58 at 64, while the denser yelp graph is
+        flat between them; the default is unchanged pending a measured
+        sweep.
     densify_threshold:
         Delta matrices start sparse (a fresh seed only perturbs its t-step
         out-neighborhood) and switch to dense blocks once their fill
         fraction approaches this threshold (see ``_evolve_blocks``).
-    repin:
-        How the sparse phase splices pinned seed values back in after each
-        product.  ``"inplace"`` (default) reuses the product's CSR
-        structure: pinned coordinates already present get data-only
-        writes, missing ones are spliced in by a sorted merge — no global
-        sort, no rebuild.  ``"rebuild"`` is the legacy duplicate-summing
-        COO->CSR rebuild, kept as the parity/benchmark reference
-        (``benchmarks/bench_engine_mp.py``).
     """
 
     supports_batch = True
@@ -887,14 +925,8 @@ class BatchedDMEngine(ObjectiveEngine):
         batch_rows: int | None = None,
         max_batch_bytes: int = 64_000_000,
         densify_threshold: float = 0.1,
-        repin: str = "inplace",
     ) -> None:
         super().__init__(problem)
-        if repin not in ("inplace", "rebuild"):
-            raise ValueError(
-                f"repin must be 'inplace' or 'rebuild', got {repin!r}"
-            )
-        self.repin = repin
         self.user_weights: np.ndarray | None = None
         if user_weights is not None:
             if not isinstance(problem.score, SeparableScore):
@@ -1003,7 +1035,9 @@ class BatchedDMEngine(ObjectiveEngine):
 
         Two phases.  While influence has spread to few nodes, *all* seed
         sets evolve together as one sparse ``(n, C)`` matrix — the sparse
-        phase's fixed per-product cost is paid once, not once per block.
+        phase's fixed per-product cost is paid once, not once per block —
+        and each product is re-pinned without ever being sorted (see
+        :meth:`_repin`).
         Once the delta fill approaches the densify threshold, columns are
         sliced into dense ``(n, batch_rows)`` blocks (sized to stay
         cache-resident) that finish the remaining steps independently.
@@ -1022,38 +1056,19 @@ class BatchedDMEngine(ObjectiveEngine):
         if traj is None:
             traj = self.problem.target_trajectory()
         zero = None
-        zero_mask = None
         if zero_rows is not None:
             zero = np.asarray(zero_rows, dtype=np.int64)
-            if zero.size:
-                zero_mask = np.zeros(n, dtype=bool)
-                zero_mask[zero] = True
-            else:
+            if not zero.size:
                 zero = None
         horizon = self.problem.horizon
         sizes = np.array([s.size for s in sets], dtype=np.int64)
-        pin_rows = np.concatenate(sets) if c else np.empty(0, dtype=np.int64)
+        pin_rows = np.concatenate(sets)
         pin_cols = np.repeat(np.arange(c, dtype=np.int64), sizes)
         # delta(0): seeded coordinates jump to 1, everything else unchanged.
         delta = sparse.csr_matrix(
             (1.0 - traj[0][pin_rows], (pin_rows, pin_cols)), shape=(n, c)
         )
-        # Pinned coordinates sorted by flattened (row, col) key — the order
-        # entries take in a canonical CSR — precomputed once so each step's
-        # re-pin surgery is one searchsorted against the product's keys.
-        flat_keys = pin_rows * np.int64(c) + pin_cols
-        key_order = np.argsort(flat_keys, kind="stable")
-        pin_keys = flat_keys[key_order]
-        pin_rows_s = pin_rows[key_order]
-        pin_cols_s = pin_cols[key_order]
-        inplace = self.repin == "inplace"
-        if not inplace:
-            # Legacy rebuild path: membership via a flat bool lookup when
-            # affordable, sorted-key search otherwise.
-            use_lookup = n * c <= 1 << 26
-            if use_lookup:
-                pinned = np.zeros(n * c, dtype=bool)
-                pinned[flat_keys] = True
+        pins = _PinLayout(pin_rows, pin_cols, c, int(sizes.max()))
         # The sparse phase stops once the *next* product is predicted to
         # cost more than its dense counterpart: a sparse-sparse product is
         # ~3x denser-per-nonzero than dense, and the fill cap also bounds
@@ -1076,40 +1091,8 @@ class BatchedDMEngine(ObjectiveEngine):
                 growth = delta.nnz / prev_nnz
             # Re-pin in sparse form: zero whatever propagated into the
             # seeded coordinates (including the base's committed ones),
-            # then splice the pinned values back in.
-            pin_values = 1.0 - traj[s][pin_rows_s]
-            if inplace:
-                delta = self._repin_inplace(
-                    delta, pin_keys, pin_rows_s, pin_cols_s, pin_values, zero
-                )
-                continue
-            # Legacy duplicate-summing COO -> CSR rebuild (global sort).
-            self.stats.repin_rebuilds += 1
-            entry_rows = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(delta.indptr)
-            )
-            entry_cols = delta.indices.astype(np.int64)
-            entry_keys = entry_rows * np.int64(c) + entry_cols
-            if use_lookup:
-                hit = pinned[entry_keys]
-            else:
-                pos = np.searchsorted(pin_keys, entry_keys)
-                pos[pos == pin_keys.size] = 0
-                hit = pin_keys[pos] == entry_keys
-            if zero_mask is not None:
-                hit = hit | zero_mask[entry_rows]
-            if hit.any():
-                delta.data[hit] = 0.0
-            delta = sparse.csr_matrix(
-                (
-                    np.concatenate([delta.data, pin_values]),
-                    (
-                        np.concatenate([entry_rows, pin_rows_s]),
-                        np.concatenate([entry_cols, pin_cols_s]),
-                    ),
-                ),
-                shape=(n, c),
-            )
+            # then write the pinned values back in.
+            delta = self._repin(delta, pins, 1.0 - traj[s][pin_rows], zero)
         delta = delta.tocsc()
         base = traj[horizon][:, None]
         for lo in range(0, c, self.batch_rows):
@@ -1127,59 +1110,60 @@ class BatchedDMEngine(ObjectiveEngine):
             block += base
             yield lo, hi, block
 
-    def _repin_inplace(
+    def _repin(
         self,
         delta: sparse.csr_matrix,
-        pin_keys: np.ndarray,
-        pin_rows: np.ndarray,
-        pin_cols: np.ndarray,
+        pins: _PinLayout,
         pin_values: np.ndarray,
         zero: np.ndarray | None,
     ) -> sparse.csr_matrix:
-        """Structure-reusing re-pin: data-only writes, sorted merge on miss.
+        """Sort-free re-pin of one sparse-phase product.
 
-        ``pin_*`` must be sorted by flattened ``row * c + col`` key.  The
-        product's CSR structure is kept: pinned coordinates it already
-        stores are overwritten in ``delta.data`` directly, and only the
-        (typically few) pins the product did not propagate into are
-        spliced in by an O(nnz) sorted merge — the global
-        lexsort/COO-rebuild of the legacy path never runs.
+        Pinned coordinates the product already stores get data-only
+        writes; the rest are appended at the end of their rows.  The
+        product's rows are left in ``csr_matmat`` order and the result's
+        need not be sorted either: the next product sums each entry in
+        ``_wt_scaled``'s row order and every ``delta`` row holds a column
+        at most once, so column order changes no value, no ``nnz`` and no
+        dropped exact zero — nor does it matter to ``tocsc`` or the dense
+        blocks.  The result is therefore never flagged canonical.
         """
-        delta.sort_indices()
         self.stats.repin_steps += 1
         n, c = delta.shape
+        data, indices, indptr = delta.data, delta.indices, delta.indptr
         if zero is not None:
-            indptr = delta.indptr
             for r in zero:
-                delta.data[indptr[r] : indptr[r + 1]] = 0.0
-        if pin_keys.size == 0:
+                data[indptr[r] : indptr[r + 1]] = 0.0
+        if pins.rows.size == 0:
             return delta
-        # Canonical CSR => flattened keys are strictly ascending, so one
-        # searchsorted locates every pinned coordinate at once.
-        entry_rows = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(delta.indptr)
+        entry_rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+        hit, hit_pin = pins.locate(entry_rows, indices)
+        data[hit] = pin_values[hit_pin]
+        found = np.zeros(pins.rows.size, dtype=bool)
+        found[hit_pin] = True
+        missing = pins.by_row[~found[pins.by_row]]
+        m = missing.size
+        if not m:
+            return delta
+        # Row order, not pin order: missing pins of rows with only empty
+        # rows between them share one insertion point, and must land there
+        # in row order to stay inside their own rows.
+        miss_rows = pins.rows[missing]
+        dest = indptr[miss_rows + 1] + np.arange(m)
+        keep = np.ones(indices.size + m, dtype=bool)
+        keep[dest] = False
+        new_data = np.empty(keep.size, dtype=data.dtype)
+        new_data[keep] = data
+        new_data[dest] = pin_values[missing]
+        new_indices = np.empty(keep.size, dtype=indices.dtype)
+        new_indices[keep] = indices
+        new_indices[dest] = pins.cols[missing]
+        new_indptr = indptr.copy()
+        new_indptr[1:] += np.cumsum(np.bincount(miss_rows, minlength=n)).astype(
+            indptr.dtype
         )
-        entry_keys = entry_rows * np.int64(c) + delta.indices
-        pos = np.searchsorted(entry_keys, pin_keys)
-        found = np.zeros(pin_keys.size, dtype=bool)
-        in_range = pos < entry_keys.size
-        found[in_range] = entry_keys[pos[in_range]] == pin_keys[in_range]
-        delta.data[pos[found]] = pin_values[found]
-        missing = ~found
-        if missing.any():
-            m_pos = pos[missing]
-            data = np.insert(delta.data, m_pos, pin_values[missing])
-            indices = np.insert(
-                delta.indices, m_pos, pin_cols[missing].astype(delta.indices.dtype)
-            )
-            counts = np.bincount(pin_rows[missing], minlength=n)
-            indptr = delta.indptr + np.concatenate(
-                ([0], np.cumsum(counts))
-            ).astype(np.int64)
-            self.stats.repin_inserted += int(missing.sum())
-            delta = sparse.csr_matrix((data, indices, indptr), shape=(n, c))
-            delta.has_canonical_format = True  # merged in key order, no dups
-        return delta
+        self.stats.repin_inserted += m
+        return sparse.csr_matrix((new_data, new_indices, new_indptr), shape=(n, c))
 
     # ------------------------------------------------------------------
     # Warm-start primitives (the session's backend)

@@ -111,7 +111,6 @@ _EVOLUTION_COUNTERS = (
     "trajectory_steps",
     "repin_steps",
     "repin_inserted",
-    "repin_rebuilds",
 )
 
 #: Worker-local committed trajectories kept per worker (FIFO eviction);
@@ -639,7 +638,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
         Results are bitwise identical either way.  Default ``2 * workers``.
     kwargs:
         Forwarded to :class:`BatchedDMEngine` in the parent *and* every
-        worker (``batch_rows``, ``densify_threshold``, ``repin``, ...).
+        worker (``batch_rows``, ``densify_threshold``, ...).
 
     The pool starts lazily on the first fanned-out call and is released by
     :meth:`close` (also via ``with``, garbage collection, or interpreter

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.core.engine import (
     ENGINE_NAMES,
@@ -26,6 +27,8 @@ from repro.core.engine import (
 from repro.core.engine_mp import MultiprocessDMEngine
 from repro.core.greedy import greedy_dm, greedy_engine
 from repro.core.problem import FJVoteProblem
+from repro.graph.build import graph_from_edges
+from repro.opinion.state import CampaignState
 from repro.voting.scores import (
     CopelandScore,
     CumulativeScore,
@@ -489,7 +492,7 @@ def test_engine_stats_reset():
 
 
 # ----------------------------------------------------------------------
-# In-place sparse re-pin: structure-reusing surgery == legacy rebuild
+# Sparse-phase re-pin == dense-only evolution, bit for bit
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(
@@ -498,10 +501,10 @@ def test_engine_stats_reset():
     horizon=st.integers(1, 6),
     data=st.data(),
 )
-def test_inplace_repin_matches_legacy_rebuild(seed, score_name, horizon, data):
-    """The in-place re-pin must reproduce the COO->CSR rebuild bit for bit
-    (same pinned-value splices, same explicit-zero structure) while never
-    performing a rebuild, on both the stateless and warm-started paths."""
+def test_sparse_repin_matches_dense_only_oracle(seed, score_name, horizon, data):
+    """Every sparse step (unsorted product, data-only pin writes, missing
+    pins appended at row ends) must reproduce the dense-only evolution bit
+    for bit, on both the stateless and warm-started paths."""
     problem = make_problem(seed, score_name, horizon)
     n = problem.n
     num_sets = data.draw(st.integers(1, 5))
@@ -509,36 +512,93 @@ def test_inplace_repin_matches_legacy_rebuild(seed, score_name, horizon, data):
         data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=4))
         for _ in range(num_sets)
     ]
-    # densify_threshold=1.0 keeps every step in the sparse phase, the only
-    # code path the re-pin mode touches.
-    inplace = BatchedDMEngine(problem, densify_threshold=1.0)
-    legacy = BatchedDMEngine(problem, densify_threshold=1.0, repin="rebuild")
-    np.testing.assert_array_equal(
-        inplace.evaluate(seed_sets), legacy.evaluate(seed_sets)
+    # densify_threshold=1.0 keeps every step in the sparse phase;
+    # densify_threshold=0.0 takes none (whenever some set is non-empty).
+    sparse_engine = BatchedDMEngine(problem, densify_threshold=1.0)
+    oracle = BatchedDMEngine(problem, densify_threshold=0.0)
+    assert np.array_equal(
+        sparse_engine.target_opinion_rows(seed_sets),
+        oracle.target_opinion_rows(seed_sets),
     )
-    assert inplace.stats.repin_rebuilds == 0
-    assert legacy.stats.repin_rebuilds == legacy.stats.sparse_steps
-    # Warm-started sessions exercise zero_rows (committed-seed zeroing).
+    assert sparse_engine.stats.sparse_steps > 0
+    if any(seed_sets):
+        assert oracle.stats.sparse_steps == 0
+    # Warm-started rows exercise zero_rows (committed-seed zeroing).
     commits = data.draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
     )
-    s_inplace = inplace.open_session()
-    s_legacy = legacy.open_session()
+    session = oracle.open_session()
     for commit in commits:
         candidates = np.array(sorted(set(range(n)) - set(commits)))
-        np.testing.assert_array_equal(
-            s_inplace.marginal_gains(candidates),
-            s_legacy.marginal_gains(candidates),
+        committed = np.array(session.seeds, dtype=np.int64)
+        assert np.array_equal(
+            sparse_engine.extension_rows(session._traj, committed, candidates),
+            oracle.extension_rows(session._traj, committed, candidates),
         )
-        s_inplace.commit(commit)
-        s_legacy.commit(commit)
-    assert s_inplace.value == s_legacy.value
+        session.commit(commit)
 
 
-def test_repin_mode_validated():
-    problem = make_problem(0, "cumulative", 2)
-    with pytest.raises(ValueError):
-        BatchedDMEngine(problem, repin="in-place-ish")
+def _gapped_problem() -> FJVoteProblem:
+    """8 users, edges only in the 2-cycles 0<->1 and 6<->7; users 2..5 are
+    fully stubborn about the target, so their product rows are always
+    empty."""
+    rng = np.random.default_rng(5)
+    graph = graph_from_edges(
+        8, np.array([0, 1, 6, 7]), np.array([1, 0, 7, 6]), rng.uniform(0.2, 0.9, 4)
+    )
+    stubbornness = rng.uniform(0.1, 0.6, size=(2, 8))
+    stubbornness[0, 2:6] = 1.0
+    state = CampaignState(
+        graphs=(graph, graph),
+        initial_opinions=rng.uniform(0, 1, size=(2, 8)),
+        stubbornness=stubbornness,
+    )
+    return FJVoteProblem(state, 0, 5, CumulativeScore())
+
+
+def test_missing_pins_sharing_an_insertion_point_splice_in_row_order():
+    """Column 0 pins row 5 and column 1 pins row 2; rows 2..5 are empty
+    after every product, so both missing pins insert at the same offset.
+    Ordered by pin index, row 5's pin would land inside row 2."""
+    problem = _gapped_problem()
+    sparse_engine = BatchedDMEngine(problem, densify_threshold=1.0)
+    oracle = BatchedDMEngine(problem, densify_threshold=0.0)
+    # Multi-pin columns (the sorted-key search) beside single pins.
+    sets = [(5,), (2,), (0, 3, 4), (4, 1), (7,)]
+    assert np.array_equal(
+        sparse_engine.target_opinion_rows(sets), oracle.target_opinion_rows(sets)
+    )
+    assert sparse_engine.stats.sparse_steps == problem.horizon
+    assert sparse_engine.stats.repin_inserted > 0
+    # One pin per column (the slot table), with committed zero rows.
+    session = oracle.open_session()
+    session.commit(6)
+    session.commit(3)
+    committed = np.array(session.seeds, dtype=np.int64)
+    candidates = np.array([5, 2, 0, 7, 4])
+    assert np.array_equal(
+        sparse_engine.extension_rows(session._traj, committed, candidates),
+        oracle.extension_rows(session._traj, committed, candidates),
+    )
+
+
+def test_sparse_phase_never_sorts(monkeypatch):
+    problem = make_problem(3, "cumulative", 5)
+    engine = BatchedDMEngine(problem, densify_threshold=1.0)
+    session = engine.open_session()
+    session.commit(4)
+    candidates = np.arange(problem.n)
+    expected = session.marginal_gains(candidates)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the sparse phase sorted a product")
+
+    monkeypatch.setattr(sparse.csr_matrix, "sort_indices", refuse)
+    monkeypatch.setattr(sparse.csr_array, "sort_indices", refuse)
+    steps = engine.stats.sparse_steps
+    assert np.array_equal(session.marginal_gains(candidates), expected)
+    engine.evaluate([(1,), (2, 5, 9), (0, 12)])
+    assert engine.stats.sparse_steps > steps
 
 
 # ----------------------------------------------------------------------

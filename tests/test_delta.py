@@ -502,6 +502,31 @@ def test_mp_delta_broadcast_matches_reference(transport):
 # ----------------------------------------------------------------------
 # CLI journal replay
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("command", ["select", "winmin"])
+def test_cli_refused_store_is_a_one_line_exit(capsys, tmp_path, command):
+    """A ``--store-dir`` the store refuses (here: an old on-disk format)
+    stops the command with the store's one-line error, not a traceback."""
+    store_dir = tmp_path / "pools"
+    common = [
+        "--dataset", "yelp",
+        "--users", "60",
+        "--horizon", "3",
+        "--method", "rw",
+        "--score", "cumulative",
+        "--seed", "1",
+        "--store-dir", str(store_dir),
+    ]
+    assert cli_main(["select", *common, "-k", "1"]) == 0
+    capsys.readouterr()
+    (manifest_path,) = store_dir.rglob("manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    limit = ["-k", "1"] if command == "select" else ["--kmax", "2"]
+    with pytest.raises(SystemExit, match="on-disk format 2"):
+        cli_main([command, *common, *limit])
+
+
 def test_cli_apply_delta_journal_lifecycle(capsys, tmp_path):
     store_dir = tmp_path / "pools"
     base = [
@@ -558,6 +583,7 @@ def test_cli_apply_delta_journal_lifecycle(capsys, tmp_path):
     ]
     assert patched_seeds == replay_seeds
 
-    # Without its journal the patched store must be refused, not served.
-    with pytest.raises(ValueError, match="graph versions"):
+    # Without its journal the patched store must be refused, not served:
+    # one line naming the mismatch, no traceback.
+    with pytest.raises(SystemExit, match="graph versions"):
         cli_main(base)
