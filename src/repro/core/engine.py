@@ -121,6 +121,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.problem import DeltaReport, FJVoteProblem
+from repro.utils.validation import check_positive
 from repro.voting.scores import CumulativeScore, SeparableScore
 
 SeedSet = Sequence[int] | np.ndarray | tuple
@@ -1371,6 +1372,9 @@ class WalkEngine(ObjectiveEngine):
     theta_cap, lambda_cap:
         Hard sample caps for the adaptive ladders (escalation past them
         triggers the precision warning instead of unbounded growth).
+
+    ``walks_per_node``, ``theta``, ``epsilon`` and the caps must be
+    positive; a non-positive value raises ``ValueError`` naming it.
     """
 
     supports_batch = True
@@ -1400,6 +1404,11 @@ class WalkEngine(ObjectiveEngine):
 
         if grouping not in ("start", "walk"):
             raise ValueError(f"grouping must be 'start' or 'walk', got {grouping!r}")
+        check_positive(walks_per_node, "walks_per_node")
+        check_positive(theta, "theta")
+        check_positive(epsilon, "epsilon")
+        check_positive(theta_cap, "theta_cap")
+        check_positive(lambda_cap, "lambda_cap")
         rng = ensure_rng(rng)
         if store is None:
             store = WalkStore(
@@ -1429,8 +1438,8 @@ class WalkEngine(ObjectiveEngine):
             self._owns_store = False
         self.store = store
         self.grouping = grouping
-        self.walks_per_node = max(int(walks_per_node), 1)
-        self.theta = max(int(theta), 1)
+        self.walks_per_node = int(walks_per_node)
+        self.theta = int(theta)
         self.adaptive = bool(adaptive)
         self.epsilon = None if epsilon is None else float(epsilon)
         self.rho = float(rho)

@@ -17,6 +17,7 @@ Algorithm 4/5 is a handful of vectorized numpy passes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,9 @@ import numpy as np
 from repro.core.bounds import lambda_cumulative, lambda_rank
 from repro.core.greedy import GreedyResult
 from repro.core.problem import FJVoteProblem
-from repro.graph.alias import AliasSampler
 from repro.graph.digraph import InfluenceGraph
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_seed_budget
+from repro.utils.validation import check_positive, check_seed_budget
 from repro.voting.scores import (
     CopelandScore,
     CumulativeScore,
@@ -36,29 +36,27 @@ from repro.voting.scores import (
 )
 
 
-def generate_reverse_walks(
+def _walk_steps(
     graph: InfluenceGraph,
     stubbornness: np.ndarray,
     horizon: int,
     starts: np.ndarray,
-    rng: int | np.random.Generator | None = None,
-    *,
-    sampler: AliasSampler | None = None,
+    uniforms: Callable[[np.ndarray, int, int], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generate ``len(starts)`` t-step reverse walks (Direct Generation, §V-A).
+    """The reverse-walk step loop shared by both generators.
 
-    Returns ``(walks, lengths)`` where ``walks`` is ``(W, horizon+1)`` int32
-    padded with -1 and ``lengths[i]`` is the index of walk ``i``'s end node.
+    ``uniforms(rows, step, slot)`` returns one uniform per walk in
+    ``rows`` for ``step`` (1-based): slot 0 decides termination, slots 1
+    and 2 are the two alias-method draws of the in-neighbor pick.  Each
+    step asks for slot 0, then — only if some walk moves — slots 1 and 2.
     """
-    rng = ensure_rng(rng)
     starts = np.asarray(starts, dtype=np.int64)
     if starts.size and (starts.min() < 0 or starts.max() >= graph.n):
         raise ValueError("walk start nodes out of range")
     d = np.asarray(stubbornness, dtype=np.float64)
     if d.shape != (graph.n,):
         raise ValueError(f"stubbornness must have shape ({graph.n},)")
-    if sampler is None:
-        sampler = AliasSampler(graph.csc)
+    sampler = graph.alias_sampler()
     num = starts.size
     walks = np.full((num, horizon + 1), -1, dtype=np.int32)
     walks[:, 0] = starts
@@ -69,16 +67,38 @@ def generate_reverse_walks(
         idx = np.where(active)[0]
         if idx.size == 0:
             break
-        stops = rng.random(idx.size) < d[cur[idx]]
+        stops = uniforms(idx, step, 0) < d[cur[idx]]
         active[idx[stops]] = False
         go = idx[~stops]
         if go.size == 0:
             continue
-        nxt = sampler.sample(cur[go], rng)
+        # Arguments evaluate left to right: slot 1 is drawn before slot 2.
+        nxt = sampler.sample_with(cur[go], uniforms(go, step, 1), uniforms(go, step, 2))
         walks[go, step] = nxt
         cur[go] = nxt
         lengths[go] = step
     return walks, lengths
+
+
+def generate_reverse_walks(
+    graph: InfluenceGraph,
+    stubbornness: np.ndarray,
+    horizon: int,
+    starts: np.ndarray,
+    rng: int | np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generate ``len(starts)`` t-step reverse walks (Direct Generation, §V-A).
+
+    Every step draws from one shared ``rng``: the termination uniforms of
+    the live walks, then the two alias-method uniforms of the moving ones.
+
+    Returns ``(walks, lengths)`` where ``walks`` is ``(W, horizon+1)`` int32
+    padded with -1 and ``lengths[i]`` is the index of walk ``i``'s end node.
+    """
+    rng = ensure_rng(rng)
+    return _walk_steps(
+        graph, stubbornness, horizon, starts, lambda rows, *_: rng.random(rows.size)
+    )
 
 
 def generate_reverse_walks_streamed(
@@ -89,7 +109,6 @@ def generate_reverse_walks_streamed(
     entropy: "list[int]",
     *,
     stream_indices: np.ndarray | None = None,
-    sampler: AliasSampler | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate reverse walks with one deterministic rng stream *per walk*.
 
@@ -100,51 +119,31 @@ def generate_reverse_walks_streamed(
     uniforms, a walk is a pure function of ``(start, its grid, the columns
     it transitions from)``: the walk store can regenerate exactly the
     walks invalidated by a graph delta, and the patched block is
-    byte-identical to regenerating the whole block from scratch.
+    byte-identical to regenerating the whole block from scratch.  The
+    alias table comes from :meth:`InfluenceGraph.alias_sampler`, which
+    rebuilds it when a delta moves the graph version.
 
     Returns ``(walks, lengths)`` in the :func:`generate_reverse_walks`
     layout (``(W, horizon+1)`` int32 padded with -1).
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    if starts.size and (starts.min() < 0 or starts.max() >= graph.n):
-        raise ValueError("walk start nodes out of range")
-    d = np.asarray(stubbornness, dtype=np.float64)
-    if d.shape != (graph.n,):
-        raise ValueError(f"stubbornness must have shape ({graph.n},)")
-    if sampler is None:
-        sampler = AliasSampler(graph.csc)
-    num = starts.size
+    num = np.size(starts)
     if stream_indices is None:
         stream_indices = np.arange(num, dtype=np.int64)
     else:
         stream_indices = np.asarray(stream_indices, dtype=np.int64)
         if stream_indices.shape != (num,):
             raise ValueError("stream_indices must match starts in length")
-    uniforms = np.empty((num, horizon, 3), dtype=np.float64)
+    grid = np.empty((num, horizon, 3), dtype=np.float64)
     for row, stream in enumerate(stream_indices):
         seq = np.random.SeedSequence(entropy, spawn_key=(int(stream),))
-        uniforms[row] = np.random.default_rng(seq).random((horizon, 3))
-    walks = np.full((num, horizon + 1), -1, dtype=np.int32)
-    walks[:, 0] = starts
-    lengths = np.zeros(num, dtype=np.int64)
-    cur = starts.copy()
-    active = np.ones(num, dtype=bool)
-    for step in range(1, horizon + 1):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        stops = uniforms[idx, step - 1, 0] < d[cur[idx]]
-        active[idx[stops]] = False
-        go = idx[~stops]
-        if go.size == 0:
-            continue
-        nxt = sampler.sample_with(
-            cur[go], uniforms[go, step - 1, 1], uniforms[go, step - 1, 2]
-        )
-        walks[go, step] = nxt
-        cur[go] = nxt
-        lengths[go] = step
-    return walks, lengths
+        grid[row] = np.random.default_rng(seq).random((horizon, 3))
+    return _walk_steps(
+        graph,
+        stubbornness,
+        horizon,
+        starts,
+        lambda rows, step, slot: grid[rows, step - 1, slot],
+    )
 
 
 class TruncatedWalks:
@@ -193,12 +192,10 @@ class TruncatedWalks:
         horizon: int,
         starts: np.ndarray,
         rng: int | np.random.Generator | None = None,
-        *,
-        sampler: AliasSampler | None = None,
     ) -> "TruncatedWalks":
         """Generate walks with the empty seed set and wrap them."""
         walks, lengths = generate_reverse_walks(
-            graph, stubbornness, horizon, starts, rng, sampler=sampler
+            graph, stubbornness, horizon, starts, rng
         )
         return cls(walks, lengths, initial_opinions, graph.n)
 
@@ -586,6 +583,10 @@ def estimate_gamma_star(
     return np.maximum(gamma, floor)
 
 
+#: Walks per node behind the γ* probe of the rank-score walk counts.
+PROBE_WALKS = 16
+
+
 @dataclass
 class WalkSelectResult:
     """Seed set chosen by the RW method plus diagnostics."""
@@ -607,7 +608,6 @@ def random_walk_select(
     gamma_floor: float = 0.05,
     lambda_cap: int | None = 256,
     walks_per_node: int | np.ndarray | None = None,
-    probe_walks: int = 16,
     rng: int | np.random.Generator | None = None,
     store=None,
 ) -> WalkSelectResult:
@@ -616,8 +616,9 @@ def random_walk_select(
     The number of walks per node follows the paper's accuracy analysis:
     the Hoeffding bound of Theorem 10 for the cumulative score (parameters
     ``delta``, ``rho``), and the γ-margin bounds of Theorems 11/12 with the
-    heuristic γ* estimate for the rank-based scores.  Pass
-    ``walks_per_node`` to override (scalar or per-node array).
+    heuristic γ* estimate (from :data:`PROBE_WALKS` walks per node) for
+    the rank-based scores.  Pass ``walks_per_node`` to override (scalar or
+    per-node array); it and ``lambda_cap`` must be positive.
 
     Parameters mirror the paper's defaults (ρ = 0.9, δ = 0.1).  The exact
     objective of the returned seed set is evaluated via DM for reporting.
@@ -626,24 +627,19 @@ def random_walk_select(
     shared per-node walk pool for the probe *and* — when the per-node count
     is uniform, i.e. the cumulative score or a scalar override — for the
     selection walks themselves; per-node λ arrays fall back to private
-    generation (the pool serves whole per-node rounds only).
+    generation (the pool serves whole per-node rounds only).  Either way
+    the alias table is the graph's own (:meth:`InfluenceGraph.alias_sampler`),
+    built once per graph version, so a budget sweep never rebuilds it.
     """
     rng = ensure_rng(rng)
     k = check_seed_budget(k, problem.n)
+    check_positive(walks_per_node, "walks_per_node")
+    check_positive(lambda_cap, "lambda_cap")
     if store is not None:
         store.require_problem(problem)
     state = problem.state
     q = problem.target
     graph = state.graph(q)
-    if store is None:
-        sampler = AliasSampler(graph.csc)
-    else:
-        # The store pool's cached alias table also serves this function's
-        # private-generation fallback (per-node λ arrays), so a budget
-        # sweep never rebuilds the O(E) table.
-        from repro.core.walk_store import KIND_PER_NODE
-
-        sampler = store.pool(q, KIND_PER_NODE).sampler()
     d_q = state.stubbornness[q]
     b0_q = state.initial_opinions[q]
     n = problem.n
@@ -659,16 +655,15 @@ def random_walk_select(
         # margins γ*_v and then per-node walk counts follow (Theorems 11-12).
         uniform_lambda = False
         if store is not None:
-            probe = store.per_node_view(q, max(probe_walks, 1))
+            probe = store.per_node_view(q, PROBE_WALKS)
         else:
             probe = TruncatedWalks.generate(
                 graph,
                 d_q,
                 b0_q,
                 problem.horizon,
-                np.repeat(np.arange(n, dtype=np.int64), max(probe_walks, 1)),
+                np.repeat(np.arange(n, dtype=np.int64), PROBE_WALKS),
                 rng,
-                sampler=sampler,
             )
         gamma = estimate_gamma_star(
             probe.estimated_opinions(), problem.others_by_user(), floor=gamma_floor
@@ -681,9 +676,7 @@ def random_walk_select(
         walks = store.per_node_view(q, int(lam.max()))
     else:
         starts = np.repeat(np.arange(n, dtype=np.int64), lam)
-        walks = TruncatedWalks.generate(
-            graph, d_q, b0_q, problem.horizon, starts, rng, sampler=sampler
-        )
+        walks = TruncatedWalks.generate(graph, d_q, b0_q, problem.horizon, starts, rng)
     optimizer = WalkGreedyOptimizer(
         walks,
         problem.score,

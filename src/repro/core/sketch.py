@@ -22,10 +22,12 @@ from repro.core.bounds import theta_cumulative, theta_estimate_round
 from repro.core.greedy import GreedyResult
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import TruncatedWalks, WalkGreedyOptimizer
-from repro.graph.alias import AliasSampler
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_seed_budget
+from repro.utils.validation import check_positive, check_seed_budget
 from repro.voting.scores import CumulativeScore
+
+#: Relative score change below which the §VI-E θ doubling stops.
+CONVERGENCE_TOLERANCE = 0.02
 
 
 @dataclass
@@ -45,7 +47,6 @@ def _run_sketch_greedy(
     k: int,
     theta: int,
     rng: np.random.Generator,
-    sampler: AliasSampler | None,
     store=None,
 ) -> tuple[GreedyResult, TruncatedWalks]:
     """One sketch phase: θ uniform-start walks + greedy selection (Alg. 5).
@@ -68,7 +69,6 @@ def _run_sketch_greedy(
             problem.horizon,
             starts,
             rng,
-            sampler=sampler,
         )
     optimizer = WalkGreedyOptimizer(
         walks,
@@ -89,7 +89,6 @@ def estimate_opt_cumulative(
     ell: float = 1.0,
     theta_cap: int | None = None,
     rng: int | np.random.Generator | None = None,
-    sampler: AliasSampler | None = None,
     store=None,
 ) -> float:
     """Lower bound on OPT for the cumulative score (adapted IMM Alg. 2 test).
@@ -103,8 +102,6 @@ def estimate_opt_cumulative(
     rng = ensure_rng(rng)
     n = problem.n
     k = check_seed_budget(k, n)
-    if sampler is None and store is None:
-        sampler = AliasSampler(problem.state.graph(problem.target).csc)
     eps_prime = float(np.sqrt(2.0) * epsilon)
     floor = max(k, 1)
     x = n / 2.0
@@ -112,9 +109,7 @@ def estimate_opt_cumulative(
         theta_i = theta_estimate_round(n, k, x, eps_prime, ell)
         if theta_cap is not None:
             theta_i = min(theta_i, int(theta_cap))
-        result, _ = _run_sketch_greedy(
-            problem, k, max(theta_i, 1), rng, sampler, store=store
-        )
+        result, _ = _run_sketch_greedy(problem, k, max(theta_i, 1), rng, store=store)
         if result.objective >= (1.0 + eps_prime) * x:
             return float(result.objective / (1.0 + eps_prime))
         x /= 2.0
@@ -127,9 +122,8 @@ def converge_theta(
     *,
     theta_start: int = 256,
     theta_max: int | None = None,
-    tolerance: float = 0.02,
+    tolerance: float = CONVERGENCE_TOLERANCE,
     rng: int | np.random.Generator | None = None,
-    sampler: AliasSampler | None = None,
     store=None,
 ) -> int:
     """Heuristic θ for the plurality variants and Copeland (§VI-E).
@@ -143,12 +137,10 @@ def converge_theta(
     n = problem.n
     if theta_max is None:
         theta_max = n
-    if sampler is None and store is None:
-        sampler = AliasSampler(problem.state.graph(problem.target).csc)
     theta = max(int(theta_start), 1)
     prev_score: float | None = None
     while True:
-        result, _ = _run_sketch_greedy(problem, k, theta, rng, sampler, store=store)
+        result, _ = _run_sketch_greedy(problem, k, theta, rng, store=store)
         score = problem.objective(result.seeds)
         if prev_score is not None:
             denom = max(abs(prev_score), 1e-12)
@@ -169,7 +161,6 @@ def sketch_select(
     theta: int | None = None,
     theta_cap: int | None = None,
     theta_start: int = 256,
-    convergence_tolerance: float = 0.02,
     rng: int | np.random.Generator | None = None,
     store=None,
 ) -> SketchSelectResult:
@@ -179,15 +170,17 @@ def sketch_select(
     ----------
     epsilon, ell:
         Accuracy parameters of Theorem 13 (cumulative score only); the paper
-        defaults are ε = 0.1, ℓ = 1.
+        defaults are ε = 0.1, ℓ = 1.  ``epsilon`` must be positive.
     theta:
-        Explicit sketch count, bypassing estimation.
+        Explicit positive sketch count, bypassing estimation.
     theta_cap:
-        Optional hard cap on θ (the theoretical count exceeds n on small
-        graphs, where RS degenerates to RW; the paper's datasets have n in
-        the millions).
-    theta_start, convergence_tolerance:
-        Controls for the §VI-E heuristic used by the non-cumulative scores.
+        Optional positive hard cap on θ (the theoretical count exceeds n on
+        small graphs, where RS degenerates to RW; the paper's datasets have
+        n in the millions).
+    theta_start:
+        First θ of the §VI-E heuristic used by the non-cumulative scores,
+        which doubles θ until the score moves by less than
+        :data:`CONVERGENCE_TOLERANCE`.
     store:
         Optional :class:`~repro.core.walk_store.WalkStore`.  When given
         (e.g. by the evaluation harness, shared across methods and
@@ -198,13 +191,11 @@ def sketch_select(
     """
     rng = ensure_rng(rng)
     k = check_seed_budget(k, problem.n)
+    check_positive(epsilon, "epsilon")
+    check_positive(theta, "theta")
+    check_positive(theta_cap, "theta_cap")
     if store is not None:
         store.require_problem(problem)
-    sampler = (
-        None
-        if store is not None
-        else AliasSampler(problem.state.graph(problem.target).csc)
-    )
     opt_lb: float | None = None
     if theta is None:
         if isinstance(problem.score, CumulativeScore):
@@ -215,7 +206,6 @@ def sketch_select(
                 ell=ell,
                 theta_cap=theta_cap,
                 rng=rng,
-                sampler=sampler,
                 store=store,
             )
             theta = theta_cumulative(problem.n, k, opt_lb, epsilon, ell)
@@ -225,15 +215,13 @@ def sketch_select(
                 k,
                 theta_start=theta_start,
                 theta_max=theta_cap,
-                tolerance=convergence_tolerance,
                 rng=rng,
-                sampler=sampler,
                 store=store,
             )
     if theta_cap is not None:
         theta = min(int(theta), int(theta_cap))
     theta = max(int(theta), 1)
-    result, walks = _run_sketch_greedy(problem, k, theta, rng, sampler, store=store)
+    result, walks = _run_sketch_greedy(problem, k, theta, rng, store=store)
     return SketchSelectResult(
         seeds=result.seeds,
         estimated_objective=result.objective,

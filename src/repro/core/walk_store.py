@@ -70,10 +70,10 @@ from repro.core.random_walk import (
     TruncatedWalks,
     generate_reverse_walks_streamed,
 )
-from repro.graph.alias import AliasSampler
 from repro.graph.digraph import InfluenceGraph
 from repro.opinion.state import CampaignState
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_positive
 from repro.utils.workers import stop_worker_pool
 
 #: Pool kinds: ``per-node`` blocks hold one walk per node (Algorithm 4,
@@ -170,7 +170,6 @@ def _generate_block(
     kind: str,
     block_walks: int,
     entropy: list[int],
-    sampler: AliasSampler | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate one canonical block of reverse walks from its entropy.
 
@@ -182,7 +181,7 @@ def _generate_block(
     """
     starts = _block_starts(graph.n, kind, block_walks, entropy)
     return generate_reverse_walks_streamed(
-        graph, stubbornness, horizon, starts, entropy, sampler=sampler
+        graph, stubbornness, horizon, starts, entropy
     )
 
 
@@ -203,7 +202,6 @@ def _store_worker_main(conn, state: CampaignState, horizon: int) -> None:
     available, pickled otherwise — the same contract as the dm-mp pool);
     per-request messages carry only block entropies.
     """
-    samplers: dict[int, AliasSampler] = {}
     while True:
         try:
             message = conn.recv()
@@ -216,19 +214,14 @@ def _store_worker_main(conn, state: CampaignState, horizon: int) -> None:
             if op != "gen":
                 raise ValueError(f"unknown walk-store worker op {op!r}")
             _, candidate, kind, block_walks, entropies = message
-            graph = state.graph(candidate)
-            sampler = samplers.get(candidate)
-            if sampler is None:
-                sampler = samplers[candidate] = AliasSampler(graph.csc)
             blocks = [
                 _generate_block(
-                    graph,
+                    state.graph(candidate),
                     state.stubbornness[candidate],
                     horizon,
                     kind,
                     block_walks,
                     entropy,
-                    sampler,
                 )
                 for entropy in entropies
             ]
@@ -305,7 +298,6 @@ class _WalkPool:
         n = store.state.n
         self.block_walks = n if kind == KIND_PER_NODE else store.block_walks
         self.blocks: list[tuple[np.ndarray, np.ndarray] | None] = []
-        self._sampler: AliasSampler | None = None
         self._masters: dict[int, TruncatedWalks] = {}
         if store.store_dir is not None:
             # Adopt the contiguous prefix of blocks a previous open (or
@@ -314,27 +306,17 @@ class _WalkPool:
             self.blocks = [None] * store._disk_prefix(self.candidate, kind)
 
     # ------------------------------------------------------------------
-    def sampler(self) -> AliasSampler:
-        if self._sampler is None:
-            graph = self.store.state.graph(self.candidate)
-            self._sampler = AliasSampler(graph.csc)
-        return self._sampler
-
-    def _generate_inline(self, indices: list[int]) -> list[tuple]:
+    def generate(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Generate block ``index`` in this process from its identity."""
         state = self.store.state
-        graph = state.graph(self.candidate)
-        return [
-            _generate_block(
-                graph,
-                state.stubbornness[self.candidate],
-                self.store.horizon,
-                self.kind,
-                self.block_walks,
-                _block_entropy(self.store.root, self.candidate, self.kind, i),
-                self.sampler(),
-            )
-            for i in indices
-        ]
+        return _generate_block(
+            state.graph(self.candidate),
+            state.stubbornness[self.candidate],
+            self.store.horizon,
+            self.kind,
+            self.block_walks,
+            _block_entropy(self.store.root, self.candidate, self.kind, index),
+        )
 
     def ensure_walks(self, num_walks: int) -> None:
         """Generate the blocks still missing to cover ``num_walks`` walks.
@@ -406,8 +388,7 @@ class _WalkPool:
                 self.store.close()
                 raise RuntimeError(failure)
         else:
-            for batch in batches:
-                generated.extend(self._generate_inline(batch))
+            generated = [self.generate(index) for index in missing]
         for index, (walks, lengths) in zip(missing, generated):
             self.blocks.append((walks, lengths))
             stats.blocks_generated += 1
@@ -740,7 +721,6 @@ class WalkStore:
         repair is verified, not assumed.  The damaged files stay next to
         the store as ``*.quarantined`` for post-mortems.
         """
-        pool = self.pool(candidate, kind)
         stem = self._block_stem(candidate, kind, index)
         recorded = dict(self._checksums.get(stem, {}))
         for part in ("walks", "lengths"):
@@ -748,15 +728,7 @@ class WalkStore:
             if path.exists():
                 os.replace(path, path.with_name(f"{path.name}.quarantined"))
         self.stats.blocks_quarantined += 1
-        walks, lengths = _generate_block(
-            self.state.graph(candidate),
-            self.state.stubbornness[candidate],
-            self.horizon,
-            kind,
-            pool.block_walks,
-            _block_entropy(self.root, candidate, kind, index),
-            pool.sampler(),
-        )
+        walks, lengths = self.pool(candidate, kind).generate(index)
         self.stats.blocks_generated += 1
         self.stats.walks_generated += walks.shape[0]
         self.stats.walk_steps_generated += int(lengths.sum())
@@ -828,8 +800,6 @@ class WalkStore:
         # them so the lazily restarted pool samples the patched graphs.
         self.close()
         for cand, touched in sorted(todo.items()):
-            graph = state.graph(cand)
-            sampler = AliasSampler(graph.csc)
             lookup = np.zeros(state.n, dtype=bool)
             lookup[touched] = True
             for kind in (KIND_PER_NODE, KIND_UNIFORM):
@@ -840,14 +810,13 @@ class WalkStore:
                     ):
                         continue
                     pool = self.pool(cand, kind)
-                pool._sampler = sampler
                 pool._masters.clear()
                 for index in range(len(pool.blocks)):
-                    self._patch_block(pool, index, lookup, sampler)
+                    self._patch_block(pool, index, lookup)
             # RR-set pools sample the graph directly; regenerate lazily.
             self._rr_pools.pop((cand, "ic"), None)
             self._rr_pools.pop((cand, "lt"), None)
-            self._graph_versions[cand] = int(graph.version)
+            self._graph_versions[cand] = int(state.graph(cand).version)
         if self.store_dir is not None:
             self._write_manifest()
 
@@ -856,7 +825,6 @@ class WalkStore:
         pool: _WalkPool,
         index: int,
         touched_lookup: np.ndarray,
-        sampler: AliasSampler,
     ) -> None:
         """Regenerate the walks of one block that crossed a touched column."""
         entry = pool.blocks[index]
@@ -883,7 +851,6 @@ class WalkStore:
             walks[invalid, 0].astype(np.int64),
             entropy,
             stream_indices=invalid,
-            sampler=sampler,
         )
         patched_walks = np.array(walks)
         patched_lengths = np.array(lengths, dtype=np.int64)
@@ -991,13 +958,13 @@ class WalkStore:
         it (seed commits) never touches the stored blocks, so the next
         session starts pristine without regenerating or re-indexing.
         """
-        walks_per_node = max(int(walks_per_node), 1)
+        walks_per_node = int(check_positive(walks_per_node, "walks_per_node"))
         pool = self.pool(candidate, KIND_PER_NODE)
         return self._view(pool, walks_per_node * self.state.n)
 
     def uniform_view(self, candidate: int, theta: int) -> TruncatedWalks:
         """A θ-walk uniform-start sketch view (Algorithm 5 grouping)."""
-        theta = max(int(theta), 1)
+        theta = int(check_positive(theta, "theta"))
         pool = self.pool(candidate, KIND_UNIFORM)
         return self._view(pool, theta)
 

@@ -24,7 +24,6 @@ from repro.core.winmin import min_seeds_to_win
 from repro.datasets.synth import Dataset
 from repro.eval.harness import run_methods, select_seeds
 from repro.eval.metrics import seed_overlap
-from repro.graph.alias import AliasSampler
 from repro.graph.build import induced_subgraph
 from repro.opinion.convergence import fraction_changing
 from repro.opinion.state import CampaignState
@@ -312,19 +311,15 @@ def theta_experiment(
     for k in ks:
         series = []
         problem = dataset.problem(score)
-        sampler = AliasSampler(problem.state.graph(problem.target).csc)
         for theta in thetas:
-            result, _ = _run_sketch_greedy(problem, int(k), int(theta), rng, sampler)
+            result, _ = _run_sketch_greedy(problem, int(k), int(theta), rng)
             series.append(problem.objective(result.seeds))
         out[f"k={k}"] = series
     for t in ts or ():
         series = []
         problem = dataset.problem(score, horizon=int(t))
-        sampler = AliasSampler(problem.state.graph(problem.target).csc)
         for theta in thetas:
-            result, _ = _run_sketch_greedy(
-                problem, int(ks[0]), int(theta), rng, sampler
-            )
+            result, _ = _run_sketch_greedy(problem, int(ks[0]), int(theta), rng)
             series.append(problem.objective(result.seeds))
         out[f"t={t}"] = series
     return out

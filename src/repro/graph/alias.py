@@ -5,6 +5,11 @@ the current node proportionally to the (column-stochastic) influence
 weights.  The alias method gives O(1) sampling per step after an O(degree)
 per-node build, and the flat layout below lets a whole batch of walks take
 one step with a few numpy operations.
+
+The O(E) table depends only on the graph's columns, so the graph owns it:
+walk code asks :meth:`repro.graph.digraph.InfluenceGraph.alias_sampler`,
+which builds one table per graph version and keeps it until a delta moves
+the version.  Nothing else constructs or caches a table.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from repro.graph.alias import AliasSampler
+
 _STOCHASTIC_ATOL = 1e-8
 
 
@@ -32,6 +34,11 @@ class InfluenceGraph:
     validate:
         When true (default), verify non-negativity and column sums.
     """
+
+    #: ``(version, table)`` of the last :meth:`alias_sampler` build.  A
+    #: class-level default, so graphs assembled through ``__new__`` (the
+    #: shared-memory problem views) start without one.
+    _alias: "tuple[int, AliasSampler] | None" = None
 
     def __init__(self, matrix: sparse.spmatrix, *, validate: bool = True) -> None:
         csr = sparse.csr_matrix(matrix, dtype=np.float64)
@@ -71,6 +78,23 @@ class InfluenceGraph:
     def csc(self) -> sparse.csc_matrix:
         """Column-oriented weight matrix (column j = in-edges of node j)."""
         return self._csc
+
+    def alias_sampler(self) -> AliasSampler:
+        """The alias table over :attr:`csc` for the current :attr:`version`.
+
+        Built on first use and cached until :attr:`version` moves.  The
+        version is the only validity key: shared-memory workers receive
+        data-only delta patches in their mapped segments without calling
+        any graph method, and adopt the new version afterwards.
+        """
+        cached = self._alias
+        if cached is None or cached[0] != self.version:
+            cached = self._alias = (self.version, AliasSampler(self._csc))
+        return cached[1]
+
+    def __getstate__(self) -> dict:
+        # The alias table is a derived cache: pickles carry the matrices only.
+        return {k: v for k, v in self.__dict__.items() if k != "_alias"}
 
     # ------------------------------------------------------------------
     # Neighborhood access

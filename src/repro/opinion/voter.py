@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.alias import AliasSampler
 from repro.graph.digraph import InfluenceGraph
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_time_horizon
@@ -42,7 +41,6 @@ def simulate_voter(
     zealots: np.ndarray | None = None,
     zealot_state: int = 0,
     rng: int | np.random.Generator | None = None,
-    sampler: AliasSampler | None = None,
 ) -> np.ndarray:
     """One synchronous voter-model run; returns final states.
 
@@ -55,8 +53,7 @@ def simulate_voter(
     states = np.array(states, dtype=np.int64)
     if states.shape != (graph.n,):
         raise ValueError(f"states must have shape ({graph.n},)")
-    if sampler is None:
-        sampler = AliasSampler(graph.csc)
+    sampler = graph.alias_sampler()
     frozen = np.zeros(graph.n, dtype=bool)
     if zealots is not None:
         zealots = np.asarray(zealots, dtype=np.int64)
@@ -86,7 +83,6 @@ def voter_expected_shares(
     if r < 1:
         raise ValueError("r must be >= 1")
     rng = ensure_rng(rng)
-    sampler = AliasSampler(graph.csc)
     counts = np.zeros(r, dtype=np.float64)
     for _ in range(mc_runs):
         final = simulate_voter(
@@ -96,7 +92,6 @@ def voter_expected_shares(
             zealots=zealots,
             zealot_state=zealot_state,
             rng=rng,
-            sampler=sampler,
         )
         counts += np.bincount(final, minlength=r)[:r]
     return counts / (mc_runs * graph.n)

@@ -49,6 +49,22 @@ def check_seed_budget(k: int, n: int) -> int:
     return k
 
 
+def check_positive(value, name: str):
+    """Validate that ``value`` (a scalar, or every entry of an array) is > 0.
+
+    For user-given sample counts and accuracy parameters: a count of zero
+    is an error, never silently replaced by one sample.  ``None`` (an
+    optional parameter left unset) passes.  Returns ``value`` unchanged.
+    """
+    if value is None:
+        return value
+    arr = np.asarray(value, dtype=np.float64)
+    bad = arr[~(arr > 0)]
+    if bad.size:
+        raise ValueError(f"{name} must be positive, got {bad[0]:g}")
+    return value
+
+
 def check_time_horizon(t: int) -> int:
     """Validate a time horizon (non-negative integer)."""
     t = int(t)

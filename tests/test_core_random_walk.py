@@ -7,6 +7,8 @@ The key correctness properties from the paper:
   (checked exactly for every score and both groupings).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.random_walk import (
     WalkGreedyOptimizer,
     estimate_gamma_star,
     generate_reverse_walks,
+    generate_reverse_walks_streamed,
     random_walk_select,
 )
 from repro.graph.build import graph_from_edges
@@ -69,6 +72,37 @@ def test_walk_start_validation():
         generate_reverse_walks(g, d, 2, np.array([9]), rng=0)
     with pytest.raises(ValueError):
         generate_reverse_walks(g, np.zeros(3), 2, np.array([0]), rng=0)
+
+
+def _digest(walks, lengths):
+    return hashlib.sha256(walks.tobytes() + lengths.tobytes()).hexdigest()
+
+
+def test_generated_walk_bytes_are_pinned():
+    """Golden digests of both generators on a tiny fixed instance.
+
+    Persisted store blocks (STORE_FORMAT 3) are the streamed generator's
+    bytes, and every RW/RS selection follows the direct generator's draw
+    order; a refactor of the shared step loop must not move either.
+    """
+    state = random_instance(n=12, r=2, seed=21)
+    g, d = state.graph(0), state.stubbornness[0]
+    starts = np.repeat(np.arange(12), 3)
+    walks, lengths = generate_reverse_walks(g, d, 5, starts, rng=0)
+    assert walks.dtype == np.int32 and int(lengths.sum()) == 69
+    assert _digest(walks, lengths) == (
+        "4049faddd02ab35743ad65793eb302229c633fddcf229f50619b9d0911b91de8"
+    )
+    walks, lengths = generate_reverse_walks_streamed(g, d, 5, starts, [7, 1, 2, 3])
+    assert _digest(walks, lengths) == (
+        "7c1fbbf8713bfc37f0ddde820520683c3b8748cf5ed6262547f7bd9b7a86391d"
+    )
+    walks, lengths = generate_reverse_walks_streamed(
+        g, d, 5, starts[[3, 9]], [7, 1, 2, 3], stream_indices=np.array([3, 9])
+    )
+    assert _digest(walks, lengths) == (
+        "6a0287afd3af87a8ad195f7d341eb09b855411340a32a4bfbf7755df785df107"
+    )
 
 
 # ----------------------------------------------------------------------

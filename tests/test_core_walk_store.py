@@ -436,6 +436,63 @@ def test_store_validation():
         make_engine("rw-store", problem, store=store, shards=4)
 
 
+def _random_walk_select(problem, **kwargs):
+    from repro.core.random_walk import random_walk_select
+
+    return random_walk_select(problem, 2, rng=0, **kwargs)
+
+
+def _sketch_select(problem, **kwargs):
+    return sketch_select(problem, 2, rng=0, **kwargs)
+
+
+def _rw_engine(problem, **kwargs):
+    return make_engine("rw", problem, rng=0, **kwargs)  # WalkEngine, "start"
+
+
+def _sketch_engine(problem, **kwargs):
+    return make_engine("sketch", problem, rng=0, **kwargs)  # WalkEngine, "walk"
+
+
+@pytest.mark.parametrize(
+    "entry, param, value",
+    [
+        (_random_walk_select, "walks_per_node", 0),
+        (_random_walk_select, "walks_per_node", -3),
+        (_random_walk_select, "walks_per_node", np.array([2] * 9 + [0])),
+        (_random_walk_select, "lambda_cap", 0),
+        (_sketch_select, "theta", -5),
+        (_sketch_select, "theta", 0),
+        (_sketch_select, "theta_cap", 0),
+        (_sketch_select, "epsilon", 0),
+        (_rw_engine, "walks_per_node", -2),
+        (_rw_engine, "lambda_cap", 0),
+        (_rw_engine, "epsilon", -1),
+        (_sketch_engine, "theta", 0),
+        (_sketch_engine, "theta_cap", -1),
+        (_sketch_engine, "epsilon", 0),
+    ],
+)
+def test_non_positive_sample_parameters_rejected(entry, param, value):
+    """A non-positive user-given count is an error naming the parameter,
+    never silently replaced by one walk (or θ = 1)."""
+    problem = make_problem(0, n=10, r=2)
+    with pytest.raises(ValueError, match=f"{param} must be positive"):
+        entry(problem, **{param: value})
+
+
+@pytest.mark.parametrize(
+    "view, param",
+    [("per_node_view", "walks_per_node"), ("uniform_view", "theta")],
+)
+@pytest.mark.parametrize("count", [0, -4])
+def test_store_views_reject_non_positive_counts(view, param, count):
+    store = store_for_problem(make_problem(0, n=10, r=2))
+    with pytest.raises(ValueError, match=f"{param} must be positive"):
+        getattr(store, view)(0, count)
+    assert store.stats.blocks_generated == 0
+
+
 # ----------------------------------------------------------------------
 # Memory-mapped persistence (store_dir / rw-store:<S>:mmap=<DIR>)
 # ----------------------------------------------------------------------

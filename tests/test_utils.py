@@ -7,6 +7,7 @@ from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_opinions,
+    check_positive,
     check_probability,
     check_seed_budget,
     check_stubbornness,
@@ -72,6 +73,18 @@ def test_check_seed_budget():
         check_seed_budget(-1, 10)
     with pytest.raises(ValueError):
         check_seed_budget(11, 10)
+
+
+def test_check_positive_scalars_and_arrays():
+    assert check_positive(3, "count") == 3
+    assert check_positive(None, "count") is None  # optional, left unset
+    values = np.array([1, 2])
+    assert check_positive(values, "count") is values
+    for bad, shown in ((0, "0"), (-3, "-3"), (np.array([4, 0, -2]), "0")):
+        with pytest.raises(ValueError, match=f"count must be positive, got {shown}"):
+            check_positive(bad, "count")
+    with pytest.raises(ValueError, match="got nan"):
+        check_positive(float("nan"), "count")
 
 
 def test_check_time_horizon():
