@@ -164,16 +164,14 @@ def test_coalescing_round_reduction(save_result, save_bench_json):
 
 def test_warm_store_serving_start(tmp_path, save_result, save_bench_json):
     """A restarted server over a persistent walk store regenerates zero
-    walk blocks: the mmap shards are the warm state."""
+    walk blocks: the mmap blocks are the warm state."""
     from repro.core.walk_store import store_for_problem
 
     spec = f"rw-store:2:mmap={tmp_path}"
 
     def boot():
         problem = _problem()
-        store = store_for_problem(
-            problem, seed=BENCH_SEED, store_dir=str(tmp_path), shards=2
-        )
+        store = store_for_problem(problem, seed=BENCH_SEED, store_dir=str(tmp_path))
         hub = EngineHub(problem, [spec], rng=BENCH_SEED, store=store)
         hub.warm()
         # One real query so the warm engine actually answers from the

@@ -472,8 +472,8 @@ class EngineProtocolChecker(Checker):
 class MpOpParityChecker(Checker):
     """Worker-loop op dispatch exactly covers the ops the parent sends.
 
-    The dm-mp and walk-store pools frame their own messages: the first
-    tuple element is the op string.  An op the parent sends but the
+    The dm-mp worker pool frames its own messages: the first tuple
+    element is the op string.  An op the parent sends but the
     worker loop never matches dead-locks or hits the fallback raise at
     run time; a dispatch branch for an op nobody sends is dead code that
     rots.  Both directions are checked per module, syntactically.

@@ -28,13 +28,13 @@ spec                         exact  backend
                                     ``repro net-worker`` hosts over TCP
 ``rw``                       no     random-walk estimator (Algorithm 4)
 ``sketch``                   no     sketch estimator (Algorithm 5)
-``rw-store[:S][:mmap=DIR]``  no     shared sharded walk store, adaptive sampling;
-                                    ``:mmap=DIR`` = persistent on-disk shards
+``rw-store[:mmap=DIR]``      no     shared walk store, adaptive sampling;
+                                    ``:mmap=DIR`` = persistent on-disk blocks
 ===========================  =====  ================================================
 
 All exact specs produce byte-identical selections; ``dm-mp`` pays off on
 multi-core hosts where candidate chunks evolve in parallel memory domains.
-``rw-store`` persists walks in an ``S``-shard store and escalates the
+``rw-store`` keeps walks in one shared store and escalates the
 sample IMM-style until the requested (ε, δ) bound holds, reusing every
 walk across greedy rounds, budgets and win-min probes.
 
@@ -44,7 +44,7 @@ cross the worker pipes, ``dm-mp:tcp=<host:port,...>`` shards candidate
 chunks across ``repro net-worker`` hosts (one chunk per host, selections
 byte-identical at every host count, lost hosts' chunks re-sharded to the
 survivors — see the README's Multi-host section), and
-``rw-store:<S>:mmap=<DIR>`` spills walk blocks to memory-mapped shards
+``rw-store:mmap=<DIR>`` spills walk blocks to memory-mapped files
 under ``DIR``.  ``--store-dir DIR`` is the
 convenience form of the latter: it rewrites an ``rw-store`` engine spec
 to ``...:mmap=DIR`` and hands the sampling methods one shared store
@@ -106,7 +106,7 @@ Serving (``serve`` / ``serve-load``)
 ------------------------------------
 ``serve`` builds the problem once, keeps ``--engine`` (plus any
 ``--extra-engine``) hot — worker pools forked and pinged, walk-store
-shards memory-mapped, per-prefix sessions cached — and answers queries
+blocks memory-mapped, per-prefix sessions cached — and answers queries
 over the newline-delimited JSON protocol of :mod:`repro.serve.protocol`
 on a TCP socket.  Concurrent requests that target the same (graph
 version, committed prefix) state coalesce into one engine round with
@@ -223,7 +223,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="persist walk pools as memory-mapped shards under DIR "
+        help="persist walk pools as memory-mapped blocks under DIR "
         "(rw-store engines gain :mmap=DIR; rw/rs re-open them, so "
         "rerunning with the same --seed regenerates zero walk blocks; "
         "ic/lt RR-set pools stay in-memory)",
@@ -284,10 +284,7 @@ def _wire_store_dir(args: argparse.Namespace, problem) -> "WalkStore | None":
         return None
     from repro.core.walk_store import store_for_problem
 
-    shards = int(spec.shards) if dm_with_store and spec.shards else 1
-    return store_for_problem(
-        problem, seed=args.seed, store_dir=args.store_dir, shards=shards
-    )
+    return store_for_problem(problem, seed=args.seed, store_dir=args.store_dir)
 
 
 def _print_store_stats(store: "WalkStore | None") -> None:

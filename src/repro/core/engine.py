@@ -66,13 +66,13 @@ Backends
     Estimates, not exact values: ``is_estimate`` is true.  Its sessions
     apply post-generation truncation incrementally as seeds are committed.
     Walks come from a :class:`~repro.core.walk_store.WalkStore` — private
-    for the ``rw``/``sketch`` specs, shared and sharded for ``rw-store``,
-    which also turns on IMM-style adaptive sample-size escalation (see
-    :meth:`WalkEngine.prepare_budget`).  The ``rw-store:<S>:mmap=<DIR>``
+    for the ``rw``/``sketch`` specs, shared for ``rw-store``, which also
+    turns on IMM-style adaptive sample-size escalation (see
+    :meth:`WalkEngine.prepare_budget`).  The ``rw-store:mmap=<DIR>``
     suffix (CLI ``--store-dir``) makes the store out-of-core: blocks
-    persist as memory-mapped ``.npy`` shards under ``DIR``, a warm
+    persist as memory-mapped ``.npy`` files under ``DIR``, a warm
     re-open (second process, restart) regenerates zero blocks, and an LRU
-    bounds the resident shards so pools scale past RAM.
+    bounds the resident blocks so pools scale past RAM.
 
 Data plane
 ----------
@@ -81,7 +81,7 @@ Both parallel backends separate *control* (tiny pipe messages) from
 start and wins on every subsequent round — worth it whenever more than a
 handful of rounds run, and essential under ``forkserver``/``spawn`` where
 the problem would otherwise be pickled per worker.  ``rw-store``'s mmap
-shards pay one ``np.save`` per generated block and win on every re-open —
+blocks pay one ``np.save`` per generated block and win on every re-open —
 worth it for sweeps, win-min searches and any workflow that restarts.
 Lifecycle caveats: shm segments are unlinked by ``close()`` (guarded by
 ``weakref.finalize``, so garbage collection and interpreter exit also
@@ -1327,9 +1327,8 @@ class WalkEngine(ObjectiveEngine):
     incremental sync one ``add_seed`` instead of a replay.
 
     Walks are generated in deterministic seed-per-block units by the
-    store, so two engines built from the same ``rng`` — or the same shared
-    store at any shard count — see byte-identical walks and make
-    byte-identical selections.
+    store, so two engines built from the same ``rng`` — or sharing one
+    store — see byte-identical walks and make byte-identical selections.
 
     Parameters
     ----------
@@ -1337,13 +1336,13 @@ class WalkEngine(ObjectiveEngine):
         ``"start"`` — Algorithm 4 (RW): ``walks_per_node`` walks from every
         node, per-user averaged estimates.  ``"walk"`` — Algorithm 5 (RS):
         ``theta`` uniform-start sketch walks, rescaled by ``n / theta``.
-    store, shards:
-        A shared :class:`~repro.core.walk_store.WalkStore` to draw from,
-        or (when building a private store) its generation-shard count.
+    store:
+        A shared :class:`~repro.core.walk_store.WalkStore` to draw from;
+        ``None`` builds a private one seeded from ``rng``.
     store_dir:
         Directory for a private *memory-mapped* store (the
-        ``rw-store:<S>:mmap=<DIR>`` spec / CLI ``--store-dir``): blocks
-        persist as ``.npy`` shards and a re-opened store regenerates
+        ``rw-store:mmap=<DIR>`` spec / CLI ``--store-dir``): blocks
+        persist as ``.npy`` files and a re-opened store regenerates
         nothing.  Mutually exclusive with ``store`` — a supplied store
         already decided where its blocks live.
     adaptive:
@@ -1389,7 +1388,6 @@ class WalkEngine(ObjectiveEngine):
         theta: int = 4000,
         rng: int | np.random.Generator | None = None,
         store=None,
-        shards: int | None = None,
         store_dir=None,
         adaptive: bool = False,
         epsilon: float | None = None,
@@ -1412,20 +1410,10 @@ class WalkEngine(ObjectiveEngine):
         rng = ensure_rng(rng)
         if store is None:
             store = WalkStore(
-                problem.state,
-                problem.horizon,
-                seed=rng,
-                shards=1 if shards is None else int(shards),
-                store_dir=store_dir,
+                problem.state, problem.horizon, seed=rng, store_dir=store_dir
             )
-            self._owns_store = True
         else:
             store.require_problem(problem)
-            if shards is not None and int(shards) != store.shards:
-                raise ValueError(
-                    f"shards={shards} conflicts with the supplied store "
-                    f"(shards={store.shards})"
-                )
             if store_dir is not None:
                 from pathlib import Path
 
@@ -1435,7 +1423,6 @@ class WalkEngine(ObjectiveEngine):
                         "persist by building the shared store with "
                         "store_dir instead"
                     )
-            self._owns_store = False
         self.store = store
         self.grouping = grouping
         self.walks_per_node = int(walks_per_node)
@@ -1626,11 +1613,6 @@ class WalkEngine(ObjectiveEngine):
                 stacklevel=3,
             )
 
-    def close(self) -> None:
-        """Release the private store's generation workers, if any."""
-        if self._owns_store:
-            self.store.close()
-
     def apply_delta(self, report, *, sessions: str = "auto") -> None:
         """Patch the walk store, rebind the walk view, refresh sessions.
 
@@ -1732,9 +1714,9 @@ def _make_sketch(problem, rng, **kwargs):
 
 def _make_rw_store(problem, rng, **kwargs):
     # The shared-walk-store estimator: rw semantics (per-node grouping) on
-    # a sharded store, with IMM-style adaptive sample escalation on by
+    # a walk store, with IMM-style adaptive sample escalation on by
     # default.  ``adaptive=False`` with matching fixed counts reproduces
-    # the plain ``rw`` engine byte for byte at every shard count.
+    # the plain ``rw`` engine byte for byte.
     kwargs.setdefault("grouping", "start")
     kwargs.setdefault("adaptive", True)
     kwargs.setdefault("epsilon", 0.1)
@@ -1759,8 +1741,10 @@ ENGINE_NAMES = tuple(_ENGINE_FACTORIES)
 #: Exact DM backends: deterministic, parity-checked against each other.
 EXACT_DM_NAMES = ("dm", "dm-batched", "dm-mp")
 
-#: Parameterized spec forms: ``<name>:<positive int>`` maps to a kwarg.
-_SPEC_PARAMS = {"dm-mp": "workers", "rw-store": "shards"}
+#: Engines whose spec takes a leading ``:<positive int>`` count: the
+#: ``dm-mp`` worker count, and the ``rw-store`` count — an accepted
+#: spelling of the default, validated and then dropped like ``:pipe``.
+_SPEC_COUNTS = ("dm-mp", "rw-store")
 
 #: One-line description per engine spec, rendered into the CLI help.
 ENGINE_HELP = {
@@ -1776,7 +1760,7 @@ ENGINE_HELP = {
     "sketch": "sketch estimator",
     "rw-store": (
         "shared-walk-store estimator, adaptive sampling "
-        "(rw-store:<shards>[:mmap=<DIR>] — mmap = persistent on-disk shards)"
+        "(rw-store[:mmap=<DIR>] — mmap = persistent on-disk walk blocks)"
     ),
 }
 
@@ -1819,13 +1803,12 @@ class EngineSpec:
     default pipe data plane, ``"shm"`` for shared memory, ``"tcp"`` for
     the multi-host coordinator — then ``hosts`` carries the
     ``host:port`` targets and ``workers`` is derived, one shard per
-    host), ``shards`` and ``store_dir`` to ``rw-store``.  Violations
-    raise ``ValueError`` at construction.
+    host), ``store_dir`` to ``rw-store``.  Violations raise
+    ``ValueError`` at construction.
     """
 
     name: str
     workers: int | None = None
-    shards: int | None = None
     transport: str | None = None
     store_dir: str | None = None
     hosts: tuple[str, ...] = ()
@@ -1856,16 +1839,6 @@ class EngineSpec:
             if self.workers < 1:
                 raise ValueError(
                     f"dm-mp needs at least one worker, got {self.workers}"
-                )
-        if self.shards is not None:
-            if self.name != "rw-store":
-                raise ValueError(
-                    f"'shards' only applies to rw-store, not {self.name!r}"
-                )
-            object.__setattr__(self, "shards", int(self.shards))
-            if self.shards < 1:
-                raise ValueError(
-                    f"rw-store needs at least one shard, got {self.shards}"
                 )
         if self.store_dir is not None:
             if self.name != "rw-store":
@@ -1906,8 +1879,10 @@ class EngineSpec:
         """Parse the ``--engine`` grammar (idempotent on EngineSpec).
 
         Accepts every bare name in :data:`ENGINE_NAMES` plus the
-        parameterized forms: a positive count first (``dm-mp:<workers>``
-        / ``rw-store:<shards>``), then an optional data-plane suffix —
+        parameterized forms: a positive count first (``dm-mp:<workers>``,
+        or ``rw-store:<S>``, which is validated and dropped — the walk
+        store is in-process and has no count), then an optional
+        data-plane suffix —
         ``dm-mp[:W]:pipe`` / ``dm-mp[:W]:shm`` pick the worker-pool
         transport, ``dm-mp:tcp=<host:port,...>`` the multi-host TCP
         coordinator (the host list runs to the end of the spec, so ports
@@ -1942,11 +1917,15 @@ class EngineSpec:
                 raise ValueError("dm-mp:tcp needs at least one host:port")
             return cls(name, transport="tcp", hosts=tuple(hostlist.split(",")))
         count: int | None = None
-        if _SPEC_PARAMS.get(name) is not None:
+        if name in _SPEC_COUNTS:
             first, sep, more = rest.partition(":")
             if first.isdigit():
                 count = int(first)
                 rest = more if sep else ""
+                if name == "rw-store":
+                    if count < 1:
+                        raise _spec_error(count)
+                    count = None
         transport: str | None = None
         store_dir: str | None = None
         if rest:
@@ -1958,8 +1937,7 @@ class EngineSpec:
                 raise _spec_error(rest)
         return cls(
             name,
-            workers=count if name == "dm-mp" else None,
-            shards=count if name == "rw-store" else None,
+            workers=count,
             transport=transport,
             store_dir=store_dir,
         )
@@ -1976,8 +1954,6 @@ class EngineSpec:
         parts = [self.name]
         if self.workers is not None:
             parts.append(str(self.workers))
-        if self.shards is not None:
-            parts.append(str(self.shards))
         if self.transport == "shm":
             parts.append("shm")
         elif self.transport == "tcp":
@@ -1991,8 +1967,6 @@ class EngineSpec:
         out: dict[str, object] = {}
         if self.workers is not None:
             out["workers"] = self.workers
-        if self.shards is not None:
-            out["shards"] = self.shards
         if self.transport is not None:
             out["transport"] = self.transport
         if self.hosts:

@@ -411,14 +411,11 @@ def _net_worker_connection(
         return
     _, problem, engine_kwargs = message
     engine_kwargs = {**engine_kwargs, **(engine_overrides or {})}
-    store = None
     try:
         if store_dir is not None:
             from repro.core.walk_store import store_for_problem
 
-            store = store_for_problem(
-                problem, seed=store_seed, store_dir=store_dir
-            )
+            store_for_problem(problem, seed=store_seed, store_dir=store_dir)
         if workers > 1:
             engine: BatchedDMEngine = MultiprocessDMEngine(
                 problem, workers=workers, **engine_kwargs
@@ -442,8 +439,6 @@ def _net_worker_connection(
         _worker_loop(conn, problem, engine, watch_parent=False)
     finally:
         engine.close()
-        if store is not None:
-            store.close()
 
 
 def run_net_worker(

@@ -1,4 +1,4 @@
-"""Persistent sharded walk store behind every walk/sketch consumer (§V/§VI).
+"""Persistent walk store behind every walk/sketch consumer (§V/§VI).
 
 One :class:`WalkStore` owns all reverse-walk material for a campaign state:
 walks are generated once per *block* (a fixed-width generation unit with its
@@ -9,16 +9,14 @@ store is what lets the adaptive (IMM-style) sample-size escalation double θ
 while reusing every walk already drawn — the martingale-sampling trick of
 the RIS lineage the paper benchmarks against.
 
-Sharding
---------
+Blocks
+------
 A *block* is the canonical generation unit: ``block_walks`` uniform-start
 walks, or one walk per node for per-node pools.  Each block is seeded by
 ``SeedSequence([root, candidate, kind, block_index])``, so the walks a pool
-produces are a pure function of the store seed and the walk count — *never*
-of the shard count.  ``shards`` only groups blocks into generation batches
-(the unit fanned out to worker processes when ``workers`` is set), which is
-what makes ``rw-store:1/2/4`` selections byte-identical and lets a future
-multi-host deployment split the same pools without re-deriving seeds.
+produces are a pure function of the store seed and the walk count, and a
+block can be regenerated (or generated elsewhere) from its identity alone.
+Blocks are generated in process, in index order.
 
 Serving
 -------
@@ -57,7 +55,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing as mp
 import os
 import zlib
 from dataclasses import dataclass, fields
@@ -74,7 +71,6 @@ from repro.graph.digraph import InfluenceGraph
 from repro.opinion.state import CampaignState
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
-from repro.utils.workers import stop_worker_pool
 
 #: Pool kinds: ``per-node`` blocks hold one walk per node (Algorithm 4,
 #: grouping="start"); ``uniform`` blocks hold ``block_walks`` uniform-start
@@ -97,7 +93,7 @@ DEFAULT_RR_BLOCK = 256
 #: touches O(log θ) counts, each a concatenated copy of the block rows.
 _MASTER_CACHE_CAP = 8
 
-#: On-disk shard format version (bumped on any layout/naming change).
+#: On-disk store format version (bumped on any layout/naming change).
 #: Format 2 switched block generation to one deterministic rng stream per
 #: walk (``generate_reverse_walks_streamed``), which is what lets a graph
 #: delta regenerate individual walks instead of whole blocks.  Format 3
@@ -116,7 +112,7 @@ class StoreStats:
 
     ``walk_steps_generated`` is the walk-store analogue of the engines'
     evolution counters: one unit per reverse-walk step actually sampled,
-    immune to timer noise, identical across shard and worker counts.  The
+    immune to timer noise and identical for every ``rw-store`` spelling.  The
     ``*_reused`` counters make memoization visible: a second view over the
     same pool serves cached blocks and costs zero generation work.
     """
@@ -159,7 +155,7 @@ class StoreStats:
 
 
 def _block_entropy(root: int, candidate: int, kind: str, index: int) -> list[int]:
-    """Entropy list for one block's ``SeedSequence`` (shard-invariant)."""
+    """Entropy list for one block's ``SeedSequence``."""
     return [int(root), int(candidate), _KIND_CODES[kind], int(index)]
 
 
@@ -193,43 +189,6 @@ def _block_starts(
         return np.arange(n, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     return rng.integers(0, n, size=block_walks)
-
-
-def _store_worker_main(conn, state: CampaignState, horizon: int) -> None:
-    """Worker loop: generate requested blocks, reply with the raw arrays.
-
-    The campaign state ships once at pool start (fork-inherited where
-    available, pickled otherwise — the same contract as the dm-mp pool);
-    per-request messages carry only block entropies.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        op = message[0]
-        if op == "stop":
-            break
-        try:
-            if op != "gen":
-                raise ValueError(f"unknown walk-store worker op {op!r}")
-            _, candidate, kind, block_walks, entropies = message
-            blocks = [
-                _generate_block(
-                    state.graph(candidate),
-                    state.stubbornness[candidate],
-                    horizon,
-                    kind,
-                    block_walks,
-                    entropy,
-                )
-                for entropy in entropies
-            ]
-            conn.send(("ok", blocks))
-        except Exception as exc:  # pragma: no cover - worker-side failures
-            import traceback
-
-            conn.send(("err", f"{exc}\n{traceback.format_exc()}"))
 
 
 class RRSetPool:
@@ -319,13 +278,7 @@ class _WalkPool:
         )
 
     def ensure_walks(self, num_walks: int) -> None:
-        """Generate the blocks still missing to cover ``num_walks`` walks.
-
-        Missing blocks are split into (at most) ``store.shards`` contiguous
-        shard batches; batches run on the store's worker pool when one is
-        configured, inline otherwise.  Either way the walks are identical:
-        every block is a pure function of its own seed.
-        """
+        """Generate the blocks still missing to cover ``num_walks`` walks."""
         stats = self.store.stats
         have = len(self.blocks)
         need = -(-int(num_walks) // self.block_walks)  # ceil division
@@ -333,63 +286,8 @@ class _WalkPool:
             stats.blocks_reused += need
             return
         stats.blocks_reused += have
-        missing = list(range(have, need))
-        batches = [
-            batch.tolist()
-            for batch in np.array_split(
-                np.asarray(missing), min(self.store.shards, len(missing))
-            )
-            if batch.size
-        ]
-        generated: list[tuple] = []
-        workers = self.store._worker_handles()
-        if workers:
-            # The dm-mp pool contract: send everything, then drain every
-            # live reply even after a failure — an undrained pipe would
-            # pair a *stale* reply with a later request and silently
-            # append walks generated for a different (pool, block).  Any
-            # failure tears the pool down (it restarts lazily).
-            live: list[int] = []
-            try:
-                for i, batch in enumerate(batches):
-                    entropies = [
-                        _block_entropy(
-                            self.store.root, self.candidate, self.kind, index
-                        )
-                        for index in batch
-                    ]
-                    workers[i % len(workers)].conn.send(
-                        (
-                            "gen",
-                            self.candidate,
-                            self.kind,
-                            self.block_walks,
-                            entropies,
-                        )
-                    )
-                    live.append(i)
-            except (BrokenPipeError, OSError) as exc:
-                self.store.close()
-                raise RuntimeError(
-                    f"walk-store worker unreachable: {exc!r}"
-                ) from exc
-            failure: str | None = None
-            for i in live:
-                try:
-                    status, payload = workers[i % len(workers)].conn.recv()
-                except (EOFError, OSError) as exc:
-                    failure = f"walk-store worker died: {exc!r}"
-                    continue
-                if status != "ok":
-                    failure = f"walk-store worker failed:\n{payload}"
-                    continue
-                generated.extend(payload)
-            if failure is not None:
-                self.store.close()
-                raise RuntimeError(failure)
-        else:
-            generated = [self.generate(index) for index in missing]
-        for index, (walks, lengths) in zip(missing, generated):
+        for index in range(have, need):
+            walks, lengths = self.generate(index)
             self.blocks.append((walks, lengths))
             stats.blocks_generated += 1
             stats.walks_generated += walks.shape[0]
@@ -439,18 +337,8 @@ class _WalkPool:
         return master
 
 
-class _StoreWorkerHandle:
-    """One generation worker: the process and the parent pipe end."""
-
-    __slots__ = ("process", "conn")
-
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-
-
 class WalkStore:
-    """Persistent, sharded, memoizing store of reverse walks and RR sets.
+    """Persistent, memoizing, in-process store of reverse walks and RR sets.
 
     Parameters
     ----------
@@ -465,16 +353,10 @@ class WalkStore:
         same ``rng`` land on the same pools.
     block_walks:
         Uniform-pool generation unit (per-node pools use ``n``).
-    shards:
-        Generation batches per ``ensure`` call — grouping only, never part
-        of a block seed, so walks are byte-identical for every value.
-    workers:
-        Optional worker-process count for parallel block generation (the
-        dm-mp pool contract: state ships once, messages carry seeds).
     store_dir:
         Optional directory for memory-mapped persistence (the
-        ``rw-store:<S>:mmap=<DIR>`` spec / CLI ``--store-dir``): generated
-        blocks are written as versioned ``.npy`` shards and re-opened
+        ``rw-store:mmap=<DIR>`` spec / CLI ``--store-dir``): generated
+        blocks are written as versioned ``.npy`` files and re-opened
         lazily as read-only memmaps, so the pools survive process
         restarts and scale past RAM.  The directory pins the store
         identity in ``manifest.json``; re-opening with a different seed,
@@ -492,14 +374,9 @@ class WalkStore:
         *,
         seed: int | np.random.Generator | None = 0,
         block_walks: int = DEFAULT_BLOCK_WALKS,
-        shards: int = 1,
-        workers: int | None = None,
-        start_method: str | None = None,
         store_dir: str | os.PathLike | None = None,
         resident_blocks: int = DEFAULT_RESIDENT_BLOCKS,
     ) -> None:
-        if int(shards) < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if block_walks < 1:
             raise ValueError(f"block_walks must be >= 1, got {block_walks}")
         if int(resident_blocks) < 1:
@@ -508,14 +385,6 @@ class WalkStore:
         self.horizon = int(horizon)
         self.root = int(ensure_rng(seed).integers(0, np.iinfo(np.int64).max))
         self.block_walks = int(block_walks)
-        self.shards = int(shards)
-        self.workers = None if workers is None else int(workers)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = str(start_method)
         self.stats = StoreStats()
         self.store_dir = None if store_dir is None else Path(store_dir)
         self.resident_blocks = int(resident_blocks)
@@ -529,7 +398,6 @@ class WalkStore:
         self._resident: dict[tuple[int, str, int], _WalkPool] = {}
         self._pools: dict[tuple[int, str], _WalkPool] = {}
         self._rr_pools: dict[tuple[int, str], RRSetPool] = {}
-        self._handles: list[_StoreWorkerHandle] | None = None
         if self.store_dir is not None:
             self._open_store_dir()
 
@@ -623,7 +491,7 @@ class WalkStore:
         )
 
     def _block_path(self, candidate: int, kind: str, index: int, part: str) -> Path:
-        """Deterministic shard file name: one identity, one path, forever."""
+        """Deterministic block file name: one identity, one path, forever."""
         return self.store_dir / (
             f"{self._block_stem(candidate, kind, index)}.{part}.npy"
         )
@@ -796,9 +664,6 @@ class WalkStore:
                     pool._masters.clear()
         if not todo:
             return
-        # Generation workers hold a pre-delta copy of the state; stop
-        # them so the lazily restarted pool samples the patched graphs.
-        self.close()
         for cand, touched in sorted(todo.items()):
             lookup = np.zeros(state.n, dtype=bool)
             lookup[touched] = True
@@ -865,53 +730,6 @@ class WalkStore:
                 pool.candidate, pool.kind, index, patched_walks, patched_lengths
             )
             self._touch_resident(pool, index)
-
-    # ------------------------------------------------------------------
-    # Worker-pool lifecycle (optional, dm-mp-style)
-    # ------------------------------------------------------------------
-    def _worker_handles(self) -> list[_StoreWorkerHandle] | None:
-        if self.workers is None:
-            return None
-        if self._handles is None:
-            ctx = mp.get_context(self.start_method)
-            handles = []
-            for _ in range(self.workers):
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_store_worker_main,
-                    args=(child_conn, self.state, self.horizon),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                handles.append(_StoreWorkerHandle(process, parent_conn))
-            self._handles = handles
-        return self._handles
-
-    def close(self) -> None:
-        """Stop the generation workers (idempotent; pools stay cached).
-
-        Robust to workers that died mid-request: sends are guarded and
-        the teardown escalates ``join -> terminate -> kill`` with bounded
-        timeouts, so a dead or wedged pipe can never hang the caller.
-        """
-        handles, self._handles = self._handles, None
-        if not handles:
-            return
-        stop_worker_pool(handles, lambda conn: conn.send(("stop",)))
-
-    def __enter__(self) -> "WalkStore":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self.close()
-        return False
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # Pools and views
@@ -987,7 +805,7 @@ class WalkStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"WalkStore(pools={len(self._pools)}, shards={self.shards}, "
+            f"WalkStore(pools={len(self._pools)}, "
             f"blocks={sum(len(p.blocks) for p in self._pools.values())})"
         )
 

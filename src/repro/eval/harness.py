@@ -151,26 +151,11 @@ def run_methods(
     if store is None and store_dir is not None:
         from repro.core.walk_store import store_for_problem
 
-        # The shared store must agree with whatever the engine spec pins:
-        # its shard count (a parameterized ``rw-store:<S>``), and — when
-        # the spec also carries ``:mmap=<DIR>`` — the same directory, or
+        # An ``rw-store:mmap=<DIR>`` spec must name the same directory, or
         # the engine build below would reject the pairing.
-        shards = 1
         if isinstance(engine, str):
-            try:
-                spec = EngineSpec.parse(engine)
-            except ValueError:
-                spec = None
-            if spec is not None and spec.name == "rw-store":
-                shards = int(spec.shards or 1)
-                if spec.store_dir is not None and str(spec.store_dir) != str(
-                    store_dir
-                ):
-                    raise ValueError(
-                        f"store_dir={store_dir!r} conflicts with the engine "
-                        f"spec's mmap directory {spec.store_dir!r}"
-                    )
-        store = store_for_problem(problem, store_dir=store_dir, shards=shards)
+            EngineSpec.parse(engine).with_store_dir(store_dir)
+        store = store_for_problem(problem, store_dir=store_dir)
     problem.others_by_user()  # warm the shared cache outside the timers
     runs: list[MethodRun] = []
     for method in methods:

@@ -372,8 +372,8 @@ class EngineHub:
         }
 
     def close(self) -> None:
-        """Release every engine (worker pools via ``stop_worker_pool``)
-        and the shared store; idempotent."""
+        """Release every engine (worker pools via ``stop_worker_pool``);
+        idempotent."""
         self._sessions.clear()
         self._topk.clear()
         engines, self._engines = dict(self._engines), {}
@@ -382,8 +382,6 @@ class EngineHub:
         # Restartable: keep the mapping so a closed hub can still answer
         # describe(); engines themselves restart pools lazily if reused.
         self._engines = engines
-        if self._store is not None:
-            self._store.close()
 
 
 # ----------------------------------------------------------------------

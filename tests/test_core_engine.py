@@ -151,7 +151,6 @@ def test_make_engine_specs():
     }
     rw_store = make_engine("rw-store:2", problem, rng=0, walks_per_node=2)
     assert isinstance(rw_store, WalkEngine)
-    assert rw_store.store.shards == 2
     assert rw_store.adaptive
 
 

@@ -1,13 +1,13 @@
-"""Tests for the persistent sharded walk store (repro.core.walk_store).
+"""Tests for the persistent walk store (repro.core.walk_store).
 
 The central contracts:
 
-* **Shard invariance** — walks are a pure function of the store seed and
-  the walk count, never of the shard count, so ``rw-store:1/2/4``
-  selections are byte-identical to each other *and* to the plain ``rw``
-  engine built from the same rng (hypothesis parity suite).
+* **Parity** — walks are a pure function of the store seed and the walk
+  count, so every ``rw-store[:S]`` spelling selects byte-identically to
+  the others *and* to the plain ``rw`` engine built from the same rng
+  (hypothesis parity suite).
 * **Isolation** — served views are copy-on-write: a session committing
-  seeds truncates its own view only; the cached shard masters stay
+  seeds truncates its own view only; the cached masters stay
   pristine for the next consumer.
 * **Reuse** — a second view over the same pool generates zero new blocks,
   and the adaptive θ ladder extends one sample instead of redrawing.
@@ -49,7 +49,7 @@ def make_problem(seed, score=None, *, n=14, r=3, horizon=3):
 
 
 # ----------------------------------------------------------------------
-# Parity: rw-store == rw, byte-identical, at shard counts 1/2/4
+# Parity: rw-store == rw, byte-identical, for every rw-store:<S> spelling
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)
 @given(
@@ -100,21 +100,8 @@ def test_rw_store_default_adaptive_is_shard_invariant(k):
     np.testing.assert_array_equal(results[1].gains, results[2].gains)
 
 
-def test_store_walks_identical_across_shard_counts():
-    """Raw pool content (not just selections) is shard-invariant."""
-    problem = make_problem(2, n=10, r=2)
-    views = []
-    for shards in (1, 2, 4):
-        store = WalkStore(problem.state, problem.horizon, seed=7, shards=shards)
-        views.append(store.per_node_view(0, 5))
-    for other in views[1:]:
-        np.testing.assert_array_equal(views[0].walks, other.walks)
-        np.testing.assert_array_equal(views[0].lengths, other.lengths)
-        np.testing.assert_array_equal(views[0].values, other.values)
-
-
 # ----------------------------------------------------------------------
-# Isolation: commits truncate views, never the cached shard masters
+# Isolation: commits truncate views, never the cached masters
 # ----------------------------------------------------------------------
 def test_view_commits_do_not_invalidate_store_master():
     """Shard-cache invalidation contract: a session committing seeds gets
@@ -220,45 +207,6 @@ def test_imm_draws_from_store_rr_pool():
     other_graph = make_problem(11, n=12, r=2).state.graph(0)
     with pytest.raises(ValueError, match="different graph"):
         imm(other_graph, 2, model="ic", rr_pool=pool)
-
-
-def test_dead_generation_worker_fails_loudly_and_pool_recovers():
-    """A killed worker must fail the request (no silently mispaired stale
-    replies), tear the pool down, and let the next call restart it with
-    byte-identical blocks."""
-    import os
-    import signal
-    import time
-
-    problem = make_problem(12, n=10, r=2)
-    reference = WalkStore(problem.state, problem.horizon, seed=5)
-    expected = reference.per_node_view(0, 6)
-    with WalkStore(
-        problem.state, problem.horizon, seed=5, shards=2, workers=2
-    ) as store:
-        handles = store._worker_handles()
-        os.kill(handles[1].process.pid, signal.SIGKILL)
-        time.sleep(0.2)
-        with pytest.raises(RuntimeError, match="walk-store worker"):
-            store.per_node_view(0, 6)
-        assert store._handles is None  # torn down, not half-alive
-        view = store.per_node_view(0, 6)  # pool restarts lazily
-        np.testing.assert_array_equal(view.walks, expected.walks)
-        np.testing.assert_array_equal(view.values, expected.values)
-
-
-def test_parallel_generation_matches_inline():
-    """Worker-pool block generation must be byte-identical to inline."""
-    problem = make_problem(11, n=10, r=2)
-    inline = WalkStore(problem.state, problem.horizon, seed=6, shards=4)
-    a = inline.per_node_view(0, 8)
-    with WalkStore(
-        problem.state, problem.horizon, seed=6, shards=4, workers=2
-    ) as parallel:
-        b = parallel.per_node_view(0, 8)
-        np.testing.assert_array_equal(a.walks, b.walks)
-        np.testing.assert_array_equal(a.lengths, b.lengths)
-        np.testing.assert_array_equal(a.values, b.values)
 
 
 # ----------------------------------------------------------------------
@@ -420,11 +368,7 @@ def test_mismatched_store_rejected_everywhere():
 def test_store_validation():
     problem = make_problem(0, n=8, r=2)
     with pytest.raises(ValueError):
-        WalkStore(problem.state, problem.horizon, shards=0)
-    with pytest.raises(ValueError):
         WalkStore(problem.state, problem.horizon, block_walks=0)
-    with pytest.raises(ValueError):
-        WalkStore(problem.state, problem.horizon, workers=0)
     store = store_for_problem(problem)
     with pytest.raises(ValueError):
         store.pool(0, "sideways")
@@ -432,8 +376,6 @@ def test_store_validation():
         store.pool(99, KIND_UNIFORM)
     with pytest.raises(ValueError):
         store.rr_pool(0, "sir")
-    with pytest.raises(ValueError):
-        make_engine("rw-store", problem, store=store, shards=4)
 
 
 def _random_walk_select(problem, **kwargs):
@@ -494,7 +436,7 @@ def test_store_views_reject_non_positive_counts(view, param, count):
 
 
 # ----------------------------------------------------------------------
-# Memory-mapped persistence (store_dir / rw-store:<S>:mmap=<DIR>)
+# Memory-mapped persistence (store_dir / rw-store:mmap=<DIR>)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_mmap_store_selections_match_in_ram(tmp_path, shards):
@@ -589,7 +531,6 @@ def test_old_store_format_refused(tmp_path):
     problem = make_problem(22, n=10, r=2)
     store = WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
     store.uniform_view(0, 8)
-    store.close()
     path = tmp_path / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["format"] = 2
@@ -640,17 +581,4 @@ def test_mmap_spec_and_store_dir_conflicts():
             EngineSpec.parse(bad)
     spec = EngineSpec.parse("rw-store:2:mmap=/data/walks:v1")
     assert spec.name == "rw-store"
-    assert spec.kwargs() == {"shards": 2, "store_dir": "/data/walks:v1"}
-
-
-def test_engine_close_only_closes_private_store():
-    problem = make_problem(1, n=8, r=2)
-    shared = store_for_problem(problem, seed=0, workers=1)
-    engine = make_engine(
-        "rw-store", problem, store=shared, adaptive=False, epsilon=None
-    )
-    shared._worker_handles()  # spin the pool up
-    engine.close()
-    assert shared._handles is not None  # shared store left running
-    shared.close()
-    assert shared._handles is None
+    assert spec.kwargs() == {"store_dir": "/data/walks:v1"}

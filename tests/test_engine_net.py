@@ -272,8 +272,7 @@ def test_store_identity_mismatch_rejects_handshake(tmp_path):
     from repro.core.walk_store import store_for_problem
 
     original = make_problem(4, "cumulative", 6)
-    store = store_for_problem(original, seed=0, store_dir=tmp_path)
-    store.close()
+    store_for_problem(original, seed=0, store_dir=tmp_path)
     addr, thread = start_worker(store_dir=tmp_path, store_seed=0)
     other = make_problem(4, "cumulative", 7)  # different horizon identity
     engine = _tcp_engine(other, [addr])
@@ -332,7 +331,7 @@ def test_engine_spec_parses_the_full_grammar():
     }
     # mmap paths keep their colons verbatim, to the end of the spec
     spec = EngineSpec.parse("rw-store:4:mmap=/tmp/a:b/c")
-    assert spec.shards == 4 and spec.store_dir == "/tmp/a:b/c"
+    assert spec.store_dir == "/tmp/a:b/c"
 
 
 def test_engine_spec_canonical_drops_default_spellings():
@@ -342,6 +341,8 @@ def test_engine_spec_canonical_drops_default_spellings():
     assert (
         EngineSpec.parse("dm-mp:tcp=a:1,b:2").canonical() == "dm-mp:tcp=a:1,b:2"
     )
+    assert EngineSpec.parse("rw-store:4").canonical() == "rw-store"
+    assert EngineSpec.parse("rw-store:2:mmap=/x").canonical() == "rw-store:mmap=/x"
 
 
 @pytest.mark.parametrize(
@@ -447,8 +448,6 @@ def canonical_specs(draw):
             )
     elif name == "rw-store":
         if draw(st.booleans()):
-            parts.append(str(draw(st.integers(1, 64))))
-        if draw(st.booleans()):
             path = draw(
                 st.text(
                     alphabet=st.characters(
@@ -490,6 +489,22 @@ def test_engine_hub_dedups_equivalent_spec_spellings():
         assert engine is hub.resolve("dm-mp:2")[1]
         assert hub.resolve(EngineSpec.parse("dm-mp:2"))[1] is engine
         assert hub.default_spec == "dm-mp:2"
+    finally:
+        hub.close()
+
+
+def test_engine_hub_shares_one_store_across_rw_store_counts():
+    """Regression: ``rw-store:2`` and ``rw-store:3`` over one shared store
+    raised a shard-count conflict; both spell the same engine."""
+    from repro.core.walk_store import store_for_problem
+    from repro.serve.batcher import EngineHub
+
+    problem = make_problem(6, "cumulative", 6)
+    store = store_for_problem(problem)
+    hub = EngineHub(problem, ["rw-store:2", "rw-store:3"], store=store)
+    try:
+        assert hub.specs == ("rw-store",)
+        assert hub.resolve("rw-store:3")[1].store is store
     finally:
         hub.close()
 

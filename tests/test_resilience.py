@@ -245,27 +245,23 @@ def test_corrupt_block_on_disk_repairs_on_warm_open(tmp_path):
     ``blocks_generated == blocks_repaired`` and identical walk bytes."""
     problem = _store_problem()
     store_dir = tmp_path / "store"
-    with WalkStore(
-        problem.state, problem.horizon, seed=3, store_dir=store_dir
-    ) as cold:
-        view = cold.per_node_view(0, 6)
-        pristine = (
-            np.array(view.walks).tobytes(),
-            np.array(view.lengths).tobytes(),
-        )
-        assert cold.stats.blocks_generated > 0
+    cold = WalkStore(problem.state, problem.horizon, seed=3, store_dir=store_dir)
+    view = cold.per_node_view(0, 6)
+    pristine = (
+        np.array(view.walks).tobytes(),
+        np.array(view.lengths).tobytes(),
+    )
+    assert cold.stats.blocks_generated > 0
     victim = sorted(store_dir.glob("*.walks.npy"))[0]
     faults.corrupt_file(victim, np.random.default_rng(0))
-    with WalkStore(
-        problem.state, problem.horizon, seed=3, store_dir=store_dir
-    ) as warm:
-        view = warm.per_node_view(0, 6)
-        assert np.array(view.walks).tobytes() == pristine[0]
-        assert np.array(view.lengths).tobytes() == pristine[1]
-        assert warm.stats.blocks_quarantined == 1
-        assert warm.stats.blocks_repaired == 1
-        # Repair is the only generation work a warm open should do.
-        assert warm.stats.blocks_generated == warm.stats.blocks_repaired
+    warm = WalkStore(problem.state, problem.horizon, seed=3, store_dir=store_dir)
+    view = warm.per_node_view(0, 6)
+    assert np.array(view.walks).tobytes() == pristine[0]
+    assert np.array(view.lengths).tobytes() == pristine[1]
+    assert warm.stats.blocks_quarantined == 1
+    assert warm.stats.blocks_repaired == 1
+    # Repair is the only generation work a warm open should do.
+    assert warm.stats.blocks_generated == warm.stats.blocks_repaired
     quarantined = list(store_dir.glob("*.quarantined"))
     assert quarantined, "damaged bytes must be preserved for forensics"
 
@@ -273,10 +269,8 @@ def test_corrupt_block_on_disk_repairs_on_warm_open(tmp_path):
 def test_store_corrupt_block_fault_plan_repairs_transparently(tmp_path):
     problem = _store_problem()
     store_dir = tmp_path / "store"
-    with WalkStore(
-        problem.state, problem.horizon, seed=3, store_dir=store_dir
-    ) as cold:
-        pristine = np.array(cold.per_node_view(0, 6).walks).tobytes()
+    cold = WalkStore(problem.state, problem.horizon, seed=3, store_dir=store_dir)
+    pristine = np.array(cold.per_node_view(0, 6).walks).tobytes()
     plan = FaultPlan(
         seed=9,
         faults=[
@@ -284,12 +278,12 @@ def test_store_corrupt_block_fault_plan_repairs_transparently(tmp_path):
         ],
     )
     with faults.injected(plan):
-        with WalkStore(
+        warm = WalkStore(
             problem.state, problem.horizon, seed=3, store_dir=store_dir
-        ) as warm:
-            assert np.array(warm.per_node_view(0, 6).walks).tobytes() == pristine
-            assert warm.stats.blocks_quarantined == 1
-            assert warm.stats.blocks_repaired == 1
+        )
+        assert np.array(warm.per_node_view(0, 6).walks).tobytes() == pristine
+        assert warm.stats.blocks_quarantined == 1
+        assert warm.stats.blocks_repaired == 1
     assert len(plan.fired) == 1
     assert plan.fired[0][0] == "store-corrupt-block"
     assert plan.fired[0][1]["candidate"] == 0
