@@ -101,6 +101,53 @@ def generate_reverse_walks(
     )
 
 
+#: splitmix64 constants: the golden-ratio counter increment and the two
+#: finaliser multipliers (Steele, Lea & Flood, "Fast splittable
+#: pseudorandom number generators", OOPSLA 2014).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser over a ``uint64`` array (wrapping).
+
+    Only ever called on arrays: numpy wraps array integer arithmetic
+    silently, where the same multiply on two numpy scalars warns.
+    """
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _walk_keys(entropy: "list[int]", stream_indices: np.ndarray) -> np.ndarray:
+    """Per-walk ``uint64`` keys of a counter-based uniform source.
+
+    The block key is derived once from ``entropy`` (its ``SeedSequence``
+    child 0, so it never overlaps the block's start-node stream); walk
+    ``i``'s key is ``mix64(block key + i·γ)``.
+    """
+    block_key = np.random.SeedSequence(entropy, spawn_key=(0,)).generate_state(
+        1, np.uint64
+    )
+    return _mix64(block_key + stream_indices.astype(np.uint64) * np.uint64(_GAMMA))
+
+
+def _counter_uniforms(
+    keys: np.ndarray, rows: np.ndarray, step: int, slot: int
+) -> np.ndarray:
+    """Uniforms in ``[0, 1)`` for ``(walk key, step, slot)``, one per row.
+
+    Walk ``i`` reads splitmix64 output ``3·step + slot`` of the stream
+    seeded by its key: a pure function of the counter, so any subset of
+    walks can be drawn in any order, vectorised over the rows asked for.
+    """
+    offset = np.uint64(((3 * step + slot) * _GAMMA) & _MASK64)
+    bits = _mix64(keys[rows] + offset) >> np.uint64(11)
+    return bits * (1.0 / (1 << 53))
+
+
 def generate_reverse_walks_streamed(
     graph: InfluenceGraph,
     stubbornness: np.ndarray,
@@ -110,18 +157,19 @@ def generate_reverse_walks_streamed(
     *,
     stream_indices: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generate reverse walks with one deterministic rng stream *per walk*.
+    """Generate reverse walks with one deterministic uniform stream *per walk*.
 
     Walk ``i`` (its ``stream_indices`` entry, defaulting to its position)
-    pre-draws a ``(horizon, 3)`` uniform grid from
-    ``SeedSequence(entropy, spawn_key=(i,))`` — per step one termination
-    draw and the two alias-method draws.  Because every walk owns its
-    uniforms, a walk is a pure function of ``(start, its grid, the columns
-    it transitions from)``: the walk store can regenerate exactly the
-    walks invalidated by a graph delta, and the patched block is
-    byte-identical to regenerating the whole block from scratch.  The
-    alias table comes from :meth:`InfluenceGraph.alias_sampler`, which
-    rebuilds it when a delta moves the graph version.
+    draws its step-``s`` uniforms — one termination draw and the two
+    alias-method draws — from a counter-based source: a splitmix64 hash
+    of ``(block key from entropy, i, s, slot)``, computed vectorised for
+    just the walks a step needs.  Because every walk owns its uniforms, a
+    walk is a pure function of ``(start, entropy, i, the columns it
+    transitions from)``: the walk store can regenerate exactly the walks
+    invalidated by a graph delta, and the patched block is byte-identical
+    to regenerating the whole block from scratch.  The alias table comes
+    from :meth:`InfluenceGraph.alias_sampler`, which rebuilds it when a
+    delta moves the graph version.
 
     Returns ``(walks, lengths)`` in the :func:`generate_reverse_walks`
     layout (``(W, horizon+1)`` int32 padded with -1).
@@ -133,16 +181,15 @@ def generate_reverse_walks_streamed(
         stream_indices = np.asarray(stream_indices, dtype=np.int64)
         if stream_indices.shape != (num,):
             raise ValueError("stream_indices must match starts in length")
-    grid = np.empty((num, horizon, 3), dtype=np.float64)
-    for row, stream in enumerate(stream_indices):
-        seq = np.random.SeedSequence(entropy, spawn_key=(int(stream),))
-        grid[row] = np.random.default_rng(seq).random((horizon, 3))
+        if num and stream_indices.min() < 0:
+            raise ValueError("stream_indices must be non-negative")
+    keys = _walk_keys(entropy, stream_indices)
     return _walk_steps(
         graph,
         stubbornness,
         horizon,
         starts,
-        lambda rows, step, slot: grid[rows, step - 1, slot],
+        lambda rows, step, slot: _counter_uniforms(keys, rows, step, slot),
     )
 
 

@@ -12,8 +12,8 @@ the RIS lineage the paper benchmarks against.
 Blocks
 ------
 A *block* is the canonical generation unit: ``block_walks`` uniform-start
-walks, or one walk per node for per-node pools.  Each block is seeded by
-``SeedSequence([root, candidate, kind, block_index])``, so the walks a pool
+walks, or one walk per node for per-node pools.  Each block is keyed by
+its entropy ``[root, candidate, kind, block_index]``, so the walks a pool
 produces are a pure function of the store seed and the walk count, and a
 block can be regenerated (or generated elsewhere) from its identity alone.
 Blocks are generated in process, in index order.
@@ -97,10 +97,13 @@ _MASTER_CACHE_CAP = 8
 #: Format 2 switched block generation to one deterministic rng stream per
 #: walk (``generate_reverse_walks_streamed``), which is what lets a graph
 #: delta regenerate individual walks instead of whole blocks.  Format 3
-#: records a crc32 per block part in the manifest.  A store is a cache
-#: regenerable from its deterministic identity, so any other format is
-#: refused rather than upgraded.
-STORE_FORMAT = 3
+#: records a crc32 per block part in the manifest.  Format 4 draws each
+#: walk's uniforms from a counter-based splitmix64 hash of ``(block key,
+#: walk index, step, slot)`` instead of one ``SeedSequence`` per walk, so
+#: the walk bytes differ from format 3.  A store is a cache regenerable
+#: from its deterministic identity, so any other format is refused rather
+#: than upgraded.
+STORE_FORMAT = 4
 
 #: Default cap on memory-mapped blocks kept resident per store.
 DEFAULT_RESIDENT_BLOCKS = 64
@@ -155,7 +158,7 @@ class StoreStats:
 
 
 def _block_entropy(root: int, candidate: int, kind: str, index: int) -> list[int]:
-    """Entropy list for one block's ``SeedSequence``."""
+    """Entropy list of one block: seeds its start nodes and walk key."""
     return [int(root), int(candidate), _KIND_CODES[kind], int(index)]
 
 
@@ -170,8 +173,9 @@ def _generate_block(
     """Generate one canonical block of reverse walks from its entropy.
 
     Start nodes come from the block-level stream (uniform pools) or are
-    simply ``arange(n)`` (per-node pools); the walks themselves use one
-    sub-stream per walk (``SeedSequence(entropy, spawn_key=(i,))``), so
+    simply ``arange(n)`` (per-node pools); the walks themselves read a
+    counter-based uniform source keyed by ``(entropy, i)`` (see
+    :func:`generate_reverse_walks_streamed`), so
     :meth:`WalkStore.apply_delta` can regenerate walk ``i`` alone and land
     on exactly the bytes a from-scratch block generation would produce.
     """
@@ -637,7 +641,7 @@ class WalkStore:
         consults column ``v`` only when it steps out of ``v`` before
         terminating); every block containing at least one such walk is
         patched in place by regenerating those walks from their per-walk
-        rng streams — and, for mmap stores, rewritten on disk — so a
+        uniform streams — and, for mmap stores, rewritten on disk — so a
         patched pool is byte-identical to one generated from scratch
         under the post-delta graph.  Opinion-only deltas leave every
         block byte intact and merely drop the cached masters (their

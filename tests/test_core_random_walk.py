@@ -8,14 +8,18 @@ The key correctness properties from the paper:
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import (
     TruncatedWalks,
     WalkGreedyOptimizer,
+    _counter_uniforms,
+    _walk_keys,
     estimate_gamma_star,
     generate_reverse_walks,
     generate_reverse_walks_streamed,
@@ -81,7 +85,7 @@ def _digest(walks, lengths):
 def test_generated_walk_bytes_are_pinned():
     """Golden digests of both generators on a tiny fixed instance.
 
-    Persisted store blocks (STORE_FORMAT 3) are the streamed generator's
+    Persisted store blocks (STORE_FORMAT 4) are the streamed generator's
     bytes, and every RW/RS selection follows the direct generator's draw
     order; a refactor of the shared step loop must not move either.
     """
@@ -95,14 +99,114 @@ def test_generated_walk_bytes_are_pinned():
     )
     walks, lengths = generate_reverse_walks_streamed(g, d, 5, starts, [7, 1, 2, 3])
     assert _digest(walks, lengths) == (
-        "7c1fbbf8713bfc37f0ddde820520683c3b8748cf5ed6262547f7bd9b7a86391d"
+        "6dcf590d9416e06ade87d206763b7d1083dc8bbfda86dc4fad935435b995f05d"
     )
     walks, lengths = generate_reverse_walks_streamed(
         g, d, 5, starts[[3, 9]], [7, 1, 2, 3], stream_indices=np.array([3, 9])
     )
     assert _digest(walks, lengths) == (
-        "6a0287afd3af87a8ad195f7d341eb09b855411340a32a4bfbf7755df785df107"
+        "6467164d409e953556fef6dcee0e9bd78cc1cae3d8d901477af859afeec181e0"
     )
+
+
+# ----------------------------------------------------------------------
+# The streamed generator's counter-based uniform source
+# ----------------------------------------------------------------------
+_ENTROPY = [7, 1, 2, 3]
+
+
+def _uniforms(entropy, streams, step, slot):
+    streams = np.asarray(streams, dtype=np.int64)
+    keys = _walk_keys(entropy, streams)
+    return _counter_uniforms(keys, np.arange(streams.size), step, slot)
+
+
+def test_counter_uniforms_are_uniform_on_unit_interval():
+    """A million draws at a fixed key lie in [0, 1) and pass a 64-bin
+    chi-square test."""
+    draws = np.concatenate(
+        [
+            _uniforms(_ENTROPY, np.arange(200_000), step, slot)
+            for step in (1, 2)
+            for slot in (0, 1, 2)
+        ]
+    )
+    assert draws.dtype == np.float64 and draws.size >= 1_000_000
+    assert draws.min() >= 0.0 and draws.max() < 1.0
+    counts = np.bincount((draws * 64).astype(np.int64), minlength=64)
+    expected = draws.size / 64
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi2.sf(statistic, df=63) > 1e-3
+
+
+def test_counter_uniforms_are_uncorrelated():
+    """Slot 1 against slot 2 of a step (the alias-method pair), and the
+    same draw of adjacent stream indices, show no linear correlation."""
+    count = 500_000
+    bound = 5.0 / np.sqrt(count)
+    slot1 = _uniforms(_ENTROPY, np.arange(count), 3, 1)
+    slot2 = _uniforms(_ENTROPY, np.arange(count), 3, 2)
+    assert abs(np.corrcoef(slot1, slot2)[0, 1]) < bound
+    draws = _uniforms(_ENTROPY, np.arange(count + 1), 3, 0)
+    assert abs(np.corrcoef(draws[:-1], draws[1:])[0, 1]) < bound
+
+
+def test_streamed_walks_depend_on_block_entropy():
+    state = random_instance(n=30, r=1, seed=4)
+    g, d = state.graph(0), state.stubbornness[0]
+    starts = np.repeat(np.arange(30), 4)
+    walks, _ = generate_reverse_walks_streamed(g, d, 8, starts, _ENTROPY)
+    other, _ = generate_reverse_walks_streamed(g, d, 8, starts, [7, 1, 2, 4])
+    assert not np.array_equal(walks, other)
+    assert not np.array_equal(
+        _uniforms(_ENTROPY, [0, 1], 1, 0), _uniforms([7, 1, 2, 4], [0, 1], 1, 0)
+    )
+
+
+def test_streamed_subset_regeneration_matches_full_block():
+    """Any subset of stream indices, in any order — including indices past
+    2^32 — regenerates exactly those rows of the full block."""
+    state = random_instance(n=20, r=1, seed=9)
+    g, d = state.graph(0), state.stubbornness[0]
+    starts = np.random.default_rng(0).integers(0, 20, size=64)
+    for base in (0, 2**32, 2**40):
+        streams = base + np.arange(starts.size, dtype=np.int64)
+        walks, lengths = generate_reverse_walks_streamed(
+            g, d, 6, starts, _ENTROPY, stream_indices=streams
+        )
+        assert lengths.sum() > 0
+        rows = np.random.default_rng(base % 97).permutation(starts.size)[:17]
+        sub_walks, sub_lengths = generate_reverse_walks_streamed(
+            g, d, 6, starts[rows], _ENTROPY, stream_indices=streams[rows]
+        )
+        np.testing.assert_array_equal(sub_walks, walks[rows])
+        np.testing.assert_array_equal(sub_lengths, lengths[rows])
+    high = _uniforms(_ENTROPY, 2**32 + np.arange(8), 1, 0)
+    assert not np.array_equal(high, _uniforms(_ENTROPY, np.arange(8), 1, 0))
+
+
+def test_streamed_generation_raises_no_warnings():
+    """The uint64 hash arithmetic stays in arrays, which wrap silently;
+    no overflow warning escapes for any walk count."""
+    state = random_instance(n=12, r=1, seed=2)
+    g, d = state.graph(0), state.stubbornness[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count in (0, 1, 5, 300):
+            starts = np.arange(count) % 12
+            generate_reverse_walks_streamed(g, d, 7, starts, _ENTROPY)
+            generate_reverse_walks_streamed(
+                g, d, 7, starts, _ENTROPY, stream_indices=2**62 + np.arange(count)
+            )
+
+
+def test_negative_stream_indices_rejected():
+    """-1 must not wrap to 2^64-1 and draw a valid-looking walk."""
+    g, _, d = _example()
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_reverse_walks_streamed(
+            g, d, 3, np.array([0, 1]), _ENTROPY, stream_indices=np.array([0, -1])
+        )
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.imm import imm
+from repro.core.bounds import delta_achieved
 from repro.core.engine import (
     EngineSpec,
     EstimatorPrecisionWarning,
@@ -39,6 +40,7 @@ from repro.core.walk_store import (
     WalkStore,
     store_for_problem,
 )
+from repro.opinion.fj import apply_seeds, fj_evolve
 from repro.voting.scores import CumulativeScore, PluralityScore
 from tests.conftest import random_instance
 
@@ -229,6 +231,47 @@ def test_prepare_budget_records_achieved_epsilon_and_warns():
         warnings.simplefilter("error")
         engine.prepare_budget(2)
     assert engine.stats.precision_unmet == 1
+
+
+@pytest.mark.parametrize("seeds", [(), (3, 17)])
+def test_per_node_estimates_meet_hoeffding_calibration(seeds):
+    """Fixed-seed slice of the (ε,δ) calibration against exact FJ.
+
+    Over R independent store roots at a fixed λ, each node's ``rw-store``
+    estimate of ``b_qu^(t)`` (after post-generation truncation by
+    ``seeds``) misses the exact value by more than
+    ``delta_achieved(λ, ρ)`` with probability at most ``1 − ρ``
+    (Theorem 10, Hoeffding): the observed miss share must stay under
+    ``1 − ρ`` plus a 3σ binomial margin.  The pooled estimate over all
+    roots must also sit within four empirical standard errors of the
+    exact opinion (Theorems 8/9): a far sharper probe of a biased walk
+    stream than Hoeffding's bound (a termination draw skewed to ``u^1.3``
+    lands at 5.8 standard errors).
+    """
+    roots, lam, rho = 30, 32, 0.9
+    problem = make_problem(41, CumulativeScore(), n=40, r=2, horizon=5)
+    state, q = problem.state, problem.target
+    b0_s, d_s = apply_seeds(
+        state.initial_opinions[q],
+        state.stubbornness[q],
+        np.asarray(seeds, dtype=np.int64),
+    )
+    exact = fj_evolve(b0_s, d_s, state.graph(q), problem.horizon)
+    estimates = np.empty((roots, problem.n))
+    for root in range(roots):
+        view = store_for_problem(problem, seed=root).per_node_view(q, lam)
+        for seed in seeds:
+            view.add_seed(seed)
+        estimates[root] = view.estimated_opinions()
+    trials = estimates.size
+    misses = np.abs(estimates - exact) > delta_achieved(lam, rho)
+    margin = 3.0 * np.sqrt(rho * (1.0 - rho) / trials)
+    assert misses.mean() <= (1.0 - rho) + margin
+    stderr = estimates.std(axis=0, ddof=1) / np.sqrt(roots)
+    error = np.abs(estimates.mean(axis=0) - exact)
+    # Rule of three: a move rarer than 3 / (R·λ) may go unseen in all of a
+    # node's walks, leaving a constant estimate with zero spread.
+    assert np.all(error <= 4.0 * stderr + 3.0 / (roots * lam))
 
 
 def test_adaptive_escalation_meets_requested_precision():
@@ -525,19 +568,22 @@ def test_mmap_manifest_mismatch_rejected(tmp_path):
     WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
 
 
-def test_old_store_format_refused(tmp_path):
-    """A pre-checksum (format-2) manifest is refused with a structured
-    error naming the format; nothing is upgraded or deleted in place."""
+@pytest.mark.parametrize("old_format", [2, 3])
+def test_old_store_format_refused(tmp_path, old_format):
+    """A pre-checksum (format-2) or per-walk-``SeedSequence`` (format-3)
+    manifest is refused with a structured error naming the format;
+    nothing is upgraded or deleted in place."""
     problem = make_problem(22, n=10, r=2)
     store = WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
     store.uniform_view(0, 8)
     path = tmp_path / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["format"] = 2
-    del manifest["checksums"]
+    manifest["format"] = old_format
+    if old_format == 2:
+        del manifest["checksums"]
     path.write_text(json.dumps(manifest))
     before = sorted(p.name for p in tmp_path.iterdir())
-    with pytest.raises(ValueError, match="on-disk format 2"):
+    with pytest.raises(ValueError, match=f"on-disk format {old_format}"):
         WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert json.loads(path.read_text()) == manifest
