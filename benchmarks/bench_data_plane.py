@@ -1,4 +1,4 @@
-"""Zero-copy data plane benchmark: shm fan-out bytes + warm mmap stores.
+"""Zero-copy data plane benchmark: shm fan-out bytes + warm walk stores.
 
 Part 1 — dm-mp serialization tax.  One warm-started exhaustive greedy
 round (all ``n`` candidate extensions through a selection session, one
@@ -16,10 +16,11 @@ honesty; on this repo's single-core CI box IPC buys nothing either way.
 Part 2 — warm walk-store re-open.  A ``k``-round rw-store greedy run cold
 (fresh ``--store-dir``: every block generated and persisted) and then
 again through a *re-opened* store over the same directory — the restart /
-second-process case the mmap shards exist for.  The warm run must
+second-process case the persisted blocks exist for.  The warm run must
 regenerate **zero** blocks (``StoreStats.blocks_generated == 0``, every
-block served by ``blocks_loaded`` memmaps) while selecting byte-identical
-seeds.
+block served by ``blocks_loaded`` loads: each file read once,
+crc32-verified and served from those bytes) while selecting
+byte-identical seeds.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_data_plane.py``.
 Set ``REPRO_BENCH_TINY=1`` for the CI smoke variant: tiny sizes, same
@@ -102,7 +103,7 @@ def _ipc_rounds(n: int) -> dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Part 2: cold vs warm memory-mapped walk store
+# Part 2: cold vs warm persisted walk store
 # ----------------------------------------------------------------------
 def _store_greedy(problem, store: WalkStore):
     engine = make_engine(

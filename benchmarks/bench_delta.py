@@ -2,7 +2,7 @@
 
 One warm serving stack — problem caches, a committed
 :class:`~repro.core.engine.BatchedDMSession`, two live ``dm-mp`` pools
-(pipe + shm) and a memory-mapped rw-store — absorbs ~1% edge churn on the
+(pipe + shm) and a persisted rw-store — absorbs ~1% edge churn on the
 target graph (mixed weight updates, edge insertions and removals, plus an
 opinion flip) through ``FJVoteProblem.apply_delta`` and the per-layer
 ``apply_delta`` forwards.  The from-scratch reference rebuilds every layer

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Persistent walk store: two invocations sharing one on-disk store.
 
-The memory-mapped walk store (``WalkStore(store_dir=...)``, CLI
+The persistent walk store (``WalkStore(store_dir=...)``, CLI
 ``--store-dir``) persists every generated walk block as a ``.npy`` shard
 keyed by its deterministic identity.  This script simulates two separate
 CLI invocations — the same selection run twice, each through a *freshly
 opened* store over one directory — and prints the cold vs. warm
 ``StoreStats`` counters: the first run generates and persists every
 block, the second regenerates **zero** and serves byte-identical walks
-(hence byte-identical seeds) from the memory maps.
+(hence byte-identical seeds) from the verified block files.
 
 The equivalent CLI pair is:
 

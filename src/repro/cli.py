@@ -44,7 +44,7 @@ cross the worker pipes, ``dm-mp:tcp=<host:port,...>`` shards candidate
 chunks across ``repro net-worker`` hosts (one chunk per host, selections
 byte-identical at every host count, lost hosts' chunks re-sharded to the
 survivors — see the README's Multi-host section), and
-``rw-store:mmap=<DIR>`` spills walk blocks to memory-mapped files
+``rw-store:mmap=<DIR>`` persists walk blocks as crc32-verified files
 under ``DIR``.  ``--store-dir DIR`` is the
 convenience form of the latter: it rewrites an ``rw-store`` engine spec
 to ``...:mmap=DIR`` and hands the sampling methods one shared store
@@ -106,7 +106,7 @@ Serving (``serve`` / ``serve-load``)
 ------------------------------------
 ``serve`` builds the problem once, keeps ``--engine`` (plus any
 ``--extra-engine``) hot — worker pools forked and pinged, walk-store
-blocks memory-mapped, per-prefix sessions cached — and answers queries
+blocks loaded, per-prefix sessions cached — and answers queries
 over the newline-delimited JSON protocol of :mod:`repro.serve.protocol`
 on a TCP socket.  Concurrent requests that target the same (graph
 version, committed prefix) state coalesce into one engine round with
@@ -223,7 +223,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="persist walk pools as memory-mapped blocks under DIR "
+        help="persist walk pools as crc32-verified blocks under DIR "
         "(rw-store engines gain :mmap=DIR; rw/rs re-open them, so "
         "rerunning with the same --seed regenerates zero walk blocks; "
         "ic/lt RR-set pools stay in-memory)",

@@ -69,10 +69,10 @@ Backends
     for the ``rw``/``sketch`` specs, shared for ``rw-store``, which also
     turns on IMM-style adaptive sample-size escalation (see
     :meth:`WalkEngine.prepare_budget`).  The ``rw-store:mmap=<DIR>``
-    suffix (CLI ``--store-dir``) makes the store out-of-core: blocks
-    persist as memory-mapped ``.npy`` files under ``DIR``, a warm
-    re-open (second process, restart) regenerates zero blocks, and an LRU
-    bounds the resident blocks so pools scale past RAM.
+    suffix (CLI ``--store-dir``) makes the store persistent: blocks
+    persist as ``.npy`` files under ``DIR``, each read once and
+    crc32-verified on load, and a warm re-open (second process, restart)
+    regenerates zero blocks.
 
 Data plane
 ----------
@@ -1340,7 +1340,7 @@ class WalkEngine(ObjectiveEngine):
         A shared :class:`~repro.core.walk_store.WalkStore` to draw from;
         ``None`` builds a private one seeded from ``rng``.
     store_dir:
-        Directory for a private *memory-mapped* store (the
+        Directory for a private *persistent* store (the
         ``rw-store:mmap=<DIR>`` spec / CLI ``--store-dir``): blocks
         persist as ``.npy`` files and a re-opened store regenerates
         nothing.  Mutually exclusive with ``store`` — a supplied store
@@ -1887,7 +1887,7 @@ class EngineSpec:
         transport, ``dm-mp:tcp=<host:port,...>`` the multi-host TCP
         coordinator (the host list runs to the end of the spec, so ports
         keep their colons), and ``rw-store[:S]:mmap=<DIR>`` the
-        memory-mapped on-disk store (the directory is taken verbatim to
+        persistent on-disk store (the directory is taken verbatim to
         the end of the spec, so paths may contain colons).  Anything
         else — unknown names, non-strings, malformed or non-positive
         counts like ``"dm-mp:"`` / ``"rw-store:0"`` / ``"dm-mp:-2"``,

@@ -32,18 +32,22 @@ Persistence (``store_dir``)
 Passing ``store_dir`` makes the store *out-of-core*: every generated block
 is persisted as a pair of plain ``.npy`` files named by the deterministic
 ``(store seed, candidate, kind, horizon, block index)`` identity, next to
-a versioned ``manifest.json`` that pins the identity parameters.  Blocks
-are re-opened lazily as read-only memory maps, and an LRU bounds how many
-stay resident, so pools scale past RAM.  Because block content is a pure
-function of its identity, a second process — or a restart — that opens
-the same directory with the same seed serves **byte-identical** walks
-while regenerating *zero* blocks (``StoreStats.blocks_loaded`` counts the
-mmap re-opens; ``blocks_generated`` stays 0 on a warm open).  Writes are
-atomic (tmp + rename) and idempotent across concurrent writers: any two
-stores can only ever write the same bytes for the same identity.  The
-manifest also records a crc32 per block part; blocks are verified before
-every mmap re-open, and a damaged block is quarantined and regenerated in
-place from its identity (``blocks_quarantined`` / ``blocks_repaired``).
+a versioned ``manifest.json`` that pins the identity parameters.  A block
+the process has not just generated is loaded lazily: each part file is
+read once, its crc32 checked against the manifest, and the read-only
+array built from those same bytes, so the store only ever serves bytes
+that passed the check.  An LRU bounds how many block arrays the store
+retains between materializations; a served master is still one
+concatenated in-RAM copy of the blocks it covers.  Because block content
+is a pure function of its identity, a second process — or a restart —
+that opens the same directory with the same seed serves
+**byte-identical** walks while regenerating *zero* blocks
+(``StoreStats.blocks_loaded`` counts the block loads;
+``blocks_generated`` stays 0 on a warm open).  Writes are atomic (tmp +
+rename) and idempotent across concurrent writers: any two stores can only
+ever write the same bytes for the same identity.  A damaged block is
+quarantined and regenerated in place from its identity
+(``blocks_quarantined`` / ``blocks_repaired``).
 
 The store also pools the RR sets of the classic-IM baselines
 (:func:`repro.baselines.imm.imm` accepts an ``rr_pool``), so an IC/LT sweep
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, fields
@@ -105,7 +110,7 @@ _MASTER_CACHE_CAP = 8
 #: than upgraded.
 STORE_FORMAT = 4
 
-#: Default cap on memory-mapped blocks kept resident per store.
+#: Default cap on loaded block arrays a store retains between uses.
 DEFAULT_RESIDENT_BLOCKS = 64
 
 
@@ -123,8 +128,9 @@ class StoreStats:
     blocks_generated: int = 0
     blocks_reused: int = 0
     #: Out-of-core traffic (``store_dir`` stores): blocks persisted to and
-    #: memory-mapped back from disk.  A warm re-open serves every block
-    #: through ``blocks_loaded`` with ``blocks_generated == 0``.
+    #: read back (verified) from disk.  A warm re-open serves every block
+    #: through ``blocks_loaded`` with ``blocks_generated == 0``; a cold
+    #: open serves the blocks it generated and loads none.
     blocks_written: int = 0
     blocks_loaded: int = 0
     #: Delta traffic (:meth:`WalkStore.apply_delta`): blocks containing at
@@ -183,6 +189,26 @@ def _generate_block(
     return generate_reverse_walks_streamed(
         graph, stubbornness, horizon, starts, entropy
     )
+
+
+def _npy_array(data: bytes) -> np.ndarray:
+    """The array an ``np.save`` file holds, as a read-only view of ``data``.
+
+    The ``.npy`` header is parsed in memory and the payload wrapped with
+    ``np.frombuffer``, so the array is exactly the bytes the caller read
+    (and checksummed) — no second open of the file, no memory map.
+    """
+    stream = io.BytesIO(data)
+    version = np.lib.format.read_magic(stream)
+    if version == (1, 0):
+        header = np.lib.format.read_array_header_1_0(stream)
+    else:
+        header = np.lib.format.read_array_header_2_0(stream)
+    shape, fortran_order, dtype = header
+    array = np.frombuffer(
+        data, dtype=dtype, count=math.prod(shape), offset=stream.tell()
+    )
+    return array.reshape(shape, order="F" if fortran_order else "C")
 
 
 def _block_starts(
@@ -250,7 +276,7 @@ class _WalkPool:
     ``blocks[i]`` is the resident ``(walks, lengths)`` pair of block ``i``
     or ``None`` for a block that lives on disk only (``store_dir``
     stores): a ``None`` entry still counts as *covered* — it never
-    regenerates — and is re-opened lazily as a read-only memory map by
+    regenerates — and is loaded lazily (read once, crc32-verified) by
     :meth:`block`, with the store-wide LRU bounding residency.
     """
 
@@ -281,17 +307,23 @@ class _WalkPool:
             _block_entropy(self.store.root, self.candidate, self.kind, index),
         )
 
-    def ensure_walks(self, num_walks: int) -> None:
-        """Generate the blocks still missing to cover ``num_walks`` walks."""
+    def ensure_walks(self, num_walks: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Generate the blocks still missing to cover ``num_walks`` walks.
+
+        Returns the blocks this call generated, by index: the LRU may
+        already have evicted some of them, and :meth:`master` serves them
+        from these arrays rather than reading back what it just wrote.
+        """
         stats = self.store.stats
         have = len(self.blocks)
         need = -(-int(num_walks) // self.block_walks)  # ceil division
+        fresh: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if need <= have:
             stats.blocks_reused += need
-            return
+            return fresh
         stats.blocks_reused += have
         for index in range(have, need):
-            walks, lengths = self.generate(index)
+            walks, lengths = fresh[index] = self.generate(index)
             self.blocks.append((walks, lengths))
             stats.blocks_generated += 1
             stats.walks_generated += walks.shape[0]
@@ -301,9 +333,10 @@ class _WalkPool:
                     self.candidate, self.kind, index, walks, lengths
                 )
                 self.store._touch_resident(self, index)
+        return fresh
 
     def block(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block ``index``, memory-mapping it back from disk if evicted."""
+        """Block ``index``, loading it back from disk if evicted."""
         entry = self.blocks[index]
         if entry is None:
             entry = self.store._load_block(self.candidate, self.kind, index)
@@ -319,12 +352,12 @@ class _WalkPool:
         if cached is not None:
             self.store.stats.blocks_reused += -(-num_walks // self.block_walks)
             return cached
-        self.ensure_walks(num_walks)
+        fresh = self.ensure_walks(num_walks)
         # Only the covering prefix of blocks is materialized: a small view
         # over a pool a larger consumer already escalated must not copy
         # the whole pool.
         need = -(-num_walks // self.block_walks)
-        parts = [self.block(i) for i in range(need)]
+        parts = [fresh[i] if i in fresh else self.block(i) for i in range(need)]
         walks = np.concatenate([b[0] for b in parts])[:num_walks]
         lengths = np.concatenate([b[1] for b in parts])[:num_walks]
         state = self.store.state
@@ -358,17 +391,19 @@ class WalkStore:
     block_walks:
         Uniform-pool generation unit (per-node pools use ``n``).
     store_dir:
-        Optional directory for memory-mapped persistence (the
+        Optional directory for on-disk persistence (the
         ``rw-store:mmap=<DIR>`` spec / CLI ``--store-dir``): generated
-        blocks are written as versioned ``.npy`` files and re-opened
-        lazily as read-only memmaps, so the pools survive process
-        restarts and scale past RAM.  The directory pins the store
-        identity in ``manifest.json``; re-opening with a different seed,
-        horizon or block size raises instead of silently serving walks
-        drawn from different dynamics.
+        blocks are written as versioned ``.npy`` files and loaded lazily
+        — each part read once, crc32-verified and served from those
+        bytes — so the pools survive process restarts.  Masters are
+        in-RAM concatenations, so a pool must still fit in memory.  The
+        directory pins the store identity in ``manifest.json``;
+        re-opening with a different seed, horizon or block size raises
+        instead of silently serving walks drawn from different dynamics.
     resident_blocks:
-        LRU cap on memory-mapped blocks kept resident at once (only
-        meaningful with ``store_dir``); evicted blocks re-open on demand.
+        LRU cap on loaded block arrays the pools retain between uses
+        (only meaningful with ``store_dir``); evicted blocks are loaded
+        again on demand.
     """
 
     def __init__(
@@ -393,7 +428,7 @@ class WalkStore:
         self.store_dir = None if store_dir is None else Path(store_dir)
         self.resident_blocks = int(resident_blocks)
         #: Graph surgery counters the pooled walks were drawn under, one
-        #: per candidate; :meth:`apply_delta` advances them, and mmap
+        #: per candidate; :meth:`apply_delta` advances them, and on-disk
         #: persistence pins them in the manifest.
         self._graph_versions = [int(g.version) for g in state.graphs]
         #: crc32 per persisted block part, keyed by block stem — the
@@ -406,7 +441,7 @@ class WalkStore:
             self._open_store_dir()
 
     # ------------------------------------------------------------------
-    # Memory-mapped persistence (``store_dir``)
+    # On-disk persistence (``store_dir``)
     # ------------------------------------------------------------------
     def _manifest(self) -> dict:
         """The identity parameters every block file name/content derives from.
@@ -446,7 +481,7 @@ class WalkStore:
         manifest = self._manifest()
         path = self.store_dir / "manifest.json"
         if path.exists():
-            existing = json.loads(path.read_text())
+            existing = self._read_manifest(path)
             disk_format = existing.get("format")
             if disk_format != STORE_FORMAT:
                 raise ValueError(
@@ -480,12 +515,38 @@ class WalkStore:
                     "the delta through WalkStore.apply_delta, or point at a "
                     "fresh directory"
                 )
-            self._checksums = {
-                str(stem): {part: int(crc) for part, crc in parts.items()}
-                for stem, parts in existing.get("checksums", {}).items()
-            }
+            checksums = existing.get("checksums", {})
+            if not isinstance(checksums, dict) or not all(
+                isinstance(parts, dict)
+                and all(type(crc) is int for crc in parts.values())
+                for parts in checksums.values()
+            ):
+                raise ValueError(
+                    f"store at {self.store_dir} has a malformed checksum "
+                    "ledger in manifest.json (expected block stem -> part "
+                    "-> integer crc32); point at a fresh directory"
+                )
+            self._checksums = {stem: dict(parts) for stem, parts in checksums.items()}
         else:
             self._write_manifest()
+
+    def _read_manifest(self, path: Path) -> dict:
+        """Parse ``manifest.json``: a JSON object, or a ValueError naming
+        the store (never a bare decode or attribute error)."""
+        try:
+            existing = json.loads(path.read_text())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(
+                f"store at {self.store_dir} has an unreadable manifest.json "
+                f"({exc}); point at a fresh directory"
+            ) from exc
+        if not isinstance(existing, dict):
+            raise ValueError(
+                f"store at {self.store_dir} has a manifest.json that is not "
+                f"a JSON object (got {type(existing).__name__}); point at a "
+                "fresh directory"
+            )
+        return existing
 
     def _block_stem(self, candidate: int, kind: str, index: int) -> str:
         """Checksum-ledger key of one block: its identity, minus the part."""
@@ -521,7 +582,7 @@ class WalkStore:
         """Persist one block atomically (tmp + rename; idempotent bytes).
 
         The crc32 of every part's exact file bytes lands in the manifest
-        ledger, so a later open can prove the mmap it serves holds the
+        ledger, so a later load can prove the bytes it serves are the
         bytes this store wrote — and regenerate the block in place if
         not (see ``_repair_block``).
         """
@@ -542,12 +603,14 @@ class WalkStore:
     def _load_block(
         self, candidate: int, kind: str, index: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-open one persisted block as read-only memory maps.
+        """Load one persisted block: one read per part, verified, served.
 
-        Every part is checksummed against the manifest ledger before it
-        is mapped; a mismatch (bit rot, torn write, injected corruption)
-        quarantines the damaged files and regenerates the block in place
-        from its deterministic identity — see ``_repair_block``.
+        Every part is read once and its crc32 checked against the
+        manifest ledger; the read-only arrays are views of those same
+        bytes, so a file changed after the check cannot reach the pool.
+        A mismatch (bit rot, torn write, injected corruption) quarantines
+        the damaged files and serves the block regenerated in place from
+        its deterministic identity — see ``_repair_block``.
         """
         spec = faults.maybe_fail(
             "store-corrupt-block",
@@ -564,34 +627,34 @@ class WalkStore:
         stem = self._block_stem(candidate, kind, index)
         recorded = self._checksums.get(stem, {})
         damaged = False
+        payloads = []
         for part in ("walks", "lengths"):
-            crc = zlib.crc32(
-                self._block_path(candidate, kind, index, part).read_bytes()
-            )
+            data = self._block_path(candidate, kind, index, part).read_bytes()
+            crc = zlib.crc32(data)
             if part not in recorded:
                 # Block written by a concurrent pre-checksum writer
                 # after this store's manifest snapshot: adopt it.
                 self._checksums.setdefault(stem, {})[part] = crc
             elif recorded[part] != crc:
                 damaged = True
+            payloads.append(data)
         if damaged:
-            self._repair_block(candidate, kind, index)
-        walks = np.load(
-            self._block_path(candidate, kind, index, "walks"), mmap_mode="r"
-        )
-        lengths = np.load(
-            self._block_path(candidate, kind, index, "lengths"), mmap_mode="r"
-        )
+            walks, lengths = self._repair_block(candidate, kind, index)
+        else:
+            walks, lengths = (_npy_array(data) for data in payloads)
         self.stats.blocks_loaded += 1
         return walks, lengths
 
-    def _repair_block(self, candidate: int, kind: str, index: int) -> None:
+    def _repair_block(
+        self, candidate: int, kind: str, index: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Quarantine a corrupt block and regenerate it from its identity.
 
         Block content is a pure function of the block identity, so the
         repaired bytes must reproduce the ledger checksums exactly —
-        repair is verified, not assumed.  The damaged files stay next to
-        the store as ``*.quarantined`` for post-mortems.
+        repair is verified, not assumed — and the regenerated arrays are
+        what the caller serves.  The damaged files stay next to the store
+        as ``*.quarantined`` for post-mortems.
         """
         stem = self._block_stem(candidate, kind, index)
         recorded = dict(self._checksums.get(stem, {}))
@@ -614,6 +677,7 @@ class WalkStore:
                 "the walks this store was built with no longer match its "
                 "identity — point at a fresh directory"
             )
+        return walks, lengths
 
     def _touch_resident(self, pool: _WalkPool, index: int) -> None:
         """LRU-track a resident block; evict the coldest past the cap.
@@ -641,9 +705,9 @@ class WalkStore:
         consults column ``v`` only when it steps out of ``v`` before
         terminating); every block containing at least one such walk is
         patched in place by regenerating those walks from their per-walk
-        uniform streams — and, for mmap stores, rewritten on disk — so a
-        patched pool is byte-identical to one generated from scratch
-        under the post-delta graph.  Opinion-only deltas leave every
+        uniform streams — and, for ``store_dir`` stores, rewritten on
+        disk — so a patched pool is byte-identical to one generated from
+        scratch under the post-delta graph.  Opinion-only deltas leave every
         block byte intact and merely drop the cached masters (their
         per-walk values embed ``B⁰``).
 

@@ -140,7 +140,7 @@ def run_methods(
     (RW, RS, IC, LT) one shared :class:`~repro.core.walk_store.WalkStore`
     so every budget extends the same walk/RR-set pools.  ``store_dir``
     (no effect when ``store`` is supplied) builds that shared store as a
-    persistent memory-mapped one rooted at the directory, with a fixed
+    persistent on-disk one rooted at the directory, with a fixed
     seed so re-running the sweep re-opens the same pools and regenerates
     nothing.
     """

@@ -3,7 +3,7 @@
 The paper frames opinion maximization as interactive decision support —
 "which k seeds win target c under rule R?" — and this package answers it
 without the cold-start tax of the batch CLI: one process loads the graph
-(and, optionally, a memory-mapped :class:`~repro.core.walk_store.WalkStore`
+(and, optionally, a persisted :class:`~repro.core.walk_store.WalkStore`
 directory) once, keeps engine pools and per-campaign
 :class:`~repro.core.engine.SelectionSession`\\ s hot, and serves queries
 over a newline-delimited JSON protocol on a plain TCP socket (stdlib

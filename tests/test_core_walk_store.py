@@ -16,6 +16,7 @@ The central contracts:
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -272,6 +273,52 @@ def test_per_node_estimates_meet_hoeffding_calibration(seeds):
     # Rule of three: a move rarer than 3 / (R·λ) may go unseen in all of a
     # node's walks, leaving a constant estimate with zero spread.
     assert np.all(error <= 4.0 * stderr + 3.0 / (roots * lam))
+
+
+@pytest.mark.parametrize("seeds", [(), (3, 17)])
+def test_sketch_estimates_meet_hoeffding_calibration(seeds):
+    """The ``sketch`` (uniform-pool) slice of the (ε,δ) calibration.
+
+    A θ-walk ``uniform_view`` estimates the mean opinion
+    ``(1/n) Σ_u b_qu^(t)`` by its mean walk value (the cumulative sketch
+    estimator of Algorithm 5, scaled by ``1/n``).  Every walk value lies
+    in [0, 1], so over R independent store roots the estimate misses
+    exact FJ by more than ``delta_achieved(θ, ρ)`` with probability at
+    most ``1 − ρ`` (Hoeffding): the observed miss share must stay under
+    ``1 − ρ`` plus a 3σ binomial margin.  Pooled over all roots, the
+    walks starting at each node must also average to that node's exact
+    opinion within four standard errors (plus the rule-of-three slack
+    of the per-node slice) — the per-node probe catches a termination
+    draw skewed to ``u^1.3`` that the mean alone averages away.  The
+    views span four blocks, so block concatenation is covered.
+    """
+    roots, theta, rho = 200, 256, 0.9
+    problem = make_problem(41, CumulativeScore(), n=40, r=2, horizon=5)
+    state, q, n = problem.state, problem.target, problem.n
+    b0_s, d_s = apply_seeds(
+        state.initial_opinions[q],
+        state.stubbornness[q],
+        np.asarray(seeds, dtype=np.int64),
+    )
+    exact = fj_evolve(b0_s, d_s, state.graph(q), problem.horizon)
+    starts, values = [], []
+    for root in range(roots):
+        store = store_for_problem(problem, seed=root, block_walks=64)
+        view = store.uniform_view(q, theta)
+        for seed in seeds:
+            view.add_seed(seed)
+        starts.append(view.starts)
+        values.append(view.values)
+    estimates = np.array([v.mean() for v in values])
+    misses = np.abs(estimates - exact.mean()) > delta_achieved(theta, rho)
+    margin = 3.0 * np.sqrt(rho * (1.0 - rho) / roots)
+    assert misses.mean() <= (1.0 - rho) + margin
+    starts, values = np.concatenate(starts), np.concatenate(values)
+    count = np.bincount(starts, minlength=n)
+    mean = np.bincount(starts, weights=values, minlength=n) / count
+    square = np.bincount(starts, weights=values**2, minlength=n) / count
+    stderr = np.sqrt(np.maximum(square - mean**2, 0.0) / (count - 1))
+    assert np.all(np.abs(mean - exact) <= 4.0 * stderr + 3.0 / count)
 
 
 def test_adaptive_escalation_meets_requested_precision():
@@ -590,13 +637,14 @@ def test_old_store_format_refused(tmp_path, old_format):
 
 
 def test_mmap_lru_bounds_resident_blocks(tmp_path):
-    """Pools must scale past the resident cap: evicted blocks re-open on
-    demand and every view stays byte-identical to the unbounded store."""
+    """The resident cap bounds retained blocks: a cold view serves the
+    blocks it generated without reading them back, evicted blocks load
+    again on demand, and every view stays byte-identical to the
+    unbounded store."""
     problem = make_problem(23, n=10, r=2)
     unbounded = WalkStore(
         problem.state, problem.horizon, seed=4, block_walks=8
     )
-    reference = unbounded.uniform_view(0, 64)
     store = WalkStore(
         problem.state,
         problem.horizon,
@@ -608,13 +656,59 @@ def test_mmap_lru_bounds_resident_blocks(tmp_path):
     view = store.uniform_view(0, 64)  # 8 blocks through a 2-slot LRU
     pool = store.pool(0, KIND_UNIFORM)
     assert sum(block is not None for block in pool.blocks) <= 2
-    assert store.stats.blocks_loaded > 0
+    assert store.stats.blocks_loaded == 0  # no read-back of fresh blocks
+    reference = unbounded.uniform_view(0, 64)
     np.testing.assert_array_equal(view.walks, reference.walks)
     np.testing.assert_array_equal(view.values, reference.values)
+    # A size with no cached master re-materializes from disk: scanning
+    # blocks 0..7 through two slots evicts 6 and 7 before they are
+    # reached, so all eight load again, and residency stays capped.
+    again = store.uniform_view(0, 60)
+    assert store.stats.blocks_loaded == 8
+    assert sum(block is not None for block in pool.blocks) <= 2
+    reference = unbounded.uniform_view(0, 60)
+    np.testing.assert_array_equal(again.walks, reference.walks)
+    np.testing.assert_array_equal(again.values, reference.values)
     with pytest.raises(ValueError):
         WalkStore(
             problem.state, problem.horizon, store_dir=tmp_path, resident_blocks=0
         )
+
+
+def _with_ledger(manifest, parts):
+    """``manifest`` with every block's checksum entry replaced by ``parts``."""
+    ledger = {stem: parts for stem in manifest["checksums"]}
+    return json.dumps(manifest | {"checksums": ledger}).encode()
+
+
+#: Malformed ``manifest.json`` bytes, built from a valid manifest.
+_MALFORMED_MANIFESTS = {
+    "not-an-object": lambda m: b"[]",
+    "truncated": lambda m: json.dumps(m).encode()[:40],
+    "not-utf8": lambda m: b"\xff",
+    "checksums-list": lambda m: json.dumps(m | {"checksums": []}).encode(),
+    "parts-list": lambda m: _with_ledger(m, [1, 2]),
+    "crc-not-int": lambda m: _with_ledger(m, {"walks": "abc", "lengths": 1}),
+    "crc-null": lambda m: _with_ledger(m, {"walks": None, "lengths": 1}),
+    "crc-float": lambda m: _with_ledger(m, {"walks": 1.5, "lengths": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MANIFESTS))
+def test_malformed_manifest_is_a_value_error_naming_the_store(tmp_path, case):
+    """Every malformed ``manifest.json`` — not JSON, not an object, a
+    checksum ledger of the wrong shape — raises a ValueError naming the
+    store directory (the CLI turns exactly that into a one-line exit),
+    and leaves every file in the store as it was."""
+    problem = make_problem(22, n=10, r=2)
+    store = WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
+    store.uniform_view(0, 8)
+    path = tmp_path / "manifest.json"
+    path.write_bytes(_MALFORMED_MANIFESTS[case](json.loads(path.read_text())))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
+        WalkStore(problem.state, problem.horizon, seed=1, store_dir=tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_mmap_spec_and_store_dir_conflicts():

@@ -29,6 +29,7 @@ rebuilt.  The contracts pinned here:
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -377,6 +378,50 @@ def test_mmap_warm_reopen_after_delta(tmp_path):
     stale = random_instance(n=30, r=3, seed=29, shared_graph=False)
     with pytest.raises(ValueError, match="graph versions"):
         WalkStore(stale, problem.horizon, seed=3, store_dir=tmp_path)
+
+
+def test_block_changed_after_load_cannot_reach_the_patch(tmp_path):
+    """A warm store holds only the bytes its crc32 check verified: a
+    block file overwritten in place after the load (same length, header
+    intact, garbage node ids) changes neither the resident block nor the
+    input of the delta patch, so the patched pool still equals a
+    from-scratch store under the post-delta graph."""
+    problem = make_problem(29, n=30)
+    cold = WalkStore(
+        problem.state, problem.horizon, seed=3, store_dir=tmp_path
+    )
+    cold.per_node_view(0, 8)
+    warm = WalkStore(
+        problem.state, problem.horizon, seed=3, store_dir=tmp_path
+    )
+    warm.per_node_view(0, 8)
+    assert warm.stats.blocks_loaded == 8  # every block resident, from disk
+    hot = census_hot_nodes(warm, 0, KIND_PER_NODE, problem.n)
+    report = problem.apply_delta(
+        edges_added=[
+            reweight_in_edge(problem.state.graph(0), node) for node in hot
+        ]
+    )
+    victim = warm._block_path(0, KIND_PER_NODE, 0, "walks")
+    garbage = np.full_like(np.load(victim), hot[0]).tobytes()
+    size = victim.stat().st_size
+    with open(victim, "r+b") as handle:  # in place: same inode, same size
+        handle.seek(size - len(garbage))
+        handle.write(garbage)
+    warm.apply_delta(report)
+    # The patch ran on the overwritten block and rewrote its file.
+    stem = warm._block_stem(0, KIND_PER_NODE, 0)
+    assert zlib.crc32(victim.read_bytes()) == warm._checksums[stem]["walks"]
+
+    rebuilt = WalkStore(problem.state, problem.horizon, seed=3)
+    expected = rebuilt.per_node_view(0, 8)
+    patched = warm.per_node_view(0, 8)
+    np.testing.assert_array_equal(patched.walks, expected.walks)
+    np.testing.assert_array_equal(patched.lengths, expected.lengths)
+    reopened = WalkStore(
+        problem.state, problem.horizon, seed=3, store_dir=tmp_path
+    ).per_node_view(0, 8)
+    np.testing.assert_array_equal(reopened.walks, expected.walks)
 
 
 def test_lru_eviction_order_survives_delta_patch(tmp_path):
