@@ -32,6 +32,7 @@ fewer worker counts, same assertions and gated counters).
 
 from __future__ import annotations
 
+import os
 import re
 import signal
 import subprocess
@@ -54,6 +55,11 @@ SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
 MIN_ROUND_REDUCTION = 2.0
 SOCKET_WORKERS = [1, 2] if TINY else [1, 2, 4]
 SOCKET_REQUESTS = 32 if TINY else 128
+#: Bursts per (worker count, mode) row: one burst lasts tens of
+#: milliseconds, so a row reports the median burst and the QPS spread,
+#: and the file says whether every burst ranked the worker counts alike.
+SOCKET_BURSTS = 2 if TINY else 5
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _problem():
@@ -236,7 +242,8 @@ def _spawn_server(workers: int):
 
 def test_socket_latency(save_result):
     """Unasserted wall-clock: p50/p99/QPS at each worker count, 8
-    pipelined connections (coalescible) vs 1 serial connection."""
+    pipelined connections (coalescible) vs 1 serial connection, over
+    ``SOCKET_BURSTS`` bursts each."""
     from repro.serve.client import run_load
 
     payloads = []
@@ -251,20 +258,29 @@ def test_socket_latency(save_result):
                 {"op": "marginal_gain", "seeds": [3],
                  "candidates": [(5 * i) % N_USERS]}
             )
+    modes = ((1, "serial"), (CLIENTS, "coalesced"))
+    qps: dict[tuple[str, int], list[float]] = {}
     rows = []
     for workers in SOCKET_WORKERS:
         proc, port = _spawn_server(workers)
         try:
-            for connections, label in ((1, "serial"), (CLIENTS, "coalesced")):
-                report = run_load(
-                    "127.0.0.1", port, payloads, connections=connections
-                )
-                assert all(r["ok"] for r in report.responses)
+            for connections, label in modes:
+                reports = []
+                for _ in range(SOCKET_BURSTS):
+                    report = run_load(
+                        "127.0.0.1", port, payloads, connections=connections
+                    )
+                    assert all(r["ok"] for r in report.responses)
+                    reports.append(report)
+                qps[label, workers] = [r.qps for r in reports]
+                median = sorted(reports, key=lambda r: r.qps)[len(reports) // 2]
                 rows.append(
                     f"workers={workers} {label:>9}: "
-                    f"qps={report.qps:8.1f} "
-                    f"p50={report.latency_percentile(50) * 1e3:7.2f}ms "
-                    f"p99={report.latency_percentile(99) * 1e3:7.2f}ms"
+                    f"qps={median.qps:8.1f} "
+                    f"p50={median.latency_percentile(50) * 1e3:7.2f}ms "
+                    f"p99={median.latency_percentile(99) * 1e3:7.2f}ms "
+                    f"(qps {min(qps[label, workers]):.0f}-"
+                    f"{max(qps[label, workers]):.0f})"
                 )
         finally:
             proc.send_signal(signal.SIGTERM)
@@ -273,9 +289,24 @@ def test_socket_latency(save_result):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.communicate(timeout=30)
+    for _, label in modes:
+        orders = {
+            tuple(sorted(SOCKET_WORKERS, key=lambda w: -qps[label, w][burst]))
+            for burst in range(SOCKET_BURSTS)
+        }
+        verdict = (
+            "every burst ranks the worker counts alike"
+            if len(orders) == 1
+            else f"bursts disagree ({len(orders)} orders): these rows do "
+            "not rank the worker counts"
+        )
+        rows.append(f"{label}: {verdict}")
+    threads = " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in THREAD_ENV)
     save_result(
         "serving_latency",
         f"{SOCKET_REQUESTS} requests over dm-mp:<W>:shm "
-        f"(n={N_USERS}, t={HORIZON}; wall-clock, not gated):\n"
+        f"(n={N_USERS}, t={HORIZON}; wall-clock, not gated)\n"
+        f"host: nproc={os.cpu_count()} {threads}; each row is the median "
+        f"of {SOCKET_BURSTS} bursts (qps range in brackets):\n"
         + "\n".join(rows),
     )

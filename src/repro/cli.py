@@ -345,15 +345,18 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
     touched: set[int] = set()
     structural = False
     refreshed = 0
-    for step in steps:
-        report = problem.apply_delta(
-            edges_added=[tuple(e) for e in step.get("edges_added", ())],
-            edges_removed=[tuple(e) for e in step.get("edges_removed", ())],
-            opinions_changed=[
-                tuple(o) for o in step.get("opinions_changed", ())
-            ],
-            candidate=step.get("candidate"),
-        )
+    for number, step in enumerate(steps, 1):
+        try:
+            report = problem.apply_delta(
+                edges_added=[tuple(e) for e in step.get("edges_added", ())],
+                edges_removed=[tuple(e) for e in step.get("edges_removed", ())],
+                opinions_changed=[
+                    tuple(o) for o in step.get("opinions_changed", ())
+                ],
+                candidate=step.get("candidate"),
+            )
+        except ValueError as exc:
+            raise SystemExit(f"--apply-delta step {number}: {exc}") from None
         if store is not None:
             store.apply_delta(report)
         elif open_error is not None:

@@ -148,6 +148,14 @@ class EngineStats:
     column-steps* (one column pushed through one FJ step costs ``nnz(W)``
     multiply-adds): a sparse-phase product costs ``nnz(delta)/n`` of that,
     and a trajectory-extension step is exactly one column-step.
+
+    That price counts multiply-adds only.  Every sparse product also walks
+    all of ``W`` twice (``csr_matmat_maxnnz`` sizes the output, then
+    ``csr_matmat`` fills it, each visiting every row and nonzero whatever
+    delta holds), and each re-pin rebuilds the product's CSR arrays.  So
+    the counters and the wall clock can disagree: a narrow call (one or
+    two columns) runs straight dense steps, which raises
+    ``evolution_work`` a little while its wall time halves.
     """
 
     evaluate_calls: int = 0
@@ -198,7 +206,11 @@ class EngineStats:
             setattr(self, field.name, 0)
 
     def evolution_work(self, n: int) -> float:
-        """Total FJ evolution work in dense column-step equivalents."""
+        """Total FJ evolution work in dense column-step equivalents.
+
+        Multiply-adds only: the two passes over ``W`` every sparse product
+        makes are not priced (see the class docstring).
+        """
         return (
             self.dense_column_steps
             + self.trajectory_steps
@@ -912,7 +924,10 @@ class BatchedDMEngine(ObjectiveEngine):
     densify_threshold:
         Delta matrices start sparse (a fresh seed only perturbs its t-step
         out-neighborhood) and switch to dense blocks once their fill
-        fraction approaches this threshold (see ``_evolve_blocks``).
+        fraction approaches this threshold (see ``_evolve_blocks``).  A
+        call with at most two columns ignores it and runs dense from the
+        first step: each sparse product walks all of ``W`` twice, while a
+        dense one walks it once per column.
     """
 
     supports_batch = True
@@ -1043,6 +1058,16 @@ class BatchedDMEngine(ObjectiveEngine):
         sliced into dense ``(n, batch_rows)`` blocks (sized to stay
         cache-resident) that finish the remaining steps independently.
 
+        A narrow call (``C <= 2``) skips the sparse phase and every sparse
+        conversion: its delta(0) is written straight into dense blocks
+        that take all ``horizon`` steps.  ``csr_matmat_maxnnz`` and
+        ``csr_matmat`` each walk every row and nonzero of ``W`` whatever
+        delta holds, so a sparse product never costs less than two dense
+        column-steps.  Both kernels sum each output entry in ``W``'s row
+        order starting from 0, so a column's bytes do not depend on the
+        phase that evolved it: the result is the same for any grouping of
+        the sets into calls.
+
         ``traj`` is the base trajectory the deltas perturb (default: the
         cached unseeded one).  ``zero_rows`` lists coordinates already
         pinned *in the base* (a session's committed seeds): anything the
@@ -1065,51 +1090,84 @@ class BatchedDMEngine(ObjectiveEngine):
         sizes = np.array([s.size for s in sets], dtype=np.int64)
         pin_rows = np.concatenate(sets)
         pin_cols = np.repeat(np.arange(c, dtype=np.int64), sizes)
-        # delta(0): seeded coordinates jump to 1, everything else unchanged.
-        delta = sparse.csr_matrix(
-            (1.0 - traj[0][pin_rows], (pin_rows, pin_cols)), shape=(n, c)
-        )
-        pins = _PinLayout(pin_rows, pin_cols, c, int(sizes.max()))
-        # The sparse phase stops once the *next* product is predicted to
-        # cost more than its dense counterpart: a sparse-sparse product is
-        # ~3x denser-per-nonzero than dense, and the fill cap also bounds
-        # sparse-phase memory.  Growth starts at the mean out-degree (the
-        # expansion rate of a fresh delta) and tracks observed growth.
-        nnz_cap = min(
-            self.densify_threshold * n * c, self.max_batch_bytes / 16
-        )
-        growth = max(1.0, self._wt_scaled.nnz / max(n, 1))
-        next_step = horizon + 1
-        for s in range(1, horizon + 1):
-            if delta.nnz > nnz_cap or delta.nnz * growth > 3 * nnz_cap:
-                next_step = s  # dense blocks take over from step s
-                break
-            prev_nnz = delta.nnz
-            self.stats.sparse_steps += 1
-            self.stats.sparse_nnz += delta.nnz
-            delta = self._wt_scaled @ delta
-            if prev_nnz:
-                growth = delta.nnz / prev_nnz
-            # Re-pin in sparse form: zero whatever propagated into the
-            # seeded coordinates (including the base's committed ones),
-            # then write the pinned values back in.
-            delta = self._repin(delta, pins, 1.0 - traj[s][pin_rows], zero)
-        delta = delta.tocsc()
+        # Up to two columns, a sparse product's two passes over W cost at
+        # least what the dense product's c passes do (see the docstring).
+        narrow = c <= 2
+        next_step = 1
+        if not narrow:
+            # delta(0): seeded coordinates jump to 1, everything else unchanged.
+            delta = sparse.csr_matrix(
+                (1.0 - traj[0][pin_rows], (pin_rows, pin_cols)), shape=(n, c)
+            )
+            pins = _PinLayout(pin_rows, pin_cols, c, int(sizes.max()))
+            # The sparse phase stops once the *next* product is predicted
+            # to cost more than its dense counterpart: a sparse-sparse
+            # product is ~3x denser-per-nonzero than dense, and the fill cap
+            # also bounds sparse-phase memory.  Growth starts at the mean
+            # out-degree (the expansion rate of a fresh delta) and tracks
+            # observed growth.
+            nnz_cap = min(self.densify_threshold * n * c, self.max_batch_bytes / 16)
+            growth = max(1.0, self._wt_scaled.nnz / max(n, 1))
+            next_step = horizon + 1
+            for s in range(1, horizon + 1):
+                if delta.nnz > nnz_cap or delta.nnz * growth > 3 * nnz_cap:
+                    next_step = s  # dense blocks take over from step s
+                    break
+                prev_nnz = delta.nnz
+                self.stats.sparse_steps += 1
+                self.stats.sparse_nnz += delta.nnz
+                delta = self._wt_scaled @ delta
+                if prev_nnz:
+                    growth = delta.nnz / prev_nnz
+                # Re-pin in sparse form: zero whatever propagated into the
+                # seeded coordinates (including the base's committed ones),
+                # then write the pinned values back in.
+                delta = self._repin(delta, pins, 1.0 - traj[s][pin_rows], zero)
+            delta = delta.tocsc()
         base = traj[horizon][:, None]
         for lo in range(0, c, self.batch_rows):
             hi = min(lo + self.batch_rows, c)
-            block = delta[:, lo:hi].toarray()
             in_block = (pin_cols >= lo) & (pin_cols < hi)
             rows_b = pin_rows[in_block]
             cols_b = pin_cols[in_block] - lo
-            for s in range(next_step, horizon + 1):
-                self.stats.dense_column_steps += hi - lo
-                block = self._wt_scaled @ block
-                if zero is not None:
-                    block[zero, :] = 0.0
-                block[rows_b, cols_b] = 1.0 - traj[s][rows_b]
+            if narrow:
+                block = np.zeros((n, hi - lo), dtype=np.float64)
+                block[rows_b, cols_b] = 1.0 - traj[0][rows_b]
+            else:
+                block = delta[:, lo:hi].toarray()
+            self.stats.dense_column_steps += (hi - lo) * (horizon + 1 - next_step)
+            block = self._dense_steps(
+                block, traj, range(next_step, horizon + 1), (rows_b, cols_b), zero
+            )
             block += base
             yield lo, hi, block
+
+    def _dense_steps(
+        self,
+        delta: np.ndarray,
+        traj: np.ndarray,
+        steps: range,
+        pins: tuple[np.ndarray, ...],
+        zero: np.ndarray | None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Push a dense delta through FJ ``steps``; returns the last one.
+
+        The one dense step loop: product, zero the rows ``zero`` pins in
+        the base (committed seeds), write the pins — ``delta[pins] = 1 -
+        traj[s][pins[0]]``, so ``pins`` is ``(rows,)`` for an ``(n,)``
+        delta and ``(rows, cols)`` for an ``(n, C)`` one.  With ``out``,
+        ``traj[s] + delta(s)`` is recorded in ``out[s]`` after each step.
+        Counters are the caller's.
+        """
+        for s in steps:
+            delta = self._wt_scaled @ delta
+            if zero is not None:
+                delta[zero] = 0.0
+            delta[pins] = 1.0 - traj[s][pins[0]]
+            if out is not None:
+                out[s] = traj[s] + delta
+        return delta
 
     def _repin(
         self,
@@ -1230,12 +1288,14 @@ class BatchedDMEngine(ObjectiveEngine):
         delta = np.zeros(self.problem.n, dtype=np.float64)
         delta[new] = 1.0 - traj[0][new]
         out[0] = traj[0] + delta
-        for s in range(1, horizon + 1):
-            delta = self._wt_scaled @ delta
-            if committed.size:
-                delta[committed] = 0.0
-            delta[new] = 1.0 - traj[s][new]
-            out[s] = traj[s] + delta
+        self._dense_steps(
+            delta,
+            traj,
+            range(1, horizon + 1),
+            (new,),
+            committed if committed.size else None,
+            out,
+        )
         self.stats.trajectory_steps += horizon
         return out
 

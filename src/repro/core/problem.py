@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.opinion.fj import fj_evolve
 from repro.opinion.state import CampaignState
-from repro.utils.validation import check_time_horizon
+from repro.utils.validation import check_index, check_time_horizon
 from repro.voting.rules import is_strict_winner, score_all_candidates
 from repro.voting.scores import SeparableScore, VotingScore
 
@@ -280,9 +280,29 @@ class FJVoteProblem:
         ``dm-mp`` delta broadcast) consume to invalidate exactly what the
         delta touched.
         """
-        cand = self.target if candidate is None else int(candidate)
+        cand = self.target if candidate is None else check_index(candidate, "candidate")
         if not 0 <= cand < self.r:
             raise ValueError(f"candidate must be in [0, {self.r}), got {cand}")
+        # Opinion rows are validated before the graph surgery, so a bad row
+        # leaves the graph, the opinions and both versions untouched.
+        ops = [
+            (
+                check_index(q, "opinion candidate"),
+                check_index(v, "opinion node"),
+                float(x),
+            )
+            for q, v, x in opinions_changed
+        ]
+        by_cand: dict[int, dict[int, float]] = {}
+        for q, v, x in ops:
+            if not 0 <= q < self.r:
+                raise ValueError(f"opinion candidate {q} out of range")
+            if not 0 <= v < self.n:
+                raise ValueError(f"opinion node {v} out of range")
+            if not np.isfinite(x):
+                raise ValueError(f"opinion value for ({q}, {v}) not finite")
+            # Last write wins when one node appears twice.
+            by_cand.setdefault(q, {})[v] = min(max(x, 0.0), 1.0)
         graph = self.state.graph(cand)
         touched, structural = graph.apply_edge_delta(edges_added, edges_removed)
         touched_by_candidate: dict[int, np.ndarray] = {}
@@ -290,20 +310,9 @@ class FJVoteProblem:
             for q in range(self.r):
                 if self.state.graph(q) is graph:
                     touched_by_candidate[q] = touched
-        ops = [(int(q), int(v), float(x)) for q, v, x in opinions_changed]
         opinions_by_candidate: dict[int, np.ndarray] = {}
         opinion_deltas: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if ops:
-            by_cand: dict[int, dict[int, float]] = {}
-            for q, v, x in ops:
-                if not 0 <= q < self.r:
-                    raise ValueError(f"opinion candidate {q} out of range")
-                if not 0 <= v < self.n:
-                    raise ValueError(f"opinion node {v} out of range")
-                if not np.isfinite(x):
-                    raise ValueError(f"opinion value for ({q}, {v}) not finite")
-                # Last write wins when one node appears twice.
-                by_cand.setdefault(q, {})[v] = min(max(x, 0.0), 1.0)
             b0 = self.state.initial_opinions
             b0.setflags(write=True)
             try:

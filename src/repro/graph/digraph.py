@@ -17,6 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph.alias import AliasSampler
+from repro.utils.validation import check_index
 
 _STOCHASTIC_ATOL = 1e-8
 
@@ -161,11 +162,19 @@ class InfluenceGraph:
         Bumps :attr:`version` by one when the delta is non-empty.
         """
         n = self.n
-        add = [(int(s), int(t), float(w)) for s, t, w in added]
-        rem = [(int(s), int(t)) for s, t in removed]
+        add = [
+            (check_index(s, "edge source"), check_index(t, "edge target"), float(w))
+            for s, t, w in added
+        ]
+        rem = [
+            (check_index(s, "edge source"), check_index(t, "edge target"))
+            for s, t in removed
+        ]
         for s, t, w in add:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"added edge ({s}, {t}) out of range [0, {n})")
+            if not np.isfinite(w):
+                raise ValueError(f"added edge ({s}, {t}) has non-finite weight {w!r}")
             if w <= 0:
                 raise ValueError(
                     f"added edge ({s}, {t}) has non-positive weight {w!r}; "

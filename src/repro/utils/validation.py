@@ -7,6 +7,8 @@ boundary instead of deep inside a diffusion loop.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -47,6 +49,20 @@ def check_seed_budget(k: int, n: int) -> int:
     if not 0 <= k <= n:
         raise ValueError(f"seed budget k must be in [0, {n}], got {k}")
     return k
+
+
+def check_index(value, name: str) -> int:
+    """Validate that ``value`` is an integer index and return it as ``int``.
+
+    ``int()`` would truncate ``1.5`` to 1 and read ``True`` as 1; node and
+    candidate ids must be Python or NumPy integers, never bools or floats.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_positive(value, name: str):

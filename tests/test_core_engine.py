@@ -27,6 +27,7 @@ from repro.core.engine import (
 from repro.core.engine_mp import MultiprocessDMEngine
 from repro.core.greedy import greedy_dm, greedy_engine
 from repro.core.problem import FJVoteProblem
+from repro.datasets.twitter import twitter_social_distancing
 from repro.graph.build import graph_from_edges
 from repro.opinion.state import CampaignState
 from repro.voting.scores import (
@@ -511,15 +512,20 @@ def test_sparse_repin_matches_dense_only_oracle(seed, score_name, horizon, data)
         data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=4))
         for _ in range(num_sets)
     ]
-    # densify_threshold=1.0 keeps every step in the sparse phase;
-    # densify_threshold=0.0 takes none (whenever some set is non-empty).
+    # densify_threshold=1.0 keeps every step of a call with three or more
+    # columns in the sparse phase; a narrow call (one or two columns) takes
+    # none at any threshold.  densify_threshold=0.0 takes none (whenever
+    # some set is non-empty).
     sparse_engine = BatchedDMEngine(problem, densify_threshold=1.0)
     oracle = BatchedDMEngine(problem, densify_threshold=0.0)
     assert np.array_equal(
         sparse_engine.target_opinion_rows(seed_sets),
         oracle.target_opinion_rows(seed_sets),
     )
-    assert sparse_engine.stats.sparse_steps > 0
+    if num_sets >= 3:
+        assert sparse_engine.stats.sparse_steps > 0
+    else:
+        assert sparse_engine.stats.sparse_steps == 0
     if any(seed_sets):
         assert oracle.stats.sparse_steps == 0
     # Warm-started rows exercise zero_rows (committed-seed zeroing).
@@ -598,6 +604,105 @@ def test_sparse_phase_never_sorts(monkeypatch):
     assert np.array_equal(session.marginal_gains(candidates), expected)
     engine.evaluate([(1,), (2, 5, 9), (0, 12)])
     assert engine.stats.sparse_steps > steps
+
+
+# ----------------------------------------------------------------------
+# Narrow calls (one or two columns) skip the sparse phase, bit for bit
+# ----------------------------------------------------------------------
+def _sparse_retweet_problem() -> FJVoteProblem:
+    """A retweet graph sparse enough that a 64-column call takes sparse
+    steps at the default densify threshold."""
+    dataset = twitter_social_distancing(n=600, horizon=8, rng=3)
+    return dataset.problem(PluralityScore())
+
+
+def _narrow_calls(engine, c, total, call):
+    """``call(lo, hi)`` over ``[0, total)`` in chunks of ``c``, with the
+    chunks' sparse steps and dense column-steps."""
+    engine.stats.reset()
+    out = [call(lo, min(lo + c, total)) for lo in range(0, total, c)]
+    return out, engine.stats.sparse_steps, engine.stats.dense_column_steps
+
+
+def _scored(engine, rows):
+    """Objectives of ``(C, n)`` rows at one call's scoring width."""
+    return engine._score_cols(np.ascontiguousarray(rows.T))
+
+
+@pytest.mark.parametrize("commits", [(), (11, 240)], ids=["fresh", "committed"])
+def test_narrow_extension_rows_match_wide_call_bitwise(commits):
+    """A candidate's row from a one- or two-column call (straight dense
+    steps) equals its row inside a 64-column call (sparse steps, then
+    dense), with and without committed ``zero_rows``; the narrow values
+    equal the wide rows scored at the narrow width."""
+    problem = _sparse_retweet_problem()
+    engine = BatchedDMEngine(problem)
+    session = engine.open_session()
+    for seed in commits:
+        session.commit(seed)
+    traj = session._traj
+    committed = np.array(session.seeds, dtype=np.int64)
+    free = np.setdiff1d(np.arange(problem.n), committed)
+    candidates = np.random.default_rng(4).choice(free, size=64, replace=False)
+    engine.stats.reset()
+    wide = engine.extension_rows(traj, committed, candidates)
+    assert engine.stats.sparse_steps > 0
+    for c in (1, 2):
+        rows, sparse_steps, dense_steps = _narrow_calls(
+            engine,
+            c,
+            64,
+            lambda lo, hi: engine.extension_rows(traj, committed, candidates[lo:hi]),
+        )
+        assert (sparse_steps, dense_steps) == (0, 64 * problem.horizon)
+        assert np.concatenate(rows).tobytes() == wide.tobytes()
+        values, sparse_steps, _ = _narrow_calls(
+            engine,
+            c,
+            64,
+            lambda lo, hi: engine.extension_values(
+                traj, committed, candidates[lo:hi]
+            ),
+        )
+        assert sparse_steps == 0
+        expected = [_scored(engine, wide[lo : lo + c]) for lo in range(0, 64, c)]
+        assert np.concatenate(values).tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_narrow_query_sets_and_evaluate_match_wide_call_bitwise():
+    """Stateless multi-seed sets: ``query_sets`` and ``evaluate`` answer a
+    one- or two-set call exactly as they answer the set inside a 64-set
+    call."""
+    problem = _sparse_retweet_problem()
+    engine = BatchedDMEngine(problem)
+    rng = np.random.default_rng(9)
+    sets = [
+        tuple(rng.choice(problem.n, size=int(rng.integers(1, 4)), replace=False))
+        for _ in range(64)
+    ]
+    engine.stats.reset()
+    wide_values, wide_wins = engine.query_sets(sets, wins=True)
+    assert engine.stats.sparse_steps > 0
+    wide_rows = engine.target_opinion_rows(sets)
+    for c in (1, 2):
+        answers, sparse_steps, dense_steps = _narrow_calls(
+            engine, c, 64, lambda lo, hi: engine.query_sets(sets[lo:hi], wins=True)
+        )
+        assert (sparse_steps, dense_steps) == (0, 64 * problem.horizon)
+        values = np.concatenate([v for v, _ in answers])
+        wins = np.concatenate([w for _, w in answers])
+        assert values.tobytes() == wide_values.tobytes()
+        assert np.array_equal(wins, wide_wins)
+        evaluated, sparse_steps, _ = _narrow_calls(
+            engine, c, 64, lambda lo, hi: engine.evaluate(sets[lo:hi])
+        )
+        assert sparse_steps == 0
+        expected = [
+            _scored(engine, wide_rows[lo : lo + c]) for lo in range(0, 64, c)
+        ]
+        assert (
+            np.concatenate(evaluated).tobytes() == np.concatenate(expected).tobytes()
+        )
 
 
 # ----------------------------------------------------------------------

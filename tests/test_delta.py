@@ -212,6 +212,77 @@ def test_problem_delta_refreshes_caches_bitwise():
     assert problem.graph_version == 1
 
 
+#: One malformed row per case, each beside a valid edge row (and, in the
+#: opinion-node cases, a valid opinion row), so a partial application
+#: would show.
+_VALID_EDGE = (1, 2, 0.5)
+_VALID_OPINION = (0, 4, 0.3)
+BAD_DELTAS = {
+    "nan-weight": dict(edges_added=[_VALID_EDGE, (0, 1, float("nan"))]),
+    "inf-weight": dict(edges_added=[_VALID_EDGE, (0, 1, float("inf"))]),
+    "neg-inf-weight": dict(edges_added=[_VALID_EDGE, (0, 1, float("-inf"))]),
+    "float-added-source": dict(edges_added=[_VALID_EDGE, (1.5, 3, 0.4)]),
+    "bool-added-target": dict(edges_added=[_VALID_EDGE, (0, True, 0.4)]),
+    # ``edge`` is an existing edge out of node 1, so ``int()`` would find
+    # and remove it.
+    "float-removed-source": lambda edge: dict(
+        edges_added=[_VALID_EDGE], edges_removed=[(edge[0] + 0.5, edge[1])]
+    ),
+    "bool-removed-source": lambda edge: dict(
+        edges_added=[_VALID_EDGE], edges_removed=[(True, edge[1])]
+    ),
+    "float-opinion-node": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[_VALID_OPINION, (0, 1.5, 0.9)]
+    ),
+    "bool-opinion-node": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[_VALID_OPINION, (0, True, 0.9)]
+    ),
+    "float-opinion-candidate": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[(1.0, 4, 0.9)]
+    ),
+    "bool-opinion-candidate": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[(True, 4, 0.9)]
+    ),
+    "bool-candidate": dict(edges_added=[_VALID_EDGE], candidate=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DELTAS))
+def test_malformed_delta_is_rejected_before_any_mutation(case):
+    """A non-finite weight or a non-integer id raises ValueError and leaves
+    the graph bytes, the opinions and both versions untouched — ``int()``
+    would read ``1.5`` and ``True`` as node 1, and a NaN or infinite weight
+    would renormalize its column to NaN."""
+    problem = make_problem(19)
+    graph = problem.state.graph(problem.target)
+    before = {
+        (kind, attr): getattr(getattr(graph, kind), attr).copy()
+        for kind in ("csr", "csc")
+        for attr in ("data", "indices", "indptr")
+    }
+    opinions = problem.state.initial_opinions.copy()
+    versions = (problem.graph_version, problem.opinion_version, graph.version)
+    delta = BAD_DELTAS[case]
+    if callable(delta):
+        src, dst, _ = graph.edges()
+        edge = next((1, int(t)) for s, t in zip(src, dst) if s == 1 and t != 1)
+        delta = delta(edge)
+    with pytest.raises(ValueError):
+        problem.apply_delta(**delta)
+    for (kind, attr), array in before.items():
+        np.testing.assert_array_equal(getattr(getattr(graph, kind), attr), array)
+    np.testing.assert_array_equal(problem.state.initial_opinions, opinions)
+    assert (
+        problem.graph_version, problem.opinion_version, graph.version
+    ) == versions
+    # NumPy integers stay valid ids.
+    report = problem.apply_delta(
+        edges_added=[(np.int64(1), np.int32(2), 0.5)],
+        opinions_changed=[(np.int64(0), np.int64(4), 0.3)],
+    )
+    assert report.graph_version == versions[0] + 1
+
+
 # ----------------------------------------------------------------------
 # Sessions: patch vs rebuild
 # ----------------------------------------------------------------------
@@ -632,3 +703,22 @@ def test_cli_apply_delta_journal_lifecycle(capsys, tmp_path):
     # one line naming the mismatch, no traceback.
     with pytest.raises(SystemExit, match="graph versions"):
         cli_main(base)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0, 1, float("nan")], [0, 1, float("inf")], [0.5, 1, 0.3], [True, 1, 0.3]],
+)
+def test_cli_bad_journal_row_is_a_one_line_exit(tmp_path, row):
+    """A journal edge row with a non-finite weight or a non-integer id
+    exits with one line naming the step, not a traceback."""
+    journal = tmp_path / "delta.json"
+    # ``json`` writes and reads the non-finite weights as NaN / Infinity.
+    journal.write_text(json.dumps([{}, {"edges_added": [row]}]))
+    argv = [
+        "select", "--dataset", "yelp", "--users", "40", "--horizon", "3",
+        "--method", "dm", "-k", "1", "--seed", "1",
+        "--apply-delta", str(journal),
+    ]  # fmt: skip
+    with pytest.raises(SystemExit, match="--apply-delta step 2: "):
+        cli_main(argv)

@@ -245,6 +245,26 @@ def test_parameter_validation_errors():
         hub.close()
 
 
+@pytest.mark.parametrize("weight", ["Infinity", "NaN"])
+def test_non_finite_delta_weight_is_a_bad_request(weight):
+    """JSON ``Infinity``/``NaN`` parse as floats; an edge weight of either
+    would renormalize its column to NaN and poison every later answer."""
+    hub = EngineHub(make_problem(), ["dm-batched"], rng=7)
+    try:
+        batcher = CoalescingBatcher(hub)
+        gains = make_request(0, "marginal_gain", seeds=[1], candidates=[2, 3])
+        (before,) = batcher.execute([gains])
+        line = '{"id":1,"op":"apply_delta","edges_added":[[0,1,%s]]}\n' % weight
+        request = parse_request(decode_line(line.encode()))
+        (response,) = batcher.execute([request])
+        assert response["ok"] is False
+        assert response["error"]["code"] == ERROR_BAD_REQUEST
+        assert hub.problem.graph_version == 0
+        assert batcher.execute([gains]) == [before]
+    finally:
+        hub.close()
+
+
 # ----------------------------------------------------------------------
 # Caches and counters
 # ----------------------------------------------------------------------
