@@ -8,11 +8,13 @@ Gains must match to the 1e-10 parity contract (same arg-max seed).  The
 scaling metric is deterministic, not a timer: the *critical path* of the
 fanned-out dense phase is the largest per-worker ``dense_column_steps``
 share (``engine.worker_stats``), and the speedup is the single-process
-dense work divided by it.  On a multi-core host — each worker a separate
-memory domain for the bandwidth-bound dense products — this ratio is the
-wall-clock ceiling; on this repo's single-core CI runner the wall times
-are reported alongside for honesty (IPC makes them *worse* than
-single-process there, which is expected and not asserted against).
+dense work divided by it.  This ratio is the wall-clock ceiling of the
+pool; the wall times are recorded alongside (median of
+``WALL_REPEATS``), not asserted against.  ``dm-batched`` itself evolves
+a wide round's dense blocks on one thread per usable core, so its wall
+is recorded twice: as built (threaded) and with its thread count forced
+to 1, the single-core baseline.  The header names the core count and the
+BLAS/OpenMP thread variables.
 
 Part 2 — sparse phase vs dense-only.  Exhaustive session greedy on the
 Table-III sparse retweet graph with the default engine (sparse phase with
@@ -32,7 +34,7 @@ import os
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once
-from repro.core.engine import BatchedDMEngine
+from repro.core.engine import BatchedDMEngine, _usable_cores
 from repro.core.engine_mp import MultiprocessDMEngine
 from repro.core.greedy import greedy_engine
 from repro.datasets.twitter import _twitter_base, twitter_social_distancing
@@ -52,6 +54,9 @@ HORIZON = 20
 #: workers at n >= 2000 (balanced contiguous chunks make it ~2x minus the
 #: per-chunk densify-threshold drift).
 MIN_DENSE_SPEEDUP_2W = 1.6
+#: Timed repetitions per wall-clock cell (the median is recorded).
+WALL_REPEATS = 1 if TINY else 5
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _dense_problem(n: int):
@@ -84,30 +89,51 @@ def _sparse_problem(n: int):
 # ----------------------------------------------------------------------
 # Part 1: multiprocess fan-out
 # ----------------------------------------------------------------------
+def _median_wall(fn) -> tuple[float, object]:
+    """Median wall time of ``WALL_REPEATS`` calls, and the last result."""
+    walls = []
+    for _ in range(WALL_REPEATS):
+        with Timer() as timer:
+            result = fn()
+        walls.append(timer.elapsed)
+    return float(np.median(walls)), result
+
+
 def _mp_rounds(n: int) -> list[dict[str, float]]:
     problem = _dense_problem(n)
     candidates = np.arange(n)
+    serial = BatchedDMEngine(problem)
+    serial._threads = 1
+    serial_s, serial_gains = _median_wall(
+        lambda: serial.marginal_gains((), candidates)
+    )
     batched = BatchedDMEngine(problem)
-    with Timer() as ref_timer:
-        reference = batched.marginal_gains((), candidates)
-    total_dense = batched.stats.dense_column_steps
+    batched_s, reference = _median_wall(
+        lambda: batched.marginal_gains((), candidates)
+    )
+    assert np.asarray(reference).tobytes() == np.asarray(serial_gains).tobytes()
+    total_dense = batched.stats.dense_column_steps // WALL_REPEATS
     rows = []
     for workers in WORKER_COUNTS:
         with MultiprocessDMEngine(problem, workers=workers, min_fanout=1) as engine:
             engine.ping()  # start the pool outside the timed region
-            with Timer() as timer:
-                gains = engine.marginal_gains((), candidates)
+            mp_s, gains = _median_wall(
+                lambda: engine.marginal_gains((), candidates)
+            )
+            critical = max(w.dense_column_steps for w in engine.worker_stats)
+            critical //= WALL_REPEATS
         np.testing.assert_allclose(gains, reference, atol=1e-10, rtol=0)
         assert int(np.argmax(gains)) == int(np.argmax(reference))
-        critical = max(w.dense_column_steps for w in engine.worker_stats)
         rows.append(
             {
                 "workers": workers,
                 "total_dense": total_dense,
                 "critical_dense": critical,
                 "cp_speedup": total_dense / max(critical, 1),
-                "batched_s": ref_timer.elapsed,
-                "mp_s": timer.elapsed,
+                "serial_s": serial_s,
+                "batched_s": batched_s,
+                "threads": batched._threads,
+                "mp_s": mp_s,
             }
         )
     return rows
@@ -119,19 +145,30 @@ def test_mp_fanout_dense_phase_scaling(benchmark, save_result, save_bench_json):
         "batched dense col-steps": [r["total_dense"] for r in rows],
         "critical-path col-steps": [r["critical_dense"] for r in rows],
         "critical-path speedup (x)": [r["cp_speedup"] for r in rows],
+        "batched 1-thread wall (s)": [r["serial_s"] for r in rows],
         "batched wall (s)": [r["batched_s"] for r in rows],
         "dm-mp wall (s)": [r["mp_s"] for r in rows],
     }
     if not TINY:
+        thread_vars = ", ".join(
+            f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARS
+        )
         save_result(
             "engine_mp",
-            "exhaustive greedy round, plurality, n=%d, t=%d, %d cpu core(s);\n"
+            "exhaustive greedy round, plurality, n=%d, t=%d;\n"
+            "nproc=%d (usable cores), %s;\n"
             "critical path = max per-worker dense column-steps (deterministic;\n"
-            "wall-clock bound on multi-core hosts, recorded for honesty here):\n%s"
+            "the pool's wall-clock ceiling).  Walls are medians of %d rounds:\n"
+            "'batched wall' is dm-batched as built, its dense blocks on %d\n"
+            "thread(s); 'batched 1-thread wall' forces one thread; dm-mp\n"
+            "workers run one thread each:\n%s"
             % (
                 MP_SIZE,
                 HORIZON,
-                os.cpu_count() or 1,
+                _usable_cores(),
+                thread_vars,
+                WALL_REPEATS,
+                rows[0]["threads"],
                 format_series("workers", WORKER_COUNTS, series),
             ),
         )

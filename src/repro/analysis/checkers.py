@@ -603,11 +603,16 @@ class ResourceLifecycleChecker(Checker):
     ``weakref.finalize`` guard, a ``finally`` that closes/unlinks, a
     ``with`` block, or routing through ``stop_worker_pool`` — otherwise a
     crash (or just an exception on the happy path) leaks segments the
-    zero-leak SIGKILL suite guards against.
+    zero-leak SIGKILL suite guards against.  A ``ThreadPoolExecutor``
+    must be a ``with`` block's context manager or have a ``finally`` in
+    its owning scope that calls ``shutdown``: its threads would otherwise
+    outlive an exception (and be alive at a later ``fork``).
     """
 
     name = "resource-lifecycle"
-    description = "shm/worker allocations need finalize/finally/with teardown"
+    description = (
+        "shm/worker/thread-pool allocations need finalize/finally/with teardown"
+    )
 
     _CLEANUP_ATTRS = frozenset(
         {"close", "unlink", "terminate", "kill", "stop", "shutdown", "aclose"}
@@ -621,7 +626,18 @@ class ResourceLifecycleChecker(Checker):
                 if kind is None:
                     continue
                 scope = self._guard_scope(node, parents)
-                if not self._guarded(scope, node, parents):
+                if kind == "ThreadPoolExecutor":
+                    if not (
+                        self._with_item(node, parents)
+                        or self._finally_calls(scope, frozenset({"shutdown"}))
+                    ):
+                        yield self.finding(
+                            module,
+                            node,
+                            "ThreadPoolExecutor created outside a with block "
+                            "and without a finally that calls shutdown",
+                        )
+                elif not self._guarded(scope, node, parents):
                     yield self.finding(
                         module,
                         node,
@@ -644,7 +660,30 @@ class ResourceLifecycleChecker(Checker):
             return "ShmArena"
         if name == "Process":
             return "worker Process"
+        if name == "ThreadPoolExecutor":
+            return name
         return None
+
+    @staticmethod
+    def _with_item(node: ast.AST, parents: dict[int, ast.AST]) -> bool:
+        """``node`` is the context expression of a ``with`` item."""
+        item = parents.get(id(node))
+        return isinstance(item, ast.withitem) and item.context_expr is node
+
+    @staticmethod
+    def _finally_calls(scope: ast.AST, attrs: frozenset[str]) -> bool:
+        """A ``finally`` inside ``scope`` calls one of the ``attrs`` methods."""
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Try) and node.finalbody:
+                for sub in node.finalbody:
+                    for call in ast.walk(sub):
+                        if (
+                            isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr in attrs
+                        ):
+                            return True
+        return False
 
     @staticmethod
     def _guard_scope(node: ast.AST, parents: dict[int, ast.AST]) -> ast.AST:
@@ -674,16 +713,7 @@ class ResourceLifecycleChecker(Checker):
                 return True
             if isinstance(node, ast.Attribute) and node.attr == "stop_worker_pool":
                 return True
-            if isinstance(node, ast.Try) and node.finalbody:
-                for sub in node.finalbody:
-                    for call in ast.walk(sub):
-                        if (
-                            isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and call.func.attr in self._CLEANUP_ATTRS
-                        ):
-                            return True
-        return False
+        return self._finally_calls(scope, self._CLEANUP_ATTRS)
 
 
 def _parent_map(tree: ast.AST) -> dict[int, ast.AST]:

@@ -111,20 +111,35 @@ whose deterministic work counters back the benchmark assertions.
 
 from __future__ import annotations
 
+import os
 import warnings
 import weakref
 from abc import ABC, abstractmethod
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.core.problem import DeltaReport, FJVoteProblem
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_index, check_index_array, check_positive
 from repro.voting.scores import CumulativeScore, SeparableScore
 
 SeedSet = Sequence[int] | np.ndarray | tuple
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity, where the OS has one)."""
+    count = getattr(os, "process_cpu_count", None)
+    if count is not None:
+        return count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class EstimatorPrecisionWarning(UserWarning):
@@ -238,7 +253,7 @@ class SelectionSession:
     def __init__(self, engine: "ObjectiveEngine", base: SeedSet = ()) -> None:
         self.engine = engine
         engine._register_session(self)
-        self._seeds: list[int] = [int(v) for v in base]
+        self._seeds: list[int] = check_index_array(base, "base").tolist()
         self._value = float(engine.evaluate_one(tuple(self._seeds)))
         self._base_size = len(self._seeds)
         # value of every committed prefix, aligned to sizes
@@ -296,7 +311,7 @@ class SelectionSession:
         committed value accumulates exactly as the round trace does;
         without it the extension is evaluated once.
         """
-        seed = int(seed)
+        seed = check_index(seed, "seed")
         if gain is None:
             gain = (
                 float(self.engine.evaluate_one(self.seeds + (seed,)))
@@ -477,9 +492,9 @@ class ObjectiveEngine(ABC):
         :class:`SelectionSession` does this automatically; otherwise the
         base is (re-)evaluated here.
         """
-        base_t = tuple(int(v) for v in base)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        values = self.evaluate([base_t + (int(c),) for c in candidates])
+        base_t = tuple(check_index_array(base, "base").tolist())
+        candidates = check_index_array(candidates, "candidates")
+        values = self.evaluate([base_t + (c,) for c in candidates.tolist()])
         if base_objective is None:
             base_objective = self.evaluate_one(base_t)
         return values - base_objective
@@ -501,7 +516,7 @@ class ObjectiveEngine(ABC):
         batched scoring *reduction* is the one place numpy's pairwise
         summation depends on the batch width.
         """
-        sets = [tuple(int(v) for v in s) for s in seed_sets]
+        sets = [tuple(check_index_array(s, "seed set").tolist()) for s in seed_sets]
         values = self.evaluate(sets)
         win_flags: np.ndarray | None = None
         if wins:
@@ -553,7 +568,7 @@ class DMEngine(ObjectiveEngine):
         self.stats.sets_evaluated += len(sets)
         return np.array(
             [
-                self.problem.objective(np.asarray(s, dtype=np.int64))
+                self.problem.objective(check_index_array(s, "seed set"))
                 for s in sets
             ],
             dtype=np.float64,
@@ -583,7 +598,7 @@ class BatchedDMSession(SelectionSession):
         # read off the committed trajectory instead of a fresh evaluation.
         self.engine = engine
         engine._register_session(self)
-        self._seeds = [int(v) for v in base]
+        self._seeds = check_index_array(base, "base").tolist()
         self._traj = engine.problem.target_trajectory(tuple(self._seeds))
         self._value = float(engine.score_target_row(self._traj[-1]))
         self._base_size = len(self._seeds)
@@ -624,7 +639,7 @@ class BatchedDMSession(SelectionSession):
 
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         self._ensure_fresh()
-        seed = int(seed)
+        seed = check_index(seed, "seed")
         self._traj = self.engine.extend_trajectory(
             self._traj,
             np.asarray(self._seeds, dtype=np.int64),
@@ -914,6 +929,8 @@ class BatchedDMEngine(ObjectiveEngine):
         per block).  Default: auto-sized to stay within
         ``max_batch_bytes``, capped at 64 columns — small enough to keep a
         block LLC-resident through the bandwidth-bound dense products.
+        A call with more than ``batch_rows`` columns has several blocks,
+        which evolve on ``T`` threads (see ``_evolve_blocks``).
         The cap was picked from ``benchmarks/bench_engine_batched.py``
         runs (500 <= n <= 8000) on a host whose cache sizes were not
         recorded.  On a 2-core Xeon with 2 MiB L2 per core, the sparse
@@ -921,6 +938,14 @@ class BatchedDMEngine(ObjectiveEngine):
         columns against 0.53-0.58 at 64, while the denser yelp graph is
         flat between them; the default is unchanged pending a measured
         sweep.
+    max_batch_bytes:
+        Dense memory budget of one call.  It sizes the default
+        ``batch_rows``, caps the sparse phase's fill, and caps the thread
+        count ``T`` so that ``2T + 1`` ``(n, batch_rows)`` float64 buffers
+        fit in it (``T`` blocks in flight, two buffers each, and the block
+        being yielded).  ``T`` is otherwise the number of cores this
+        process may run on (its CPU affinity), read when the engine is
+        built; ``dm-mp`` workers and ``net-worker`` hosts run ``T = 1``.
     densify_threshold:
         Delta matrices start sparse (a fresh seed only perturbs its t-step
         out-neighborhood) and switch to dense blocks once their fill
@@ -963,6 +988,9 @@ class BatchedDMEngine(ObjectiveEngine):
         if self.batch_rows < 1:
             raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
         self.densify_threshold = float(densify_threshold)
+        #: Threads that evolve a wide call's dense blocks (see
+        #: ``_evolve_blocks``); pool members set 1.
+        self._threads = _usable_cores()
         self._build_wt_scaled()
 
     def _build_wt_scaled(self) -> None:
@@ -998,13 +1026,20 @@ class BatchedDMEngine(ObjectiveEngine):
         n = self.problem.n
         out = []
         for s in seed_sets:
-            arr = np.asarray(s, dtype=np.int64)
+            arr = check_index_array(s, "seed set")
             if arr.size > 1:
                 arr = np.unique(arr)
             if arr.size and (arr[0] < 0 or arr[-1] >= n):
                 raise ValueError("seed indices out of range")
             out.append(arr)
         return out
+
+    def _candidate_sets(self, candidates: SeedSet) -> list[np.ndarray]:
+        """One single-seed set per candidate, validated once as an array."""
+        cand = check_index_array(candidates, "candidates")
+        if cand.size and (cand.min() < 0 or cand.max() >= self.problem.n):
+            raise ValueError("seed indices out of range")
+        return list(cand.reshape(-1, 1))
 
     def target_opinion_rows(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
         """``(C, n)`` horizon opinions about the target, one row per seed set.
@@ -1028,8 +1063,10 @@ class BatchedDMEngine(ObjectiveEngine):
     ) -> np.ndarray:
         """Evolve and score block by block, never materializing all rows.
 
-        Peak dense memory is one ``(n, batch_rows)`` block regardless of
-        how many seed sets are evaluated, and scoring runs in the
+        Peak dense memory is ``2T + 1`` ``(n, batch_rows)`` buffers (``T``
+        in-flight blocks of two buffers each and the block being scored;
+        one block when ``T = 1``), within ``max_batch_bytes`` regardless
+        of how many seed sets are evaluated, and scoring runs in the
         evolution's native users-by-sets orientation (no transposed
         traffic).
         """
@@ -1057,6 +1094,31 @@ class BatchedDMEngine(ObjectiveEngine):
         Once the delta fill approaches the densify threshold, columns are
         sliced into dense ``(n, batch_rows)`` blocks (sized to stay
         cache-resident) that finish the remaining steps independently.
+
+        Blocks never read each other and ``csr_matvecs`` releases the GIL,
+        so a call with two or more blocks and dense steps left evolves
+        them on ``T`` threads: one per core this process may run on
+        (``self._threads``, from its CPU affinity), at most one per block,
+        and few enough that the ``T`` in-flight blocks' two ``(n,
+        batch_rows)`` buffers each, plus the block being yielded, fit
+        ``max_batch_bytes``.  A ``ThreadPoolExecutor`` made for the call
+        keeps ``T`` blocks in flight, submits the next one as each
+        finished block is yielded, and yields them in block order; its
+        threads exit when the call ends (or its consumer raises), so no
+        idle thread is alive at a later ``fork``.  Every
+        allocation happens on the calling thread — both buffers of a block
+        and its column slice; the threads only fill and step them in
+        place (:meth:`_block_steps`).  Letting them allocate a fresh
+        product every step, as ``W @ block`` does, left those arrays in
+        glibc's per-thread malloc arenas: on a 2-core Xeon,
+        ``select-sparse-celf``'s peak RSS rose from 119 to 145 MiB, and
+        back to 122 with ``MALLOC_ARENA_MAX=1``.  Counters are added on
+        the calling thread in block order, and a block's bytes do not
+        depend on the thread that evolved it.  ``T = 1`` — one core, a
+        single-block call (every call of at most ``batch_rows`` columns),
+        or a ``dm-mp`` / ``net-worker`` pool member, whose pool already
+        spreads candidates over the cores — runs the serial block loop
+        through :meth:`_dense_steps`, unchanged.
 
         A narrow call (``C <= 2``) skips the sparse phase and every sparse
         conversion: its delta(0) is written straight into dense blocks
@@ -1125,22 +1187,116 @@ class BatchedDMEngine(ObjectiveEngine):
                 delta = self._repin(delta, pins, 1.0 - traj[s][pin_rows], zero)
             delta = delta.tocsc()
         base = traj[horizon][:, None]
-        for lo in range(0, c, self.batch_rows):
-            hi = min(lo + self.batch_rows, c)
+        steps = range(next_step, horizon + 1)
+        starts = range(0, c, self.batch_rows)
+
+        def block_pins(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             in_block = (pin_cols >= lo) & (pin_cols < hi)
-            rows_b = pin_rows[in_block]
-            cols_b = pin_cols[in_block] - lo
+            return pin_rows[in_block], pin_cols[in_block] - lo
+
+        # Threads only pay for dense steps, and the in-flight blocks' two
+        # (n, batch_rows) buffers each, plus the one being yielded, must
+        # fit max_batch_bytes.
+        threads = 1
+        if steps:
+            buffers = self.max_batch_bytes // (8 * n * self.batch_rows)
+            threads = min(self._threads, len(starts), (buffers - 1) // 2)
+        if threads > 1:
+            wt = self._wt_scaled
+
+            def submit(pool: ThreadPoolExecutor, lo: int) -> tuple:
+                hi = min(lo + self.batch_rows, c)
+                part = None if narrow else delta[:, lo:hi]
+                future = pool.submit(
+                    self._block_steps,
+                    wt,
+                    np.zeros((n, hi - lo), dtype=np.float64),
+                    np.empty((n, hi - lo), dtype=np.float64),
+                    part,
+                    traj,
+                    steps,
+                    block_pins(lo, hi),
+                    zero,
+                    base,
+                )
+                return lo, hi, future
+
+            with ThreadPoolExecutor(threads) as pool:
+                inflight = deque(submit(pool, lo) for lo in starts[:threads])
+                waiting = iter(starts[threads:])
+                while inflight:
+                    lo, hi, future = inflight.popleft()
+                    block = future.result()
+                    self.stats.dense_column_steps += (hi - lo) * len(steps)
+                    # The freed thread starts the next block while the
+                    # consumer reads this one.
+                    nxt = next(waiting, None)
+                    if nxt is not None:
+                        inflight.append(submit(pool, nxt))
+                    yield lo, hi, block
+            return
+        for lo in starts:
+            hi = min(lo + self.batch_rows, c)
+            rows_b, cols_b = block_pins(lo, hi)
             if narrow:
                 block = np.zeros((n, hi - lo), dtype=np.float64)
                 block[rows_b, cols_b] = 1.0 - traj[0][rows_b]
             else:
                 block = delta[:, lo:hi].toarray()
-            self.stats.dense_column_steps += (hi - lo) * (horizon + 1 - next_step)
-            block = self._dense_steps(
-                block, traj, range(next_step, horizon + 1), (rows_b, cols_b), zero
-            )
+            self.stats.dense_column_steps += (hi - lo) * len(steps)
+            block = self._dense_steps(block, traj, steps, (rows_b, cols_b), zero)
             block += base
             yield lo, hi, block
+
+    @staticmethod
+    def _block_steps(
+        wt: sparse.csr_matrix,
+        delta: np.ndarray,
+        scratch: np.ndarray,
+        part: sparse.csc_matrix | None,
+        traj: np.ndarray,
+        steps: range,
+        pins: tuple[np.ndarray, np.ndarray],
+        zero: np.ndarray | None,
+        base: np.ndarray,
+    ) -> np.ndarray:
+        """One dense block's remaining ``steps`` on a pool thread.
+
+        ``delta`` arrives zeroed and ``scratch`` uninitialized, both
+        ``(n, width)`` C-order buffers the calling thread allocated, and
+        ``part`` is the block's slice of the sparse phase's delta (``None``
+        for a narrow call, whose pins are delta(0)).  Each step is
+        :meth:`_dense_steps`' — product, zero the committed rows, write
+        the pins — with the product written by ``csr_matvecs`` into the
+        freshly zeroed other buffer: the kernel and zeroed output that
+        ``wt @ delta`` uses for two or more columns (its one-column
+        ``csr_matvec`` sums in the same order), so the bytes are the same
+        and no step allocates an ``(n, width)`` array.  Returns the buffer
+        holding ``base + delta(horizon)``.
+        """
+        if part is None:
+            delta[pins] = 1.0 - traj[0][pins[0]]
+        else:
+            part.toarray(out=delta)
+        n, width = delta.shape
+        for s in steps:
+            scratch.fill(0.0)
+            _sparsetools.csr_matvecs(
+                n,
+                n,
+                width,
+                wt.indptr,
+                wt.indices,
+                wt.data,
+                delta.ravel(),
+                scratch.ravel(),
+            )
+            if zero is not None:
+                scratch[zero] = 0.0
+            scratch[pins] = 1.0 - traj[s][pins[0]]
+            delta, scratch = scratch, delta
+        delta += base
+        return delta
 
     def _dense_steps(
         self,
@@ -1239,7 +1395,7 @@ class BatchedDMEngine(ObjectiveEngine):
         carries exactly one pinned coordinate — its fresh candidate — and
         the committed coordinates are zeroed by the base contract.
         """
-        sets = self._normalize_sets([(int(c),) for c in np.asarray(candidates)])
+        sets = self._candidate_sets(candidates)
         if not sets:
             return np.empty(0, dtype=np.float64)
         return self._chunked_scores(sets, traj=traj, zero_rows=committed)
@@ -1259,7 +1415,7 @@ class BatchedDMEngine(ObjectiveEngine):
         — the basis of :meth:`SelectionSession.coalesced_gains` and the
         serving batcher.
         """
-        sets = self._normalize_sets([(int(c),) for c in np.asarray(candidates)])
+        sets = self._candidate_sets(candidates)
         rows = np.empty((len(sets), self.problem.n), dtype=np.float64)
         for lo, hi, cols in self._evolve_blocks(
             sets, traj=traj, zero_rows=committed
@@ -1279,10 +1435,10 @@ class BatchedDMEngine(ObjectiveEngine):
         prefix-probe path.  Each step costs one column-step
         (``stats.trajectory_steps``).
         """
-        new = np.unique(np.asarray(new_seeds, dtype=np.int64))
+        new = np.unique(check_index_array(new_seeds, "new seeds"))
         if new.size and (new[0] < 0 or new[-1] >= self.problem.n):
             raise ValueError("seed indices out of range")
-        committed = np.asarray(committed, dtype=np.int64)
+        committed = check_index_array(committed, "committed seeds")
         horizon = traj.shape[0] - 1
         out = np.empty_like(traj)
         delta = np.zeros(self.problem.n, dtype=np.float64)
@@ -1704,7 +1860,7 @@ class WalkEngine(ObjectiveEngine):
 
     def _sync(self, seeds: SeedSet) -> None:
         """Make the truncation state reflect exactly ``seeds``."""
-        want = [int(v) for v in seeds]
+        want = check_index_array(seeds, "seed set").tolist()
         have = self.walks.seeds
         if have == want[: len(have)]:
             new = want[len(have) :]
@@ -1733,7 +1889,7 @@ class WalkEngine(ObjectiveEngine):
         base_objective: float | None = None,
     ) -> np.ndarray:
         self._ensure_bound()
-        candidates = np.asarray(candidates, dtype=np.int64)
+        candidates = check_index_array(candidates, "candidates")
         # The optimizer's vectorized pass scores every node at once; for a
         # handful of candidates (CELF stale-entry refreshes) per-candidate
         # evaluation is cheaper than the all-nodes scan.

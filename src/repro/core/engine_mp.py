@@ -96,6 +96,7 @@ from repro.core.engine import (
     SeedSet,
 )
 from repro.core.problem import FJVoteProblem
+from repro.utils.validation import check_index_array
 from repro.utils.workers import stop_worker_pool
 
 #: Work counters folded from worker deltas into the parent's ``stats``
@@ -354,6 +355,8 @@ def _worker_main(conn, problem_payload, engine_kwargs: dict, shm_info=None) -> N
     else:
         problem = problem_payload
     engine = BatchedDMEngine(problem, **engine_kwargs)
+    # The pool already spreads candidates over the cores: one thread each.
+    engine._threads = 1
     try:
         _worker_loop(
             conn,
@@ -1153,7 +1156,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
         Small rounds (CELF refreshes) run on the parent's own committed
         trajectory; both paths produce bitwise-identical values.
         """
-        cand = np.asarray(candidates, dtype=np.int64)
+        cand = check_index_array(candidates, "candidates")
         if cand.size == 0:
             return np.empty(0, dtype=np.float64)
         if cand.size < self.min_fanout:
@@ -1183,7 +1186,7 @@ class MultiprocessDMEngine(BatchedDMEngine):
         bitwise identical to the local :meth:`BatchedDMEngine.extension_rows`
         at every worker count and batch size.
         """
-        cand = np.asarray(candidates, dtype=np.int64)
+        cand = check_index_array(candidates, "candidates")
         n = self.problem.n
         if cand.size == 0:
             return np.empty((0, n), dtype=np.float64)

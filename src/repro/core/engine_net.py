@@ -422,6 +422,9 @@ def _net_worker_connection(
             )
         else:
             engine = BatchedDMEngine(problem, **engine_kwargs)
+        # A pool member: the coordinator (or the host-side pool) spreads
+        # candidates over the cores, so the engine runs one thread.
+        engine._threads = 1
     except (ValueError, TypeError, OSError) as exc:
         conn.send_bytes(
             pickle.dumps(

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.opinion.fj import fj_evolve
 from repro.opinion.state import CampaignState
-from repro.utils.validation import check_index, check_time_horizon
+from repro.utils.validation import check_index, check_index_array, check_time_horizon
 from repro.voting.rules import is_strict_winner, score_all_candidates
 from repro.voting.scores import SeparableScore, VotingScore
 
@@ -178,7 +178,7 @@ class FJVoteProblem:
 
     def target_opinions(self, seeds: np.ndarray | tuple = ()) -> np.ndarray:
         """Horizon opinions about the target with ``seeds`` applied."""
-        seeds = np.asarray(seeds, dtype=np.int64)
+        seeds = check_index_array(seeds, "seeds")
         if seeds.size == 0:
             if self._base_target is None:
                 self._base_target = fj_evolve(
@@ -211,7 +211,7 @@ class FJVoteProblem:
         against the *committed* trajectory instead of replaying the committed
         seeds from scratch.
         """
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        seeds = np.unique(check_index_array(seeds, "seeds"))
         if seeds.size:
             key = tuple(int(v) for v in seeds)
             cached = self._seeded_trajectories.get(key)

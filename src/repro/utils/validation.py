@@ -65,6 +65,21 @@ def check_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_index_array(values, name: str) -> np.ndarray:
+    """Validate that ``values`` holds integer indices; return them as int64.
+
+    The array form of :func:`check_index`: an ``int64`` cast would
+    truncate ``1.7`` to 1 and read ``True`` as 1, so any dtype that is not
+    an integer kind (floats, bools, objects) is rejected.  One dtype check
+    per array, not per element.  An empty sequence passes whatever dtype
+    numpy infers for it.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def check_positive(value, name: str):
     """Validate that ``value`` (a scalar, or every entry of an array) is > 0.
 

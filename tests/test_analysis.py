@@ -324,6 +324,53 @@ def test_lifecycle_negative_fixture_quiet():
     assert check(ResourceLifecycleChecker(), {"mod.py": LIFE_NEGATIVE}) == []
 
 
+THREADS_POSITIVE = """
+from concurrent.futures import ThreadPoolExecutor
+
+
+def leak(jobs):
+    pool = ThreadPoolExecutor(2)
+    try:
+        return list(pool.map(print, jobs))
+    finally:
+        pool.close_enough()
+
+
+def leak_in_unrelated_with(path, jobs):
+    with open(path) as handle:
+        pool = ThreadPoolExecutor(2)
+        return list(pool.map(handle.write, jobs))
+"""
+
+THREADS_NEGATIVE = """
+import concurrent.futures
+
+
+def scoped(jobs):
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        yield from pool.map(print, jobs)
+
+
+def finally_shutdown(jobs):
+    pool = concurrent.futures.ThreadPoolExecutor(2)
+    try:
+        return list(pool.map(print, jobs))
+    finally:
+        pool.shutdown(wait=True)
+"""
+
+
+def test_lifecycle_thread_pool_without_with_or_shutdown_fires():
+    findings = check(ResourceLifecycleChecker(), {"mod.py": THREADS_POSITIVE})
+    assert len(findings) == 2
+    for finding in findings:
+        assert "ThreadPoolExecutor created outside a with block" in finding.message
+
+
+def test_lifecycle_thread_pool_with_or_finally_shutdown_quiet():
+    assert check(ResourceLifecycleChecker(), {"mod.py": THREADS_NEGATIVE}) == []
+
+
 def test_lifecycle_unguarded_process_fires():
     src = (
         "import multiprocessing as mp\n"

@@ -8,6 +8,10 @@ hand-picked cases and a hypothesis property suite.
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +228,37 @@ def test_out_of_range_seeds_raise():
         BatchedDMEngine(problem).evaluate([(problem.n,)])
     with pytest.raises(ValueError):
         BatchedDMEngine(problem).evaluate([(-1,)])
+
+
+@pytest.mark.parametrize("spec", ["dm", "dm-batched", "rw", "objective"])
+@pytest.mark.parametrize(
+    "bad",
+    [(1.7,), (True,), np.array([1.0, 2.0]), np.array([True, False])],
+    ids=["float", "bool", "float-array", "bool-array"],
+)
+def test_non_integer_seed_ids_raise(spec, bad):
+    """Float and bool seed ids are rejected, never truncated to a node."""
+    problem = make_problem(0, "plurality", 2)
+    if spec == "objective":
+        with pytest.raises(ValueError, match="must be integers"):
+            problem.objective(bad)
+        return
+    engine = make_engine(spec, problem, rng=0)
+    with pytest.raises(ValueError, match="must be integers"):
+        engine.evaluate([bad])
+    with pytest.raises(ValueError, match="must be integers"):
+        engine.query_sets([bad])
+    session = engine.open_session()
+    with pytest.raises(ValueError, match="must be integers"):
+        session.marginal_gains(bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        session.commit(bad[0])
+    # Integer ids of any integer dtype, and the empty set, still pass.
+    ok = engine.evaluate([(np.int32(1),), np.array([1], dtype=np.uint8), ()])
+    assert ok[0] == ok[1]
+    if not engine.is_estimate:
+        assert ok[0] == problem.objective([1])
+        assert ok[2] == problem.objective(())
 
 
 def test_user_weights_restrict_cumulative():
@@ -703,6 +738,191 @@ def test_narrow_query_sets_and_evaluate_match_wide_call_bitwise():
         assert (
             np.concatenate(evaluated).tobytes() == np.concatenate(expected).tobytes()
         )
+
+
+# ----------------------------------------------------------------------
+# Wide calls evolve their dense blocks on a thread pool, bit for bit
+# ----------------------------------------------------------------------
+def _dense_random_problem() -> FJVoteProblem:
+    """A graph dense enough that every wide call densifies at once."""
+    state = random_instance(n=90, r=3, density=0.5, seed=5)
+    return FJVoteProblem(state, 0, 5, PluralityScore())
+
+
+def _engines_by_threads(problem, threads=(1, 2)):
+    engines = []
+    for t in threads:
+        engine = BatchedDMEngine(problem, batch_rows=8)
+        engine._threads = t  # forced, so a one-core runner covers T=2
+        engines.append(engine)
+    return engines
+
+
+def _wide_answers(engine) -> list[bytes]:
+    problem = engine.problem
+    rng = np.random.default_rng(6)
+    sets = [
+        tuple(rng.choice(problem.n, size=int(rng.integers(1, 4)), replace=False))
+        for _ in range(45)
+    ]
+    values, wins = engine.query_sets(sets, wins=True)
+    answers = [
+        engine.target_opinion_rows(sets),
+        engine.evaluate(sets),
+        values,
+        wins,
+    ]
+    candidates = np.arange(min(problem.n, 70))
+    for commits in ((), (3, 17)):
+        session = engine.open_session()
+        for seed in commits:
+            session.commit(seed)
+        committed = np.array(session.seeds, dtype=np.int64)
+        free = np.setdiff1d(candidates, committed)
+        answers.append(engine.extension_values(session._traj, committed, free))
+        answers.append(engine.extension_rows(session._traj, committed, free))
+    return [a.tobytes() for a in answers]
+
+
+@pytest.mark.parametrize(
+    "make", [_sparse_retweet_problem, _dense_random_problem], ids=["sparse", "dense"]
+)
+def test_threaded_blocks_match_single_thread_bitwise(make):
+    """T=2 answers every wide-call API, the greedy selection and every
+    counter exactly as T=1 does, on a graph whose wide calls take sparse
+    steps and on one that densifies at once."""
+    problem = make()
+    single, threaded = _engines_by_threads(problem)
+    assert _wide_answers(threaded) == _wide_answers(single)
+    assert threaded.stats == single.stats
+    assert single.stats.dense_column_steps > 0
+    if make is _sparse_retweet_problem:
+        assert single.stats.sparse_steps > 0
+    else:
+        assert single.stats.sparse_steps == 0
+    for lazy in (False, True):
+        a = greedy_engine(single, 4, lazy=lazy)
+        b = greedy_engine(threaded, 4, lazy=lazy)
+        assert a.seeds.tolist() == b.seeds.tolist()
+        assert a.objective == b.objective
+        assert np.asarray(a.gains).tobytes() == np.asarray(b.gains).tobytes()
+    assert threaded.stats == single.stats
+
+
+def test_oversubscribed_threads_with_fast_switching_match_single_thread():
+    """More threads than cores, switching every few microseconds: the
+    blocks still come back in order with the same bytes and counters."""
+    problem = _sparse_retweet_problem()
+    single, threaded = _engines_by_threads(problem, threads=(1, 4))
+    sets = [(v, (v * 7) % problem.n) for v in range(200)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        rows = threaded.target_opinion_rows(sets)
+    finally:
+        sys.setswitchinterval(previous)
+    assert rows.tobytes() == single.target_opinion_rows(sets).tobytes()
+    assert threaded.stats == single.stats
+
+
+def test_thread_count_fits_the_batch_budget(monkeypatch):
+    """T threads hold 2T + 1 block buffers: fewer threads (or none) when
+    ``max_batch_bytes`` cannot hold them, never more than the blocks."""
+    from repro.core import engine as engine_module
+
+    made = []
+
+    class RecordingPool(engine_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(engine_module, "ThreadPoolExecutor", RecordingPool)
+    problem = _dense_random_problem()
+    block_bytes = 8 * problem.n * 8
+    cases = ((4, 40, []), (5, 40, [2]), (9, 40, [4]), (99, 24, [3]))
+    for buffers, sets, pools in cases:
+        engine = BatchedDMEngine(
+            problem, batch_rows=8, max_batch_bytes=buffers * block_bytes
+        )
+        engine._threads = 4
+        made.clear()
+        engine.evaluate([(v,) for v in range(sets)])
+        assert made == pools, buffers
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 64])
+def test_block_step_kernel_matches_sparse_matmul_bitwise(width):
+    """The pool threads' in-place ``csr_matvecs`` step writes the bytes
+    ``W @ X`` returns (a guard on scipy's private kernel)."""
+    problem = _sparse_retweet_problem()
+    engine = BatchedDMEngine(problem)
+    wt = engine._wt_scaled
+    x = np.random.default_rng(width).random((problem.n, width))
+    no_pins = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    stepped = BatchedDMEngine._block_steps(
+        wt,
+        np.zeros_like(x),
+        np.empty_like(x),
+        sparse.csc_matrix(x),
+        problem.target_trajectory(),
+        range(1, 2),
+        no_pins,
+        None,
+        np.zeros((problem.n, 1)),
+    )
+    assert stepped.tobytes() == (wt @ x).tobytes()
+    assert stepped.tobytes() == (wt @ np.asfortranarray(x)).tobytes()
+
+
+def test_consumer_error_mid_call_stops_the_block_threads():
+    """A consumer that raises between blocks leaves no pool thread alive."""
+    problem = _dense_random_problem()
+    (engine,) = _engines_by_threads(problem, threads=(2,))
+    baseline = threading.active_count()
+    seen = []
+
+    def failing_score(cols):
+        seen.append(threading.active_count())
+        if len(seen) == 2:
+            raise RuntimeError("consumer failed")
+        return np.zeros(cols.shape[1])
+
+    engine._score_cols = failing_score
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        engine.evaluate([(v,) for v in range(40)])
+    assert max(seen) > baseline  # the blocks really ran on the pool
+    assert threading.active_count() == baseline
+
+
+def test_pool_member_engines_run_one_thread(monkeypatch):
+    """dm-mp workers and net-worker hosts build their engines with T=1:
+    the pool already spreads candidates over the cores."""
+    from repro.core import engine_mp, engine_net
+
+    problem = _dense_random_problem()
+    built = []
+
+    def capture(conn, problem, engine, **kwargs):
+        built.append(engine)
+
+    monkeypatch.setattr(engine_mp, "_worker_loop", capture)
+    monkeypatch.setattr(engine_net, "_worker_loop", capture)
+    engine_mp._worker_main(None, problem, {"batch_rows": 8})
+
+    class HelloConn:
+        def recv_bytes(self):
+            return pickle.dumps(("hello", problem, {}))
+
+        def send_bytes(self, data):
+            pass
+
+    engine_net._net_worker_connection(
+        HelloConn(), workers=1, store_dir=None, store_seed=0, engine_overrides=None
+    )
+    assert [type(e) for e in built] == [BatchedDMEngine, BatchedDMEngine]
+    assert [e._threads for e in built] == [1, 1]
+    assert BatchedDMEngine(problem)._threads >= 1
 
 
 # ----------------------------------------------------------------------
