@@ -19,9 +19,13 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.baselines.rrset import rr_set_ic
-from repro.core.greedy import greedy_dm
-from repro.core.problem import FJVoteProblem
-from repro.core.random_walk import TruncatedWalks, WalkGreedyOptimizer
+from repro.core.engine import make_engine
+from repro.core.greedy import greedy_dm, greedy_engine
+from repro.core.random_walk import (
+    TruncatedWalks,
+    WalkGreedyOptimizer,
+    generate_reverse_walks_streamed,
+)
 from repro.eval.reporting import format_table
 from repro.utils.timing import Timer
 from repro.voting.scores import CumulativeScore
@@ -65,24 +69,20 @@ def test_ablation_truncation_vs_regeneration(benchmark, mask_ds, save_result):
     starts = np.repeat(np.arange(problem.n, dtype=np.int64), lam)
 
     def run():
-        rng = np.random.default_rng(71)
         # (a) Post-generation truncation: one walk set for all rounds.
         with Timer() as t_trunc:
-            walks = TruncatedWalks.generate(
-                graph, state.stubbornness[q], state.initial_opinions[q],
-                problem.horizon, starts, rng,
-            )
-            optimizer = WalkGreedyOptimizer(walks, CumulativeScore(), None)
-            trunc_result = optimizer.select(k)
+            engine = make_engine("rw", problem, rng=71, walks_per_node=lam)
+            trunc_result = greedy_engine(engine, k)
         # (b) Direct generation: regenerate all walks after every pick
         # (the expensive alternative §V-B replaces).
         with Timer() as t_regen:
             seeds: list[int] = []
-            for _ in range(k):
+            for pick in range(k):
                 b0_s, d_s = state.seeded(q, np.array(seeds, dtype=np.int64))
-                fresh = TruncatedWalks.generate(
-                    graph, d_s, b0_s, problem.horizon, starts, rng,
+                walks, lengths = generate_reverse_walks_streamed(
+                    graph, d_s, problem.horizon, starts, [71, pick]
                 )
+                fresh = TruncatedWalks(walks, lengths, b0_s, graph.n)
                 for s in seeds:
                     fresh.add_seed(s)
                 opt = WalkGreedyOptimizer(fresh, CumulativeScore(), None)
@@ -170,9 +170,9 @@ def test_ablation_walk_vs_rrset_size(benchmark, mask_ds, save_result):
 
     def run():
         roots = rng.integers(0, graph.n, size=samples)
-        walks, lengths = __import__(
-            "repro.core.random_walk", fromlist=["generate_reverse_walks"]
-        ).generate_reverse_walks(graph, d, mask_ds.horizon, roots, rng)
+        walks, lengths = generate_reverse_walks_streamed(
+            graph, d, mask_ds.horizon, roots, [73]
+        )
         walk_nodes = (lengths + 1).mean()
         rr_sizes = [rr_set_ic(graph, int(r), rng).size for r in roots[:500]]
         return walk_nodes, float(np.mean(rr_sizes))

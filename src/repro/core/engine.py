@@ -62,7 +62,9 @@ Backends
     (``EngineStats.ipc_bytes`` measures the difference).
 :class:`WalkEngine`
     Routes the §V/§VI walk estimators (random-walk and sketch) through the
-    same interface via :class:`~repro.core.random_walk.WalkGreedyOptimizer`.
+    same interface, scored by
+    :class:`~repro.core.random_walk.WalkGreedyOptimizer`; it is the only
+    greedy path of the RW and RS methods.
     Estimates, not exact values: ``is_estimate`` is true.  Its sessions
     apply post-generation truncation incrementally as seeds are committed.
     Walks come from a :class:`~repro.core.walk_store.WalkStore` — private
@@ -125,7 +127,12 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from repro.core.problem import DeltaReport, FJVoteProblem
-from repro.utils.validation import check_index, check_index_array, check_positive
+from repro.utils.validation import (
+    check_count,
+    check_index,
+    check_index_array,
+    check_positive,
+)
 from repro.voting.scores import CumulativeScore, SeparableScore
 
 SeedSet = Sequence[int] | np.ndarray | tuple
@@ -1530,14 +1537,19 @@ class WalkSession(SelectionSession):
 class WalkEngine(ObjectiveEngine):
     """Walk/sketch estimators behind the engine interface (§V / §VI).
 
-    Serves a :class:`~repro.core.random_walk.TruncatedWalks` view drawn
-    from a :class:`~repro.core.walk_store.WalkStore` (a private one unless
-    a shared store is supplied — the ``rw-store`` spec) through a
-    :class:`~repro.core.random_walk.WalkGreedyOptimizer`; seed sets are
-    applied by post-generation truncation, and a pristine snapshot of the
-    truncation state lets arbitrary (non-incremental) seed sets be
-    evaluated by reset-and-replay.  ``marginal_gains`` reuses the
-    optimizer's single vectorized all-candidates scan, so a greedy round is
+    The one greedy path of Algorithms 4 and 5: the ``rw``, ``sketch`` and
+    ``rw-store`` specs, and :func:`~repro.core.random_walk.random_walk_select`
+    and :func:`~repro.core.sketch.sketch_select` (which only choose the
+    sample size), all run :func:`~repro.core.greedy.greedy_engine` over
+    this engine.  It serves a
+    :class:`~repro.core.random_walk.TruncatedWalks` view drawn from a
+    :class:`~repro.core.walk_store.WalkStore` (a private one unless a
+    shared store is supplied) through the
+    :class:`~repro.core.random_walk.WalkGreedyOptimizer` scoring kernel;
+    seed sets are applied by post-generation truncation, and a pristine
+    snapshot of the truncation state lets arbitrary (non-incremental) seed
+    sets be evaluated by reset-and-replay.  ``marginal_gains`` reuses the
+    kernel's single vectorized all-candidates scan, so a greedy round is
     one pass regardless of the candidate count; sessions keep the
     truncation state synced to the committed prefix, which makes each
     incremental sync one ``add_seed`` instead of a replay.
@@ -1550,8 +1562,9 @@ class WalkEngine(ObjectiveEngine):
     ----------
     grouping:
         ``"start"`` — Algorithm 4 (RW): ``walks_per_node`` walks from every
-        node, per-user averaged estimates.  ``"walk"`` — Algorithm 5 (RS):
-        ``theta`` uniform-start sketch walks, rescaled by ``n / theta``.
+        node (one count, or a per-node ``λ`` array), per-user averaged
+        estimates.  ``"walk"`` — Algorithm 5 (RS): ``theta`` uniform-start
+        sketch walks, rescaled by ``n / theta``.
     store:
         A shared :class:`~repro.core.walk_store.WalkStore` to draw from;
         ``None`` builds a private one seeded from ``rng``.
@@ -1580,7 +1593,8 @@ class WalkEngine(ObjectiveEngine):
         for the cumulative score, and equivalently the smallest certified
         rank margin γ of Theorem 11 for the rank scores (Theorem 12's
         one-sided Copeland bound needs strictly fewer walks, so this is
-        conservative for it).  For ``"walk"`` it is Theorem 13's
+        conservative for it); per-node counts certify their smallest
+        ``λ_v``.  For ``"walk"`` it is Theorem 13's
         score-level approximation ε, which exists only for the cumulative
         score — rank scores have no closed form (§VI-E) and always warn
         when an ``epsilon`` is requested.
@@ -1588,8 +1602,9 @@ class WalkEngine(ObjectiveEngine):
         Hard sample caps for the adaptive ladders (escalation past them
         triggers the precision warning instead of unbounded growth).
 
-    ``walks_per_node``, ``theta``, ``epsilon`` and the caps must be
-    positive; a non-positive value raises ``ValueError`` naming it.
+    ``walks_per_node``, ``theta`` and the caps must be positive integers
+    and ``epsilon`` positive; any other value raises ``ValueError``
+    naming it.
     """
 
     supports_batch = True
@@ -1600,7 +1615,7 @@ class WalkEngine(ObjectiveEngine):
         problem: FJVoteProblem,
         *,
         grouping: str = "start",
-        walks_per_node: int = 32,
+        walks_per_node: int | np.ndarray = 32,
         theta: int = 4000,
         rng: int | np.random.Generator | None = None,
         store=None,
@@ -1614,16 +1629,14 @@ class WalkEngine(ObjectiveEngine):
     ) -> None:
         super().__init__(problem)
         from repro.core.walk_store import WalkStore
-        from repro.utils.rng import ensure_rng
 
         if grouping not in ("start", "walk"):
             raise ValueError(f"grouping must be 'start' or 'walk', got {grouping!r}")
-        check_positive(walks_per_node, "walks_per_node")
-        check_positive(theta, "theta")
+        walks_per_node = check_count(walks_per_node, "walks_per_node")
+        theta = check_count(theta, "theta")
         check_positive(epsilon, "epsilon")
-        check_positive(theta_cap, "theta_cap")
-        check_positive(lambda_cap, "lambda_cap")
-        rng = ensure_rng(rng)
+        theta_cap = check_count(theta_cap, "theta_cap")
+        lambda_cap = check_count(lambda_cap, "lambda_cap")
         if store is None:
             store = WalkStore(
                 problem.state, problem.horizon, seed=rng, store_dir=store_dir
@@ -1641,15 +1654,15 @@ class WalkEngine(ObjectiveEngine):
                     )
         self.store = store
         self.grouping = grouping
-        self.walks_per_node = int(walks_per_node)
-        self.theta = int(theta)
+        #: One count for every node, or a per-node ``λ`` array.
+        self.walks_per_node = walks_per_node
+        self.theta = theta
         self.adaptive = bool(adaptive)
         self.epsilon = None if epsilon is None else float(epsilon)
         self.rho = float(rho)
         self.ell = float(ell)
-        self.theta_cap = None if theta_cap is None else int(theta_cap)
-        self.lambda_cap = None if lambda_cap is None else int(lambda_cap)
-        self._rng = rng
+        self.theta_cap = theta_cap
+        self.lambda_cap = lambda_cap
         self._prepared_k: int | None = None
         self._opt_lb: float | None = None
         self._bind_count = 0
@@ -1659,7 +1672,7 @@ class WalkEngine(ObjectiveEngine):
                 # budget-independent, so bind the escalated sample once
                 # here instead of building (and indexing) a throwaway
                 # fixed-count view that prepare_budget would replace.
-                self.walks_per_node = max(
+                self.walks_per_node = np.maximum(
                     self.walks_per_node, self._per_node_target()
                 )
             self._bind_walks(store.per_node_view(problem.target, self.walks_per_node))
@@ -1744,29 +1757,22 @@ class WalkEngine(ObjectiveEngine):
         return int(target)
 
     def _escalate(self, k: int) -> None:
+        if self.grouping == "start":
+            return  # the per-node target was bound at construction
+        from repro.core import sketch
         from repro.core.bounds import theta_cumulative
 
         eps = 0.1 if self.epsilon is None else self.epsilon
-        q = self.problem.target
-        if self.grouping == "start":
-            target = self._per_node_target()
-            if self.walks_per_node < target:
-                self.walks_per_node = target
-                self._bind_walks(self.store.per_node_view(q, self.walks_per_node))
-            return
-        from repro.core import sketch
-
         if isinstance(self.problem.score, CumulativeScore):
             # IMM-style martingale ladder (§VI-B): the OPT lower-bound
             # rounds and the final θ all extend one store pool.
             self._opt_lb = sketch.estimate_opt_cumulative(
                 self.problem,
                 k,
+                store=self.store,
                 epsilon=eps,
                 ell=self.ell,
                 theta_cap=self.theta_cap,
-                rng=self._rng,
-                store=self.store,
             )
             theta = theta_cumulative(self.problem.n, k, self._opt_lb, eps, self.ell)
         else:
@@ -1774,15 +1780,14 @@ class WalkEngine(ObjectiveEngine):
             theta = sketch.converge_theta(
                 self.problem,
                 k,
+                store=self.store,
                 theta_start=self.theta,
                 theta_max=self.theta_cap,
-                rng=self._rng,
-                store=self.store,
             )
         if self.theta_cap is not None:
-            theta = min(int(theta), self.theta_cap)
-        if int(theta) > self.theta:
-            self.theta = int(theta)
+            theta = min(theta, self.theta_cap)
+        if theta > self.theta:
+            self.theta = theta
             # Invalidate any currently bound view; the _ensure_bound that
             # follows escalation binds once at the final θ.
             self.walks = None
@@ -1799,7 +1804,8 @@ class WalkEngine(ObjectiveEngine):
             # conservative for Copeland's one-sided Theorem 12.  The
             # score-level guarantee for rank scores lives at the "walk"
             # grouping, where it has no closed form and warns instead.
-            achieved = delta_achieved(self.walks_per_node, self.rho)
+            # Per-node counts certify only their smallest λ_v.
+            achieved = delta_achieved(int(np.min(self.walks_per_node)), self.rho)
         elif isinstance(self.problem.score, CumulativeScore):
             lb = self._opt_lb if self._opt_lb is not None else float(max(k, 1))
             achieved = epsilon_achieved_cumulative(

@@ -13,92 +13,33 @@ simply truncates each walk at its first occurrence of a node in ``S`` (whose
 initial opinion is 1).  :class:`TruncatedWalks` stores the walks in padded
 matrices plus a first-occurrence inverted index so that each greedy round of
 Algorithm 4/5 is a handful of vectorized numpy passes.
+
+There is one walk generator, :func:`generate_reverse_walks_streamed`, and
+every walk is drawn by the :class:`~repro.core.walk_store.WalkStore` in
+deterministic blocks.  There is one greedy loop,
+:func:`~repro.core.greedy.greedy_engine` over a
+:class:`~repro.core.engine.WalkEngine`, whose scoring kernel is
+:class:`WalkGreedyOptimizer`.  :func:`random_walk_select` (RW) and
+:func:`repro.core.sketch.sketch_select` (RS) only choose the sample size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.bounds import lambda_cumulative, lambda_rank
-from repro.core.greedy import GreedyResult
+from repro.core.greedy import greedy_engine
 from repro.core.problem import FJVoteProblem
 from repro.graph.digraph import InfluenceGraph
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive, check_seed_budget
+from repro.utils.validation import check_count, check_seed_budget
 from repro.voting.scores import (
     CopelandScore,
     CumulativeScore,
     SeparableScore,
     VotingScore,
 )
-
-
-def _walk_steps(
-    graph: InfluenceGraph,
-    stubbornness: np.ndarray,
-    horizon: int,
-    starts: np.ndarray,
-    uniforms: Callable[[np.ndarray, int, int], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The reverse-walk step loop shared by both generators.
-
-    ``uniforms(rows, step, slot)`` returns one uniform per walk in
-    ``rows`` for ``step`` (1-based): slot 0 decides termination, slots 1
-    and 2 are the two alias-method draws of the in-neighbor pick.  Each
-    step asks for slot 0, then — only if some walk moves — slots 1 and 2.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    if starts.size and (starts.min() < 0 or starts.max() >= graph.n):
-        raise ValueError("walk start nodes out of range")
-    d = np.asarray(stubbornness, dtype=np.float64)
-    if d.shape != (graph.n,):
-        raise ValueError(f"stubbornness must have shape ({graph.n},)")
-    sampler = graph.alias_sampler()
-    num = starts.size
-    walks = np.full((num, horizon + 1), -1, dtype=np.int32)
-    walks[:, 0] = starts
-    lengths = np.zeros(num, dtype=np.int64)
-    cur = starts.copy()
-    active = np.ones(num, dtype=bool)
-    for step in range(1, horizon + 1):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        stops = uniforms(idx, step, 0) < d[cur[idx]]
-        active[idx[stops]] = False
-        go = idx[~stops]
-        if go.size == 0:
-            continue
-        # Arguments evaluate left to right: slot 1 is drawn before slot 2.
-        nxt = sampler.sample_with(cur[go], uniforms(go, step, 1), uniforms(go, step, 2))
-        walks[go, step] = nxt
-        cur[go] = nxt
-        lengths[go] = step
-    return walks, lengths
-
-
-def generate_reverse_walks(
-    graph: InfluenceGraph,
-    stubbornness: np.ndarray,
-    horizon: int,
-    starts: np.ndarray,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generate ``len(starts)`` t-step reverse walks (Direct Generation, §V-A).
-
-    Every step draws from one shared ``rng``: the termination uniforms of
-    the live walks, then the two alias-method uniforms of the moving ones.
-
-    Returns ``(walks, lengths)`` where ``walks`` is ``(W, horizon+1)`` int32
-    padded with -1 and ``lengths[i]`` is the index of walk ``i``'s end node.
-    """
-    rng = ensure_rng(rng)
-    return _walk_steps(
-        graph, stubbornness, horizon, starts, lambda rows, *_: rng.random(rows.size)
-    )
 
 
 #: splitmix64 constants: the golden-ratio counter increment and the two
@@ -159,22 +100,25 @@ def generate_reverse_walks_streamed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate reverse walks with one deterministic uniform stream *per walk*.
 
-    Walk ``i`` (its ``stream_indices`` entry, defaulting to its position)
-    draws its step-``s`` uniforms — one termination draw and the two
-    alias-method draws — from a counter-based source: a splitmix64 hash
-    of ``(block key from entropy, i, s, slot)``, computed vectorised for
-    just the walks a step needs.  Because every walk owns its uniforms, a
-    walk is a pure function of ``(start, entropy, i, the columns it
-    transitions from)``: the walk store can regenerate exactly the walks
-    invalidated by a graph delta, and the patched block is byte-identical
-    to regenerating the whole block from scratch.  The alias table comes
-    from :meth:`InfluenceGraph.alias_sampler`, which rebuilds it when a
-    delta moves the graph version.
+    The library's one walk generator: every walk store block is drawn
+    here.  Walk ``i`` (its ``stream_indices`` entry, defaulting to its
+    position) draws its step-``s`` uniforms — slot 0 decides termination,
+    slots 1 and 2 are the two alias-method draws of the in-neighbor pick —
+    from a counter-based source: a splitmix64 hash of ``(block key from
+    entropy, i, s, slot)``, computed vectorised for just the walks a step
+    needs.  Because every walk owns its uniforms, a walk is a pure
+    function of ``(start, entropy, i, the columns it transitions from)``:
+    the walk store can regenerate exactly the walks invalidated by a
+    graph delta, and the patched block is byte-identical to regenerating
+    the whole block from scratch.  The alias table comes from
+    :meth:`InfluenceGraph.alias_sampler`, which rebuilds it when a delta
+    moves the graph version.
 
-    Returns ``(walks, lengths)`` in the :func:`generate_reverse_walks`
-    layout (``(W, horizon+1)`` int32 padded with -1).
+    Returns ``(walks, lengths)`` where ``walks`` is ``(W, horizon+1)`` int32
+    padded with -1 and ``lengths[i]`` is the index of walk ``i``'s end node.
     """
-    num = np.size(starts)
+    starts = np.asarray(starts, dtype=np.int64)
+    num = starts.size
     if stream_indices is None:
         stream_indices = np.arange(num, dtype=np.int64)
     else:
@@ -183,14 +127,36 @@ def generate_reverse_walks_streamed(
             raise ValueError("stream_indices must match starts in length")
         if num and stream_indices.min() < 0:
             raise ValueError("stream_indices must be non-negative")
+    if num and (starts.min() < 0 or starts.max() >= graph.n):
+        raise ValueError("walk start nodes out of range")
+    d = np.asarray(stubbornness, dtype=np.float64)
+    if d.shape != (graph.n,):
+        raise ValueError(f"stubbornness must have shape ({graph.n},)")
     keys = _walk_keys(entropy, stream_indices)
-    return _walk_steps(
-        graph,
-        stubbornness,
-        horizon,
-        starts,
-        lambda rows, step, slot: _counter_uniforms(keys, rows, step, slot),
-    )
+    sampler = graph.alias_sampler()
+    walks = np.full((num, horizon + 1), -1, dtype=np.int32)
+    walks[:, 0] = starts
+    lengths = np.zeros(num, dtype=np.int64)
+    cur = starts.copy()
+    active = np.ones(num, dtype=bool)
+    for step in range(1, horizon + 1):
+        idx = np.where(active)[0]
+        if idx.size == 0:
+            break
+        stops = _counter_uniforms(keys, idx, step, 0) < d[cur[idx]]
+        active[idx[stops]] = False
+        go = idx[~stops]
+        if go.size == 0:
+            continue
+        nxt = sampler.sample_with(
+            cur[go],
+            _counter_uniforms(keys, go, step, 1),
+            _counter_uniforms(keys, go, step, 2),
+        )
+        walks[go, step] = nxt
+        cur[go] = nxt
+        lengths[go] = step
+    return walks, lengths
 
 
 class TruncatedWalks:
@@ -199,7 +165,7 @@ class TruncatedWalks:
     Attributes
     ----------
     walks, lengths, starts:
-        The generated walks (see :func:`generate_reverse_walks`).
+        The generated walks (see :func:`generate_reverse_walks_streamed`).
     end_pos:
         Current truncation pointer per walk; the walk's estimate is the
         (possibly seeded) initial opinion of ``walks[i, end_pos[i]]``.
@@ -229,22 +195,6 @@ class TruncatedWalks:
         self._seed_set: set[int] = set()
         self._shared = False
         self._build_index()
-
-    @classmethod
-    def generate(
-        cls,
-        graph: InfluenceGraph,
-        stubbornness: np.ndarray,
-        initial_opinions: np.ndarray,
-        horizon: int,
-        starts: np.ndarray,
-        rng: int | np.random.Generator | None = None,
-    ) -> "TruncatedWalks":
-        """Generate walks with the empty seed set and wrap them."""
-        walks, lengths = generate_reverse_walks(
-            graph, stubbornness, horizon, starts, rng
-        )
-        return cls(walks, lengths, initial_opinions, graph.n)
 
     # ------------------------------------------------------------------
     def _build_index(self) -> None:
@@ -402,7 +352,12 @@ class TruncatedWalks:
 
 
 class WalkGreedyOptimizer:
-    """Greedy seed selection on walk-estimated scores (Algorithms 4 and 5).
+    """The walk-estimated score and its all-candidates gain scan (Alg. 4/5).
+
+    The scoring kernel behind :class:`~repro.core.engine.WalkEngine`: it
+    estimates ``F`` from the current truncation state of ``walks`` and
+    scores every candidate's marginal gain in one vectorized pass.  The
+    greedy loop itself is :func:`~repro.core.greedy.greedy_engine`.
 
     Parameters
     ----------
@@ -556,56 +511,6 @@ class WalkGreedyOptimizer:
         ).astype(np.float64)
         return new_scores - score_base
 
-    # ------------------------------------------------------------------
-    def select(self, k: int) -> GreedyResult:
-        """Greedy selection of ``k`` seeds on the estimated score.
-
-        Runs through the shared round-driver of :mod:`repro.core.greedy`
-        behind a small session adapter: each round is one vectorized
-        all-candidates scan, each pick truncates the walks in place, and
-        the tie-break contract (smallest node id) matches the exact
-        engines.  ``evaluations`` therefore counts ``C`` per round, the
-        same convention as the batched engines.
-        """
-        from repro.core.greedy import run_selection_rounds
-
-        n = self.walks.n
-        k = check_seed_budget(k, n)
-        pool = np.setdiff1d(
-            np.arange(n), np.asarray(self.walks.seeds, dtype=np.int64)
-        )
-        if k > pool.size:
-            raise ValueError(
-                f"budget k={k} exceeds candidate pool size {pool.size}"
-            )
-        return run_selection_rounds(_OptimizerSession(self), k, pool, lazy=False)
-
-
-class _OptimizerSession:
-    """:class:`WalkGreedyOptimizer` behind the selection-session protocol.
-
-    ``commit`` applies post-generation truncation immediately, so the next
-    round's scan sees the updated walk values; the committed value
-    accumulates the picked gains exactly like the engine sessions.
-    """
-
-    def __init__(self, optimizer: WalkGreedyOptimizer) -> None:
-        self.optimizer = optimizer
-        self.value = optimizer.estimated_score()
-
-    def marginal_gains(self, candidates: np.ndarray) -> np.ndarray:
-        gains = self.optimizer.marginal_gains()
-        return gains[np.asarray(candidates, dtype=np.int64)]
-
-    def commit(self, seed: int, *, gain: float | None = None) -> float:
-        seed = int(seed)
-        if gain is None:
-            gain = float(self.optimizer.marginal_gains()[seed])
-        self.optimizer.walks.add_seed(seed)
-        self.value += float(gain)
-        return self.value
-
-
 # ----------------------------------------------------------------------
 # Per-node walk counts and the top-level RW method
 # ----------------------------------------------------------------------
@@ -665,79 +570,53 @@ def random_walk_select(
     ``delta``, ``rho``), and the γ-margin bounds of Theorems 11/12 with the
     heuristic γ* estimate (from :data:`PROBE_WALKS` walks per node) for
     the rank-based scores.  Pass ``walks_per_node`` to override (scalar or
-    per-node array); it and ``lambda_cap`` must be positive.
+    per-node array); it and ``lambda_cap`` must be positive integers.
 
     Parameters mirror the paper's defaults (ρ = 0.9, δ = 0.1).  The exact
     objective of the returned seed set is evaluated via DM for reporting.
 
-    ``store`` (a :class:`~repro.core.walk_store.WalkStore`) reuses the
-    shared per-node walk pool for the probe *and* — when the per-node count
-    is uniform, i.e. the cumulative score or a scalar override — for the
-    selection walks themselves; per-node λ arrays fall back to private
-    generation (the pool serves whole per-node rounds only).  Either way
-    the alias table is the graph's own (:meth:`InfluenceGraph.alias_sampler`),
-    built once per graph version, so a budget sweep never rebuilds it.
+    The walks come from ``store`` (a
+    :class:`~repro.core.walk_store.WalkStore`), or from a private store
+    seeded by the first draw from ``rng``: the probe is the store's
+    :data:`PROBE_WALKS`-per-node view, and the selection runs
+    :func:`~repro.core.greedy.greedy_engine` over a
+    :class:`~repro.core.engine.WalkEngine` bound to the per-node view of
+    the resulting ``λ`` (uniform or per node).  A private store therefore
+    selects exactly what ``store_for_problem(problem, seed=rng)`` would.
     """
-    rng = ensure_rng(rng)
+    from repro.core.engine import WalkEngine
+    from repro.core.walk_store import WalkStore
+
     k = check_seed_budget(k, problem.n)
-    check_positive(walks_per_node, "walks_per_node")
-    check_positive(lambda_cap, "lambda_cap")
-    if store is not None:
+    walks_per_node = check_count(walks_per_node, "walks_per_node")
+    lambda_cap = check_count(lambda_cap, "lambda_cap")
+    if store is None:
+        store = WalkStore(problem.state, problem.horizon, seed=rng)
+    else:
         store.require_problem(problem)
-    state = problem.state
-    q = problem.target
-    graph = state.graph(q)
-    d_q = state.stubbornness[q]
-    b0_q = state.initial_opinions[q]
     n = problem.n
-    uniform_lambda = walks_per_node is None or np.ndim(walks_per_node) == 0
     if walks_per_node is not None:
-        lam = np.broadcast_to(
-            np.asarray(walks_per_node, dtype=np.int64), (n,)
-        ).copy()
+        lam = np.broadcast_to(walks_per_node, (n,)).copy()
     elif isinstance(problem.score, CumulativeScore):
         lam = np.full(n, lambda_cumulative(delta, rho), dtype=np.int64)
     else:
         # Probe walks give a cheap opinion estimate, from which per-user
         # margins γ*_v and then per-node walk counts follow (Theorems 11-12).
-        uniform_lambda = False
-        if store is not None:
-            probe = store.per_node_view(q, PROBE_WALKS)
-        else:
-            probe = TruncatedWalks.generate(
-                graph,
-                d_q,
-                b0_q,
-                problem.horizon,
-                np.repeat(np.arange(n, dtype=np.int64), PROBE_WALKS),
-                rng,
-            )
+        probe = store.per_node_view(problem.target, PROBE_WALKS)
         gamma = estimate_gamma_star(
             probe.estimated_opinions(), problem.others_by_user(), floor=gamma_floor
         )
         lam = lambda_rank(gamma, rho)
     if lambda_cap is not None:
-        lam = np.minimum(lam, int(lambda_cap))
+        lam = np.minimum(lam, lambda_cap)
     lam = np.maximum(lam, 1)
-    if store is not None and uniform_lambda:
-        walks = store.per_node_view(q, int(lam.max()))
-    else:
-        starts = np.repeat(np.arange(n, dtype=np.int64), lam)
-        walks = TruncatedWalks.generate(graph, d_q, b0_q, problem.horizon, starts, rng)
-    optimizer = WalkGreedyOptimizer(
-        walks,
-        problem.score,
-        None
-        if isinstance(problem.score, CumulativeScore)
-        else problem.others_by_user(),
-        grouping="start",
-    )
-    result = optimizer.select(k)
+    engine = WalkEngine(problem, grouping="start", walks_per_node=lam, store=store)
+    result = greedy_engine(engine, k)
     return WalkSelectResult(
         seeds=result.seeds,
         estimated_objective=result.objective,
         exact_objective=problem.objective(result.seeds),
-        total_walks=walks.num_walks,
+        total_walks=engine.walks.num_walks,
         walks_per_node=lam,
-        memory_bytes=walks.memory_bytes(),
+        memory_bytes=engine.walks.memory_bytes(),
     )

@@ -75,7 +75,7 @@ from repro.core.random_walk import (
 from repro.graph.digraph import InfluenceGraph
 from repro.opinion.state import CampaignState
 from repro.utils.rng import ensure_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_index, check_positive
 
 #: Pool kinds: ``per-node`` blocks hold one walk per node (Algorithm 4,
 #: grouping="start"); ``uniform`` blocks hold ``block_walks`` uniform-start
@@ -287,7 +287,7 @@ class _WalkPool:
         n = store.state.n
         self.block_walks = n if kind == KIND_PER_NODE else store.block_walks
         self.blocks: list[tuple[np.ndarray, np.ndarray] | None] = []
-        self._masters: dict[int, TruncatedWalks] = {}
+        self._masters: dict[object, TruncatedWalks] = {}
         if store.store_dir is not None:
             # Adopt the contiguous prefix of blocks a previous open (or
             # another process) already persisted: they are covered, not
@@ -345,10 +345,16 @@ class _WalkPool:
             self.store._touch_resident(self, index)
         return entry
 
-    def master(self, num_walks: int) -> TruncatedWalks:
-        """Pristine memoized :class:`TruncatedWalks` over ``num_walks`` walks."""
+    def master(self, num_walks: int, lam: np.ndarray | None = None) -> TruncatedWalks:
+        """Pristine memoized :class:`TruncatedWalks` over ``num_walks`` walks.
+
+        Per-node counts ``lam`` (a per-node pool, ``num_walks = max λ · n``)
+        serve node ``v`` only the walks of its first ``λ_v`` rounds, node
+        by node; the first-occurrence index is built once, over those.
+        """
         num_walks = int(num_walks)
-        cached = self._masters.get(num_walks)
+        key = num_walks if lam is None else lam.tobytes()
+        cached = self._masters.get(key)
         if cached is not None:
             self.store.stats.blocks_reused += -(-num_walks // self.block_walks)
             return cached
@@ -360,6 +366,13 @@ class _WalkPool:
         parts = [fresh[i] if i in fresh else self.block(i) for i in range(need)]
         walks = np.concatenate([b[0] for b in parts])[:num_walks]
         lengths = np.concatenate([b[1] for b in parts])[:num_walks]
+        if lam is not None:
+            # Node v's walks are pool walks v, n + v, ..., (λ_v − 1)·n + v.
+            n = lam.size
+            starts = np.repeat(np.arange(n), lam)
+            rounds = np.arange(starts.size) - (np.cumsum(lam) - lam)[starts]
+            rows = rounds * n + starts
+            walks, lengths = np.take(walks, rows, axis=0), lengths[rows]
         state = self.store.state
         master = TruncatedWalks(
             walks,
@@ -370,7 +383,7 @@ class _WalkPool:
         self.store.stats.index_builds += 1
         while len(self._masters) >= _MASTER_CACHE_CAP:
             self._masters.pop(next(iter(self._masters)))
-        self._masters[num_walks] = master
+        self._masters[key] = master
         return master
 
 
@@ -832,25 +845,47 @@ class WalkStore:
             found = self._pools[key] = _WalkPool(self, candidate, kind)
         return found
 
-    def _view(self, pool: _WalkPool, num_walks: int) -> TruncatedWalks:
-        master = pool.master(num_walks)
+    def _view(
+        self, pool: _WalkPool, num_walks: int, lam: np.ndarray | None = None
+    ) -> TruncatedWalks:
+        master = pool.master(num_walks, lam)
         self.stats.views_served += 1
         return master.share()
 
-    def per_node_view(self, candidate: int, walks_per_node: int) -> TruncatedWalks:
+    def per_node_view(
+        self, candidate: int, walks_per_node: int | np.ndarray
+    ) -> TruncatedWalks:
         """A ``walks_per_node``-per-node view (Algorithm 4 grouping).
+
+        ``walks_per_node`` is one count for every node or a per-node
+        array ``λ``.  Per-node block ``j`` holds round ``j`` (one walk
+        from every node), so node ``v`` gets the walks of its first
+        ``λ_v`` rounds: of the first ``max λ`` rounds, pool walk ``i`` is
+        served iff ``i // n < λ[i % n]``.  An array view is therefore a
+        per-node prefix of every larger view over the same pool.  It
+        lists the walks node by node (a uniform count lists them round
+        by round); estimates and gains do not depend on that order,
+        but the greedy scan runs fastest on the node-major one.
 
         The view is a copy-on-write clone of the cached master: truncating
         it (seed commits) never touches the stored blocks, so the next
         session starts pristine without regenerating or re-indexing.
         """
-        walks_per_node = int(check_positive(walks_per_node, "walks_per_node"))
+        lam = check_count(walks_per_node, "walks_per_node")
+        n = self.state.n
         pool = self.pool(candidate, KIND_PER_NODE)
-        return self._view(pool, walks_per_node * self.state.n)
+        if np.ndim(lam) == 0:
+            return self._view(pool, lam * n)
+        if lam.shape != (n,):
+            raise ValueError(f"walks_per_node must be a scalar or shape ({n},)")
+        rounds = int(lam.max())
+        if np.all(lam == rounds):
+            return self._view(pool, rounds * n)
+        return self._view(pool, rounds * n, lam)
 
     def uniform_view(self, candidate: int, theta: int) -> TruncatedWalks:
         """A θ-walk uniform-start sketch view (Algorithm 5 grouping)."""
-        theta = int(check_positive(theta, "theta"))
+        theta = check_positive(check_index(theta, "theta"), "theta")
         pool = self.pool(candidate, KIND_UNIFORM)
         return self._view(pool, theta)
 

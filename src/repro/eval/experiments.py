@@ -19,7 +19,8 @@ from repro.core.greedy import greedy_dm
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import random_walk_select
 from repro.core.sandwich import sandwich_select
-from repro.core.sketch import _run_sketch_greedy, sketch_select
+from repro.core.sketch import sketch_select
+from repro.core.walk_store import store_for_problem
 from repro.core.winmin import min_seeds_to_win
 from repro.datasets.synth import Dataset
 from repro.eval.harness import run_methods, select_seeds
@@ -305,23 +306,22 @@ def theta_experiment(
     ts: Sequence[int] | None = None,
     rng: int | np.random.Generator | None = None,
 ) -> dict[str, list[float]]:
-    """Exact score of RS seeds as θ grows, for several k and t (Figs. 13-14)."""
+    """Exact score of RS seeds as θ grows, for several k and t (Figs. 13-14).
+
+    Each series draws one walk store from ``rng``, so every θ is a prefix
+    of the same sketch sample, as when the §VI-E ladder extends it.
+    """
     rng = ensure_rng(rng)
     out: dict[str, list[float]] = {"theta": [float(t) for t in thetas]}
-    for k in ks:
-        series = []
-        problem = dataset.problem(score)
-        for theta in thetas:
-            result, _ = _run_sketch_greedy(problem, int(k), int(theta), rng)
-            series.append(problem.objective(result.seeds))
-        out[f"k={k}"] = series
-    for t in ts or ():
-        series = []
-        problem = dataset.problem(score, horizon=int(t))
-        for theta in thetas:
-            result, _ = _run_sketch_greedy(problem, int(ks[0]), int(theta), rng)
-            series.append(problem.objective(result.seeds))
-        out[f"t={t}"] = series
+    series_specs = [(f"k={k}", int(k), None) for k in ks]
+    series_specs += [(f"t={t}", int(ks[0]), int(t)) for t in ts or ()]
+    for name, k, horizon in series_specs:
+        problem = dataset.problem(score, horizon=horizon)
+        store = store_for_problem(problem, seed=rng)
+        out[name] = [
+            sketch_select(problem, k, theta=int(theta), store=store).exact_objective
+            for theta in thetas
+        ]
     return out
 
 

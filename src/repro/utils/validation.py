@@ -44,8 +44,8 @@ def check_stubbornness(stubbornness: np.ndarray, n: int) -> np.ndarray:
 
 
 def check_seed_budget(k: int, n: int) -> int:
-    """Validate a seed budget ``k`` against the number of nodes ``n``."""
-    k = int(k)
+    """Validate an integer seed budget ``k`` against the node count ``n``."""
+    k = check_index(k, "seed budget k")
     if not 0 <= k <= n:
         raise ValueError(f"seed budget k must be in [0, {n}], got {k}")
     return k
@@ -94,6 +94,23 @@ def check_positive(value, name: str):
     if bad.size:
         raise ValueError(f"{name} must be positive, got {bad[0]:g}")
     return value
+
+
+def check_count(value, name: str):
+    """Validate a positive integer sample count: a scalar or an array.
+
+    Walk and sketch counts are integers: ``2.7`` walks per node or a
+    ``True`` budget is rejected like a float node id (see
+    :func:`check_index` and :func:`check_index_array`), never truncated.
+    ``None`` passes.  Returns an ``int``, or an ``int64`` array.
+    """
+    if value is None:
+        return None
+    if np.ndim(value) == 0:
+        count = check_index(value, name)
+    else:
+        count = check_index_array(value, name)
+    return check_positive(count, name)
 
 
 def check_time_horizon(t: int) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import FJVoteProblem
+from repro.core.random_walk import TruncatedWalks, generate_reverse_walks_streamed
 from repro.datasets.example import running_example
 from repro.graph.build import graph_from_edges
 from repro.opinion.state import CampaignState
@@ -69,3 +70,16 @@ def random_state() -> CampaignState:
 def random_state_factory():
     """Factory for seeded random instances."""
     return random_instance
+
+
+def walks_from(graph, stubbornness, b0, horizon, starts, seed):
+    """A :class:`TruncatedWalks` over reverse walks from ``starts``.
+
+    Draws from the library's one generator,
+    :func:`~repro.core.random_walk.generate_reverse_walks_streamed`,
+    with block entropy ``[seed]``.
+    """
+    walks, lengths = generate_reverse_walks_streamed(
+        graph, stubbornness, horizon, starts, [seed]
+    )
+    return TruncatedWalks(walks, lengths, b0, graph.n)

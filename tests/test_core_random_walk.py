@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from repro.core.engine import make_engine
+from repro.core.greedy import greedy_engine
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import (
-    TruncatedWalks,
     WalkGreedyOptimizer,
     _counter_uniforms,
     _walk_keys,
     estimate_gamma_star,
-    generate_reverse_walks,
     generate_reverse_walks_streamed,
     random_walk_select,
 )
@@ -32,7 +32,7 @@ from repro.voting.scores import (
     CumulativeScore,
     PluralityScore,
 )
-from tests.conftest import random_instance
+from tests.conftest import random_instance, walks_from
 
 
 def _example():
@@ -48,7 +48,7 @@ def _example():
 def test_walk_shapes_and_starts():
     g, b0, d = _example()
     starts = np.array([0, 1, 2, 3, 3])
-    walks, lengths = generate_reverse_walks(g, d, 3, starts, rng=0)
+    walks, lengths = generate_reverse_walks_streamed(g, d, 3, starts, [0])
     assert walks.shape == (5, 4)
     np.testing.assert_array_equal(walks[:, 0], starts)
     assert np.all(lengths >= 0) and np.all(lengths <= 3)
@@ -56,7 +56,7 @@ def test_walk_shapes_and_starts():
 
 def test_walk_steps_follow_reverse_edges():
     g, b0, d = _example()
-    walks, lengths = generate_reverse_walks(g, np.zeros(4), 5, np.full(50, 3), rng=1)
+    walks, lengths = generate_reverse_walks_streamed(g, np.zeros(4), 5, np.full(50, 3), [1])
     for row, ln in zip(walks, lengths):
         for pos in range(int(ln)):
             cur, nxt = row[pos], row[pos + 1]
@@ -66,16 +66,16 @@ def test_walk_steps_follow_reverse_edges():
 
 def test_fully_stubborn_walks_never_move():
     g, b0, _ = _example()
-    walks, lengths = generate_reverse_walks(g, np.ones(4), 5, np.arange(4), rng=2)
+    walks, lengths = generate_reverse_walks_streamed(g, np.ones(4), 5, np.arange(4), [2])
     assert np.all(lengths == 0)
 
 
 def test_walk_start_validation():
     g, b0, d = _example()
     with pytest.raises(ValueError):
-        generate_reverse_walks(g, d, 2, np.array([9]), rng=0)
+        generate_reverse_walks_streamed(g, d, 2, np.array([9]), [0])
     with pytest.raises(ValueError):
-        generate_reverse_walks(g, np.zeros(3), 2, np.array([0]), rng=0)
+        generate_reverse_walks_streamed(g, np.zeros(3), 2, np.array([0]), [0])
 
 
 def _digest(walks, lengths):
@@ -83,21 +83,17 @@ def _digest(walks, lengths):
 
 
 def test_generated_walk_bytes_are_pinned():
-    """Golden digests of both generators on a tiny fixed instance.
+    """Golden digests of the walk generator on a tiny fixed instance.
 
-    Persisted store blocks (STORE_FORMAT 4) are the streamed generator's
-    bytes, and every RW/RS selection follows the direct generator's draw
-    order; a refactor of the shared step loop must not move either.
+    Persisted store blocks (STORE_FORMAT 4) are these bytes, and every
+    RW/RS selection draws its walks from store blocks; a refactor of the
+    step loop must not move them.
     """
     state = random_instance(n=12, r=2, seed=21)
     g, d = state.graph(0), state.stubbornness[0]
     starts = np.repeat(np.arange(12), 3)
-    walks, lengths = generate_reverse_walks(g, d, 5, starts, rng=0)
-    assert walks.dtype == np.int32 and int(lengths.sum()) == 69
-    assert _digest(walks, lengths) == (
-        "4049faddd02ab35743ad65793eb302229c633fddcf229f50619b9d0911b91de8"
-    )
     walks, lengths = generate_reverse_walks_streamed(g, d, 5, starts, [7, 1, 2, 3])
+    assert walks.dtype == np.int32
     assert _digest(walks, lengths) == (
         "6dcf590d9416e06ade87d206763b7d1083dc8bbfda86dc4fad935435b995f05d"
     )
@@ -217,8 +213,8 @@ def test_estimates_unbiased_with_truncation(seeds):
     g, b0, d = _example()
     t = 3
     seeds = np.array(seeds, dtype=np.int64)
-    walks = TruncatedWalks.generate(
-        g, d, b0, t, np.repeat(np.arange(4), 40_000), rng=3
+    walks = walks_from(
+        g, d, b0, t, np.repeat(np.arange(4), 40_000), 3
     )
     for s in seeds:
         walks.add_seed(int(s))
@@ -233,7 +229,7 @@ def test_estimates_unbiased_on_random_instance():
     g = state.graph(0)
     b0, d = state.initial_opinions[0], state.stubbornness[0]
     t = 4
-    walks = TruncatedWalks.generate(g, d, b0, t, np.repeat(np.arange(8), 30_000), rng=6)
+    walks = walks_from(g, d, b0, t, np.repeat(np.arange(8), 30_000), 6)
     walks.add_seed(2)
     b0_s, d_s = apply_seeds(b0, d, np.array([2]))
     exact = fj_evolve(b0_s, d_s, g, t)
@@ -248,7 +244,7 @@ def _deterministic_path_walks(t=3):
     g = graph_from_edges(4, [0, 1, 2], [1, 2, 3])
     b0 = np.array([0.1, 0.2, 0.3, 0.4])
     d = np.zeros(4)
-    walks = TruncatedWalks.generate(g, d, b0, t, np.array([3]), rng=0)
+    walks = walks_from(g, d, b0, t, np.array([3]), 0)
     return g, b0, walks
 
 
@@ -328,8 +324,8 @@ def test_marginal_gains_match_brute_force(grouping, score):
         starts = np.repeat(np.arange(7), 5)
     else:
         starts = np.random.default_rng(3).integers(0, 7, size=40)
-    walks = TruncatedWalks.generate(
-        g, state.stubbornness[0], state.initial_opinions[0], 3, starts, rng=9
+    walks = walks_from(
+        g, state.stubbornness[0], state.initial_opinions[0], 3, starts, 9
     )
     optimizer = WalkGreedyOptimizer(
         walks,
@@ -362,16 +358,8 @@ def test_optimizer_requires_competitors_for_rank_scores():
 def test_select_returns_distinct_seeds():
     state = random_instance(n=10, r=2, seed=12)
     problem = FJVoteProblem(state, 0, 3, PluralityScore())
-    walks = TruncatedWalks.generate(
-        state.graph(0),
-        state.stubbornness[0],
-        state.initial_opinions[0],
-        3,
-        np.repeat(np.arange(10), 8),
-        rng=13,
-    )
-    optimizer = WalkGreedyOptimizer(walks, PluralityScore(), problem.others_by_user())
-    result = optimizer.select(4)
+    engine = make_engine("rw", problem, rng=13, walks_per_node=8)
+    result = greedy_engine(engine, 4)
     assert len(set(result.seeds.tolist())) == 4
 
 
@@ -414,13 +402,13 @@ def test_estimate_gamma_star_no_competitors():
 def _walks_instance(seed=5):
     state = random_instance(n=14, r=2, seed=seed)
     graph = state.graph(0)
-    return TruncatedWalks.generate(
+    return walks_from(
         graph,
         state.stubbornness[0],
         state.initial_opinions[0],
         4,
         np.repeat(np.arange(graph.n, dtype=np.int64), 6),
-        rng=seed,
+        seed,
     )
 
 
@@ -477,8 +465,6 @@ def test_walk_engine_reset_does_not_leak_mutations_into_snapshot():
     """End-to-end aliasing regression over WalkEngine: evaluating seeded
     sets between empty-set evaluations must keep the pristine snapshot
     byte-identical, so the empty-set estimate never drifts."""
-    from repro.core.engine import make_engine
-
     state = random_instance(n=14, r=2, seed=9)
     problem = FJVoteProblem(state, 0, 4, CumulativeScore())
     engine = make_engine("rw", problem, rng=11, walks_per_node=6)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.exact import brute_force_optimum
 from repro.core.problem import FJVoteProblem
 from repro.core.reachability import ReachabilityIndex
 from repro.core.sandwich import (
@@ -158,3 +159,32 @@ def test_sandwich_unknown_method():
     problem = FJVoteProblem(state, 0, 2, PluralityScore())
     with pytest.raises(ValueError):
         sandwich_select(problem, 2, method="magic")
+
+
+@pytest.mark.parametrize("method", ["dm", "rw", "rs"])
+@pytest.mark.parametrize(
+    "score",
+    [PluralityScore(), PApprovalScore(2, 3), CopelandScore()],
+    ids=["plurality", "2-approval", "copeland"],
+)
+def test_sandwich_bound_holds_against_brute_force(score, method):
+    """The factor Algorithm 3 reports really bounds its result by OPT.
+
+    ``F(S) ≥ F(S_U) = ratio · UB(S_U) ≥ ratio · (1 − 1/e) · OPT``, since
+    greedy coverage reaches ``(1 − 1/e)`` of UB's optimum and UB ≥ F
+    everywhere.  OPT is the brute-force optimum over every size-k set,
+    so the check is independent of the greedy and of the feasible
+    method (exact DM, RW or RS).
+    """
+    for seed in (3, 8):
+        state = random_instance(n=11 + seed % 2, r=3, seed=seed)
+        problem = FJVoteProblem(state, 0, 3, score)
+        for k in (1, 2, 3):
+            _, opt = brute_force_optimum(problem, k)
+            result = sandwich_select(problem, k, method=method, rng=seed)
+            value = problem.objective(result.seeds)
+            assert value == pytest.approx(result.objective, abs=1e-9)
+            bound = result.approximation_factor * opt - 1e-9
+            assert result.f_of_upper_seeds >= bound
+            assert value >= bound
+            assert value <= opt + 1e-9

@@ -5,14 +5,15 @@ import pytest
 
 from repro.core.exact import brute_force_optimum
 from repro.core.problem import FJVoteProblem
-from repro.core.random_walk import TruncatedWalks, WalkGreedyOptimizer
+from repro.core.random_walk import WalkGreedyOptimizer
 from repro.core.sketch import (
     converge_theta,
     estimate_opt_cumulative,
     sketch_select,
 )
+from repro.core.walk_store import store_for_problem
 from repro.voting.scores import CopelandScore, CumulativeScore, PluralityScore
-from tests.conftest import random_instance
+from tests.conftest import random_instance, walks_from
 
 
 def test_sketch_estimator_is_unbiased_for_cumulative():
@@ -21,8 +22,8 @@ def test_sketch_estimator_is_unbiased_for_cumulative():
     problem = FJVoteProblem(state, 0, 3, CumulativeScore())
     rng = np.random.default_rng(4)
     starts = rng.integers(0, 10, size=60_000)
-    walks = TruncatedWalks.generate(
-        state.graph(0), state.stubbornness[0], state.initial_opinions[0], 3, starts, rng
+    walks = walks_from(
+        state.graph(0), state.stubbornness[0], state.initial_opinions[0], 3, starts, 4
     )
     optimizer = WalkGreedyOptimizer(walks, CumulativeScore(), None, grouping="walk")
     assert optimizer.estimated_score() == pytest.approx(
@@ -34,7 +35,8 @@ def test_estimate_opt_is_a_lower_bound():
     state = random_instance(n=10, r=2, seed=5)
     problem = FJVoteProblem(state, 0, 2, CumulativeScore())
     _, opt = brute_force_optimum(problem, 2)
-    lb = estimate_opt_cumulative(problem, 2, epsilon=0.3, rng=6, theta_cap=5000)
+    store = store_for_problem(problem, seed=6)
+    lb = estimate_opt_cumulative(problem, 2, store=store, epsilon=0.3, theta_cap=5000)
     assert lb <= opt + 0.5  # statistical slack
     assert lb >= 2  # k seeds guarantee cumulative >= k
 
@@ -69,8 +71,9 @@ def test_sketch_select_rank_scores_use_heuristic_theta(score):
 def test_converge_theta_stops_at_cap():
     state = random_instance(n=10, r=2, seed=13)
     problem = FJVoteProblem(state, 0, 2, PluralityScore())
+    store = store_for_problem(problem, seed=14)
     theta = converge_theta(
-        problem, 2, theta_start=32, theta_max=128, tolerance=0.0, rng=14
+        problem, 2, store=store, theta_start=32, theta_max=128, tolerance=0.0
     )
     assert theta <= 128
 

@@ -486,6 +486,28 @@ def _sketch_engine(problem, **kwargs):
     return make_engine("sketch", problem, rng=0, **kwargs)  # WalkEngine, "walk"
 
 
+def _greedy(problem, k):
+    return greedy_engine(make_engine("rw", problem, rng=0, walks_per_node=2), k)
+
+
+def _random_walk_budget(problem, k):
+    from repro.core.random_walk import random_walk_select
+
+    return random_walk_select(problem, k, rng=0, walks_per_node=2)
+
+
+def _sketch_budget(problem, k):
+    return sketch_select(problem, k, rng=0, theta=50)
+
+
+def _expected_error(param, value):
+    """The rejection message for ``value``: integer counts that are not
+    positive, and counts that are not integers at all (floats, bools)."""
+    if np.asarray(value).dtype.kind in "iu":
+        return f"{param} must be positive"
+    return f"{param} must be (an integer|integers)"
+
+
 @pytest.mark.parametrize(
     "entry, param, value",
     [
@@ -503,13 +525,31 @@ def _sketch_engine(problem, **kwargs):
         (_sketch_engine, "theta", 0),
         (_sketch_engine, "theta_cap", -1),
         (_sketch_engine, "epsilon", 0),
+        (_random_walk_select, "walks_per_node", 2.7),
+        (_random_walk_select, "walks_per_node", True),
+        (_random_walk_select, "walks_per_node", np.array([2.0] * 10)),
+        (_random_walk_select, "walks_per_node", np.array([True] * 10)),
+        (_random_walk_select, "lambda_cap", 16.5),
+        (_sketch_select, "theta", 100.9),
+        (_sketch_select, "theta_cap", 99.0),
+        (_sketch_select, "theta_start", 64.5),
+        (_sketch_select, "theta_start", 0),
+        (_rw_engine, "walks_per_node", 3.5),
+        (_rw_engine, "lambda_cap", True),
+        (_sketch_engine, "theta", 99.99),
+        (_sketch_engine, "theta_cap", 128.0),
+        (_greedy, "k", 1.5),
+        (_greedy, "k", True),
+        (_random_walk_budget, "k", 2.9),
+        (_sketch_budget, "k", np.float64(2.0)),
     ],
 )
 def test_non_positive_sample_parameters_rejected(entry, param, value):
     """A non-positive user-given count is an error naming the parameter,
-    never silently replaced by one walk (or θ = 1)."""
+    never silently replaced by one walk (or θ = 1); a float or bool count
+    or budget is an error too, never truncated (2.7 walks are not 2)."""
     problem = make_problem(0, n=10, r=2)
-    with pytest.raises(ValueError, match=f"{param} must be positive"):
+    with pytest.raises(ValueError, match=_expected_error(param, value)):
         entry(problem, **{param: value})
 
 
@@ -517,12 +557,78 @@ def test_non_positive_sample_parameters_rejected(entry, param, value):
     "view, param",
     [("per_node_view", "walks_per_node"), ("uniform_view", "theta")],
 )
-@pytest.mark.parametrize("count", [0, -4])
+@pytest.mark.parametrize("count", [0, -4, 2.5, True, np.float64(3.0)])
 def test_store_views_reject_non_positive_counts(view, param, count):
     store = store_for_problem(make_problem(0, n=10, r=2))
-    with pytest.raises(ValueError, match=f"{param} must be positive"):
+    with pytest.raises(ValueError, match=_expected_error(param, count)):
         getattr(store, view)(0, count)
     assert store.stats.blocks_generated == 0
+
+
+# ----------------------------------------------------------------------
+# Per-node λ arrays: the rank-score RW walk counts
+# ----------------------------------------------------------------------
+def test_per_node_array_view_serves_each_nodes_first_rounds():
+    """``per_node_view(q, λ)`` gives node v exactly the first λ_v per-node
+    rounds of ``per_node_view(q, max λ)``, byte for byte — before and after
+    truncation, so the index built over the kept walks is complete."""
+    problem = make_problem(30, n=12, r=2)
+    lam = np.array([1, 5, 3, 3, 2, 5, 1, 4, 2, 5, 3, 1])
+    store = store_for_problem(problem, seed=7)
+    view = store.per_node_view(0, lam)
+    full = store.per_node_view(0, int(lam.max()))
+    assert view.num_walks == int(lam.sum())
+    assert view.idx_walk.size < full.idx_walk.size
+    for step in (None, 4, 9):
+        if step is not None:
+            view.add_seed(step)
+            full.add_seed(step)
+        for v in range(problem.n):
+            mine, theirs = view.starts == v, full.starts == v
+            for part in ("walks", "lengths", "end_pos", "values"):
+                got = getattr(view, part)[mine]
+                want = getattr(full, part)[theirs][: lam[v]]
+                assert got.tobytes() == want.tobytes(), (v, part, step)
+    # A uniform array is the scalar view, served from the same master.
+    builds = store.stats.index_builds
+    same = store.per_node_view(0, np.full(problem.n, 5))
+    assert store.stats.index_builds == builds
+    assert np.shares_memory(same.walks, full.walks)
+    with pytest.raises(ValueError, match="shape"):
+        store.per_node_view(0, lam[:5])
+
+
+def test_walk_engine_over_per_node_counts_certifies_smallest_count():
+    problem = make_problem(31, n=12, r=2)
+    lam = np.array([6, 2, 9, 4] * 3)
+    engine = make_engine("rw", problem, rng=3, walks_per_node=lam, epsilon=0.1)
+    assert engine.walks.num_walks == int(lam.sum())
+    with pytest.warns(EstimatorPrecisionWarning):
+        engine.prepare_budget(2)
+    assert engine.stats.achieved_epsilon == delta_achieved(2, engine.rho)
+
+
+@pytest.mark.parametrize("score", [CumulativeScore(), PluralityScore()])
+@pytest.mark.parametrize("method", ["rw", "rs"])
+def test_private_store_selection_equals_store_for_problem(score, method):
+    """Without a store, RW and RS draw a private one from ``rng`` — the
+    in-memory run selects exactly what a ``store_for_problem`` run (the
+    CLI's ``--store-dir`` store) selects, down to every diagnostic."""
+    from repro.core.random_walk import random_walk_select
+
+    problem = make_problem(32, score, n=30, r=3)
+    select = random_walk_select if method == "rw" else sketch_select
+    kwargs = (
+        {"lambda_cap": 24}
+        if method == "rw"
+        else {"theta_start": 32, "theta_cap": 256, "epsilon": 0.5}
+    )
+    for seed in (0, 5):
+        alone = select(problem, 3, rng=seed, **kwargs)
+        store = store_for_problem(problem, seed=seed)
+        stored = select(problem, 3, rng=seed, store=store, **kwargs)
+        assert store.stats.blocks_generated > 0
+        assert repr(alone) == repr(stored)
 
 
 # ----------------------------------------------------------------------

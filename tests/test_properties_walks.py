@@ -18,19 +18,19 @@ from hypothesis import strategies as st
 from repro.core.random_walk import TruncatedWalks, WalkGreedyOptimizer
 from repro.voting.scores import CumulativeScore, PluralityScore
 from repro.core.problem import FJVoteProblem
-from tests.conftest import random_instance
+from tests.conftest import random_instance, walks_from
 
 
 def _make_walks(seed: int, n: int = 8, lam: int = 4, t: int = 4) -> TruncatedWalks:
     state = random_instance(n=n, r=2, seed=seed)
     starts = np.repeat(np.arange(n, dtype=np.int64), lam)
-    return TruncatedWalks.generate(
+    return walks_from(
         state.graph(0),
         state.stubbornness[0],
         state.initial_opinions[0],
         t,
         starts,
-        rng=seed,
+        seed,
     )
 
 
@@ -74,9 +74,9 @@ def test_property_estimated_score_consistent(seed):
     state = random_instance(n=8, r=2, seed=seed)
     problem = FJVoteProblem(state, 0, 3, PluralityScore())
     starts = np.repeat(np.arange(8, dtype=np.int64), 3)
-    walks = TruncatedWalks.generate(
+    walks = walks_from(
         state.graph(0), state.stubbornness[0], state.initial_opinions[0],
-        3, starts, rng=seed,
+        3, starts, seed,
     )
     optimizer = WalkGreedyOptimizer(
         walks, PluralityScore(), problem.others_by_user(), grouping="start"
@@ -98,9 +98,9 @@ def test_property_sketch_weights_scale_with_n_over_theta(seed, theta):
     state = random_instance(n=9, r=2, seed=seed)
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, 9, size=theta)
-    walks = TruncatedWalks.generate(
+    walks = walks_from(
         state.graph(0), state.stubbornness[0], state.initial_opinions[0],
-        2, starts, rng=seed,
+        2, starts, seed,
     )
     optimizer = WalkGreedyOptimizer(walks, CumulativeScore(), None, grouping="walk")
     # Estimated cumulative score = (n/θ) Σ values (Eq. 35).
