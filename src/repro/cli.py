@@ -866,7 +866,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "fault_plan", None):
         from repro.core import faults
 
-        faults.install(faults.FaultPlan.from_file(args.fault_plan))
+        try:
+            plan = faults.FaultPlan.from_file(args.fault_plan)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
+        faults.install(plan)
     return args.func(args)
 
 

@@ -114,13 +114,14 @@ whose deterministic work counters back the benchmark assertions.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 import weakref
 from abc import ABC, abstractmethod
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -918,6 +919,36 @@ class _PinLayout:
         return hit, self.key_order[pos[hit]]
 
 
+class _ColumnGroup:
+    """Columns ``[lo, hi)`` of one ``_evolve_blocks`` call: a contiguous run
+    of whole blocks, its pins (``cols`` relative to ``lo``) and, through
+    the sparse phase, its own sparse delta."""
+
+    def __init__(self, lo: int, hi: int, pin_rows: np.ndarray, pin_cols: np.ndarray):
+        self.lo = lo
+        self.hi = hi
+        first, last = np.searchsorted(pin_cols, (lo, hi))
+        self.rows = pin_rows[first:last]
+        self.cols = pin_cols[first:last] - lo
+        self.delta: sparse.csr_matrix | None = None
+        self.pins: _PinLayout | None = None
+
+    def start(self, base0: np.ndarray, sizes: np.ndarray) -> None:
+        """delta(0): seeded coordinates jump to 1, everything else unchanged."""
+        c = self.hi - self.lo
+        self.delta = sparse.csr_matrix(
+            (1.0 - base0[self.rows], (self.rows, self.cols)), shape=(base0.size, c)
+        )
+        self.pins = _PinLayout(
+            self.rows, self.cols, c, int(sizes[self.lo : self.hi].max())
+        )
+
+    def block_pins(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pins of columns ``[lo, hi)``, as block coordinates."""
+        first, last = np.searchsorted(self.cols, (lo - self.lo, hi - self.lo))
+        return self.rows[first:last], self.cols[first:last] - (lo - self.lo)
+
+
 class BatchedDMEngine(ObjectiveEngine):
     """Exact DM evaluation of many seed sets in one batched FJ evolution.
 
@@ -939,20 +970,24 @@ class BatchedDMEngine(ObjectiveEngine):
         A call with more than ``batch_rows`` columns has several blocks,
         which evolve on ``T`` threads (see ``_evolve_blocks``).
         The cap was picked from ``benchmarks/bench_engine_batched.py``
-        runs (500 <= n <= 8000) on a host whose cache sizes were not
-        recorded.  On a 2-core Xeon with 2 MiB L2 per core, the sparse
-        retweet graph at n=4000 costs 0.47 ns per nnz·column-step at 32
-        columns against 0.53-0.58 at 64, while the denser yelp graph is
-        flat between them; the default is unchanged pending a measured
-        sweep.
+        runs (500 <= n <= 8000) and kept after a sweep of the two exact
+        end-to-end selections on a 2-core Xeon with 2 MiB L2 per core
+        (medians over three rounds of seven selections, ms)::
+
+            batch_rows                       16    32    64   128
+            select-sparse-celf (dm-batched) 424   337   303   315
+            select-dense-mp (dm-mp:2:shm)   611   436   419   396
+
+        64 is the fastest for the threaded CELF selection; 128 is about
+        5% faster for the pool, within this host's noise.
     max_batch_bytes:
         Dense memory budget of one call.  It sizes the default
         ``batch_rows``, caps the sparse phase's fill, and caps the thread
-        count ``T`` so that ``2T + 1`` ``(n, batch_rows)`` float64 buffers
-        fit in it (``T`` blocks in flight, two buffers each, and the block
-        being yielded).  ``T`` is otherwise the number of cores this
-        process may run on (its CPU affinity), read when the engine is
-        built; ``dm-mp`` workers and ``net-worker`` hosts run ``T = 1``.
+        count ``T`` so that ``2T`` ``(n, batch_rows)`` float64 buffers fit
+        in it (two per thread, reused by every block the thread evolves
+        and scores).  ``T`` is otherwise the number of cores this process
+        may run on (its CPU affinity), read when the engine is built;
+        ``dm-mp`` workers and ``net-worker`` hosts run ``T = 1``.
     densify_threshold:
         Delta matrices start sparse (a fresh seed only perturbs its t-step
         out-neighborhood) and switch to dense blocks once their fill
@@ -995,7 +1030,7 @@ class BatchedDMEngine(ObjectiveEngine):
         if self.batch_rows < 1:
             raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
         self.densify_threshold = float(densify_threshold)
-        #: Threads that evolve a wide call's dense blocks (see
+        #: Threads that evolve a wide call's column groups (see
         #: ``_evolve_blocks``); pool members set 1.
         self._threads = _usable_cores()
         self._build_wt_scaled()
@@ -1055,10 +1090,22 @@ class BatchedDMEngine(ObjectiveEngine):
         matrix, evolves all columns through the horizon together, and adds
         back the shared unseeded base trajectory.
         """
-        sets = self._normalize_sets(seed_sets)
+        return self._evolved_rows(self._normalize_sets(seed_sets))
+
+    def _evolved_rows(
+        self,
+        sets: list[np.ndarray],
+        *,
+        traj: np.ndarray | None = None,
+        zero_rows: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``(C, n)`` horizon rows of ``sets`` (see :meth:`_evolve_blocks`)."""
         rows = np.empty((len(sets), self.problem.n), dtype=np.float64)
-        for lo, hi, cols in self._evolve_blocks(sets):
+
+        def put(lo: int, hi: int, cols: np.ndarray) -> None:
             rows[lo:hi] = cols.T
+
+        self._evolve_blocks(sets, put, traj=traj, zero_rows=zero_rows)
         return rows
 
     def _chunked_scores(
@@ -1070,62 +1117,80 @@ class BatchedDMEngine(ObjectiveEngine):
     ) -> np.ndarray:
         """Evolve and score block by block, never materializing all rows.
 
-        Peak dense memory is ``2T + 1`` ``(n, batch_rows)`` buffers (``T``
-        in-flight blocks of two buffers each and the block being scored;
-        one block when ``T = 1``), within ``max_batch_bytes`` regardless
-        of how many seed sets are evaluated, and scoring runs in the
-        evolution's native users-by-sets orientation (no transposed
-        traffic).
+        Peak dense memory is ``2T`` ``(n, batch_rows)`` buffers (two per
+        thread, each block scored on the thread that evolved it), within
+        ``max_batch_bytes`` regardless of how many seed sets are
+        evaluated, and scoring runs in the evolution's native
+        users-by-sets orientation (no transposed traffic).
         """
         out = np.empty(len(sets), dtype=np.float64)
-        for lo, hi, cols in self._evolve_blocks(
-            sets, traj=traj, zero_rows=zero_rows
-        ):
+
+        def score(lo: int, hi: int, cols: np.ndarray) -> None:
             out[lo:hi] = self._score_cols(cols)
+
+        self._evolve_blocks(sets, score, traj=traj, zero_rows=zero_rows)
         return out
 
     def _evolve_blocks(
         self,
         sets: list[np.ndarray],
+        consume: Callable[[int, int, np.ndarray], None],
         *,
         traj: np.ndarray | None = None,
         zero_rows: np.ndarray | None = None,
-    ):
-        """Evolve all deltas; yields ``(lo, hi, (n, hi-lo) horizon values)``.
+    ) -> None:
+        """Evolve all deltas; ``consume(lo, hi, (n, hi-lo) horizon values)``.
 
-        Two phases.  While influence has spread to few nodes, *all* seed
-        sets evolve together as one sparse ``(n, C)`` matrix — the sparse
-        phase's fixed per-product cost is paid once, not once per block —
-        and each product is re-pinned without ever being sorted (see
-        :meth:`_repin`).
-        Once the delta fill approaches the densify threshold, columns are
-        sliced into dense ``(n, batch_rows)`` blocks (sized to stay
-        cache-resident) that finish the remaining steps independently.
+        Two phases.  While influence has spread to few nodes, the seed sets
+        evolve as sparse ``(n, C)`` matrices — the sparse phase's fixed
+        per-product cost is paid once per column group, not once per
+        block — and each product is re-pinned without ever being sorted
+        (see :meth:`_repin`).  Once the delta fill approaches the densify
+        threshold, columns are sliced into dense ``(n, batch_rows)`` blocks
+        (sized to stay cache-resident) that finish the remaining steps
+        independently and are handed to ``consume`` one by one.
 
-        Blocks never read each other and ``csr_matvecs`` releases the GIL,
-        so a call with two or more blocks and dense steps left evolves
-        them on ``T`` threads: one per core this process may run on
+        Columns never read each other, and the sparse kernels and
+        ``csr_matvecs`` release the GIL, so a call with two or more blocks
+        runs on ``T`` threads: one per core this process may run on
         (``self._threads``, from its CPU affinity), at most one per block,
-        and few enough that the ``T`` in-flight blocks' two ``(n,
-        batch_rows)`` buffers each, plus the block being yielded, fit
-        ``max_batch_bytes``.  A ``ThreadPoolExecutor`` made for the call
-        keeps ``T`` blocks in flight, submits the next one as each
-        finished block is yielded, and yields them in block order; its
-        threads exit when the call ends (or its consumer raises), so no
-        idle thread is alive at a later ``fork``.  Every
-        allocation happens on the calling thread — both buffers of a block
-        and its column slice; the threads only fill and step them in
-        place (:meth:`_block_steps`).  Letting them allocate a fresh
-        product every step, as ``W @ block`` does, left those arrays in
-        glibc's per-thread malloc arenas: on a 2-core Xeon,
-        ``select-sparse-celf``'s peak RSS rose from 119 to 145 MiB, and
-        back to 122 with ``MALLOC_ARENA_MAX=1``.  Counters are added on
-        the calling thread in block order, and a block's bytes do not
-        depend on the thread that evolved it.  ``T = 1`` — one core, a
-        single-block call (every call of at most ``batch_rows`` columns),
-        or a ``dm-mp`` / ``net-worker`` pool member, whose pool already
-        spreads candidates over the cores — runs the serial block loop
-        through :meth:`_dense_steps`, unchanged.
+        and few enough that their ``2T`` ``(n, batch_rows)`` buffers fit
+        ``max_batch_bytes``.  The columns split into ``T`` contiguous
+        groups of whole blocks; the calling thread works the first and a
+        ``ThreadPoolExecutor`` of ``T - 1`` threads made for the call works
+        the rest, so its threads exit when the call ends (or raises), and
+        no idle thread is alive at a later ``fork``.
+
+        * **Sparse phase, in lockstep.**  Each group steps its own sparse
+          delta — product, :meth:`_repin`, and ``tocsc`` at the switch —
+          and every group finishes a step before the next begins.  The
+          switch to dense steps is decided between steps from the summed
+          ``nnz`` and growth, and every counter is added on the calling
+          thread, once per step; a column's entries, and so every sum,
+          do not depend on the grouping.
+        * **Dense phase and scoring on the evolving thread.**  Each group
+          then evolves its blocks one at a time through
+          :meth:`_block_steps` and calls ``consume`` on the same thread,
+          so ``consume`` must only write the block's own ``[lo, hi)``
+          outputs and copy what it keeps: the block's buffer is reused.
+        * **Allocation.**  The ``2T`` block buffers are allocated once per
+          call, on the calling thread, and reused by every block (a
+          narrow tail block takes a contiguous ``n * width`` view).
+          Letting pool threads allocate every block, as ``W @ block`` does
+          per step, left those arrays in glibc's per-thread malloc arenas:
+          on a 2-core Xeon, ``select-sparse-celf``'s peak RSS rose from
+          119 to 145 MiB, and back to 122 with ``MALLOC_ARENA_MAX=1``.
+          The buffers are allocated only after the sparse phase and the
+          groups' ``tocsc``, whose peak they would otherwise raise.  The
+          groups' own sparse allocations then cost nothing measurable:
+          that selection's wide call peaks at 50 MiB traced and 117-120
+          MiB RSS at ``T = 2``, as at ``T = 1``.
+
+        ``T = 1`` — one core, a single-block call (every call of at most
+        ``batch_rows`` columns) or a ``dm-mp`` / ``net-worker`` pool
+        member, whose pool already spreads candidates over the cores —
+        runs the one group on the calling thread and starts no thread.
+        The answers and every counter are the same for any ``T``.
 
         A narrow call (``C <= 2``) skips the sparse phase and every sparse
         conversion: its delta(0) is written straight into dense blocks
@@ -1156,104 +1221,124 @@ class BatchedDMEngine(ObjectiveEngine):
             if not zero.size:
                 zero = None
         horizon = self.problem.horizon
+        width = self.batch_rows
         sizes = np.array([s.size for s in sets], dtype=np.int64)
         pin_rows = np.concatenate(sets)
         pin_cols = np.repeat(np.arange(c, dtype=np.int64), sizes)
+        blocks = -(-c // width)
+        budget = self.max_batch_bytes // (16 * n * width)  # 2T block buffers
+        threads = max(1, min(self._threads, blocks, budget))
+        groups = [
+            _ColumnGroup(
+                width * (blocks * g // threads),
+                min(c, width * (blocks * (g + 1) // threads)),
+                pin_rows,
+                pin_cols,
+            )
+            for g in range(threads)
+        ]
         # Up to two columns, a sparse product's two passes over W cost at
         # least what the dense product's c passes do (see the docstring).
         narrow = c <= 2
-        next_step = 1
-        if not narrow:
-            # delta(0): seeded coordinates jump to 1, everything else unchanged.
-            delta = sparse.csr_matrix(
-                (1.0 - traj[0][pin_rows], (pin_rows, pin_cols)), shape=(n, c)
-            )
-            pins = _PinLayout(pin_rows, pin_cols, c, int(sizes.max()))
-            # The sparse phase stops once the *next* product is predicted
-            # to cost more than its dense counterpart: a sparse-sparse
-            # product is ~3x denser-per-nonzero than dense, and the fill cap
-            # also bounds sparse-phase memory.  Growth starts at the mean
-            # out-degree (the expansion rate of a fresh delta) and tracks
-            # observed growth.
-            nnz_cap = min(self.densify_threshold * n * c, self.max_batch_bytes / 16)
-            growth = max(1.0, self._wt_scaled.nnz / max(n, 1))
-            next_step = horizon + 1
-            for s in range(1, horizon + 1):
-                if delta.nnz > nnz_cap or delta.nnz * growth > 3 * nnz_cap:
-                    next_step = s  # dense blocks take over from step s
-                    break
-                prev_nnz = delta.nnz
-                self.stats.sparse_steps += 1
-                self.stats.sparse_nnz += delta.nnz
-                delta = self._wt_scaled @ delta
-                if prev_nnz:
-                    growth = delta.nnz / prev_nnz
-                # Re-pin in sparse form: zero whatever propagated into the
-                # seeded coordinates (including the base's committed ones),
-                # then write the pinned values back in.
-                delta = self._repin(delta, pins, 1.0 - traj[s][pin_rows], zero)
-            delta = delta.tocsc()
+        wt = self._wt_scaled
         base = traj[horizon][:, None]
-        steps = range(next_step, horizon + 1)
-        starts = range(0, c, self.batch_rows)
+        stop = threading.Event()
+        pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
 
-        def block_pins(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            in_block = (pin_cols >= lo) & (pin_cols < hi)
-            return pin_rows[in_block], pin_cols[in_block] - lo
+        def each_group(fn: Callable[..., object], *args) -> list:
+            """``fn(g, *args)`` for every group ``g``, the first on this
+            thread; results in group order."""
 
-        # Threads only pay for dense steps, and the in-flight blocks' two
-        # (n, batch_rows) buffers each, plus the one being yielded, must
-        # fit max_batch_bytes.
-        threads = 1
-        if steps:
-            buffers = self.max_batch_bytes // (8 * n * self.batch_rows)
-            threads = min(self._threads, len(starts), (buffers - 1) // 2)
-        if threads > 1:
-            wt = self._wt_scaled
+            def guarded(g: int):
+                try:
+                    return fn(g, *args)
+                except BaseException:
+                    stop.set()  # the other groups stop at their next block
+                    raise
 
-            def submit(pool: ThreadPoolExecutor, lo: int) -> tuple:
-                hi = min(lo + self.batch_rows, c)
-                part = None if narrow else delta[:, lo:hi]
-                future = pool.submit(
-                    self._block_steps,
+            futures = [pool.submit(guarded, g) for g in range(1, threads) if pool]
+            first = guarded(0)
+            return [first, *(f.result() for f in futures)]
+
+        def sparse_step(g: int, s: int) -> tuple[int, int, int]:
+            group = groups[g]
+            group.delta = wt @ group.delta  # drops the previous delta first
+            product_nnz = group.delta.nnz
+            # Re-pin in sparse form: zero whatever propagated into the
+            # seeded coordinates (including the base's committed ones),
+            # then write the pinned values back in.
+            group.delta, inserted = self._repin(
+                group.delta, group.pins, 1.0 - traj[s][group.rows], zero
+            )
+            return product_nnz, group.delta.nnz, inserted
+
+        def to_csc(g: int) -> None:
+            groups[g].delta = groups[g].delta.tocsc()
+
+        def finish(g: int, steps: range, buffers: np.ndarray) -> None:
+            group = groups[g]
+            part, group.delta = group.delta, None
+            one, two = buffers[g]
+            # A block that takes no dense step is scored column-major, the
+            # layout ``part.toarray()`` gives: a layout changes the order
+            # of a column reduction, and so its bytes.
+            order = "F" if part is not None and not steps else "C"
+            for lo in range(group.lo, group.hi, width):
+                if stop.is_set():
+                    return
+                hi = min(lo + width, group.hi)
+                shape = (n, hi - lo)
+                block = one[: n * (hi - lo)].reshape(shape, order=order)
+                block.fill(0.0)
+                block = self._block_steps(
                     wt,
-                    np.zeros((n, hi - lo), dtype=np.float64),
-                    np.empty((n, hi - lo), dtype=np.float64),
-                    part,
+                    block,
+                    two[: n * (hi - lo)].reshape(shape),
+                    None if part is None else part[:, lo - group.lo : hi - group.lo],
                     traj,
                     steps,
-                    block_pins(lo, hi),
+                    group.block_pins(lo, hi),
                     zero,
                     base,
                 )
-                return lo, hi, future
+                consume(lo, hi, block)
 
-            with ThreadPoolExecutor(threads) as pool:
-                inflight = deque(submit(pool, lo) for lo in starts[:threads])
-                waiting = iter(starts[threads:])
-                while inflight:
-                    lo, hi, future = inflight.popleft()
-                    block = future.result()
-                    self.stats.dense_column_steps += (hi - lo) * len(steps)
-                    # The freed thread starts the next block while the
-                    # consumer reads this one.
-                    nxt = next(waiting, None)
-                    if nxt is not None:
-                        inflight.append(submit(pool, nxt))
-                    yield lo, hi, block
-            return
-        for lo in starts:
-            hi = min(lo + self.batch_rows, c)
-            rows_b, cols_b = block_pins(lo, hi)
-            if narrow:
-                block = np.zeros((n, hi - lo), dtype=np.float64)
-                block[rows_b, cols_b] = 1.0 - traj[0][rows_b]
-            else:
-                block = delta[:, lo:hi].toarray()
-            self.stats.dense_column_steps += (hi - lo) * len(steps)
-            block = self._dense_steps(block, traj, steps, (rows_b, cols_b), zero)
-            block += base
-            yield lo, hi, block
+        try:
+            next_step = 1
+            if not narrow:
+                for group in groups:
+                    group.start(traj[0], sizes)
+                # The sparse phase stops once the *next* product is
+                # predicted to cost more than its dense counterpart: a
+                # sparse-sparse product is ~3x denser-per-nonzero than
+                # dense, and the fill cap also bounds sparse-phase memory.
+                # Growth starts at the mean out-degree (the expansion rate
+                # of a fresh delta) and tracks observed growth.
+                nnz_cap = min(self.densify_threshold * n * c, self.max_batch_bytes / 16)
+                growth = max(1.0, wt.nnz / max(n, 1))
+                nnz = sum(group.delta.nnz for group in groups)
+                next_step = horizon + 1
+                for s in range(1, horizon + 1):
+                    if nnz > nnz_cap or nnz * growth > 3 * nnz_cap:
+                        next_step = s  # dense blocks take over from step s
+                        break
+                    self.stats.sparse_steps += 1
+                    self.stats.sparse_nnz += nnz
+                    counts = each_group(sparse_step, s)
+                    if nnz:
+                        growth = sum(k[0] for k in counts) / nnz
+                    nnz = sum(k[1] for k in counts)
+                    self.stats.repin_steps += 1
+                    self.stats.repin_inserted += sum(k[2] for k in counts)
+                each_group(to_csc)
+            steps = range(next_step, horizon + 1)
+            self.stats.dense_column_steps += c * len(steps)
+            # Allocated after the sparse phase, whose peak they would raise.
+            buffers = np.empty((threads, 2, n * min(width, c)), dtype=np.float64)
+            each_group(finish, steps, buffers)
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
     @staticmethod
     def _block_steps(
@@ -1267,37 +1352,34 @@ class BatchedDMEngine(ObjectiveEngine):
         zero: np.ndarray | None,
         base: np.ndarray,
     ) -> np.ndarray:
-        """One dense block's remaining ``steps`` on a pool thread.
+        """One dense block's remaining ``steps``, in two reused buffers.
 
         ``delta`` arrives zeroed and ``scratch`` uninitialized, both
-        ``(n, width)`` C-order buffers the calling thread allocated, and
-        ``part`` is the block's slice of the sparse phase's delta (``None``
-        for a narrow call, whose pins are delta(0)).  Each step is
-        :meth:`_dense_steps`' — product, zero the committed rows, write
-        the pins — with the product written by ``csr_matvecs`` into the
-        freshly zeroed other buffer: the kernel and zeroed output that
-        ``wt @ delta`` uses for two or more columns (its one-column
-        ``csr_matvec`` sums in the same order), so the bytes are the same
-        and no step allocates an ``(n, width)`` array.  Returns the buffer
-        holding ``base + delta(horizon)``.
+        ``(n, width)`` C-order views of buffers the calling thread
+        allocated, and ``part`` is the block's slice of the sparse phase's
+        delta (``None`` for a narrow call, whose pins are delta(0)).  Each
+        step is :meth:`_dense_steps`' — product, zero the committed rows,
+        write the pins — with the product written into the freshly zeroed
+        other buffer by the kernel and zeroed output that ``wt @ delta``
+        uses (``csr_matvecs``, or ``csr_matvec`` for one column), so the
+        bytes are the same and no step allocates an ``(n, width)`` array.
+        Returns the buffer holding ``base + delta(horizon)``.
         """
         if part is None:
             delta[pins] = 1.0 - traj[0][pins[0]]
         else:
             part.toarray(out=delta)
         n, width = delta.shape
+        # One column: csr_matvec, which W @ x uses, skips csr_matvecs'
+        # per-nonzero inner loop of length one.
+        kernel = (
+            partial(_sparsetools.csr_matvec, n, n)
+            if width == 1
+            else partial(_sparsetools.csr_matvecs, n, n, width)
+        )
         for s in steps:
             scratch.fill(0.0)
-            _sparsetools.csr_matvecs(
-                n,
-                n,
-                width,
-                wt.indptr,
-                wt.indices,
-                wt.data,
-                delta.ravel(),
-                scratch.ravel(),
-            )
+            kernel(wt.indptr, wt.indices, wt.data, delta.ravel(), scratch.ravel())
             if zero is not None:
                 scratch[zero] = 0.0
             scratch[pins] = 1.0 - traj[s][pins[0]]
@@ -1332,14 +1414,15 @@ class BatchedDMEngine(ObjectiveEngine):
                 out[s] = traj[s] + delta
         return delta
 
+    @staticmethod
     def _repin(
-        self,
         delta: sparse.csr_matrix,
         pins: _PinLayout,
         pin_values: np.ndarray,
         zero: np.ndarray | None,
-    ) -> sparse.csr_matrix:
-        """Sort-free re-pin of one sparse-phase product.
+    ) -> tuple[sparse.csr_matrix, int]:
+        """Sort-free re-pin of one sparse-phase product; also returns the
+        number of pins inserted (the caller counts them).
 
         Pinned coordinates the product already stores get data-only
         writes; the rest are appended at the end of their rows.  The
@@ -1350,14 +1433,13 @@ class BatchedDMEngine(ObjectiveEngine):
         dropped exact zero — nor does it matter to ``tocsc`` or the dense
         blocks.  The result is therefore never flagged canonical.
         """
-        self.stats.repin_steps += 1
         n, c = delta.shape
         data, indices, indptr = delta.data, delta.indices, delta.indptr
         if zero is not None:
             for r in zero:
                 data[indptr[r] : indptr[r + 1]] = 0.0
         if pins.rows.size == 0:
-            return delta
+            return delta, 0
         entry_rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
         hit, hit_pin = pins.locate(entry_rows, indices)
         data[hit] = pin_values[hit_pin]
@@ -1366,7 +1448,7 @@ class BatchedDMEngine(ObjectiveEngine):
         missing = pins.by_row[~found[pins.by_row]]
         m = missing.size
         if not m:
-            return delta
+            return delta, 0
         # Row order, not pin order: missing pins of rows with only empty
         # rows between them share one insertion point, and must land there
         # in row order to stay inside their own rows.
@@ -1384,8 +1466,7 @@ class BatchedDMEngine(ObjectiveEngine):
         new_indptr[1:] += np.cumsum(np.bincount(miss_rows, minlength=n)).astype(
             indptr.dtype
         )
-        self.stats.repin_inserted += m
-        return sparse.csr_matrix((new_data, new_indices, new_indptr), shape=(n, c))
+        return sparse.csr_matrix((new_data, new_indices, new_indptr), shape=(n, c)), m
 
     # ------------------------------------------------------------------
     # Warm-start primitives (the session's backend)
@@ -1423,12 +1504,7 @@ class BatchedDMEngine(ObjectiveEngine):
         serving batcher.
         """
         sets = self._candidate_sets(candidates)
-        rows = np.empty((len(sets), self.problem.n), dtype=np.float64)
-        for lo, hi, cols in self._evolve_blocks(
-            sets, traj=traj, zero_rows=committed
-        ):
-            rows[lo:hi] = cols.T
-        return rows
+        return self._evolved_rows(sets, traj=traj, zero_rows=committed)
 
     def extend_trajectory(
         self,
@@ -1511,12 +1587,15 @@ class BatchedDMEngine(ObjectiveEngine):
         self.stats.sets_evaluated += len(sets)
         values = np.empty(len(sets), dtype=np.float64)
         win_flags = np.empty(len(sets), dtype=bool) if wins else None
-        for lo, hi, cols in self._evolve_blocks(sets):
+
+        def score(lo: int, hi: int, cols: np.ndarray) -> None:
             for j in range(lo, hi):
                 row = np.ascontiguousarray(cols[:, j - lo])
                 values[j] = self.score_target_row(row)
                 if win_flags is not None:
                     win_flags[j] = self.problem.target_wins_from_row(row)
+
+        self._evolve_blocks(sets, score)
         return values, win_flags
 
 

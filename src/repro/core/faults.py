@@ -23,6 +23,7 @@ same bytes.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from repro.utils.validation import check_index
 
 __all__ = [
     "FAULT_IDS",
@@ -147,20 +150,67 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        payload = json.loads(text)
-        faults = [
-            FaultSpec(
-                fault_id=entry["fault_id"],
-                when=entry.get("when", {}),
-                value=entry.get("value"),
-            )
-            for entry in payload.get("faults", [])
-        ]
-        return cls(seed=payload.get("seed", 0), faults=faults)
+        """Parse and validate a plan; any defect is one ``ValueError``
+        naming the bad field."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON ({exc})") from None
+        if not isinstance(payload, dict):
+            raise ValueError(f"must be a JSON object, got {type(payload).__name__}")
+        unknown = sorted(set(payload) - {"seed", "faults"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; allowed: ['faults', 'seed']")
+        seed = check_index(payload.get("seed", 0), "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        entries = payload.get("faults", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"faults must be a list, got {type(entries).__name__}")
+        return cls(seed=seed, faults=[_spec(i, e) for i, e in enumerate(entries)])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text())
+        """:meth:`from_json` of a file; errors name the file."""
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"fault plan {path}: cannot read it ({exc})") from None
+        try:
+            return cls.from_json(text)
+        except ValueError as exc:
+            raise ValueError(f"fault plan {path}: {exc}") from None
+
+
+def _spec(index: int, entry: Any) -> FaultSpec:
+    """The ``faults[index]`` entry of a decoded plan, validated."""
+    where = f"faults[{index}]"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
+    unknown = sorted(set(entry) - {"fault_id", "when", "value"})
+    if unknown:
+        raise ValueError(
+            f"{where} has unknown keys {unknown}; allowed: fault_id, when, value"
+        )
+    if "fault_id" not in entry:
+        raise ValueError(f"{where} has no fault_id")
+    fault_id = entry["fault_id"]
+    if not isinstance(fault_id, str):
+        raise ValueError(f"{where}.fault_id must be a string, got {fault_id!r}")
+    when = entry.get("when", {})
+    if not isinstance(when, dict):
+        raise ValueError(f"{where}.when must be an object, got {when!r}")
+    value = entry.get("value")
+    if value is not None and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{where}.value must be a finite number, got {value!r}")
+    try:
+        return FaultSpec(fault_id=fault_id, when=when, value=value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 #: The process-wide installed plan; ``None`` keeps fault points no-ops.

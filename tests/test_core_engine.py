@@ -825,9 +825,76 @@ def test_oversubscribed_threads_with_fast_switching_match_single_thread():
     assert threaded.stats == single.stats
 
 
-def test_thread_count_fits_the_batch_budget(monkeypatch):
-    """T threads hold 2T + 1 block buffers: fewer threads (or none) when
-    ``max_batch_bytes`` cannot hold them, never more than the blocks."""
+@pytest.mark.parametrize("densify", [0.1, 10.0], ids=["switch", "horizon"])
+def test_column_groups_answer_alike_for_every_thread_count(densify):
+    """T = 1, 2, 3 and 4 column groups give the same bytes and the same
+    ``EngineStats`` for every wide API, multi-seed sets (the pin-key path)
+    and committed ``zero_rows``; 45 sets and 70 candidates make 6 and 9
+    blocks of 8, which 4 groups do not divide.  With ``densify`` 10 the
+    sparse phase reaches the horizon and no dense step is left."""
+    problem = _sparse_retweet_problem()
+    engines = []
+    for t in (1, 2, 3, 4):
+        engine = BatchedDMEngine(problem, batch_rows=8, densify_threshold=densify)
+        engine._threads = t
+        engines.append(engine)
+    answers = [_wide_answers(engine) for engine in engines]
+    for engine, answer in zip(engines[1:], answers[1:]):
+        assert answer == answers[0]
+        assert engine.stats == engines[0].stats
+    stats = engines[0].stats
+    assert stats.sparse_steps > 0
+    assert stats.repin_steps == stats.sparse_steps  # once per step, not group
+    assert stats.repin_inserted > 0
+    if densify > 1:
+        assert stats.dense_column_steps == 0
+    else:
+        assert stats.dense_column_steps > 0
+
+
+def test_blocks_without_dense_steps_are_scored_column_major():
+    """A wide call whose sparse phase reaches the horizon scores each block
+    in the column-major layout ``toarray`` gives it; with steps left, in
+    the row-major layout of the dense kernel.  The cumulative score's
+    column sums depend on that layout in their last bits."""
+    problem = _sparse_retweet_problem().with_score(CumulativeScore())
+    sets = [(v, (v * 7) % problem.n) for v in range(45)]
+    for densify, layout in ((10.0, np.asfortranarray), (0.1, np.ascontiguousarray)):
+        for t in (1, 3):
+            engine = BatchedDMEngine(problem, batch_rows=8, densify_threshold=densify)
+            engine._threads = t
+            rows = engine.target_opinion_rows(sets)
+            expected = [
+                engine._score_cols(layout(rows[lo : lo + 8].T))
+                for lo in range(0, 45, 8)
+            ]
+            values = engine.evaluate(sets)
+            assert values.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_lockstep_switch_matches_one_group_at_every_threshold():
+    """The switch to dense steps, decided from the groups' summed ``nnz``
+    and growth, lands on the same step as one group's at every densify
+    threshold, including those where the growth prediction decides it."""
+    problem = _sparse_retweet_problem()
+    rng = np.random.default_rng(6)
+    sets = [
+        tuple(rng.choice(problem.n, size=int(rng.integers(1, 4)), replace=False))
+        for _ in range(45)
+    ]
+    engines = _engines_by_threads(problem)
+    # A 0.0025 grid: the growth prediction decides only narrow windows.
+    for densify in np.arange(0.02, 0.5, 0.0025):
+        for engine in engines:
+            engine.densify_threshold = densify
+            engine.stats.reset()
+        rows = [engine.target_opinion_rows(sets).tobytes() for engine in engines]
+        assert rows[1] == rows[0], densify
+        assert engines[1].stats == engines[0].stats, densify
+
+
+def _record_pools(monkeypatch) -> list[int]:
+    """The ``max_workers`` of every thread pool ``_evolve_blocks`` makes."""
     from repro.core import engine as engine_module
 
     made = []
@@ -838,9 +905,51 @@ def test_thread_count_fits_the_batch_budget(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(engine_module, "ThreadPoolExecutor", RecordingPool)
+    return made
+
+
+def test_calls_of_one_block_start_no_thread(monkeypatch):
+    """A call of at most ``batch_rows`` columns (every serve and CELF
+    refresh call) makes no pool and starts no thread, whatever ``T``."""
+    made = _record_pools(monkeypatch)
+    problem = _sparse_retweet_problem()
+    (engine,) = _engines_by_threads(problem, threads=(4,))
+    session = engine.open_session()
+    session.commit(11)
+    traj, committed = session._traj, np.array(session.seeds, dtype=np.int64)
+    baseline = threading.active_count()
+    running = []
+    score = engine._score_cols
+
+    def counting_score(cols):
+        running.append(threading.active_count())
+        return score(cols)
+
+    engine._score_cols = counting_score
+    for width in (1, 2, 8):
+        sets = [(v, v + 1) for v in range(width)]
+        candidates = np.arange(20, 20 + width)
+        engine.evaluate(sets)
+        engine.query_sets(sets, wins=True)
+        engine.target_opinion_rows(sets)
+        engine.extension_values(traj, committed, candidates)
+        engine.extension_rows(traj, committed, candidates)
+        session.marginal_gains(candidates)
+    assert made == []
+    assert set(running) == {baseline}
+    engine.evaluate([(v,) for v in range(9)])  # two blocks: a pool of one
+    assert made == [1]
+    assert threading.active_count() == baseline
+
+
+def test_thread_count_fits_the_batch_budget(monkeypatch):
+    """T threads hold 2T block buffers: fewer threads (or none) when
+    ``max_batch_bytes`` cannot hold them, never more than the blocks.  The
+    calling thread works one column group, so the pool has T - 1."""
+    made = _record_pools(monkeypatch)
     problem = _dense_random_problem()
     block_bytes = 8 * problem.n * 8
-    cases = ((4, 40, []), (5, 40, [2]), (9, 40, [4]), (99, 24, [3]))
+    cases = ((3, 40, []), (4, 40, [1]), (9, 40, [3]), (99, 24, [2]))
     for buffers, sets, pools in cases:
         engine = BatchedDMEngine(
             problem, batch_rows=8, max_batch_bytes=buffers * block_bytes
@@ -876,7 +985,8 @@ def test_block_step_kernel_matches_sparse_matmul_bitwise(width):
 
 
 def test_consumer_error_mid_call_stops_the_block_threads():
-    """A consumer that raises between blocks leaves no pool thread alive."""
+    """A consumer that raises between blocks, or a group whose sparse step
+    raises on a pool thread, leaves no pool thread alive."""
     problem = _dense_random_problem()
     (engine,) = _engines_by_threads(problem, threads=(2,))
     baseline = threading.active_count()
@@ -892,6 +1002,22 @@ def test_consumer_error_mid_call_stops_the_block_threads():
     with pytest.raises(RuntimeError, match="consumer failed"):
         engine.evaluate([(v,) for v in range(40)])
     assert max(seen) > baseline  # the blocks really ran on the pool
+    assert threading.active_count() == baseline
+
+    (engine,) = _engines_by_threads(_sparse_retweet_problem(), threads=(2,))
+    repin = engine._repin
+    callers = []
+
+    def failing_repin(*args):
+        callers.append(threading.current_thread())
+        if callers[-1] is not threading.main_thread():
+            raise RuntimeError("sparse step failed")
+        return repin(*args)
+
+    engine._repin = failing_repin
+    with pytest.raises(RuntimeError, match="sparse step failed"):
+        engine.evaluate([(v,) for v in range(40)])
+    assert threading.main_thread() in callers  # the first group is this thread's
     assert threading.active_count() == baseline
 
 

@@ -91,6 +91,65 @@ def test_fault_plan_json_round_trip(tmp_path):
     assert payload["faults"][0]["value"] == 0.25
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("{not json", "not valid JSON"),
+        ("[1]", "must be a JSON object"),
+        ('{"faults": 3}', "faults must be a list"),
+        ('{"faults": [{"when": {}}]}', "faults[0] has no fault_id"),
+        ('{"seed": "x"}', "seed must be an integer"),
+        ('{"faults": [{"fault_id": "nope"}]}', "faults[0]: unknown fault id"),
+        (None, "cannot read it"),
+        ('{"faults": [{"fault_id": "serve-drop", "when": 5}]}', "faults[0].when"),
+        ('{"seed": 2.5}', "seed must be an integer"),
+        ('{"seed": true}', "seed must be an integer"),
+        ('{"seed": -1}', "seed must be non-negative"),
+        ('{"fault": []}', "unknown keys"),
+        ('{"faults": [7]}', "faults[0] must be an object"),
+        ('{"faults": [{"fault_id": 3}]}', "faults[0].fault_id"),
+        ('{"faults": [{"fault_id": "serve-delay", "value": "1"}]}', "value"),
+        ('{"faults": [{"fault_id": "serve-drop", "when": {"x": 1}}]}', "context"),
+    ],
+)
+def test_malformed_fault_plan_is_one_value_error_naming_file_and_field(
+    tmp_path, text, field
+):
+    """Every malformed plan file is refused with one ``ValueError`` that
+    names the file and the bad field: no other exception type, and no
+    silent truncation of a float or boolean seed."""
+    path = tmp_path / "plan.json"
+    if text is not None:  # None: the file does not exist
+        path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        FaultPlan.from_file(path)
+    message = str(info.value)
+    assert message.startswith(f"fault plan {path}: ")
+    assert field in message
+    assert "\n" not in message
+
+
+def test_cli_malformed_fault_plan_exits_with_one_line(tmp_path):
+    """``repro select --fault-plan`` on a malformed plan exits non-zero
+    with the plan error on one line, never a traceback."""
+    path = tmp_path / "plan.json"
+    path.write_text('{"faults": [{"when": {"worker": 1}}]}')
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "select",
+            "--dataset", "yelp", "--users", "60", "--horizon", "4",
+            "--method", "dm", "-k", "2", "--seed", "1",
+            "--fault-plan", str(path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )  # fmt: skip
+    assert result.returncode != 0
+    assert "Traceback" not in result.stdout + result.stderr
+    assert result.stderr.strip() == f"fault plan {path}: faults[0] has no fault_id"
+
+
 def test_fault_plan_rng_and_corruption_are_deterministic(tmp_path):
     a = FaultPlan(seed=7).rng(1, 2, 3).integers(0, 1 << 30, size=4)
     b = FaultPlan(seed=7).rng(1, 2, 3).integers(0, 1 << 30, size=4)
