@@ -1,8 +1,9 @@
 """Incremental re-solve benchmark: delta-aware invalidation vs from-scratch.
 
 One warm serving stack — problem caches, a committed
-:class:`~repro.core.engine.BatchedDMSession`, two live ``dm-mp`` pools
-(pipe + shm) and a persisted rw-store — absorbs ~1% edge churn on the
+:class:`~repro.core.engine.BatchedDMSession`, a live ``dm-mp:tcp``
+:class:`~repro.core.engine_mp.HostPool` over two loopback ``net-worker``
+hosts and a persisted rw-store — absorbs ~1% edge churn on the
 target graph (mixed weight updates, edge insertions and removals, plus an
 opinion flip) through ``FJVoteProblem.apply_delta`` and the per-layer
 ``apply_delta`` forwards.  The from-scratch reference rebuilds every layer
@@ -19,11 +20,11 @@ Acceptance (the issue's floors, asserted here):
   individually inside their blocks), so blocks-regenerated drops >= 5x
   versus the cold store.  The per-walk ratio (walks generated from
   scratch / walks patched) must also clear 5x.
-* The pipe-transport delta broadcast ships >= 5x fewer bytes than the
-  initial full problem ship (only the churned columns travel).
+* The tcp delta broadcast ships >= 5x fewer bytes than the initial full
+  problem ship (only the churned columns and opinion values travel).
 * Post-delta selections are byte-identical to the from-scratch reference
-  on every engine: ``dm``, ``dm-mp:pipe``, ``dm-mp:shm`` (exact engines
-  agree with each other), and ``rw-store:mmap`` (patched blocks are
+  on every engine: ``dm-batched`` and ``dm-mp:tcp`` (exact engines agree
+  with each other), and ``rw-store:mmap`` (patched blocks are
   bitwise equal to cold-regenerated ones, so the stochastic greedy
   reproduces exactly).
 * The pre-delta committed session survives via the sparse trajectory
@@ -39,9 +40,9 @@ import pickle
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once
+from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once, start_net_worker
 from repro.core.engine import BatchedDMEngine, make_engine
-from repro.core.engine_mp import MultiprocessDMEngine
+from repro.core.engine_mp import HostPool
 from repro.core.greedy import greedy_engine
 from repro.core.problem import FJVoteProblem
 from repro.core.walk_store import WalkStore
@@ -55,7 +56,7 @@ N = 160 if TINY else 2000
 HORIZON = 8 if TINY else 20
 R = 6
 K = 2 if TINY else 3
-WORKERS = 2
+HOSTS = 2
 WALKS_PER_NODE = 8
 #: Fraction of the target graph's columns churned by the delta.
 CHURN_FRACTION = 0.01
@@ -143,20 +144,14 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
     _store_greedy(problem, store)
     assert store.stats.blocks_generated > 0
 
-    mp_pipe = MultiprocessDMEngine(
-        problem, workers=WORKERS, min_fanout=1, transport="pipe"
-    )
-    mp_shm = MultiprocessDMEngine(
-        problem, workers=WORKERS, min_fanout=1, transport="shm"
-    )
+    started = [start_net_worker() for _ in range(HOSTS)]
+    host_pool = HostPool(problem, hosts=[a for a, _ in started], min_fanout=1)
     try:
-        mp_pipe.ping()  # pool start + the full problem ship
-        mp_shm.ping()
-        # A cold pipe pool ships the whole pickled problem to every worker
-        # inside the spawn args (it never crosses the message pipe, so
-        # ipc_bytes cannot see it); size it the same way the spawn does.
+        host_pool.ping()  # connect + the full problem ship
+        # Each handshake ships the whole pickled problem to its host: the
+        # cost a re-ship after every delta would pay.
         full_ship_bytes = float(
-            WORKERS * len(pickle.dumps(problem, pickle.HIGHEST_PROTOCOL))
+            HOSTS * len(pickle.dumps(problem, pickle.HIGHEST_PROTOCOL))
         )
 
         # --- the delta: problem surgery, then per-layer forwards -------
@@ -173,10 +168,9 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
             problem.target_trajectory()  # the one dirty trajectory
             delta_steps = float(problem.evolution_steps - evolution_before)
             dm_engine.apply_delta(report)
-            pipe_before = mp_pipe.stats.ipc_bytes
-            mp_pipe.apply_delta(report)
-            delta_ship_bytes = float(mp_pipe.stats.ipc_bytes - pipe_before)
-            mp_shm.apply_delta(report)
+            ipc_before = host_pool.stats.ipc_bytes
+            host_pool.apply_delta(report)
+            delta_ship_bytes = float(host_pool.stats.ipc_bytes - ipc_before)
             store.apply_delta(report)
         delta_blocks = float(store.stats.blocks_generated - blocks_before)
         trajectories_patched = float(
@@ -185,13 +179,14 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
 
         # --- post-delta selections on the warm stack -------------------
         delta_dm = greedy_engine(dm_engine, K, lazy=False)
-        delta_pipe = greedy_engine(mp_pipe, K, lazy=False)
-        delta_shm = greedy_engine(mp_shm, K, lazy=False)
+        delta_tcp = greedy_engine(host_pool, K, lazy=False)
+        assert host_pool.stats.hosts_lost == 0
         delta_store = _store_greedy(problem, store)
         delta_blocks = float(store.stats.blocks_generated - blocks_before)
     finally:
-        mp_pipe.close()
-        mp_shm.close()
+        host_pool.close()
+    for _, thread in started:
+        thread.join(30)
 
     # --- the from-scratch reference over the same post-delta state -----
     with Timer() as scratch_timer:
@@ -213,12 +208,8 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
 
     # Byte-identical selections: every engine's delta path must reproduce
     # its from-scratch run exactly (the exact engines also agree with
-    # each other, so one reference covers dm and both dm-mp transports).
-    for name, result in (
-        ("dm", delta_dm),
-        ("dm-mp:pipe", delta_pipe),
-        ("dm-mp:shm", delta_shm),
-    ):
+    # each other, so one reference covers dm-batched and dm-mp:tcp).
+    for name, result in (("dm-batched", delta_dm), ("dm-mp:tcp", delta_tcp)):
         assert result.seeds.tolist() == scratch_dm.seeds.tolist(), (
             f"{name} delta-path seeds diverged from the from-scratch run"
         )
@@ -335,7 +326,7 @@ def test_delta_vs_from_scratch(benchmark, tmp_path, save_result, save_bench_json
         ("evolution_reduction_x", "evolution work"),
         ("block_reduction_x", "walk blocks regenerated"),
         ("walk_reduction_x", "walks regenerated"),
-        ("ship_reduction_x", "dm-mp pipe bytes shipped"),
+        ("ship_reduction_x", "dm-mp tcp bytes shipped"),
     )
     for key, label in floors:
         assert rows[key] >= MIN_DELTA_REDUCTION, (

@@ -3,12 +3,12 @@
 Part 1 — dm-mp:tcp fan-out.  One exhaustive greedy round (all ``n``
 single-seed extensions, plurality score) through
 :class:`~repro.core.engine.BatchedDMEngine` and through a
-:class:`~repro.core.engine_net.HostPool` sharding over two loopback
+:class:`~repro.core.engine_mp.HostPool` sharding over two loopback
 ``net-worker`` hosts.  Gains must match the in-process engine **exactly**
 (byte-identical, the transport moves final float64 bytes); the scaling
 metric is deterministic, not a timer: the critical path of the fanned-out
-dense phase is the largest per-host ``dense_column_steps`` share, exactly
-as ``bench_engine_mp.py`` measures the process pool.  On a single machine
+dense phase is the largest per-host ``dense_column_steps`` share.  On a
+single machine
 the TCP loopback cannot beat in-process evaluation on wall-clock — the
 counters are the cross-machine ceiling.
 
@@ -24,13 +24,10 @@ Set ``REPRO_BENCH_TINY=1`` for the CI smoke variant (tiny size, parity +
 degradation assertions, counters gated via ``BENCH_net.tiny.json``).
 """
 
-import threading
-
 import numpy as np
 
-from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once
+from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once, start_net_worker
 from repro.core.engine import BatchedDMEngine, EngineSpec
-from repro.core.engine_net import run_net_worker
 from repro.datasets.twitter import twitter_social_distancing
 from repro.eval.reporting import format_series
 from repro.utils.timing import Timer
@@ -40,25 +37,6 @@ TINY = BENCH_TINY
 NET_SIZE = 200 if TINY else 800
 HORIZON = 20
 HOSTS = 2
-
-
-def _start_worker():
-    """One loopback net worker serving a single coordinator."""
-    ready = threading.Event()
-    address: list[str] = []
-
-    def on_ready(host, port):
-        address.append(f"{host}:{port}")
-        ready.set()
-
-    thread = threading.Thread(
-        target=run_net_worker,
-        kwargs=dict(port=0, connections=1, on_ready=on_ready),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(30), "net worker never became ready"
-    return address[0], thread
 
 
 def _net_problem(n: int):
@@ -77,9 +55,9 @@ def _net_round(n: int) -> dict[str, float]:
         reference = batched.marginal_gains((), candidates)
     total_dense = batched.stats.dense_column_steps
 
-    started = [_start_worker() for _ in range(HOSTS)]
+    started = [start_net_worker() for _ in range(HOSTS)]
     hosts = tuple(addr for addr, _ in started)
-    spec = EngineSpec(name="dm-mp", transport="tcp", hosts=hosts)
+    spec = EngineSpec(name="dm-mp", hosts=hosts)
     with spec.build(problem, min_fanout=1) as engine:
         engine.ping()  # connect + handshake outside the timed region
         with Timer() as timer:
@@ -91,9 +69,9 @@ def _net_round(n: int) -> dict[str, float]:
         thread.join(30)
 
     # Degradation: same fan-out, one host killed after the first round.
-    started = [_start_worker() for _ in range(HOSTS)]
+    started = [start_net_worker() for _ in range(HOSTS)]
     spec = EngineSpec(
-        name="dm-mp", transport="tcp", hosts=tuple(a for a, _ in started)
+        name="dm-mp", hosts=tuple(a for a, _ in started)
     )
     sets = [np.array([i]) for i in candidates]
     with spec.build(problem, min_fanout=1) as engine:

@@ -1,8 +1,8 @@
 """Resilience benchmark: one fixed chaos schedule, identical answers.
 
 One deterministic :class:`~repro.core.faults.FaultPlan` per layer — a
-worker SIGKILLed mid-selection (``dm-mp`` over pipe *and* shm), a tcp
-host severed mid-round (re-shard + backoff rejoin), a walk-store block
+``dm-mp`` tcp host severed mid-round (re-shard + backoff rejoin), a
+walk-store block
 corrupted on its first load (quarantine + in-place repair), and a burst
 of serve admissions against a bounded queue with a planned drop — runs
 the production recovery paths end to end.  The headline assertion is the
@@ -11,12 +11,11 @@ fault-free reference exactly (``dm`` for the exact engines, the same
 store fault-free for ``rw-store:mmap``).
 
 The gated metrics are the recovery counters themselves: the schedule is
-fixed, so ``workers_lost``/``workers_respawned``, ``hosts_lost``/
-``hosts_rejoined``/``chunks_resharded``, ``blocks_quarantined``/
-``blocks_repaired`` and ``requests_shed`` are exact constants on every
-host.  Drift in any of them is a real change to the recovery paths —
-spurious losses, a respawn or repair that stopped happening, shedding
-that over- or under-fires — not noise.
+fixed, so ``hosts_lost``/``hosts_rejoined``/``chunks_resharded``,
+``blocks_quarantined``/``blocks_repaired`` and ``requests_shed`` are
+exact constants on every host.  Drift in any of them is a real change to
+the recovery paths — spurious losses, a rejoin or repair that stopped
+happening, shedding that over- or under-fires — not noise.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_resilience.py``.
 Set ``REPRO_BENCH_TINY=1`` for the CI chaos smoke variant (tiny sizes,
@@ -24,14 +23,12 @@ same assertions, counters gated via ``BENCH_resilience.tiny.json``).
 """
 
 import asyncio
-import threading
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once
+from benchmarks.conftest import BENCH_SEED, BENCH_TINY, run_once, start_net_worker
 from repro.core import faults
 from repro.core.engine import BatchedDMEngine, make_engine
-from repro.core.engine_net import run_net_worker
 from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.greedy import greedy_engine
 from repro.datasets.yelp import yelp_like
@@ -45,9 +42,9 @@ TINY = BENCH_TINY
 N = 120 if TINY else 400
 HORIZON = 6
 K = 3
-WORKERS = 2
+#: Walk-store shard count: an accepted spelling of ``rw-store``.
+SHARDS = 2
 #: The fixed chaos schedule: one planned failure per layer.
-KILL = FaultSpec("mp-kill-worker", when={"worker": 1, "round": 2})
 # Round 2 is the second marginal-gains fan-out (round 1 is the first
 # commit broadcast), so the severed host dies holding a chunk and the
 # re-shard path runs, not just the loss bookkeeping.
@@ -62,24 +59,6 @@ BURST = 5
 def _build_problem():
     dataset = yelp_like(n=N, r=3, rng=BENCH_SEED, horizon=HORIZON)
     return dataset.problem(CumulativeScore())
-
-
-def _start_worker(connections):
-    ready = threading.Event()
-    address: list[str] = []
-
-    def on_ready(host, port):
-        address.append(f"{host}:{port}")
-        ready.set()
-
-    thread = threading.Thread(
-        target=run_net_worker,
-        kwargs=dict(port=0, connections=connections, on_ready=on_ready),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(30), "net worker never became ready"
-    return address[0], thread
 
 
 def _serve_burst() -> dict[str, int]:
@@ -121,32 +100,11 @@ def _chaos_round() -> dict[str, float]:
     expected = reference.seeds.tolist()
     counters: dict[str, float] = {"selection_mismatches": 0}
 
-    # dm-mp pipe + shm: planned SIGKILL mid-selection, byte-identical.
-    for transport in ("pipe", "shm"):
-        plan = FaultPlan(seed=BENCH_SEED, faults=[KILL])
-        with faults.injected(plan):
-            with make_engine(
-                f"dm-mp:{WORKERS}:{transport}" if transport != "pipe"
-                else f"dm-mp:{WORKERS}",
-                problem,
-                min_fanout=1,
-            ) as engine:
-                result = greedy_engine(engine, K, lazy=False)
-                counters[f"workers_lost_{transport}"] = int(
-                    engine.stats.workers_lost
-                )
-                counters[f"workers_respawned_{transport}"] = int(
-                    engine.stats.workers_respawned
-                )
-        assert plan.fired, f"{transport}: the planned kill never fired"
-        if result.seeds.tolist() != expected:
-            counters["selection_mismatches"] += 1
-
     # dm-mp tcp: planned sever, re-shard to the survivor, backoff rejoin.
     import time
 
-    addr_a, thread_a = _start_worker(connections=2)
-    addr_b, thread_b = _start_worker(connections=1)
+    addr_a, thread_a = start_net_worker(connections=2)
+    addr_b, thread_b = start_net_worker(connections=1)
     plan = FaultPlan(seed=BENCH_SEED, faults=[SEVER])
     engine = make_engine(f"dm-mp:tcp={addr_a},{addr_b}", problem, min_fanout=1)
     try:
@@ -175,7 +133,7 @@ def _chaos_round() -> dict[str, float]:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        spec = f"rw-store:{WORKERS}:mmap={tmp}/store"
+        spec = f"rw-store:{SHARDS}:mmap={tmp}/store"
         with make_engine(spec, problem, rng=11) as engine:
             store_expected = greedy_engine(engine, K).seeds.tolist()
         plan = FaultPlan(seed=BENCH_SEED, faults=[CORRUPT])
@@ -198,11 +156,8 @@ def _chaos_round() -> dict[str, float]:
 
 def test_resilience_chaos_schedule(benchmark, save_result, save_bench_json):
     row = run_once(benchmark, _chaos_round)
-    # The whole point: four faulted selections, zero divergence.
+    # The whole point: two faulted selections, zero divergence.
     assert row["selection_mismatches"] == 0
-    assert row["workers_lost_pipe"] == 1 and row["workers_lost_shm"] == 1
-    assert row["workers_respawned_pipe"] == 1
-    assert row["workers_respawned_shm"] == 1
     assert row["hosts_lost"] == 1 and row["hosts_rejoined"] == 1
     assert row["chunks_resharded"] >= 1
     assert row["blocks_quarantined"] == 1 and row["blocks_repaired"] == 1
@@ -213,12 +168,6 @@ def test_resilience_chaos_schedule(benchmark, save_result, save_bench_json):
     assert row["answered"] == QUEUE_CAP
 
     series = {
-        "workers lost (pipe+shm)": [
-            row["workers_lost_pipe"] + row["workers_lost_shm"]
-        ],
-        "workers respawned": [
-            row["workers_respawned_pipe"] + row["workers_respawned_shm"]
-        ],
         "hosts lost / rejoined": [
             f"{row['hosts_lost']} / {row['hosts_rejoined']}"
         ],
@@ -236,19 +185,6 @@ def test_resilience_chaos_schedule(benchmark, save_result, save_bench_json):
             "selection_mismatches": {
                 "value": float(row["selection_mismatches"]),
                 "higher_is_better": False,
-            },
-            "workers_lost_total": {
-                "value": float(
-                    row["workers_lost_pipe"] + row["workers_lost_shm"]
-                ),
-                "higher_is_better": False,
-            },
-            "workers_respawned_total": {
-                "value": float(
-                    row["workers_respawned_pipe"]
-                    + row["workers_respawned_shm"]
-                ),
-                "higher_is_better": True,
             },
             "hosts_rejoined": {
                 "value": float(row["hosts_rejoined"]),

@@ -6,9 +6,8 @@ committed prefix (overlapping candidate lists) plus win/value probes —
 is executed twice through :class:`~repro.serve.batcher.CoalescingBatcher`
 on fresh hubs: serially (one request per batch, the no-coalescing
 reference) and as one coalesced batch.  Responses must be **byte
-identical** (the encoded protocol lines), across the per-set ``dm``
-backend, the vectorized ``dm-batched``, and ``dm-mp`` over both
-transports.  The gated metrics are the deterministic counters:
+identical** (the encoded protocol lines), on the per-set ``dm`` backend
+and the vectorized ``dm-batched``.  The gated metrics are the deterministic counters:
 ``round_reduction_x`` (serial engine rounds / coalesced engine rounds —
 the acceptance floor is >= 2x with 8 clients), ``requests_per_round``,
 and ``evolution_sets_saved`` (candidate-union sharing).
@@ -20,14 +19,14 @@ warm: the second start must regenerate **zero** walk blocks
 (``warm_blocks_reused``).
 
 Part 3 — socket latency, honest and unasserted.  The real CLI server
-(``repro serve``) at 1/2(/4) ``dm-mp`` workers, driven by the load
-generator over 8 pipelined connections vs 1 serial connection;
-p50/p99 latency and QPS go to ``benchmarks/results/`` for trend reading
-(wall-clock on a shared CI runner is noise, so nothing is asserted).
+(``repro serve`` on ``dm-batched``), driven by the load generator over 8
+pipelined connections vs 1 serial connection; p50/p99 latency and QPS go
+to ``benchmarks/results/`` for trend reading (wall-clock on a shared CI
+runner is noise, so nothing is asserted).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_serving.py``.
 Set ``REPRO_BENCH_TINY=1`` for the CI smoke variant (smaller problem,
-fewer worker counts, same assertions and gated counters).
+fewer bursts, same assertions and gated counters).
 """
 
 from __future__ import annotations
@@ -51,13 +50,11 @@ HORIZON = 6 if TINY else 10
 CLIENTS = 8
 #: Byte-identity is asserted on every backend; the gated counters come
 #: from ``dm-batched`` (identical on all of them by construction).
-SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
+SPECS = ("dm", "dm-batched")
 MIN_ROUND_REDUCTION = 2.0
-SOCKET_WORKERS = [1, 2] if TINY else [1, 2, 4]
 SOCKET_REQUESTS = 32 if TINY else 128
-#: Bursts per (worker count, mode) row: one burst lasts tens of
-#: milliseconds, so a row reports the median burst and the QPS spread,
-#: and the file says whether every burst ranked the worker counts alike.
+#: Bursts per mode row: one burst lasts tens of milliseconds, so a row
+#: reports the median burst and the QPS spread.
 SOCKET_BURSTS = 2 if TINY else 5
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -217,12 +214,12 @@ def test_warm_store_serving_start(tmp_path, save_result, save_bench_json):
     )
 
 
-def _spawn_server(workers: int):
+def _spawn_server():
     argv = [
         sys.executable, "-m", "repro", "serve",
         "--dataset", "yelp", "--users", str(N_USERS),
         "--horizon", str(HORIZON), "--score", "cumulative",
-        "--engine", f"dm-mp:{workers}:shm", "--seed", str(BENCH_SEED),
+        "--engine", "dm-batched", "--seed", str(BENCH_SEED),
     ]
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
@@ -241,9 +238,8 @@ def _spawn_server(workers: int):
 
 
 def test_socket_latency(save_result):
-    """Unasserted wall-clock: p50/p99/QPS at each worker count, 8
-    pipelined connections (coalescible) vs 1 serial connection, over
-    ``SOCKET_BURSTS`` bursts each."""
+    """Unasserted wall-clock: p50/p99/QPS over 8 pipelined connections
+    (coalescible) vs 1 serial connection, ``SOCKET_BURSTS`` bursts each."""
     from repro.serve.client import run_load
 
     payloads = []
@@ -258,53 +254,37 @@ def test_socket_latency(save_result):
                 {"op": "marginal_gain", "seeds": [3],
                  "candidates": [(5 * i) % N_USERS]}
             )
-    modes = ((1, "serial"), (CLIENTS, "coalesced"))
-    qps: dict[tuple[str, int], list[float]] = {}
     rows = []
-    for workers in SOCKET_WORKERS:
-        proc, port = _spawn_server(workers)
-        try:
-            for connections, label in modes:
-                reports = []
-                for _ in range(SOCKET_BURSTS):
-                    report = run_load(
-                        "127.0.0.1", port, payloads, connections=connections
-                    )
-                    assert all(r["ok"] for r in report.responses)
-                    reports.append(report)
-                qps[label, workers] = [r.qps for r in reports]
-                median = sorted(reports, key=lambda r: r.qps)[len(reports) // 2]
-                rows.append(
-                    f"workers={workers} {label:>9}: "
-                    f"qps={median.qps:8.1f} "
-                    f"p50={median.latency_percentile(50) * 1e3:7.2f}ms "
-                    f"p99={median.latency_percentile(99) * 1e3:7.2f}ms "
-                    f"(qps {min(qps[label, workers]):.0f}-"
-                    f"{max(qps[label, workers]):.0f})"
+    proc, port = _spawn_server()
+    try:
+        for connections, label in ((1, "serial"), (CLIENTS, "coalesced")):
+            reports = []
+            for _ in range(SOCKET_BURSTS):
+                report = run_load(
+                    "127.0.0.1", port, payloads, connections=connections
                 )
-        finally:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.communicate(timeout=60)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate(timeout=30)
-    for _, label in modes:
-        orders = {
-            tuple(sorted(SOCKET_WORKERS, key=lambda w: -qps[label, w][burst]))
-            for burst in range(SOCKET_BURSTS)
-        }
-        verdict = (
-            "every burst ranks the worker counts alike"
-            if len(orders) == 1
-            else f"bursts disagree ({len(orders)} orders): these rows do "
-            "not rank the worker counts"
-        )
-        rows.append(f"{label}: {verdict}")
+                assert all(r["ok"] for r in report.responses)
+                reports.append(report)
+            qps = sorted(r.qps for r in reports)
+            median = sorted(reports, key=lambda r: r.qps)[len(reports) // 2]
+            rows.append(
+                f"{label:>9}: "
+                f"qps={median.qps:8.1f} "
+                f"p50={median.latency_percentile(50) * 1e3:7.2f}ms "
+                f"p99={median.latency_percentile(99) * 1e3:7.2f}ms "
+                f"(qps {qps[0]:.0f}-{qps[-1]:.0f})"
+            )
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate(timeout=30)
     threads = " ".join(f"{k}={os.environ.get(k, 'unset')}" for k in THREAD_ENV)
     save_result(
         "serving_latency",
-        f"{SOCKET_REQUESTS} requests over dm-mp:<W>:shm "
+        f"{SOCKET_REQUESTS} requests over dm-batched "
         f"(n={N_USERS}, t={HORIZON}; wall-clock, not gated)\n"
         f"host: nproc={os.cpu_count()} {threads}; each row is the median "
         f"of {SOCKET_BURSTS} bursts (qps range in brackets):\n"

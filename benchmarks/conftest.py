@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,25 @@ def save_bench_json():
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def start_net_worker(connections: int = 1) -> tuple[str, threading.Thread]:
+    """One loopback ``net-worker`` host in a thread serving ``connections``
+    coordinators; returns its ``host:port`` and the thread."""
+    from repro.core.engine_net import run_net_worker
+
+    ready = threading.Event()
+    address: list[str] = []
+
+    def on_ready(host, port):
+        address.append(f"{host}:{port}")
+        ready.set()
+
+    thread = threading.Thread(
+        target=run_net_worker,
+        kwargs=dict(port=0, connections=connections, on_ready=on_ready),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(30), "net worker never became ready"
+    return address[0], thread

@@ -31,7 +31,7 @@ from repro.core.engine import (
     WalkEngine,
     make_engine,
 )
-from repro.core.engine_mp import MultiprocessDMEngine
+from repro.core.engine_mp import HostPool
 from repro.core.greedy import GreedyResult, greedy_dm, greedy_engine, greedy_select
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import TruncatedWalks, random_walk_select
@@ -65,8 +65,8 @@ __all__ = [
     "EngineStats",
     "FJVoteProblem",
     "GreedyResult",
+    "HostPool",
     "InfluenceGraph",
-    "MultiprocessDMEngine",
     "ObjectiveEngine",
     "SelectionSession",
     "WalkEngine",

@@ -1,11 +1,11 @@
 """reprolint: AST-based static analysis of this repo's own invariants.
 
 The headline guarantees — byte-identical selections across every exact
-backend, deterministic serving responses, zero leaked shm segments after
-SIGKILL — rest on hand-maintained source invariants (seeded RNG only,
-``__getstate__`` cache-dropping, paired shm teardown, sorted-key wire
-JSON, complete worker-op dispatch, protocol-compatible engine
-overrides).  This package machine-checks them: ``repro lint`` runs the
+backend, deterministic serving responses, no leaked workers or segments
+after a crash — rest on hand-maintained source invariants (seeded RNG
+only, ``__getstate__`` cache-dropping, paired resource teardown,
+sorted-key wire JSON, complete worker-op dispatch, protocol-compatible
+engine overrides).  This package machine-checks them: ``repro lint`` runs the
 checkers in :mod:`repro.analysis.checkers` over ``src/repro`` and fails
 on any non-baselined finding.  See the README "Static analysis" section
 for what each checker enforces and how to suppress a finding.

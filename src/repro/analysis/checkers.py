@@ -472,7 +472,7 @@ class EngineProtocolChecker(Checker):
 class MpOpParityChecker(Checker):
     """Worker-loop op dispatch exactly covers the ops the parent sends.
 
-    The dm-mp worker pool frames its own messages: the first tuple
+    The dm-mp host protocol frames its own messages: the first tuple
     element is the op string.  An op the parent sends but the
     worker loop never matches dead-locks or hits the fallback raise at
     run time; a dispatch branch for an op nobody sends is dead code that
@@ -598,12 +598,12 @@ class MpOpParityChecker(Checker):
 class ResourceLifecycleChecker(Checker):
     """Shared-memory and worker-pool allocations are paired with teardown.
 
-    Every ``SharedMemory(create=True)`` segment, ``ShmArena`` and worker
-    ``Process`` must have a release path in its owning scope: a
+    Every ``SharedMemory(create=True)`` segment and worker ``Process``
+    must have a release path in its owning scope: a
     ``weakref.finalize`` guard, a ``finally`` that closes/unlinks, a
     ``with`` block, or routing through ``stop_worker_pool`` — otherwise a
-    crash (or just an exception on the happy path) leaks segments the
-    zero-leak SIGKILL suite guards against.  A ``ThreadPoolExecutor``
+    crash (or just an exception on the happy path) leaks segments or
+    processes.  A ``ThreadPoolExecutor``
     must be a ``with`` block's context manager or have a ``finally`` in
     its owning scope that calls ``shutdown``: its threads would otherwise
     outlive an exception (and be alive at a later ``fork``).
@@ -656,8 +656,6 @@ class ResourceLifecycleChecker(Checker):
             if isinstance(create, ast.Constant) and create.value is True:
                 return "SharedMemory segment"
             return None
-        if name == "ShmArena":
-            return "ShmArena"
         if name == "Process":
             return "worker Process"
         if name == "ThreadPoolExecutor":
@@ -730,7 +728,7 @@ def _parent_map(tree: ast.AST) -> dict[int, ast.AST]:
 class PickleBudgetChecker(Checker):
     """``__getstate__`` must disposition every cache-like attribute.
 
-    The dm-mp pool ships problems by pickle; ``__getstate__`` keeps the
+    The dm-mp tcp handshake ships problems by pickle; ``__getstate__`` keeps the
     byte budget bounded by dropping per-session caches.  A new
     ``_cached_*`` / trajectory attribute that ``__getstate__`` neither
     drops nor declares shareable silently reinstates the serialization

@@ -7,7 +7,7 @@ Commands
 ``case-study``  the §VIII-B ACM-election case study
 ``serve``       run the request-coalescing query server over warm engines
 ``serve-load``  drive concurrent load against a running server
-``net-worker``  serve dm-mp candidate chunks to remote TCP coordinators
+``net-worker``  serve dm-mp:tcp candidate chunks to remote coordinators
 ``datasets``    list built-in dataset recipes
 ``methods``     list seed-selection methods
 
@@ -21,9 +21,10 @@ backend (:mod:`repro.core.engine`); specs parse into a structured
 spec                         exact  backend
 ===========================  =====  ================================================
 ``dm``                       yes    legacy per-set DM, one FJ evolution per seed set
-``dm-batched``               yes    vectorized DM, all candidates at once (default)
-``dm-mp[:W][:shm]``          yes    ``dm-batched`` over ``W`` worker processes;
-                                    ``:shm`` = zero-copy shared-memory transport
+``dm-batched``               yes    vectorized DM, all candidates at once, wide
+                                    calls split over every core (default);
+                                    ``dm-mp[:W][:pipe|:shm]`` is accepted and
+                                    builds this engine
 ``dm-mp:tcp=H:P,...``        yes    ``dm-batched`` sharded across remote
                                     ``repro net-worker`` hosts over TCP
 ``rw``                       no     random-walk estimator (Algorithm 4)
@@ -32,15 +33,14 @@ spec                         exact  backend
                                     ``:mmap=DIR`` = persistent on-disk blocks
 ===========================  =====  ================================================
 
-All exact specs produce byte-identical selections; ``dm-mp`` pays off on
-multi-core hosts where candidate chunks evolve in parallel memory domains.
-``rw-store`` keeps walks in one shared store and escalates the
-sample IMM-style until the requested (ε, δ) bound holds, reusing every
-walk across greedy rounds, budgets and win-min probes.
+All exact specs produce byte-identical selections; on one machine
+``dm-batched`` already evolves a wide call's columns on every core, and
+``dm-mp:tcp=...`` adds the cores of other machines.  ``rw-store`` keeps
+walks in one shared store and escalates the sample IMM-style until the
+requested (ε, δ) bound holds, reusing every walk across greedy rounds,
+budgets and win-min probes.
 
-Data-plane suffixes: ``dm-mp:<W>:shm`` maps problem matrices, score rows
-and commit broadcasts through shared memory so only array descriptors
-cross the worker pipes, ``dm-mp:tcp=<host:port,...>`` shards candidate
+Data-plane suffixes: ``dm-mp:tcp=<host:port,...>`` shards candidate
 chunks across ``repro net-worker`` hosts (one chunk per host, selections
 byte-identical at every host count, lost hosts' chunks re-sharded to the
 survivors — see the README's Multi-host section), and
@@ -98,14 +98,14 @@ warm engine sessions  trajectory patched (small   trajectory patched /
 walk-store blocks     walks crossing a touched    **all blocks survive**
                       node re-drawn in place      (walks never read B⁰);
                                                   only masters drop
-dm-mp worker pools    touched columns patched     opinion rows patched in
-                      in place / re-shared        shared memory
+dm-mp:tcp hosts       touched columns patched     changed opinions patched
+                      in place                    in place
 ====================  ==========================  =========================
 
 Serving (``serve`` / ``serve-load``)
 ------------------------------------
 ``serve`` builds the problem once, keeps ``--engine`` (plus any
-``--extra-engine``) hot — worker pools forked and pinged, walk-store
+``--extra-engine``) hot — tcp hosts dialed and pinged, walk-store
 blocks loaded, per-prefix sessions cached — and answers queries
 over the newline-delimited JSON protocol of :mod:`repro.serve.protocol`
 on a TCP socket.  Concurrent requests that target the same (graph
@@ -114,10 +114,10 @@ byte-identical responses; deltas are serialized through the same queue
 and every response carries its ``graph_version``/``opinion_version``.
 The server prints one ``serving on HOST:PORT`` line when ready (port 0
 picks a free port), then the warm-store ``store:`` counters, and shuts
-down cleanly on SIGTERM/SIGINT — worker pools stop through
-``stop_worker_pool`` and shm segments are unlinked.  ``serve-load``
-fires a deterministic concurrent workload at a running server and
-reports p50/p99 latency, QPS and the server's coalescing counters.
+down cleanly on SIGTERM/SIGINT — tcp host connections stop through
+``stop_worker_pool``.  ``serve-load`` fires a deterministic concurrent
+workload at a running server and reports p50/p99 latency, QPS and the
+server's coalescing counters.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class _SpecSafeFormatter(argparse.HelpFormatter):
     """Help formatter that never splits an engine spec across lines.
 
     The default formatter wraps on hyphens, which would render
-    ``dm-mp:<workers>[:shm]`` as ``dm- mp:...`` depending on where the
+    ``dm-mp:tcp=<host:port,...>`` as ``dm- mp:...`` depending on where the
     registry-derived help happens to wrap.
     """
 
@@ -242,7 +242,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="arm a deterministic fault-injection plan (JSON, see "
-        "repro.core.faults: kill workers, corrupt store blocks, shed "
+        "repro.core.faults: sever tcp hosts, corrupt store blocks, shed "
         "requests) before running; the same plan replays the same "
         "failures, so chaos runs are comparable bit for bit",
     )
@@ -574,10 +574,10 @@ def cmd_net_worker(args: argparse.Namespace) -> int:
     """Serve ``dm-mp:tcp=...`` coordinators until interrupted.
 
     One host of a multi-host fleet: accepts one coordinator at a time,
-    answers its candidate-chunk fan-outs with a host-local engine (a
-    ``dm-mp`` pool when ``--workers`` > 1), and returns to ``accept``
-    when the coordinator stops — so a long-lived host outlives many
-    selection runs.  With ``--store-dir`` the host opens the shared walk
+    answers its candidate-chunk fan-outs with a host-local ``dm-batched``
+    engine (which splits wide chunks over the host's cores), and returns
+    to ``accept`` when the coordinator stops — so a long-lived host
+    outlives many selection runs.  With ``--store-dir`` the host opens the shared walk
     store against each coordinator's problem first; the store manifest's
     identity check rejects coordinators solving a different problem.
     """
@@ -592,7 +592,6 @@ def cmd_net_worker(args: argparse.Namespace) -> int:
         served = run_net_worker(
             args.host,
             args.port,
-            workers=args.workers,
             store_dir=args.store_dir,
             store_seed=args.seed,
             connections=args.connections,
@@ -792,13 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="0 picks a free port (printed on the readiness line)",
-    )
-    p_net.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="host-side dm-mp pool size; 1 serves chunks from a single "
-        "in-process engine (results are byte-identical either way)",
     )
     p_net.add_argument(
         "--store-dir",

@@ -19,7 +19,7 @@ from repro.core.engine import (
     make_engine,
     spec_is_exact_dm,
 )
-from repro.core.engine_mp import MultiprocessDMEngine
+from repro.core.engine_mp import HostPool
 from repro.core.exact import brute_force_optimum, submodularity_violations
 from repro.core.greedy import (
     GreedyResult,
@@ -45,7 +45,7 @@ __all__ = [
     "EstimatorPrecisionWarning",
     "FJVoteProblem",
     "GreedyResult",
-    "MultiprocessDMEngine",
+    "HostPool",
     "ObjectiveEngine",
     "ReachabilityIndex",
     "SandwichResult",

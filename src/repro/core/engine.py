@@ -45,21 +45,21 @@ Backends
     together in two phases: one shared sparse ``(n, C)`` evolution while
     influence has spread to few nodes, then cache-sized dense column
     blocks that finish the horizon and are scored in place with the batch
-    paths of :mod:`repro.voting.scores`.  Results match the per-set
-    engine to machine precision; exhaustive greedy rounds run 5-20x
-    faster (``benchmarks/bench_engine_batched.py``), and warm-started
-    sessions cut the evolution work of later rounds further
-    (``benchmarks/bench_session_warmstart.py``).
-:class:`~repro.core.engine_mp.MultiprocessDMEngine`
-    ``dm-mp``: the batched evaluation sharded across a persistent pool of
-    worker processes — candidate chunks evolve concurrently, session
-    commits are broadcast so workers fold the committed trajectory
-    locally, and selections stay byte-identical to the single-process
-    engine for every worker count.  The ``dm-mp:<W>:shm`` suffix swaps the
-    pickle-per-message pipe transport for a shared-memory data plane
-    (:mod:`repro.core.shm`): problem matrices, score rows and commit
-    broadcasts are mapped once and only array descriptors cross the pipe
-    (``EngineStats.ipc_bytes`` measures the difference).
+    paths of :mod:`repro.voting.scores`.  A wide call splits its
+    columns over every core this process may run on, in one process.
+    Results match the per-set engine to machine precision; exhaustive
+    greedy rounds run 5-20x faster (``benchmarks/bench_engine_batched.py``),
+    and warm-started sessions cut the evolution work of later rounds
+    further (``benchmarks/bench_session_warmstart.py``).  Every local
+    ``dm-mp`` spelling (``dm-mp``, ``dm-mp:<W>``, ``dm-mp[:W]:pipe|shm``)
+    builds this engine.
+:class:`~repro.core.engine_mp.HostPool`
+    ``dm-mp:tcp=<host:port,...>``: the batched evaluation sharded across
+    remote ``repro net-worker`` hosts — candidate chunks evolve
+    concurrently, session commits are broadcast so hosts fold the
+    committed trajectory locally, and selections stay byte-identical to
+    the single-process engine for every host count
+    (``EngineStats.ipc_bytes`` counts the bytes on the wire).
 :class:`WalkEngine`
     Routes the §V/§VI walk estimators (random-walk and sketch) through the
     same interface, scored by
@@ -78,18 +78,11 @@ Backends
 
 Data plane
 ----------
-Both parallel backends separate *control* (tiny pipe messages) from
-*data* (bulk arrays).  ``dm-mp``'s shm arena pays one mapping at pool
-start and wins on every subsequent round — worth it whenever more than a
-handful of rounds run, and essential under ``forkserver``/``spawn`` where
-the problem would otherwise be pickled per worker.  ``rw-store``'s mmap
-blocks pay one ``np.save`` per generated block and win on every re-open —
-worth it for sweeps, win-min searches and any workflow that restarts.
-Lifecycle caveats: shm segments are unlinked by ``close()`` (guarded by
-``weakref.finalize``, so garbage collection and interpreter exit also
-clean up after crashes); mmap stores are plain directories — delete them
-to reclaim disk, and keep the store seed fixed so a re-open finds the
-same deterministic block identities.
+``rw-store``'s mmap blocks pay one ``np.save`` per generated block and
+win on every re-open — worth it for sweeps, win-min searches and any
+workflow that restarts.  Stores are plain directories: delete them to
+reclaim disk, and keep the store seed fixed so a re-open finds the same
+deterministic block identities.
 
 Adding a backend
 ----------------
@@ -195,11 +188,9 @@ class EngineStats:
     #: correction (``apply_delta``'s fast path) instead of a full rebuild.
     #: The correction work itself lands in ``sparse_steps``/``sparse_nnz``.
     trajectories_patched: int = 0
-    #: Exact serialized bytes moved through worker pipes, both directions
-    #: (the multiprocess backends frame their own messages, so this is a
-    #: measurement, not an estimate).  The zero-copy shm transport
-    #: (``dm-mp:<W>:shm``) shrinks it to descriptor tuples —
-    #: ``benchmarks/bench_data_plane.py`` gates the reduction.
+    #: Exact serialized bytes moved through host sockets, both directions
+    #: (the ``dm-mp:tcp=...`` coordinator frames its own messages, so
+    #: this is a measurement, not an estimate).
     ipc_bytes: int = 0
     #: Multi-host (``dm-mp:tcp=...``) degradation accounting: hosts the
     #: coordinator dropped from its pool after a connection failure, and
@@ -207,12 +198,8 @@ class EngineStats:
     #: original host was lost mid-round.
     hosts_lost: int = 0
     chunks_resharded: int = 0
-    #: Pool supervision (``dm-mp`` local pools and the tcp coordinator):
-    #: workers detected dead mid-round, workers the supervisor respawned
-    #: with replayed journal state, and previously-lost tcp hosts that
-    #: reconnected through the backoff rejoin path.
-    workers_lost: int = 0
-    workers_respawned: int = 0
+    #: Previously-lost tcp hosts that reconnected through the backoff
+    #: rejoin path, with replayed journal state.
     hosts_rejoined: int = 0
     #: Estimator (ε, δ) accounting, filled by ``prepare_budget`` on the
     #: walk backends: the precision the caller asked for, the precision
@@ -471,7 +458,7 @@ class ObjectiveEngine(ABC):
             session._on_delta(report, sessions)
 
     def close(self) -> None:
-        """Release backend resources (worker pools, device memory).
+        """Release backend resources (host connections, device memory).
 
         No-op for the in-process engines; engines built from a spec by the
         selection entry points are closed when the selection returns.
@@ -538,22 +525,20 @@ class ObjectiveEngine(ABC):
         return values, win_flags
 
     def pool_stats(self) -> dict[str, object]:
-        """Worker-pool accounting for the serving layer's ``stats`` op.
+        """Host-pool accounting for the serving layer's ``stats`` op.
 
         In-process engines report an empty, never-started pool; the
-        multiprocess backend overrides this with live round / busy-time
-        accounting and the shm segment names it currently owns (see
-        :meth:`~repro.core.engine_mp.MultiprocessDMEngine.pool_stats`).
+        multi-host coordinator overrides this with live round / busy-time
+        and host fleet accounting (see
+        :meth:`~repro.core.engine_mp.HostPool.pool_stats`).
         """
         return {
             "backend": type(self).__name__,
             "workers": 0,
-            "transport": None,
             "started": False,
             "rounds": 0,
             "busy_s": 0.0,
             "idle_s": 0.0,
-            "shm_segments": [],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -974,20 +959,20 @@ class BatchedDMEngine(ObjectiveEngine):
         end-to-end selections on a 2-core Xeon with 2 MiB L2 per core
         (medians over three rounds of seven selections, ms)::
 
-            batch_rows                       16    32    64   128
-            select-sparse-celf (dm-batched) 424   337   303   315
-            select-dense-mp (dm-mp:2:shm)   611   436   419   396
+            batch_rows                          16    32    64   128
+            select-sparse-celf (dm-batched)    424   337   303   315
+            select-dense-mp (2-process pool)   611   436   419   396
 
-        64 is the fastest for the threaded CELF selection; 128 is about
-        5% faster for the pool, within this host's noise.
+        64 is the fastest for the threaded CELF selection; 128 was about
+        5% faster for the two-process pool that then ran
+        ``select-dense-mp`` (since retired), within this host's noise.
     max_batch_bytes:
         Dense memory budget of one call.  It sizes the default
         ``batch_rows``, caps the sparse phase's fill, and caps the thread
         count ``T`` so that ``2T`` ``(n, batch_rows)`` float64 buffers fit
         in it (two per thread, reused by every block the thread evolves
         and scores).  ``T`` is otherwise the number of cores this process
-        may run on (its CPU affinity), read when the engine is built;
-        ``dm-mp`` workers and ``net-worker`` hosts run ``T = 1``.
+        may run on (its CPU affinity), read when the engine is built.
     densify_threshold:
         Delta matrices start sparse (a fresh seed only perturbs its t-step
         out-neighborhood) and switch to dense blocks once their fill
@@ -1186,10 +1171,9 @@ class BatchedDMEngine(ObjectiveEngine):
           that selection's wide call peaks at 50 MiB traced and 117-120
           MiB RSS at ``T = 2``, as at ``T = 1``.
 
-        ``T = 1`` — one core, a single-block call (every call of at most
-        ``batch_rows`` columns) or a ``dm-mp`` / ``net-worker`` pool
-        member, whose pool already spreads candidates over the cores —
-        runs the one group on the calling thread and starts no thread.
+        ``T = 1`` — one core or a single-block call (every call of at
+        most ``batch_rows`` columns) — runs the one group on the calling
+        thread and starts no thread.
         The answers and every counter are the same for any ``T``.
 
         A narrow call (``C <= 2``) skips the sparse phase and every sparse
@@ -1995,14 +1979,9 @@ def _make_dm_batched(problem, rng, **kwargs):
 
 
 def _make_dm_mp(problem, rng, **kwargs):
-    if kwargs.get("transport") == "tcp":
-        from repro.core.engine_net import HostPool
+    from repro.core.engine_mp import HostPool
 
-        kwargs = {k: v for k, v in kwargs.items() if k != "transport"}
-        return HostPool(problem, **kwargs)
-    from repro.core.engine_mp import MultiprocessDMEngine
-
-    return MultiprocessDMEngine(problem, **kwargs)
+    return HostPool(problem, **kwargs)
 
 
 def _make_rw(problem, rng, **kwargs):
@@ -2042,20 +2021,21 @@ ENGINE_NAMES = tuple(_ENGINE_FACTORIES)
 #: Exact DM backends: deterministic, parity-checked against each other.
 EXACT_DM_NAMES = ("dm", "dm-batched", "dm-mp")
 
-#: Engines whose spec takes a leading ``:<positive int>`` count: the
-#: ``dm-mp`` worker count, and the ``rw-store`` count — an accepted
-#: spelling of the default, validated and then dropped like ``:pipe``.
+#: Engines whose spec takes a leading ``:<positive int>`` count.  Both are
+#: accepted spellings, validated and then dropped: a local ``dm-mp:<W>``
+#: is ``dm-batched`` (which already splits wide calls over every core),
+#: and the walk store has no shard count.
 _SPEC_COUNTS = ("dm-mp", "rw-store")
 
 #: One-line description per engine spec, rendered into the CLI help.
 ENGINE_HELP = {
     "dm": "legacy per-set exact DM",
-    "dm-batched": "vectorized exact DM, the default",
+    "dm-batched": "vectorized exact DM over every core, the default",
     "dm-mp": (
-        "exact DM fanned out over worker processes or remote hosts "
-        "(dm-mp:<workers>[:pipe|:shm] — shm = zero-copy shared-memory "
-        "transport; dm-mp:tcp=<host:port,...> — one chunk shard per "
-        "'repro net-worker' host)"
+        "exact DM sharded across remote hosts "
+        "(dm-mp:tcp=<host:port,...> — one chunk shard per "
+        "'repro net-worker' host; the local spellings "
+        "dm-mp[:<workers>][:pipe|:shm] run dm-batched)"
     ),
     "rw": "random-walk estimator",
     "sketch": "sketch estimator",
@@ -2065,9 +2045,9 @@ ENGINE_HELP = {
     ),
 }
 
-#: ``dm-mp`` transport suffixes spelled as bare segments (``tcp`` needs
-#: its host list, so it only appears in the ``tcp=`` form).
-_SPEC_TRANSPORTS = ("pipe", "shm")
+#: Suffixes a local ``dm-mp`` spelling may carry, accepted and dropped:
+#: ``BENCHMARK.json``'s ``select-dense-mp`` still names ``dm-mp:2:shm``.
+_LOCAL_DM_MP_SUFFIXES = ("pipe", "shm")
 
 
 def _spec_error(spec: object) -> ValueError:
@@ -2079,10 +2059,10 @@ def _spec_error(spec: object) -> ValueError:
     """
     return ValueError(
         f"unknown engine {spec!r}; expected one of {ENGINE_NAMES} "
-        "(parameterized forms: 'dm-mp:<workers>', 'rw-store:<shards>', "
-        "both >= 1, plus the data-plane suffixes 'dm-mp[:W]:pipe', "
-        "'dm-mp[:W]:shm', 'dm-mp:tcp=<host:port,...>' and "
-        "'rw-store[:S]:mmap=<DIR>')"
+        "(parameterized forms: 'dm-mp:tcp=<host:port,...>' and "
+        "'rw-store[:S]:mmap=<DIR>'; 'dm-mp:<workers>', 'rw-store:<shards>' "
+        "(both >= 1) and 'dm-mp[:W]:pipe' / 'dm-mp[:W]:shm' are accepted "
+        "spellings of 'dm-batched' and 'rw-store')"
     )
 
 
@@ -2092,55 +2072,30 @@ class EngineSpec:
 
     The string grammar (:meth:`parse`) stays the user-facing front-end;
     code should hold the parsed spec and use :meth:`canonical` (the
-    normalized string — equivalent spellings like ``dm-mp:2`` and
-    ``dm-mp:2:pipe`` canonicalize identically, which is what the serving
+    normalized string — equivalent spellings like ``dm-mp:2:shm`` and
+    ``dm-batched`` canonicalize identically, which is what the serving
     hub keys warm engines by), :meth:`build` (construct the engine via
     the registry) and :meth:`with_store_dir` (the ``--store-dir``
     rewrite).  Instances are frozen and hashable, so they work as cache
     keys directly.
 
-    Fields only apply to the engines that understand them: ``workers``
-    and ``transport`` to ``dm-mp`` (``transport`` is ``None`` for the
-    default pipe data plane, ``"shm"`` for shared memory, ``"tcp"`` for
-    the multi-host coordinator — then ``hosts`` carries the
-    ``host:port`` targets and ``workers`` is derived, one shard per
-    host), ``store_dir`` to ``rw-store``.  Violations raise
+    ``hosts`` carries the ``host:port`` targets of the multi-host
+    coordinator and only applies to ``dm-mp``: a ``dm-mp`` spec without
+    hosts *is* ``dm-batched`` (the name is normalized at construction).
+    ``store_dir`` only applies to ``rw-store``.  Violations raise
     ``ValueError`` at construction.
     """
 
     name: str
-    workers: int | None = None
-    transport: str | None = None
     store_dir: str | None = None
     hosts: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.name not in _ENGINE_FACTORIES:
             raise _spec_error(self.name)
-        if self.transport == "pipe":
-            # The explicit default: normalize away so equality/hash/
-            # canonical() treat ``dm-mp:2:pipe`` as ``dm-mp:2``.
-            object.__setattr__(self, "transport", None)
-        if self.transport is not None and self.name != "dm-mp":
-            raise ValueError(
-                f"transport {self.transport!r} only applies to dm-mp, "
-                f"not {self.name!r}"
-            )
-        if self.transport not in (None, "shm", "tcp"):
-            raise ValueError(
-                f"transport must be one of ('pipe', 'shm', 'tcp'), "
-                f"got {self.transport!r}"
-            )
-        if self.workers is not None:
-            if self.name != "dm-mp":
-                raise ValueError(
-                    f"'workers' only applies to dm-mp, not {self.name!r}"
-                )
-            object.__setattr__(self, "workers", int(self.workers))
-            if self.workers < 1:
-                raise ValueError(
-                    f"dm-mp needs at least one worker, got {self.workers}"
-                )
+        object.__setattr__(self, "hosts", tuple(str(h) for h in self.hosts))
+        if self.name == "dm-mp" and not self.hosts:
+            object.__setattr__(self, "name", "dm-batched")
         if self.store_dir is not None:
             if self.name != "rw-store":
                 raise ValueError(
@@ -2149,30 +2104,23 @@ class EngineSpec:
             object.__setattr__(self, "store_dir", str(self.store_dir))
             if not self.store_dir:
                 raise ValueError("rw-store mmap directory must be non-empty")
-        object.__setattr__(self, "hosts", tuple(str(h) for h in self.hosts))
-        if self.transport == "tcp":
-            if not self.hosts:
-                raise ValueError("dm-mp:tcp needs at least one host:port")
-            if self.workers is not None:
+        if not self.hosts:
+            return
+        if self.name != "dm-mp":
+            raise ValueError(f"'hosts' only applies to dm-mp, not {self.name!r}")
+        for entry in self.hosts:
+            host, sep, port = entry.rpartition(":")
+            if (
+                not sep
+                or not host
+                or "," in entry
+                or not port.isdigit()
+                or not 0 < int(port) < 65536
+            ):
                 raise ValueError(
-                    "dm-mp:tcp derives its worker count from the host "
-                    "list; 'workers' must not be set"
+                    f"malformed dm-mp:tcp host {entry!r}; expected "
+                    "host:port with a port in [1, 65535]"
                 )
-            for entry in self.hosts:
-                host, sep, port = entry.rpartition(":")
-                if (
-                    not sep
-                    or not host
-                    or "," in entry
-                    or not port.isdigit()
-                    or not 0 < int(port) < 65536
-                ):
-                    raise ValueError(
-                        f"malformed dm-mp:tcp host {entry!r}; expected "
-                        "host:port with a port in [1, 65535]"
-                    )
-        elif self.hosts:
-            raise ValueError("'hosts' requires transport='tcp'")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -2180,20 +2128,19 @@ class EngineSpec:
         """Parse the ``--engine`` grammar (idempotent on EngineSpec).
 
         Accepts every bare name in :data:`ENGINE_NAMES` plus the
-        parameterized forms: a positive count first (``dm-mp:<workers>``,
-        or ``rw-store:<S>``, which is validated and dropped — the walk
-        store is in-process and has no count), then an optional
-        data-plane suffix —
-        ``dm-mp[:W]:pipe`` / ``dm-mp[:W]:shm`` pick the worker-pool
-        transport, ``dm-mp:tcp=<host:port,...>`` the multi-host TCP
-        coordinator (the host list runs to the end of the spec, so ports
-        keep their colons), and ``rw-store[:S]:mmap=<DIR>`` the
-        persistent on-disk store (the directory is taken verbatim to
-        the end of the spec, so paths may contain colons).  Anything
-        else — unknown names, non-strings, malformed or non-positive
-        counts like ``"dm-mp:"`` / ``"rw-store:0"`` / ``"dm-mp:-2"``,
-        suffixes on the wrong engine, out-of-order or repeated segments
-        — raises the registry's single ``ValueError``.
+        parameterized forms: ``dm-mp:tcp=<host:port,...>`` (the
+        multi-host coordinator; the host list runs to the end of the
+        spec, so ports keep their colons), ``rw-store[:S]:mmap=<DIR>``
+        (the persistent on-disk store; the directory is taken verbatim
+        to the end of the spec, so paths may contain colons), and the
+        accepted spellings that parse away: a positive count
+        (``dm-mp:<W>``, ``rw-store:<S>``) and the ``dm-mp[:W]:pipe`` /
+        ``dm-mp[:W]:shm`` suffixes.  Every local ``dm-mp`` spelling is
+        ``dm-batched``.  Anything else — unknown names, non-strings,
+        malformed or non-positive counts like ``"dm-mp:"`` /
+        ``"rw-store:0"`` / ``"dm-mp:-2"``, suffixes on the wrong engine,
+        out-of-order or repeated segments — raises the registry's single
+        ``ValueError``.
         """
         if isinstance(spec, EngineSpec):
             return spec
@@ -2216,48 +2163,34 @@ class EngineSpec:
             hostlist = rest[len("tcp=") :]
             if not hostlist:
                 raise ValueError("dm-mp:tcp needs at least one host:port")
-            return cls(name, transport="tcp", hosts=tuple(hostlist.split(",")))
-        count: int | None = None
+            return cls(name, hosts=tuple(hostlist.split(",")))
         if name in _SPEC_COUNTS:
             first, sep, more = rest.partition(":")
             if first.isdigit():
-                count = int(first)
+                if int(first) < 1:
+                    raise _spec_error(first)
                 rest = more if sep else ""
-                if name == "rw-store":
-                    if count < 1:
-                        raise _spec_error(count)
-                    count = None
-        transport: str | None = None
         store_dir: str | None = None
         if rest:
-            if name == "dm-mp" and rest in _SPEC_TRANSPORTS:
-                transport = rest
+            if name == "dm-mp" and rest in _LOCAL_DM_MP_SUFFIXES:
+                pass
             elif name == "rw-store" and rest.startswith("mmap="):
                 store_dir = rest[len("mmap=") :]
             else:
                 raise _spec_error(rest)
-        return cls(
-            name,
-            workers=count,
-            transport=transport,
-            store_dir=store_dir,
-        )
+        return cls(name, store_dir=store_dir)
 
     # ------------------------------------------------------------------
     def canonical(self) -> str:
         """The normalized spec string: ``parse(canonical()) == self``.
 
-        Defaults are omitted (no ``:pipe``, no counts that were never
-        given), so every set of equivalent spellings maps to exactly one
-        canonical string — the key the serving hub de-duplicates warm
-        engines by.
+        Accepted spellings are dropped (no counts, no ``:pipe`` or
+        ``:shm``, no hostless ``dm-mp``), so every set of equivalent
+        spellings maps to exactly one canonical string — the key the
+        serving hub de-duplicates warm engines by.
         """
         parts = [self.name]
-        if self.workers is not None:
-            parts.append(str(self.workers))
-        if self.transport == "shm":
-            parts.append("shm")
-        elif self.transport == "tcp":
+        if self.hosts:
             parts.append("tcp=" + ",".join(self.hosts))
         if self.store_dir is not None:
             parts.append(f"mmap={self.store_dir}")
@@ -2266,10 +2199,6 @@ class EngineSpec:
     def kwargs(self) -> dict[str, object]:
         """The factory kwargs this spec pins (only the fields it sets)."""
         out: dict[str, object] = {}
-        if self.workers is not None:
-            out["workers"] = self.workers
-        if self.transport is not None:
-            out["transport"] = self.transport
         if self.hosts:
             out["hosts"] = self.hosts
         if self.store_dir is not None:
@@ -2318,8 +2247,8 @@ class EngineSpec:
 def spec_is_exact_dm(spec: object) -> bool:
     """True when ``spec`` names an exact DM backend (``None`` = default).
 
-    Covers the parameterized ``dm-mp`` forms (including the tcp
-    transport — remote hosts run the same exact batched engine) and
+    Covers the parameterized ``dm-mp`` forms (the tcp hosts run the same
+    exact batched engine; the local spellings are ``dm-batched``) and
     :class:`EngineSpec` instances; engine instances and estimator specs
     return False.
     """
@@ -2342,8 +2271,9 @@ def make_engine(
 
     Passing an :class:`ObjectiveEngine` instance returns it unchanged (its
     ``kwargs`` are ignored); ``None`` means the default ``"dm-batched"``.
-    Spec strings may carry parameters (``"dm-mp:4"`` = four worker
-    processes) and :class:`EngineSpec` instances are accepted directly.
+    Spec strings may carry parameters (``"dm-mp:tcp=a:7001,b:7002"`` =
+    two remote hosts) and :class:`EngineSpec` instances are accepted
+    directly.
     ``rng`` seeds the stochastic (walk/sketch) backends so selections
     stay reproducible; the exact DM backends ignore it.  Unknown or
     malformed specs raise ``ValueError`` listing every registered name

@@ -1,88 +1,67 @@
-"""Multiprocess fan-out over the batched DM engine (``--engine dm-mp``).
+"""The ``dm-mp`` engine: exact DM sharded across hosts (``--engine dm-mp:tcp=...``).
 
-:class:`MultiprocessDMEngine` shards the candidate columns that
+:class:`HostPool` shards the candidate columns that
 :meth:`~repro.core.engine.BatchedDMEngine._evolve_blocks` would evolve in
-one process across a persistent pool of worker processes.  Per-candidate
+one process across remote ``repro net-worker`` hosts.  Per-candidate
 delta evolutions are independent (each column of the ``(n, C)`` delta
 matrix depends only on its own pinned seeds), so a greedy round splits into
-``workers`` contiguous candidate chunks that evolve and score concurrently;
-the parent concatenates the per-chunk score vectors in chunk order, which
-keeps selections byte-identical to :class:`~repro.core.engine.BatchedDMEngine`
-no matter how many workers run.
+one contiguous candidate chunk per host that evolve and score concurrently;
+the coordinator concatenates the per-chunk score vectors in chunk order,
+which keeps selections byte-identical to
+:class:`~repro.core.engine.BatchedDMEngine` no matter how many hosts run.
+On one machine ``dm-batched`` already splits a wide call over every core,
+so every local ``dm-mp`` spelling builds that engine instead.
 
-Problem state is shipped once per worker, at pool start: under the
-``fork`` start method the matrices are inherited copy-on-write for free,
-under ``forkserver``/``spawn`` the pickled
+Problem state is shipped once per host, in the connection handshake (see
+:mod:`repro.core.engine_net`): the pickled
 :class:`~repro.core.problem.FJVoteProblem` (minus its session-specific
-seeded-trajectory cache, see ``FJVoteProblem.__getstate__``) travels with
-the ``Process`` arguments.  Each worker builds its own private
-:class:`BatchedDMEngine` from it — per-round messages then carry only seed
-id chunks and score vectors, never matrices.
+seeded-trajectory cache, see ``FJVoteProblem.__getstate__``).  Each host
+builds its own private :class:`BatchedDMEngine` from it — per-round
+messages then carry only seed id chunks and score vectors, never matrices.
+Every message is one framed pickle; :func:`_worker_loop` is the host side
+of the protocol (``chunk``, ``rows``, ``ext``, ``extrows``, ``commit``,
+``delta``, ``adopt``, ``ping``, ``stop``).
 
-Transports (the data plane)
----------------------------
-Every message is one framed pickle, but *what* it carries, and over
-which connection, is transport-dependent:
-
-``"pipe"`` (default)
-    Arrays are pickled into the message: candidate chunks out, score
-    vectors back.  Zero setup cost, pays the serialization tax per round.
-``"shm"`` (``dm-mp:<W>:shm``)
-    A :class:`~repro.core.shm.ShmArena` maps the data plane once: the
-    problem's CSR matrices and shareable caches are written to shared
-    memory at pool start (workers rebuild the problem from zero-copy
-    views via :meth:`~repro.core.problem.FJVoteProblem.from_shared_arrays`),
-    request arrays land in per-worker slabs, workers write score vectors
-    and dense ``target_opinion_rows`` blocks straight into preallocated
-    reply slabs, and each session commit publishes the parent's committed
-    trajectory through a single shared slab that every worker adopts by
-    one memcpy instead of replaying the extension.  Messages shrink to
-    ``(segment, dtype, shape, offset)`` tuples.
-``"tcp"`` (``dm-mp:tcp=<host:port,...>``)
-    :class:`~repro.core.engine_net.HostPool`: the pipe message bodies,
-    framed over sockets to remote ``net-worker`` hosts.
-
-All three share one supervised dispatch loop (:meth:`MultiprocessDMEngine._run`)
-and one fan-out builder (:meth:`MultiprocessDMEngine._fan_out`), the only
-place that chooses inline vs slab request encoding; a transport supplies
-just its pool lifecycle hooks.
-
-The serialization tax is measured, not guessed:
-:attr:`~repro.core.engine.EngineStats.ipc_bytes` counts every byte the
-parent actually moves through worker pipes (both directions; the engine
-frames messages itself, so the counter is exact and deterministic).
-``benchmarks/bench_data_plane.py`` asserts the shm transport cuts it
->= 5x per greedy round at n=2000 — in practice the reduction is orders of
-magnitude, since shm messages no longer scale with ``n``.  Segment
-lifecycle is guarded three ways (explicit ``close``, ``weakref.finalize``
-on garbage collection, interpreter-exit finalization), so crashed rounds
-cannot leak ``/dev/shm`` segments.
+The wire cost is measured, not guessed:
+:attr:`~repro.core.engine.EngineStats.ipc_bytes` counts every payload
+byte the coordinator actually moves through host sockets (both
+directions; the engine frames messages itself, so the counter is exact
+and deterministic).
 
 Selection sessions fan out too: :class:`MultiprocessDMSession` keeps the
-parent-side committed trajectory (for values and win-min prefix probes)
-exactly like its base class, and *broadcasts* every ``commit`` to the pool
-so each worker folds the chosen seed into a worker-local committed
-trajectory — by the same one-column extension the parent performs under
-``pipe``, or by adopting the parent's trajectory from the commit slab
-under ``shm``; bitwise the same state either way.  A worker that missed a
-broadcast (e.g. the pool started mid-session) rebuilds the committed
-trajectory lazily from the ``(base, seeds)`` pair every fan-out message
-carries, replaying the commit sequence so the rebuilt trajectory is still
-bitwise identical.
+coordinator-side committed trajectory (for values and win-min prefix
+probes) exactly like its base class, and *broadcasts* every ``commit`` to
+the hosts so each folds the chosen seed into a host-local committed
+trajectory by the same one-column extension the coordinator performs —
+bitwise the same state.  A host that missed a broadcast (e.g. it joined
+mid-session) rebuilds the committed trajectory lazily from the
+``(base, seeds)`` pair every fan-out message carries, replaying the
+commit sequence so the rebuilt trajectory is still bitwise identical.
 
-On a single-core host the fan-out cannot beat the in-process engine on
-wall-clock — IPC overhead buys nothing — but the sharding itself is
-measurable either way: ``benchmarks/bench_engine_mp.py`` asserts on the
-deterministic per-worker :class:`~repro.core.engine.EngineStats` counters
-(critical-path dense column-steps), which translate to wall-clock on
-multi-core hardware where each worker owns a memory domain.
+Failure model
+-------------
+Connects retry until ``connect_timeout`` (hosts may still be starting).
+After the handshake, a host that dies mid-round is dropped from the pool
+(``stats.hosts_lost``) and its unanswered chunks are re-dispatched to the
+survivors (``stats.chunks_resharded``); later rounds shard across the
+survivors while the coordinator keeps re-dialing the lost address on a
+deterministic backoff schedule — a host that comes back is re-handshaken
+with the current problem, journal-replayed, and restored to its original
+shard slot (``stats.hosts_rejoined``).  A pool reused after
+:meth:`HostPool.close` reconnects every host and shards across all of
+them again, whatever was lost before.  Broadcast ops (``ping`` /
+``commit`` / ``delta``) are simply dropped for dead hosts.  Losing the
+*last* host raises.  A host-side evaluation error (as opposed to a
+transport failure) still raises immediately.  Re-sharding only moves
+*which* connection evaluates a chunk, never the chunk contents or their
+concatenation order, so selections stay byte-identical through losses.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
+import socket
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -95,15 +74,17 @@ from repro.core.engine import (
     EngineStats,
     SeedSet,
 )
+from repro.core.engine_net import _PICKLE_PROTOCOL, _dial_host, _split_address
 from repro.core.problem import FJVoteProblem
+from repro.utils.retry import backoff_schedule
 from repro.utils.validation import check_index_array
 from repro.utils.workers import stop_worker_pool
 
-#: Work counters folded from worker deltas into the parent's ``stats``
-#: (and per-worker into ``worker_stats``).  Probe accounting
+#: Work counters folded from host deltas into the coordinator's ``stats``
+#: (and per-host into ``worker_stats``).  Probe accounting
 #: (``evaluate_calls`` / ``sets_evaluated``) is *not* in this list: the
-#: parent counts probes itself, exactly as the single-process engine
-#: would, so the counters stay comparable across worker counts.  Workers
+#: coordinator counts probes itself, exactly as the single-process engine
+#: would, so the counters stay comparable across host counts.  Hosts
 #: reply with these counters as a plain tuple in this order.
 _EVOLUTION_COUNTERS = (
     "sparse_steps",
@@ -114,36 +95,36 @@ _EVOLUTION_COUNTERS = (
     "repin_inserted",
 )
 
-#: Worker-local committed trajectories kept per worker (FIFO eviction);
+#: Host-local committed trajectories kept per host (FIFO eviction);
 #: mirrors ``FJVoteProblem.SEEDED_TRAJECTORY_CACHE``.
 _WORKER_SESSION_CACHE = 8
 
-#: Delta broadcasts remembered for journal replay onto respawned workers.
+#: Delta broadcasts remembered for journal replay onto rejoined hosts.
 #: Replay is idempotent (``_worker_apply_delta`` early-outs on current
 #: versions), so the cap bounds memory, not correctness.
 _DELTA_JOURNAL_CAP = 4
 
-#: One identical message per worker; a lost worker's copy is dropped, not
-#: re-dispatched (survivors already received theirs, and a respawned
-#: worker recovers the state from the journal replay / lazy rebuild).
+#: One identical message per host; a lost host's copy is dropped, not
+#: re-dispatched (survivors already received theirs, and a rejoined host
+#: recovers the state from the journal replay / lazy rebuild).
 _BROADCAST_OPS = frozenset({"ping", "commit", "delta", "adopt"})
 
-#: Supported message transports (the ``dm-mp:<W>:shm`` spec suffix).
-TRANSPORTS = ("pipe", "shm")
+#: Re-dial ladder for lost hosts (seconds between rejoin attempts);
+#: deterministic — the attempt count indexes it, the tail repeats.
+_REJOIN_DELAYS = tuple(backoff_schedule(retries=6, base_delay=0.1, max_delay=2.0))
 
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
+#: Per-attempt connect budget while re-dialing a lost host; short so a
+#: still-dead host costs one refused dial per due attempt, not a stall.
+_REJOIN_DIAL_TIMEOUT = 0.25
+
 _STOP_BYTES = pickle.dumps(("stop",), _PICKLE_PROTOCOL)
-
-#: Tag marking a message field as a shared-memory array reference
-#: ``("@shm", segment, dtype, shape, offset)`` instead of inline data.
-_SHM_TAG = "@shm"
 
 
 def _send_message(conn, message: tuple) -> int:
     """Frame and send one message; returns its exact serialized size.
 
     The engine pickles messages itself (``send_bytes``) so the
-    ``ipc_bytes`` accounting measures precisely what crosses the pipe.
+    ``ipc_bytes`` accounting measures precisely what crosses the socket.
     """
     payload = pickle.dumps(message, _PICKLE_PROTOCOL)
     conn.send_bytes(payload)
@@ -161,7 +142,7 @@ def _flatten_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
     Pickling many tiny ndarrays costs ~150 bytes of framing *each*; one
     ``(lengths, values)`` pair costs two headers however many sets ride
-    along — and maps into a request slab as two contiguous writes.
+    along.
     """
     lengths = np.array([s.size for s in sets], dtype=np.int64)
     if sets:
@@ -172,7 +153,7 @@ def _flatten_sets(sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_sets(lengths: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-    """Inverse of :func:`_flatten_sets` (copies: slabs are reused)."""
+    """Inverse of :func:`_flatten_sets`."""
     bounds = np.cumsum(np.asarray(lengths, dtype=np.int64))[:-1]
     return [
         np.array(chunk, dtype=np.int64)
@@ -180,23 +161,10 @@ def _split_sets(lengths: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _resolve(value, attach):
-    """Materialize a message field: shm refs become views, data passes."""
-    if (
-        attach is not None
-        and isinstance(value, tuple)
-        and value
-        and value[0] == _SHM_TAG
-    ):
-        return attach.array(value[1:])
-    return value
-
-
 def _unique_graphs(state) -> list:
-    """Deduplicated graphs in first-occurrence order (the gid order of
-    ``FJVoteProblem.share_arrays``) — parent and workers derive identical
-    gids from their own state, so delta broadcasts can address graphs by
-    gid without shipping object identities."""
+    """Deduplicated graphs in first-occurrence order — coordinator and
+    hosts derive identical gids from their own state, so delta broadcasts
+    can address graphs by gid without shipping object identities."""
     seen: dict[int, None] = {}
     graphs = []
     for graph in state.graphs:
@@ -213,18 +181,13 @@ def _worker_apply_delta(
     report,
     columns_by_gid,
     opinions,
-    new_refs,
-    attach,
 ) -> None:
-    """Fold a parent delta broadcast into the worker's problem and engine.
+    """Fold a coordinator delta broadcast into the host's problem and engine.
 
-    Shared-memory workers only re-map structurally changed matrices
-    (``new_refs``) — data-only patches already landed in the mapped
-    segments — and adopt versions/cache drops via ``note_external_delta``.
-    Pipe workers splice the shipped post-delta columns and opinion rows
-    into their private arrays (never re-running the surgery: the parent
-    ships final bytes, keeping worker state bit-identical).  Idempotent
-    per problem version, so a re-broadcast is a no-op.
+    Splices the shipped post-delta columns and opinion rows into the
+    host's arrays (never re-running the surgery: the coordinator ships
+    final bytes, keeping host state bit-identical).  Idempotent per
+    problem version, so a re-broadcast is a no-op.
     """
     if (
         problem.graph_version >= report.graph_version
@@ -232,73 +195,45 @@ def _worker_apply_delta(
     ):
         return
     graphs = _unique_graphs(problem.state)
-    if attach is not None:
-        if new_refs:
-            from scipy import sparse
-
-            for gid_key, refs in new_refs.items():
-                graph = graphs[int(gid_key)]
-                parts = {}
-                matrix_kinds = (
-                    ("csr", sparse.csr_matrix),
-                    ("csc", sparse.csc_matrix),
-                )
-                for orient, kind in matrix_kinds:
-                    parts[orient] = kind(
-                        (
-                            attach.array(refs[f"{orient}.data"][1:]),
-                            attach.array(refs[f"{orient}.indices"][1:]),
-                            attach.array(refs[f"{orient}.indptr"][1:]),
-                        ),
-                        shape=(problem.n, problem.n),
-                        copy=False,
-                    )
-                graph._csr = parts["csr"]
-                graph._csc = parts["csc"]
-        problem.note_external_delta(report)
-    else:
-        if columns_by_gid:
-            for gid_key, columns in columns_by_gid.items():
-                graphs[int(gid_key)].adopt_columns(
-                    columns, graphs[int(gid_key)].version + 1
-                )
-        if opinions:
-            b0 = problem.state.initial_opinions
-            b0.setflags(write=True)
-            try:
-                for q, nodes, values in opinions:
-                    b0[int(q), np.asarray(nodes, dtype=np.int64)] = values
-            finally:
-                b0.setflags(write=False)
-        # Versions/caches: same selective invalidation as the shm path
-        # (graph versions were already advanced by adopt_columns).
-        problem.graph_version = report.graph_version
-        problem.opinion_version = report.opinion_version
-        dirty = set(report.touched_by_candidate) | set(
-            report.opinions_by_candidate
-        )
-        if problem.target in dirty:
-            problem._base_target = None
-            problem._base_trajectory = None
-            problem._seeded_trajectories.clear()
-        if dirty - {problem.target}:
-            problem._competitors = None
-            problem._others_by_user = None
-    if report.target_touched(problem.target).size:
-        engine._build_wt_scaled()
+    if columns_by_gid:
+        for gid_key, columns in columns_by_gid.items():
+            graphs[int(gid_key)].adopt_columns(
+                columns, graphs[int(gid_key)].version + 1
+            )
+    if opinions:
+        # The host's problem was unpickled from the handshake bytes, so
+        # its opinion matrix is a read-only view of them: patch a
+        # private copy and swap it in.
+        b0 = np.array(problem.state.initial_opinions)
+        for q, nodes, values in opinions:
+            b0[int(q), np.asarray(nodes, dtype=np.int64)] = values
+        b0.setflags(write=False)
+        object.__setattr__(problem.state, "initial_opinions", b0)
+    # Versions/caches: selective invalidation (graph versions were
+    # already advanced by adopt_columns).
+    problem.graph_version = report.graph_version
+    problem.opinion_version = report.opinion_version
     dirty = set(report.touched_by_candidate) | set(report.opinions_by_candidate)
     if problem.target in dirty:
+        problem._base_target = None
+        problem._base_trajectory = None
+        problem._seeded_trajectories.clear()
         for state in sessions.values():
             state["traj"] = None  # rebuilt lazily from the seed sequence
+    if dirty - {problem.target}:
+        problem._competitors = None
+        problem._others_by_user = None
+    if report.target_touched(problem.target).size:
+        engine._build_wt_scaled()
 
 
 def _rebuild_session(engine: BatchedDMEngine, base: tuple, seeds: tuple) -> dict:
-    """Worker-side committed state for a session, rebuilt from scratch.
+    """Host-side committed state for a session, rebuilt from scratch.
 
     Replays the exact commit sequence a :class:`BatchedDMSession` performs
     — base trajectory, then one single-seed extension per commit — so the
-    rebuilt trajectory is bitwise identical to the parent's regardless of
-    whether the worker saw the individual commit broadcasts.
+    rebuilt trajectory is bitwise identical to the coordinator's
+    regardless of whether the host saw the individual commit broadcasts.
     """
     traj = engine.problem.target_trajectory(tuple(base))
     committed = list(base)
@@ -323,7 +258,7 @@ def _store_session(sessions: dict, sid: int, state: dict) -> None:
 def _worker_session(
     engine: BatchedDMEngine, sessions: dict, sid: int, base: tuple, seeds: tuple
 ) -> dict:
-    """Fetch (or lazily rebuild) the worker's state for session ``sid``."""
+    """Fetch (or lazily rebuild) the host's state for session ``sid``."""
     state = sessions.get(sid)
     if state is None or state["seeds"] != list(seeds) or state["traj"] is None:
         state = _rebuild_session(engine, base, seeds)
@@ -331,86 +266,19 @@ def _worker_session(
     return state
 
 
-def _worker_main(conn, problem_payload, engine_kwargs: dict, shm_info=None) -> None:
-    """Process-pool worker: build the private engine, run the shared loop.
+def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
+    """The dm-mp host command loop (what ``repro net-worker`` serves).
 
-    ``problem_payload`` is the problem itself (pipe transport) or the
-    ``(skeleton, array refs)`` pair of
-    :meth:`FJVoteProblem.share_arrays` (shm transport: the worker maps the
-    arrays and rebuilds the problem around zero-copy views).  The command
-    dispatch itself lives in :func:`_worker_loop`, shared with the TCP
-    net-worker of :mod:`repro.core.engine_net` — same ops, same framed
-    replies, whatever carries the bytes.
-    """
-    attach = None
-    commit_view = None
-    if shm_info is not None:
-        from repro.core.shm import ShmAttachments
-
-        attach = ShmAttachments()
-        skeleton, refs = problem_payload
-        arrays = {key: attach.array(ref) for key, ref in refs.items()}
-        problem = FJVoteProblem.from_shared_arrays(skeleton, arrays)
-        commit_view = attach.array(shm_info["commit"])
-    else:
-        problem = problem_payload
-    engine = BatchedDMEngine(problem, **engine_kwargs)
-    # The pool already spreads candidates over the cores: one thread each.
-    engine._threads = 1
-    try:
-        _worker_loop(
-            conn,
-            problem,
-            engine,
-            attach=attach,
-            commit_view=commit_view,
-            watch_parent=True,
-        )
-    finally:
-        if attach is not None:
-            attach.close()
-
-
-def _worker_loop(
-    conn,
-    problem: FJVoteProblem,
-    engine: BatchedDMEngine,
-    *,
-    attach=None,
-    commit_view=None,
-    watch_parent: bool = True,
-) -> None:
-    """The dm-mp worker command loop, transport-agnostic.
-
-    ``conn`` is anything with the ``mp.Connection`` byte surface
-    (``recv_bytes`` / ``send_bytes`` / ``poll``): a worker-pool pipe end
-    or the net-worker's framed TCP socket.  Every reply carries the delta
-    of the worker engine's evolution counters (as a tuple ordered like
-    ``_EVOLUTION_COUNTERS``) so the parent can account the work each
-    worker actually performed; payload arrays are written into the reply
-    slab the request names (shm) or pickled into the ack.
-
-    ``watch_parent`` enables the orphan watchdog for forked pool members;
-    net workers serve a remote coordinator whose death arrives as plain
-    EOF instead.
+    ``conn`` is anything with the ``recv_bytes`` / ``send_bytes`` byte
+    surface: the net worker's framed TCP socket.  Every reply carries the
+    delta of the host engine's evolution counters (as a tuple ordered like
+    ``_EVOLUTION_COUNTERS``) so the coordinator can account the work each
+    host actually performed; payload arrays are pickled into the ack.  A
+    coordinator that goes away arrives as EOF and ends the loop.
     """
     sessions: dict[int, dict] = {}
-    # Workers forked later inherit duplicates of earlier workers'
-    # parent-side pipe fds, so a SIGKILLed parent does *not* deliver EOF
-    # to every sibling — watch for orphaning (reparenting) instead, or
-    # the pool (and via its held fds, the resource tracker's shm
-    # cleanup) outlives a crashed server.
-    parent_pid = os.getppid() if watch_parent else None
     while True:
         try:
-            if watch_parent:
-                orphaned = False
-                while not conn.poll(1.0):
-                    if os.getppid() != parent_pid:
-                        orphaned = True
-                        break
-                if orphaned:
-                    break
             message = pickle.loads(conn.recv_bytes())
         except (EOFError, KeyboardInterrupt, OSError):
             break
@@ -420,106 +288,75 @@ def _worker_loop(
         try:
             engine.stats.reset()
             result = None
-            payload = None
-            reply_ref = None
             if op == "ping":
-                result = (os.getpid(), mp.current_process().name)
+                result = (os.getpid(), socket.gethostname())
             elif op == "chunk":
-                _, lengths, values, reply_ref = message
-                sets = _split_sets(_resolve(lengths, attach), _resolve(values, attach))
-                # ``evaluate`` (not ``_chunked_scores``) so a net worker
-                # hosting its own dm-mp pool fans the chunk out again;
-                # results are bitwise identical either way.
-                payload = engine.evaluate(sets)
+                _, lengths, values = message
+                result = engine.evaluate(_split_sets(lengths, values))
             elif op == "ext":
-                _, sid, base, seeds, cand, reply_ref = message
-                cand = np.asarray(_resolve(cand, attach), dtype=np.int64)
+                _, sid, base, seeds, cand = message
                 state = _worker_session(engine, sessions, sid, base, seeds)
-                payload = engine.extension_values(
-                    state["traj"], np.asarray(seeds, dtype=np.int64), cand
+                result = engine.extension_values(
+                    state["traj"],
+                    np.asarray(seeds, dtype=np.int64),
+                    np.asarray(cand, dtype=np.int64),
                 )
             elif op == "extrows":
                 # Like "ext" but unscored: the (chunk, n) horizon rows go
-                # back so the parent scores each through the canonical
-                # width-1 path (batch-stable serving responses).
-                _, sid, base, seeds, cand, reply_ref = message
-                cand = np.asarray(_resolve(cand, attach), dtype=np.int64)
+                # back so the coordinator scores each through the
+                # canonical width-1 path (batch-stable serving responses).
+                _, sid, base, seeds, cand = message
                 state = _worker_session(engine, sessions, sid, base, seeds)
-                payload = engine.extension_rows(
-                    state["traj"], np.asarray(seeds, dtype=np.int64), cand
+                result = engine.extension_rows(
+                    state["traj"],
+                    np.asarray(seeds, dtype=np.int64),
+                    np.asarray(cand, dtype=np.int64),
                 )
             elif op == "rows":
-                _, lengths, values, reply_ref = message
-                sets = _split_sets(_resolve(lengths, attach), _resolve(values, attach))
-                payload = engine.target_opinion_rows(sets)
+                _, lengths, values = message
+                result = engine.target_opinion_rows(_split_sets(lengths, values))
             elif op == "delta":
-                _, report, columns_by_gid, opinions, new_refs = message
+                _, report, columns_by_gid, opinions = message
                 _worker_apply_delta(
-                    problem,
-                    engine,
-                    sessions,
-                    report,
-                    columns_by_gid,
-                    opinions,
-                    new_refs,
-                    attach,
+                    problem, engine, sessions, report, columns_by_gid, opinions
                 )
             elif op == "commit":
                 _, sid, base, before, seed = message
-                if commit_view is not None:
-                    # The slab holds the parent's full committed
-                    # trajectory: adopting it by copy is bitwise the
-                    # parent's state and heals missed broadcasts too.
-                    _store_session(
-                        sessions,
-                        sid,
-                        {
-                            "seeds": list(before) + [int(seed)],
-                            "traj": commit_view.copy(),
-                        },
+                state = sessions.get(sid)
+                if (
+                    state is not None
+                    and state["traj"] is not None
+                    and state["seeds"] == list(before)
+                ):
+                    state["traj"] = engine.extend_trajectory(
+                        state["traj"],
+                        np.asarray(before, dtype=np.int64),
+                        np.array([seed], dtype=np.int64),
                     )
+                    state["seeds"].append(int(seed))
                 else:
-                    state = sessions.get(sid)
-                    if (
-                        state is not None
-                        and state["traj"] is not None
-                        and state["seeds"] == list(before)
-                    ):
-                        state["traj"] = engine.extend_trajectory(
-                            state["traj"],
-                            np.asarray(before, dtype=np.int64),
-                            np.array([seed], dtype=np.int64),
-                        )
-                        state["seeds"].append(int(seed))
-                    else:
-                        # Missed or out-of-order broadcast: remember the
-                        # seed sequence, rebuild lazily on the next
-                        # fan-out.
-                        sessions[sid] = {
-                            "seeds": list(before) + [int(seed)],
-                            "traj": None,
-                        }
+                    # Missed or out-of-order broadcast: remember the seed
+                    # sequence, rebuild lazily on the next fan-out.
+                    sessions[sid] = {
+                        "seeds": list(before) + [int(seed)],
+                        "traj": None,
+                    }
             elif op == "adopt":
-                # Journal replay onto a respawned worker: register the
+                # Journal replay onto a rejoined host: register the
                 # session's committed seed sequence; the trajectory is
                 # rebuilt lazily (``_rebuild_session`` replays the exact
-                # commit sequence, so it is bitwise the parent's state).
+                # commit sequence, so it is bitwise the coordinator's).
                 _, sid, base, seeds = message
                 _store_session(
                     sessions, sid, {"seeds": list(seeds), "traj": None}
                 )
             else:
-                raise ValueError(f"unknown dm-mp worker op {op!r}")
+                raise ValueError(f"unknown dm-mp host op {op!r}")
             stats = tuple(
                 int(getattr(engine.stats, name)) for name in _EVOLUTION_COUNTERS
             )
-            if payload is not None and reply_ref is not None and attach is not None:
-                view = attach.array(reply_ref[1:])
-                view[...] = payload
-                payload = None
-            out = result if payload is None else payload
-            conn.send_bytes(pickle.dumps(("ok", out, stats), _PICKLE_PROTOCOL))
-        except Exception as exc:  # pragma: no cover - worker-side failures
+            conn.send_bytes(pickle.dumps(("ok", result, stats), _PICKLE_PROTOCOL))
+        except Exception as exc:  # pragma: no cover - host-side failures
             import traceback
 
             conn.send_bytes(
@@ -531,41 +368,28 @@ def _worker_loop(
 
 
 class _Handle:
-    """One live pool member: a local worker process or a remote host.
+    """One connected host: its framed socket and its slot, which indexes
+    both its address in ``hosts`` and its ``worker_stats`` entry."""
 
-    ``conn`` is the parent end of its pipe or its framed socket, ``stats``
-    its ``worker_stats`` entry (``slot`` indexes it), and ``label`` names
-    it in errors.  ``process`` is ``None`` for a remote host, which no
-    local pid can reap (:func:`~repro.utils.workers.stop_worker_pool`
-    then only sends the stop and closes the socket).
-    """
+    __slots__ = ("conn", "slot")
 
-    __slots__ = ("conn", "stats", "slot", "label", "process")
-
-    def __init__(
-        self, conn, stats: EngineStats, slot: int, label: str, process=None
-    ) -> None:
+    def __init__(self, conn, slot: int) -> None:
         self.conn = conn
-        self.stats = stats
         self.slot = slot
-        self.label = label
-        self.process = process
 
 
 class MultiprocessDMSession(BatchedDMSession):
-    """Warm-started session whose commits are broadcast to the worker pool.
+    """Warm-started session whose commits are broadcast to the hosts.
 
-    The parent keeps the committed trajectory exactly like
+    The coordinator keeps the committed trajectory exactly like
     :class:`BatchedDMSession` (values, ``gain=None`` commits and win-min
     prefix probes are single-column work, cheapest done locally); each
     round's ``marginal_gains`` fans the candidate chunks out with the
-    session id, and each ``commit`` tells every worker to fold the chosen
-    seed into its local copy of the committed trajectory (under the shm
-    transport the parent's trajectory is published through the commit
-    slab, so workers adopt it by one memcpy).
+    session id, and each ``commit`` tells every host to fold the chosen
+    seed into its local copy of the committed trajectory.
     """
 
-    def __init__(self, engine: "MultiprocessDMEngine", base: SeedSet = ()) -> None:
+    def __init__(self, engine: "HostPool", base: SeedSet = ()) -> None:
         super().__init__(engine, base)
         self._base = tuple(self._seeds)
         self._sid = engine._next_session_id()
@@ -578,12 +402,12 @@ class MultiprocessDMSession(BatchedDMSession):
         return values - self._value
 
     def coalesced_gains(self, candidates: SeedSet) -> np.ndarray:
-        """Batch-stable gains over the pool: fanned rows, parent scoring.
+        """Batch-stable gains over the hosts: fanned rows, local scoring.
 
-        Workers return unscored extension rows (bitwise identical to the
-        single-process engine's at every worker count); the parent scores
-        each through the canonical width-1 path, so coalesced responses
-        match serial ones byte for byte across transports and pool sizes.
+        Hosts return unscored extension rows (bitwise identical to the
+        single-process engine's at every host count); the coordinator
+        scores each through the canonical width-1 path, so coalesced
+        responses match serial ones byte for byte across pool sizes.
         """
         self._ensure_fresh()
         rows = self.engine.session_extension_rows(
@@ -598,97 +422,74 @@ class MultiprocessDMSession(BatchedDMSession):
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         before = tuple(self._seeds)
         value = super().commit(seed, gain=gain)
-        self.engine.broadcast_commit(
-            self._sid, self._base, before, int(seed), self._traj
-        )
+        self.engine.broadcast_commit(self._sid, self._base, before, int(seed))
         return value
 
     def _on_delta(self, report, mode: str = "auto") -> None:
-        # Workers rebuild their committed trajectories from the seed
-        # sequence after a delta, so the parent must rebuild too: a
-        # patched (floating-point-corrected) parent trajectory would
-        # disagree bitwise with the worker-side rebuilds that fanned-out
-        # rounds read from.
+        # Hosts rebuild their committed trajectories from the seed
+        # sequence after a delta, so the coordinator must rebuild too: a
+        # patched (floating-point-corrected) trajectory would disagree
+        # bitwise with the host-side rebuilds that fanned-out rounds
+        # read from.
         super()._on_delta(report, "rebuild")
 
 
-class MultiprocessDMEngine(BatchedDMEngine):
-    """Exact DM evaluation sharded across a persistent process pool.
+class HostPool(BatchedDMEngine):
+    """Exact DM evaluation sharded across remote ``net-worker`` hosts.
 
     Parameters
     ----------
     problem:
-        The FJ-Vote instance (shipped to each worker once, at pool start).
-    workers:
-        Pool size (the ``dm-mp:<workers>`` CLI suffix); must be >= 1.
-    start_method:
-        ``multiprocessing`` start method: ``"fork"`` (default where
-        available — matrices are inherited for free), ``"forkserver"`` or
-        ``"spawn"`` (the problem is pickled to the worker instead, or
-        mapped from shared memory under the shm transport).
-    transport:
-        ``"pipe"`` (default) pickles payload arrays into the messages;
-        ``"shm"`` (the ``dm-mp:<W>:shm`` spec suffix) maps the problem,
-        request/reply payloads and commit broadcasts through a
-        :class:`~repro.core.shm.ShmArena` so only array descriptors cross
-        the pipe — see the module docstring.  Results are bitwise
-        identical either way; :attr:`EngineStats.ipc_bytes` measures the
-        difference.
+        The FJ-Vote instance, shipped once per host in the handshake.
+    hosts:
+        ``host:port`` targets (the ``dm-mp:tcp=<host:port,...>`` spec);
+        one candidate shard per connected host.
+    connect_timeout:
+        Seconds to keep retrying each host's connect before giving up.
     min_fanout:
-        Below this many seed sets per call the parent — itself a full
-        batched engine holding the same state — evaluates locally: a CELF
-        stale-entry refresh is one column, not worth a round-trip.
-        Results are bitwise identical either way.  Default ``2 * workers``.
+        Below this many seed sets per call the coordinator — itself a
+        full batched engine holding the same state — evaluates locally: a
+        CELF stale-entry refresh is one column, not worth a round-trip.
+        Results are bitwise identical either way.  Default
+        ``2 * len(hosts)``.
     kwargs:
-        Forwarded to :class:`BatchedDMEngine` in the parent *and* every
-        worker (``batch_rows``, ``densify_threshold``, ...).
+        Forwarded to :class:`BatchedDMEngine` locally *and* to every
+        host's engine through the handshake (``batch_rows``,
+        ``densify_threshold``, ...).
 
-    The pool starts lazily on the first fanned-out call and is released by
-    :meth:`close` (also via ``with``, garbage collection, or interpreter
-    exit — shared-memory segments are additionally guarded by
-    ``weakref.finalize``, so a crashed worker or an abandoned engine never
-    leaks ``/dev/shm``).  The engine keeps per-worker
-    :class:`EngineStats` in ``worker_stats`` — the max dense-column-step
-    share across workers is the round's critical path, the deterministic
-    scaling metric of ``benchmarks/bench_engine_mp.py``.
+    The pool connects lazily on the first fanned-out call and is released
+    by :meth:`close` (also via ``with``, garbage collection, or
+    interpreter exit).  The engine keeps per-host :class:`EngineStats` in
+    ``worker_stats`` — the max dense-column-step share across hosts is
+    the round's critical path, the deterministic scaling metric of
+    ``benchmarks/bench_net.py``.
     """
-
-    #: Transports this class accepts, and what its pool members are
-    #: called in errors (:class:`~repro.core.engine_net.HostPool`: tcp
-    #: hosts).
-    _TRANSPORTS: tuple[str, ...] = TRANSPORTS
-    _MEMBER = "worker"
 
     def __init__(
         self,
         problem: FJVoteProblem,
         *,
-        workers: int = 2,
-        start_method: str | None = None,
+        hosts: Sequence[str],
+        connect_timeout: float = 10.0,
         min_fanout: int | None = None,
-        transport: str = "pipe",
         **kwargs: object,
     ) -> None:
         super().__init__(problem, **kwargs)
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"dm-mp needs at least one worker, got {workers}")
-        if transport not in self._TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {self._TRANSPORTS}, got {transport!r}"
-            )
-        self.workers = workers
-        self.transport = str(transport)
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = str(start_method)
+        hosts = tuple(str(h) for h in hosts)
+        if not hosts:
+            raise ValueError("dm-mp tcp needs at least one host:port")
+        for entry in hosts:
+            _split_address(entry)  # fail fast on malformed addresses
+        self.hosts = hosts
+        self.connect_timeout = float(connect_timeout)
+        #: Connected hosts: the shard count of the next fan-out.
+        self.workers = len(hosts)
         self.min_fanout = (
-            2 * workers if min_fanout is None else max(1, int(min_fanout))
+            2 * len(hosts) if min_fanout is None else max(1, int(min_fanout))
         )
-        self.worker_stats = [EngineStats() for _ in range(workers)]
+        self.worker_stats = [EngineStats() for _ in hosts]
         #: Fan-out rounds dispatched and wall time spent inside them,
-        #: cumulative across pool restarts (``pool_stats`` derives idle
+        #: cumulative across reconnects (``pool_stats`` derives idle
         #: time from the pool's uptime).
         self.pool_rounds = 0
         self.pool_busy_s = 0.0
@@ -696,100 +497,61 @@ class MultiprocessDMEngine(BatchedDMEngine):
         self._engine_kwargs = dict(kwargs)
         self._handles: list[_Handle] | None = None
         self._session_counter = 0
-        self._arena = None
-        self._request_slabs = None
-        self._reply_slabs = None
-        self._commit_view: np.ndarray | None = None
-        self._shared_refs: dict | None = None
-        self._shm_info: dict | None = None
-        #: Supervision state: worker slots detected dead (healed by
-        #: respawn at the next dispatch) and the coordinator-side journal
-        #: a respawned worker replays — committed seed sequences per live
-        #: session plus the recent delta broadcasts.
-        self._dead: set[int] = set()
+        #: Supervision state: lost addresses pending rejoin
+        #: (address -> [attempts, next_retry]) and the coordinator-side
+        #: journal a rejoined host replays — committed seed sequences per
+        #: live session plus the recent delta broadcasts.
+        self._lost_hosts: dict[str, list[float]] = {}
         self._session_journal: dict[int, tuple[tuple, tuple]] = {}
         self._delta_journal: list[tuple] = []
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Connection lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> list[_Handle]:
-        if self._handles is None:
-            ctx = mp.get_context(self.start_method)
-            problem_payload = self.problem
-            shm_info = None
-            if self.transport == "shm":
-                from repro.core.shm import ShmArena, ShmSlab
+    def _handshake(self, address: str, timeout: float) -> _Handle:
+        """Dial one host and ship the hello (problem + engine kwargs).
 
-                arena = ShmArena()
-                skeleton, arrays = self.problem.share_arrays()
-                refs = {key: arena.share_array(a) for key, a in arrays.items()}
-                problem_payload = (skeleton, refs)
-                # Retained so a later delta broadcast can patch the mapped
-                # problem arrays in place (or re-share structurally
-                # changed ones) instead of re-shipping the problem.
-                self._shared_refs = refs
-                shape = (self.problem.horizon + 1, self.problem.n)
-                segment = arena.create(8 * shape[0] * shape[1])
-                self._commit_view = np.ndarray(
-                    shape, dtype=np.float64, buffer=segment.buf
-                )
-                shm_info = {
-                    "commit": (segment.name, np.dtype(np.float64).str, shape, 0)
-                }
-                self._arena = arena
-                self._request_slabs = [ShmSlab(arena) for _ in range(self.workers)]
-                self._reply_slabs = [ShmSlab(arena) for _ in range(self.workers)]
-            self._shm_info = shm_info
-            self._handles = [
-                self._spawn_worker(ctx, problem_payload, shm_info, index)
-                for index in range(self.workers)
-            ]
-            self._dead = set()
+        The handshake always carries the *current* problem, so a host
+        rejoining after deltas starts from patched state (journal replay
+        of the deltas is then an idempotent no-op).
+        """
+        conn, nbytes = _dial_host(address, timeout, self.problem, self._engine_kwargs)
+        self.stats.ipc_bytes += nbytes
+        return _Handle(conn, self.hosts.index(address))
+
+    def _ensure_pool(self) -> list[_Handle]:
+        """Connect and handshake every host (idempotent, all-or-nothing).
+
+        The shard count is re-derived from the connected hosts, so a pool
+        reused after :meth:`close` shards across every host again however
+        many were lost before.
+        """
+        if self._handles is None:
+            handles: list[_Handle] = []
+            try:
+                for address in self.hosts:
+                    handles.append(self._handshake(address, self.connect_timeout))
+            except BaseException:
+                for handle in handles:
+                    handle.conn.close()
+                raise
+            self._handles = handles
+            self.workers = len(handles)
+            self._lost_hosts = {}
             self._pool_started = time.monotonic()
         return self._handles
 
-    def _spawn_worker(self, ctx, problem_payload, shm_info, index: int) -> _Handle:
-        """Start pool member ``index`` and hand back its handle."""
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, problem_payload, self._engine_kwargs, shm_info),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Handle(
-            parent_conn, self.worker_stats[index], index, f"worker {index}", process
-        )
-
     def close(self) -> None:
-        """Stop the pool and unlink its shm segments (idempotent).
+        """Send stop frames, close every socket, forget pending rejoins.
 
-        Robust to workers that died mid-round: sends are guarded, joins
-        escalate ``join -> terminate -> kill`` with bounded timeouts so a
-        dead or wedged pipe can never hang the caller, and the arena
-        teardown runs in a ``finally`` (it is additionally guarded by
-        ``weakref.finalize``, so even a close that never runs cannot leak
-        segments).  The engine restarts lazily if used again.
+        Idempotent and safe on hosts that already died (the stop send is
+        guarded).  The pool reconnects lazily if used again.
         """
         handles, self._handles = self._handles, None
-        arena, self._arena = self._arena, None
         self._pool_started = None
-        self._request_slabs = None
-        self._reply_slabs = None
-        self._commit_view = None
-        self._shared_refs = None
-        self._shm_info = None
-        self._dead = set()
-        try:
-            if handles:
-                stop_worker_pool(
-                    handles, lambda conn: conn.send_bytes(_STOP_BYTES)
-                )
-        finally:
-            if arena is not None:
-                arena.close()
+        self._lost_hosts = {}
+        if handles:
+            stop_worker_pool(handles, lambda conn: conn.send_bytes(_STOP_BYTES))
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
         try:
@@ -798,74 +560,64 @@ class MultiprocessDMEngine(BatchedDMEngine):
             pass
 
     def ping(self) -> list[tuple[int, str]]:
-        """Round-trip every worker; returns ``(pid, process name)`` pairs."""
+        """Round-trip every host; returns ``(pid, hostname)`` pairs."""
         return self._run([("ping",)] * len(self._ensure_pool()))
 
     def pool_stats(self) -> dict[str, object]:
         """Live pool accounting (the serving layer's ``stats`` op).
 
         ``rounds`` counts fan-out dispatches, ``busy_s`` the wall time
-        spent inside them, ``idle_s`` the remainder of the running pool's
-        uptime.  ``shm_segments`` names the arena's live segments — the
-        serving crash tests poll these to prove a killed server leaks
-        nothing.  Round/busy counters are cumulative across pool
-        restarts; only the uptime window resets.
+        spent inside them, ``idle_s`` the remainder of the connected
+        pool's uptime; round/busy counters are cumulative across
+        reconnects, only the uptime window resets.  The host fields name
+        the fleet, the hosts connected now, and the loss / rejoin /
+        re-shard counts.
         """
         started = self._handles is not None
         uptime = 0.0
         if started and self._pool_started is not None:
             uptime = time.monotonic() - self._pool_started
         busy = float(self.pool_busy_s)
-        segments: list[str] = []
-        if self._arena is not None:
-            segments = sorted(self._arena.names)
         return {
             "backend": type(self).__name__,
             "workers": self.workers,
-            "transport": self.transport,
             "started": started,
             "rounds": int(self.pool_rounds),
             "busy_s": round(busy, 6),
             "idle_s": round(max(uptime - busy, 0.0), 6),
-            "shm_segments": segments,
-            "workers_lost": int(self.stats.workers_lost),
-            "workers_respawned": int(self.stats.workers_respawned),
+            "hosts": list(self.hosts),
+            "hosts_connected": [self.hosts[h.slot] for h in (self._handles or [])],
+            "hosts_lost": int(self.stats.hosts_lost),
+            "hosts_rejoined": int(self.stats.hosts_rejoined),
+            "chunks_resharded": int(self.stats.chunks_resharded),
         }
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _run(self, messages: Sequence[tuple], pending: Sequence | None = None) -> list:
-        """Supervised dispatch: send, gather, survive member deaths.
+    def _run(self, messages: Sequence[tuple]) -> list:
+        """Supervised dispatch: send, gather, survive host losses.
 
-        The one dispatch loop for every transport — worker pipes, shm
-        descriptors and TCP hosts alike; subclasses only supply the pool
-        lifecycle hooks (:meth:`_ensure_pool`, :meth:`_heal_pool`,
-        :meth:`_inject_faults`, :meth:`_lose`).  ``messages[i]`` goes to
-        the ``i``-th live handle.  Members compute concurrently — all
-        sends complete before the first receive — and replies are folded
-        into ``stats`` and the member's ``worker_stats`` entry.
-        ``pending[i]``, when set, names the reply-slab region reserved for
-        message ``i`` (the shm transport); the result is copied out of the
-        slab on receipt.  Every byte actually crossing a pipe or socket,
-        in either direction, lands in ``stats.ipc_bytes``.
+        ``messages[i]`` goes to the ``i``-th connected host.  Hosts
+        compute concurrently — all sends complete before the first
+        receive — and replies are folded into ``stats`` and the host's
+        ``worker_stats`` entry.  Every payload byte actually crossing a
+        socket, in either direction, lands in ``stats.ipc_bytes``.
 
-        A member whose connection fails mid-round (EOF, broken pipe,
-        reset) is handed to :meth:`_lose`: its chunked message
-        re-dispatches to a survivor in the same round
-        (``stats.chunks_resharded`` — slots are kept, so ``results[i]``
-        always answers ``messages[i]`` and the chunk-order concatenation
-        never observes the loss), while broadcast copies are simply
-        dropped.  :meth:`_heal_pool` restores lost members at the start
-        of a later dispatch with journal-replayed state.  A member-side
-        ``err`` status still raises — the evaluation itself failed on a
-        live member and would fail anywhere.
+        A host whose connection fails mid-round (EOF, broken pipe, reset)
+        is handed to :meth:`_lose`: its chunked message re-dispatches to a
+        survivor in the same round (``stats.chunks_resharded`` — slots are
+        kept, so ``results[i]`` always answers ``messages[i]`` and the
+        chunk-order concatenation never observes the loss), while
+        broadcast copies are simply dropped.  :meth:`_heal_pool` re-dials
+        lost hosts at the start of a later dispatch with journal-replayed
+        state.  A host-side ``err`` status still raises — the evaluation
+        itself failed on a live host and would fail anywhere.
         """
         self._ensure_pool()
         self._heal_pool()
         self._inject_faults()
         handles = list(self._handles or [])
-        refs = list(pending) if pending is not None else [None] * len(messages)
         round_start = time.monotonic()
         try:
             live = list(handles)
@@ -883,16 +635,16 @@ class MultiprocessDMEngine(BatchedDMEngine):
                     failed.append(index)
             for index, handle in dispatched:
                 try:
-                    results[index] = self._receive(handle, refs[index])
+                    results[index] = self._receive(handle)
                 except (EOFError, ConnectionError, OSError):
                     live.remove(handle)
                     self._lose(handle)
                     failed.append(index)
             if failed and messages[failed[0]][0] not in _BROADCAST_OPS:
-                self._redispatch(messages, sorted(failed), results, refs, live)
+                self._redispatch(messages, sorted(failed), results, live)
             elif not live:
                 # Survivors already served a broadcast and the journal
-                # replay covers lost members — unless nobody survived.
+                # replay covers lost hosts — unless nobody survived.
                 raise self._all_lost()
             return [results[index] for index in sorted(results)]
         finally:
@@ -904,16 +656,13 @@ class MultiprocessDMEngine(BatchedDMEngine):
         messages: Sequence[tuple],
         queue: list[int],
         results: dict[int, object],
-        refs: list,
         live: list[_Handle],
     ) -> None:
-        """Re-shard lost members' chunks across the survivors, in waves.
+        """Re-shard lost hosts' chunks across the survivors, in waves.
 
         Each wave assigns at most one queued message per survivor; a
         survivor that dies mid-wave sends its message back into the
-        queue.  Slab copy-out always uses the *message*'s reply ref — the
-        shm refs baked into a message name the originating slot's slabs,
-        and segments attach by name, so any worker can fill them.
+        queue.
         """
         while queue:
             if not live:
@@ -933,82 +682,82 @@ class MultiprocessDMEngine(BatchedDMEngine):
                 queue.remove(index)
             for index, handle in wave:
                 try:
-                    results[index] = self._receive(handle, refs[index])
+                    results[index] = self._receive(handle)
                 except (EOFError, ConnectionError, OSError):
                     live.remove(handle)
                     self._lose(handle)
                     queue.append(index)
 
-    def _receive(self, handle: _Handle, reply_ref: tuple | None = None):
-        """One reply off ``handle``: account it, raise on a member ``err``.
+    def _receive(self, handle: _Handle):
+        """One reply off ``handle``: account it, raise on a host ``err``.
 
         Transport failures (EOF/OSError) propagate to the caller — the
-        *member* died and its message can be re-dispatched; an ``err``
-        status means the evaluation itself failed on a live member.  With
-        ``reply_ref`` set the payload is copied out of the reply slab.
+        *host* died and its message can be re-dispatched; an ``err``
+        status means the evaluation itself failed on a live host.
         """
         reply, nbytes = _recv_message(handle.conn)
         self.stats.ipc_bytes += nbytes
         status, result, stats = reply
         if status != "ok":
             self.close()
-            raise RuntimeError(f"dm-mp {handle.label} failed:\n{result}")
+            raise RuntimeError(
+                f"dm-mp tcp host {self.hosts[handle.slot]} failed:\n{result}"
+            )
+        host_stats = self.worker_stats[handle.slot]
         for name, value in zip(_EVOLUTION_COUNTERS, stats):
             setattr(self.stats, name, getattr(self.stats, name) + value)
-            setattr(handle.stats, name, getattr(handle.stats, name) + value)
-        if reply_ref is not None:
-            result = np.array(self._arena.view(reply_ref))
+            setattr(host_stats, name, getattr(host_stats, name) + value)
         return result
 
     def _all_lost(self) -> RuntimeError:
-        """Tear the pool down; the error for a round no member can run."""
+        """Tear the pool down; the error for a round no host can run."""
         self.close()
-        return RuntimeError(f"dm-mp: every {self._MEMBER} of the pool was lost")
+        return RuntimeError("dm-mp: every host of the pool was lost")
 
     def _lose(self, handle: _Handle) -> None:
-        """Mark a failed worker's slot dead; the next dispatch respawns it."""
-        self._dead.add(handle.slot)
-        self.stats.workers_lost += 1
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
+        """Drop a dead host: later rounds shard across the survivors
+        while the rejoin schedule re-dials its address."""
+        handles = self._handles or []
+        if handle in handles:
+            handles.remove(handle)
+        handle.conn.close()
+        self.stats.hosts_lost += 1
+        if handles:
+            self.workers = len(handles)
+        self._lost_hosts.setdefault(
+            self.hosts[handle.slot], [0, time.monotonic() + _REJOIN_DELAYS[0]]
+        )
 
     def _heal_pool(self) -> None:
-        """Respawn every dead slot before the next round dispatches."""
-        if not self._dead or self._handles is None:
-            return
-        for index in sorted(self._dead):
-            self._respawn_worker(index)
-        self._dead = set()
+        """Re-dial lost hosts whose backoff deadline has passed.
 
-    def _respawn_worker(self, index: int) -> None:
-        """Replace a dead pool member and replay the journal onto it.
-
-        The replacement gets the *current* problem: re-pickled under the
-        pipe transport, or a fresh skeleton around the existing shared
-        segments under shm (``_shared_refs`` is patched in place by delta
-        republishing, so the refs are always current — re-sharing would
-        orphan the commit view).  Journal replay then registers committed
-        session seed sequences (``adopt`` — trajectories rebuild lazily,
-        bitwise identical) and re-sends recent delta broadcasts
-        (idempotent on the already-current problem).
+        A successful dial re-runs the full handshake (current problem),
+        replays the coordinator journal, and restores the host to its
+        original shard slot — selections stay byte-identical throughout
+        because chunk contents and concatenation order never depended on
+        *which* connection evaluates a chunk.
         """
-        handles = self._handles
-        if handles is None:  # pragma: no cover - close raced the heal
+        if not self._lost_hosts or self._handles is None:
             return
-        stop_worker_pool([handles[index]], lambda conn: conn.send_bytes(_STOP_BYTES))
-        ctx = mp.get_context(self.start_method)
-        problem_payload = self.problem
-        if self.transport == "shm":
-            skeleton, _ = self.problem.share_arrays()
-            problem_payload = (skeleton, self._shared_refs)
-        handles[index] = self._spawn_worker(ctx, problem_payload, self._shm_info, index)
-        self.stats.workers_respawned += 1
-        self._replay_journal(handles[index])
+        for address, entry in list(self._lost_hosts.items()):
+            if time.monotonic() < entry[1]:
+                continue
+            try:
+                handle = self._handshake(address, _REJOIN_DIAL_TIMEOUT)
+            except (RuntimeError, OSError, EOFError):
+                entry[0] += 1
+                delay = _REJOIN_DELAYS[min(int(entry[0]), len(_REJOIN_DELAYS) - 1)]
+                entry[1] = time.monotonic() + delay
+                continue
+            del self._lost_hosts[address]
+            self._handles.append(handle)
+            self._handles.sort(key=lambda h: h.slot)
+            self.workers = len(self._handles)
+            self.stats.hosts_rejoined += 1
+            self._replay_journal(handle)
 
     def _replay_journal(self, handle: _Handle) -> None:
-        """Ship the coordinator-side journal to one (re)joined member."""
+        """Ship the coordinator-side journal to one rejoined host."""
         replay: list[tuple] = []
         for sid, (base, seeds) in self._session_journal.items():
             replay.append(("adopt", sid, base, seeds))
@@ -1019,53 +768,23 @@ class MultiprocessDMEngine(BatchedDMEngine):
             self._receive(handle)
 
     def _inject_faults(self) -> None:
-        """The ``mp-kill-worker`` fault point: SIGKILL a planned victim.
+        """The ``net-sever-host`` fault point: cut a planned host's socket.
 
-        The kill is real — detection and recovery then run the exact
-        production path (EOF on the pipe, re-shard, respawn), which is
-        the point of injecting here rather than faking a dead handle.
+        Closing the coordinator side mid-round makes the next send fail
+        with a real transport error, driving the production lose /
+        re-shard / rejoin path (the remote net-worker sees EOF and loops
+        back to ``accept``, ready for the rejoin dial).
         """
         if faults.active() is None or self._handles is None:
             return
-        for handle in self._handles:
+        for handle in list(self._handles):
             spec = faults.maybe_fail(
-                "mp-kill-worker", worker=handle.slot, round=self.pool_rounds
+                "net-sever-host",
+                host=self.hosts[handle.slot],
+                round=self.pool_rounds,
             )
             if spec is not None:
-                handle.process.kill()
-                # Reap before dispatch so the death is visible this round.
-                handle.process.join(timeout=5.0)
-
-    def _chunk_indices(self, count: int) -> list[np.ndarray]:
-        """Deterministic contiguous index chunks, one per worker, no empties."""
-        return [
-            idx
-            for idx in np.array_split(np.arange(count), self.workers)
-            if idx.size
-        ]
-
-    def _slab_request(
-        self,
-        worker: int,
-        arrays: Sequence[np.ndarray],
-        reply_shape: tuple[int, ...],
-    ) -> tuple[list[tuple], tuple]:
-        """One shm request: write ``arrays`` to the worker's request slab
-        and reserve its float64 reply region.
-
-        Returns the tagged array refs (message fields, in order) and the
-        reserved reply ref — the single place the slab protocol (begin,
-        pre-``ensure`` of the full message, aligned writes, reservation)
-        is spelled out for every fan-out op.
-        """
-        request = self._request_slabs[worker]
-        request.begin()
-        request.ensure(sum(a.nbytes for a in arrays) + 8 * len(arrays))
-        refs = [(_SHM_TAG, *request.write(a)) for a in arrays]
-        reply = self._reply_slabs[worker]
-        reply.begin()
-        reply.ensure(8 * int(np.prod(reply_shape, dtype=np.int64)))
-        return refs, reply.reserve(np.float64, reply_shape)
+                handle.conn.close()
 
     def _fan_out(
         self,
@@ -1073,34 +792,22 @@ class MultiprocessDMEngine(BatchedDMEngine):
         head: tuple,
         count: int,
         arrays: Callable[[np.ndarray], Sequence[np.ndarray]],
-        row_shape: tuple[int, ...] = (),
     ) -> np.ndarray:
-        """One fanned-out round: chunk, encode, dispatch, concatenate.
+        """One fanned-out round: chunk, dispatch, concatenate.
 
-        The ``count`` items split into contiguous chunks, one per live
-        member; chunk ``idx`` becomes the request
-        ``(op, *head, *arrays(idx), reply)``.  This is the one place the
-        data plane is chosen: under shm the arrays land in the member's
-        request slab and ``reply`` reserves a ``(chunk, *row_shape)``
-        float64 region of its reply slab, so the message is a few
-        descriptor tuples; otherwise arrays ride inline and ``reply`` is
-        ``None``.  Replies concatenate in chunk order, which keeps
-        results byte-identical at every pool size.
+        The ``count`` items split into deterministic contiguous chunks,
+        one per connected host (no empties); chunk ``idx`` becomes the
+        request ``(op, *head, *arrays(idx))``.  Replies concatenate in
+        chunk order, which keeps results byte-identical at every pool
+        size.
         """
-        self._ensure_pool()  # the chunk count follows the live members
-        messages, pending = [], []
-        for worker, idx in enumerate(self._chunk_indices(count)):
-            fields = arrays(idx)
-            if self.transport == "shm":
-                refs, reply_ref = self._slab_request(
-                    worker, fields, (idx.size, *row_shape)
-                )
-                messages.append((op, *head, *refs, (_SHM_TAG, *reply_ref)))
-                pending.append(reply_ref)
-            else:
-                messages.append((op, *head, *fields, None))
-                pending.append(None)
-        return np.concatenate(self._run(messages, pending))
+        self._ensure_pool()  # the chunk count follows the connected hosts
+        messages = [
+            (op, *head, *arrays(idx))
+            for idx in np.array_split(np.arange(count), self.workers)
+            if idx.size
+        ]
+        return np.concatenate(self._run(messages))
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -1125,22 +832,16 @@ class MultiprocessDMEngine(BatchedDMEngine):
         )
 
     def target_opinion_rows(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
-        """``(C, n)`` horizon opinion rows, fanned out across the pool.
+        """``(C, n)`` horizon opinion rows, fanned out across the hosts.
 
-        Chunks of seed sets evolve concurrently and each worker writes its
-        dense block straight into its reply slab under the shm transport —
-        the canonical "dense payload" case the zero-copy data plane
-        exists for.  Small requests run locally, like ``evaluate``.
+        Chunks of seed sets evolve concurrently; small requests run
+        locally, like ``evaluate``.
         """
         sets = self._normalize_sets(seed_sets)
         if len(sets) < self.min_fanout:
             return super().target_opinion_rows(sets)
         return self._fan_out(
-            "rows",
-            (),
-            len(sets),
-            lambda idx: _flatten_sets([sets[i] for i in idx]),
-            (self.problem.n,),
+            "rows", (), len(sets), lambda idx: _flatten_sets([sets[i] for i in idx])
         )
 
     def session_extension_values(
@@ -1153,8 +854,8 @@ class MultiprocessDMEngine(BatchedDMEngine):
     ) -> np.ndarray:
         """One session round: candidate chunks fanned out with the session id.
 
-        Small rounds (CELF refreshes) run on the parent's own committed
-        trajectory; both paths produce bitwise-identical values.
+        Small rounds (CELF refreshes) run on the coordinator's own
+        committed trajectory; both paths produce bitwise-identical values.
         """
         cand = check_index_array(candidates, "candidates")
         if cand.size == 0:
@@ -1177,175 +878,92 @@ class MultiprocessDMEngine(BatchedDMEngine):
     ) -> np.ndarray:
         """Unscored extension rows for one session round, fanned out.
 
-        The rows counterpart of :meth:`session_extension_values`: workers
+        The rows counterpart of :meth:`session_extension_values`: hosts
         evolve their candidate chunks against the session's committed
-        trajectory and reply with the ``(chunk, n)`` horizon rows (written
-        straight into the reply slab under shm), so the parent can score
-        each row through the canonical width-1 path
-        (:meth:`MultiprocessDMSession.coalesced_gains`).  Rows are
-        bitwise identical to the local :meth:`BatchedDMEngine.extension_rows`
-        at every worker count and batch size.
+        trajectory and reply with the ``(chunk, n)`` horizon rows, so the
+        coordinator can score each row through the canonical width-1 path
+        (:meth:`MultiprocessDMSession.coalesced_gains`).  Rows are bitwise
+        identical to the local :meth:`BatchedDMEngine.extension_rows` at
+        every host count and batch size.
         """
         cand = check_index_array(candidates, "candidates")
-        n = self.problem.n
         if cand.size == 0:
-            return np.empty((0, n), dtype=np.float64)
+            return np.empty((0, self.problem.n), dtype=np.float64)
         if cand.size < self.min_fanout:
             return self.extension_rows(
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
         return self._fan_out(
-            "extrows", (sid, base, seeds), cand.size, lambda idx: [cand[idx]], (n,)
+            "extrows", (sid, base, seeds), cand.size, lambda idx: [cand[idx]]
         )
 
     def apply_delta(self, report, *, sessions: str = "auto") -> None:
-        """Broadcast a delta to the pool, then refresh the parent engine.
+        """Broadcast a delta to the hosts, then refresh the local engine.
 
-        Workers patch their problem state in place instead of being
-        restarted with a re-shipped problem: under ``pipe`` the broadcast
-        carries only the touched columns' post-delta bytes (and changed
-        opinion rows); under ``shm`` the parent patches the mapped
-        segments directly — workers observe the new bytes without any
-        message payload — re-sharing only matrices whose sparsity
-        structure changed.  Warm sessions are rebuilt (never patched):
-        workers reconstruct committed trajectories from seed sequences,
-        and parent/worker state must stay bitwise identical.  A pool that
-        has not started yet needs no broadcast — it forks from the
-        already-patched problem.
+        Hosts patch their problem state in place instead of being
+        re-handshaken with a re-shipped problem: the broadcast carries
+        only the touched columns' post-delta bytes and the changed
+        opinion values.  Warm sessions are rebuilt (never patched): hosts
+        reconstruct committed trajectories from seed sequences, and
+        coordinator/host state must stay bitwise identical.  A pool that
+        has not connected yet needs no broadcast — its handshake ships
+        the already-patched problem.
         """
         if report.empty:
             return
         if self._handles is not None:
-            columns_by_gid = None
+            state = self.problem.state
+            graphs = _unique_graphs(state)
+            gid_of = {id(g): i for i, g in enumerate(graphs)}
+            columns_by_gid: dict[int, dict] = {}
+            for q, touched in report.touched_by_candidate.items():
+                graph = state.graph(int(q))
+                gid = gid_of[id(graph)]
+                if gid in columns_by_gid:
+                    continue
+                columns_by_gid[gid] = {
+                    int(t): tuple(
+                        np.array(part) for part in graph.in_neighbors(int(t))
+                    )
+                    for t in np.asarray(touched, dtype=np.int64)
+                }
             opinions = None
-            new_refs = None
-            if self.transport == "shm":
-                new_refs = self._republish_delta(report)
-            else:
-                state = self.problem.state
-                graphs = _unique_graphs(state)
-                gid_of = {id(g): i for i, g in enumerate(graphs)}
-                columns_by_gid = {}
-                for q, touched in report.touched_by_candidate.items():
-                    graph = state.graph(int(q))
-                    gid = gid_of[id(graph)]
-                    if gid in columns_by_gid:
-                        continue
-                    columns_by_gid[gid] = {
-                        int(t): tuple(
-                            np.array(part)
-                            for part in graph.in_neighbors(int(t))
-                        )
-                        for t in np.asarray(touched, dtype=np.int64)
-                    }
-                if report.opinions_by_candidate:
-                    b0 = state.initial_opinions
-                    opinions = [
-                        (
-                            int(q),
-                            np.asarray(nodes, dtype=np.int64),
-                            np.array(b0[int(q), np.asarray(nodes, dtype=np.int64)]),
-                        )
-                        for q, nodes in report.opinions_by_candidate.items()
-                    ]
-            # Journaled before dispatch so a worker that dies *during*
-            # this broadcast still sees the delta on respawn replay
-            # (idempotent: respawns re-ship the already-patched problem).
-            self._delta_journal.append(
-                ("delta", report, columns_by_gid, opinions, new_refs)
-            )
+            if report.opinions_by_candidate:
+                b0 = state.initial_opinions
+                opinions = [
+                    (
+                        int(q),
+                        np.asarray(nodes, dtype=np.int64),
+                        np.array(b0[int(q), np.asarray(nodes, dtype=np.int64)]),
+                    )
+                    for q, nodes in report.opinions_by_candidate.items()
+                ]
+            # Journaled before dispatch so a host lost *during* this
+            # broadcast still sees the delta on rejoin replay (idempotent:
+            # the rejoin handshake ships the already-patched problem).
+            self._delta_journal.append(("delta", report, columns_by_gid, opinions))
             del self._delta_journal[:-_DELTA_JOURNAL_CAP]
             self._run([self._delta_journal[-1]] * self.workers)
         super().apply_delta(report, sessions=sessions)
 
-    def _republish_delta(self, report) -> dict | None:
-        """Patch the shared problem segments in place; re-share on growth.
+    def broadcast_commit(self, sid: int, base: tuple, before: tuple, seed: int) -> None:
+        """Tell every host to fold ``seed`` into session ``sid``'s state.
 
-        Returns ``{gid: {"csr.data": tagged ref, ...}}`` for graphs whose
-        arrays changed shape (structural deltas) — workers rebuild those
-        matrix views; everything else was patched inside the live
-        segments and needs no message payload at all.
-        """
-        refs = self._shared_refs
-        arena = self._arena
-        if refs is None or arena is None:
-            return None
-        state = self.problem.state
-        graphs = _unique_graphs(state)
-        gid_of = {id(g): i for i, g in enumerate(graphs)}
-        touched_gids = sorted(
-            {gid_of[id(state.graph(int(q)))] for q in report.touched_by_candidate}
-        )
-        new_refs: dict[int, dict[str, tuple]] = {}
-        for gid in touched_gids:
-            graph = graphs[gid]
-            replaced = False
-            for orient in ("csr", "csc"):
-                matrix = getattr(graph, orient)
-                for part in ("data", "indices", "indptr"):
-                    key = f"g{gid}.{orient}.{part}"
-                    ref = refs[key]
-                    array = np.ascontiguousarray(getattr(matrix, part))
-                    if (
-                        tuple(ref[2]) == tuple(array.shape)
-                        and np.dtype(ref[1]) == array.dtype
-                    ):
-                        arena.view(ref)[...] = array
-                    else:
-                        old_name = ref[0]
-                        refs[key] = arena.share_array(array)
-                        arena.release(old_name)
-                        replaced = True
-            if replaced:
-                # Ship the full matrix ref set so the worker re-maps both
-                # orientations coherently (some parts may be unreplaced
-                # in-place segments — the refs are current either way).
-                new_refs[gid] = {
-                    f"{orient}.{part}": (
-                        _SHM_TAG,
-                        *refs[f"g{gid}.{orient}.{part}"],
-                    )
-                    for orient in ("csr", "csc")
-                    for part in ("data", "indices", "indptr")
-                }
-        if report.opinions_by_candidate:
-            ref = refs["initial_opinions"]
-            arena.view(ref)[...] = state.initial_opinions
-        return new_refs or None
-
-    def broadcast_commit(
-        self,
-        sid: int,
-        base: tuple,
-        before: tuple,
-        seed: int,
-        traj: np.ndarray | None = None,
-    ) -> None:
-        """Tell every worker to fold ``seed`` into session ``sid``'s state.
-
-        ``traj`` is the parent's post-commit committed trajectory; under
-        the shm transport it is published through the commit slab so
-        workers adopt it by one copy (no per-worker re-extension, nothing
-        dense pickled).  A no-op while the pool has not started: the first
-        fan-out message carries the full seed sequence and workers rebuild
-        from it.
+        A no-op while the pool has not connected: the first fan-out
+        message carries the full seed sequence and hosts rebuild from it.
         """
         if self._handles is None:
             return
         self._journal_commit(sid, tuple(base), tuple(before) + (int(seed),))
-        if self._commit_view is not None:
-            if traj is None:
-                raise ValueError("shm commit broadcasts need the committed trajectory")
-            self._commit_view[...] = traj
         self._run([("commit", sid, base, before, seed)] * self.workers)
 
     def _journal_commit(self, sid: int, base: tuple, seeds: tuple) -> None:
         """Record session ``sid``'s committed seed sequence (FIFO-capped).
 
-        The journal is what a respawned worker replays (as ``adopt``
+        The journal is what a rejoined host replays (as ``adopt``
         messages) to recover every live session's committed state; the
-        cap mirrors the worker-side session cache, so the journal never
-        promises more sessions than a worker would retain anyway.
+        cap mirrors the host-side session cache, so the journal never
+        promises more sessions than a host would retain anyway.
         """
         journal = self._session_journal
         journal.pop(sid, None)

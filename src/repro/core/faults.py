@@ -1,9 +1,9 @@
 """Deterministic fault injection for chaos tests and resilience benchmarks.
 
-Every recovery path in the execution stack (worker respawn, host rejoin,
+Every recovery path in the execution stack (host re-shard and rejoin,
 block repair, request shedding) is only trustworthy if the *failure* that
 triggers it can be replayed exactly.  This module is that seam: a seeded
-:class:`FaultPlan` names which fault fires where (kill worker 1 in pool
+:class:`FaultPlan` names which fault fires where (sever host A in pool
 round 3, corrupt candidate 0's first walk block, drop serve request 5),
 and instrumented fault points call :func:`maybe_fail` with their local
 context.  A spec fires exactly once, when its ``when`` constraints all
@@ -50,9 +50,7 @@ __all__ = [
 #: Adding a ``maybe_fail`` call site requires registering its id here
 #: (enforced by the ``fault-point`` reprolint checker), and vice versa.
 FAULT_IDS: dict[str, tuple[str, ...]] = {
-    # engine_mp._run: SIGKILL worker ``worker`` before pool round ``round``.
-    "mp-kill-worker": ("worker", "round"),
-    # engine_net.HostPool._run: sever host ``host`` before round ``round``.
+    # engine_mp.HostPool._run: sever host ``host`` before round ``round``.
     "net-sever-host": ("host", "round"),
     # walk_store._load_block: corrupt the block's bytes before the
     # checksum verification runs, exercising quarantine + repair.
@@ -245,9 +243,9 @@ def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
 def maybe_fail(fault_id: str, **ctx: Any) -> FaultSpec | None:
     """Consult the installed plan at a fault point; None means proceed.
 
-    Call sites pass their local coordinates (worker index, pool round,
-    block identity, ...) and act on the returned spec — killing the
-    process, closing the socket, corrupting the bytes.  The fault point
+    Call sites pass their local coordinates (host address, pool round,
+    block identity, ...) and act on the returned spec — closing the
+    socket, corrupting the bytes.  The fault point
     itself never raises: injection is always an explicit action by the
     caller so the failure takes the production code path.
     """

@@ -37,8 +37,8 @@ class InfluenceGraph:
     """
 
     #: ``(version, table)`` of the last :meth:`alias_sampler` build.  A
-    #: class-level default, so graphs assembled through ``__new__`` (the
-    #: shared-memory problem views) start without one.
+    #: class-level default, so unpickled graphs (whose pickles omit the
+    #: table) start without one.
     _alias: "tuple[int, AliasSampler] | None" = None
 
     def __init__(self, matrix: sparse.spmatrix, *, validate: bool = True) -> None:
@@ -83,10 +83,8 @@ class InfluenceGraph:
     def alias_sampler(self) -> AliasSampler:
         """The alias table over :attr:`csc` for the current :attr:`version`.
 
-        Built on first use and cached until :attr:`version` moves.  The
-        version is the only validity key: shared-memory workers receive
-        data-only delta patches in their mapped segments without calling
-        any graph method, and adopt the new version afterwards.
+        Built on first use and cached until :attr:`version` moves — every
+        delta (:meth:`apply_edge_delta`, :meth:`adopt_columns`) bumps it.
         """
         cached = self._alias
         if cached is None or cached[0] != self.version:
@@ -150,8 +148,7 @@ class InfluenceGraph:
 
         Weight-only deltas (all added pairs already present, nothing removed)
         rewrite ``csr``/``csc`` data buffers in place, preserving the array
-        objects — shared-memory views over them observe the update without
-        any re-mapping.  Structural deltas splice the changed columns into
+        objects.  Structural deltas splice the changed columns into
         fresh canonical CSC/CSR arrays ("structural merge"); untouched
         columns keep their exact bytes either way, so the result is
         bit-identical to rebuilding an :class:`InfluenceGraph` from the

@@ -4,7 +4,7 @@ The paper frames opinion maximization as interactive decision support —
 "which k seeds win target c under rule R?" — and this package answers it
 without the cold-start tax of the batch CLI: one process loads the graph
 (and, optionally, a persisted :class:`~repro.core.walk_store.WalkStore`
-directory) once, keeps engine pools and per-campaign
+directory) once, keeps engines and per-campaign
 :class:`~repro.core.engine.SelectionSession`\\ s hot, and serves queries
 over a newline-delimited JSON protocol on a plain TCP socket (stdlib
 ``asyncio.start_server`` — no new runtime dependencies).
@@ -36,8 +36,8 @@ sharing a prefix evolve the union of their candidates as a single
 (n, C) block, win/value probes for distinct seed sets share one
 :meth:`~repro.core.engine.ObjectiveEngine.query_sets` call, and duplicate
 top-k requests run greedy once.  Responses are *batch-stable*: byte
-identical whether a request was coalesced or served alone, at every
-worker count and transport (the engines evolve batch-stable rows and
+identical whether a request was coalesced or served alone, on every
+backend and host count (the engines evolve batch-stable rows and
 score each through the canonical width-1 reduction).  Deltas are
 serialized through the same queue, acting as barriers — every response
 carries the ``graph_version``/``opinion_version`` it was computed

@@ -1,8 +1,8 @@
 """Warm-engine hub and the request-coalescing batcher.
 
 :class:`EngineHub` owns what stays hot across requests: the problem, one
-engine per spec the server was started with (worker pools pinged at
-startup so the first query pays no fork), an LRU of per-prefix
+engine per spec the server was started with (tcp hosts pinged at
+startup so the first query pays no handshake), an LRU of per-prefix
 :class:`~repro.core.engine.SelectionSession`\\ s, and a top-k result
 cache.  Deltas funnel through the hub so every layer (problem, engines,
 walk store, caches) advances together.
@@ -26,7 +26,7 @@ queries into shared engine rounds:
 Every merge is answer-preserving byte for byte: the engines' coalesced
 entry points are batch-stable (bitwise identical however requests are
 grouped), which the serving tests and ``benchmarks/bench_serving.py``
-assert across backends, transports and worker counts.
+assert across backends and host counts.
 
 All counters in :class:`ServeStats` are deterministic — a fixed request
 sequence produces the same counts on every host — so the benchmark gates
@@ -187,8 +187,8 @@ class EngineHub:
         self.topk_cache_cap = int(topk_cache_cap)
         self._engines: dict[str, ObjectiveEngine] = {}
         # Engines are keyed by the spec's *canonical* spelling, so
-        # equivalent forms ("dm-mp:2" vs "dm-mp:2:pipe") share one warm
-        # pool instead of forking duplicates.
+        # equivalent forms ("dm-mp:2:shm" vs "dm-batched") share one warm
+        # engine instead of building duplicates.
         parsed_specs = [EngineSpec.parse(spec) for spec in specs]
         self.default_spec = parsed_specs[0].canonical()
         for parsed in parsed_specs:
@@ -207,9 +207,9 @@ class EngineHub:
         return tuple(self._engines)
 
     def warm(self) -> None:
-        """Start every pool now, so the first query pays no fork/mmap.
+        """Start every pool now, so the first query pays no handshake.
 
-        ``ping`` starts the ``dm-mp`` worker pools (a warm pool is what
+        ``ping`` connects the ``dm-mp:tcp`` hosts (a warm pool is what
         makes small coalesced rounds cheap); the problem's competitor
         cache is materialized for the scoring paths.  Walk stores were
         already opened (and their blocks loaded or generated) when the
@@ -372,7 +372,7 @@ class EngineHub:
         }
 
     def close(self) -> None:
-        """Release every engine (worker pools via ``stop_worker_pool``);
+        """Release every engine (tcp hosts via ``stop_worker_pool``);
         idempotent."""
         self._sessions.clear()
         self._topk.clear()
@@ -545,7 +545,11 @@ class CoalescingBatcher:
                         if cand_param is None
                         else _node_list(cand_param, "candidates", n)
                     )
-                    lazy = bool(request.params.get("lazy", False))
+                    lazy = request.params.get("lazy", False)
+                    if not isinstance(lazy, bool):
+                        raise ProtocolError(
+                            ERROR_BAD_REQUEST, "'lazy' must be a boolean"
+                        )
                     topk.setdefault((key, k, lazy, cand_key), []).append(
                         (i, request)
                     )

@@ -23,14 +23,18 @@ instead (``ok`` false)::
 
 Ops
 ---
+Each op accepts only the parameters listed for it (:data:`OP_PARAMS`);
+an unknown key is a ``bad-request`` naming it, so a misspelt parameter
+never silently falls back to a default.
+
 ``ping``
     Liveness probe; result echoes an optional ``payload``.
 ``stats``
-    Serving counters, per-engine pool accounting (including live shm
-    segment names) and problem versions.
+    Serving counters, per-engine pool accounting (tcp hosts connected,
+    lost and rejoined) and problem versions.
 ``top_k_seeds``
     Greedy selection: ``k`` (required), optional ``candidates``,
-    ``lazy``, ``engine``.
+    ``lazy`` (a boolean), ``engine``.
 ``marginal_gain``
     Gains of extending the committed prefix ``seeds`` by each of
     ``candidates``; optional ``engine``.
@@ -48,7 +52,9 @@ Ops
 Error codes
 -----------
 ``bad-request``
-    Malformed JSON line, missing/ill-typed parameter, out-of-range node.
+    Malformed JSON line (including the non-standard constants ``NaN``,
+    ``Infinity`` and ``-Infinity``, and numbers too large for a finite
+    float), unknown, missing or ill-typed parameter, out-of-range node.
 ``unknown-op``
     ``op`` is not one of :data:`OPS`.
 ``bad-engine-spec``
@@ -76,6 +82,7 @@ client is willing to wait for its response, measured from admission.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -85,14 +92,20 @@ ENCODING = "utf-8"
 #: instead of buffering without bound.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
-OPS = (
-    "ping",
-    "stats",
-    "top_k_seeds",
-    "marginal_gain",
-    "prefix_win_probability",
-    "apply_delta",
-)
+#: Parameters each op accepts, besides the envelope keys ``op``, ``id``
+#: and ``deadline_ms``.
+OP_PARAMS: dict[str, frozenset[str]] = {
+    "ping": frozenset({"payload"}),
+    "stats": frozenset(),
+    "top_k_seeds": frozenset({"engine", "k", "candidates", "lazy"}),
+    "marginal_gain": frozenset({"engine", "seeds", "candidates"}),
+    "prefix_win_probability": frozenset({"engine", "seeds"}),
+    "apply_delta": frozenset(
+        {"edges_added", "edges_removed", "opinions_changed", "candidate"}
+    ),
+}
+
+OPS = tuple(OP_PARAMS)
 
 ERROR_BAD_REQUEST = "bad-request"
 ERROR_UNKNOWN_OP = "unknown-op"
@@ -139,15 +152,40 @@ def encode(payload: dict) -> bytes:
     ).encode(ENCODING)
 
 
+def _reject_constant(name: str) -> float:
+    raise ProtocolError(
+        ERROR_BAD_REQUEST, f"request is not valid JSON: {name} is not a number"
+    )
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ProtocolError(
+            ERROR_BAD_REQUEST, f"request number {text} is not a finite float"
+        )
+    return value
+
+
 def decode_line(line: bytes) -> dict:
-    """Parse one request line into a JSON object (or raise bad-request)."""
+    """Parse one request line into a JSON object (or raise bad-request).
+
+    Strict JSON: ``NaN`` / ``Infinity`` / ``-Infinity`` (which Python's
+    decoder accepts) and float literals that overflow to infinity are
+    rejected, so no non-finite number reaches a parameter check or is
+    echoed back into a reply line.
+    """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(
             ERROR_BAD_REQUEST,
             f"request line exceeds {MAX_LINE_BYTES} bytes",
         )
     try:
-        payload = json.loads(line.decode(ENCODING))
+        payload = json.loads(
+            line.decode(ENCODING),
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(
             ERROR_BAD_REQUEST, f"request is not valid JSON: {exc}"
@@ -161,7 +199,8 @@ def decode_line(line: bytes) -> dict:
 
 
 def parse_request(payload: dict) -> Request:
-    """Validate the envelope (op known, id JSON-scalar) of one request."""
+    """Validate the envelope (op known, id JSON-scalar, no unknown
+    parameter) of one request."""
     op = payload.get("op")
     if not isinstance(op, str):
         raise ProtocolError(ERROR_BAD_REQUEST, "request needs a string 'op'")
@@ -188,6 +227,13 @@ def parse_request(payload: dict) -> Request:
     params = {
         k: v for k, v in payload.items() if k not in ("op", "id", "deadline_ms")
     }
+    unknown = sorted(set(params) - OP_PARAMS[op])
+    if unknown:
+        raise ProtocolError(
+            ERROR_BAD_REQUEST,
+            f"unknown parameter {unknown[0]!r} for op {op!r}; "
+            f"expected one of {sorted(OP_PARAMS[op])}",
+        )
     return Request(
         id=request_id, op=op, params=params, deadline_ms=deadline_ms
     )

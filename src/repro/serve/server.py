@@ -28,10 +28,8 @@ Shutdown (``aclose`` — what the CLI's SIGTERM/SIGINT handlers trigger)
 stops the listener and then, with ``drain=True`` (the first signal),
 runs the queue dry before closing; a second signal — or plain
 ``aclose()`` — fails queued requests instead.  Either way the hub close
-routes every ``dm-mp`` pool through
-:func:`repro.utils.workers.stop_worker_pool` and unlinks its shared
-memory — a killed server never leaks shm segments (the crash tests
-assert this for SIGTERM and, via the resource tracker, SIGKILL).
+routes every ``dm-mp:tcp`` host connection through
+:func:`repro.utils.workers.stop_worker_pool`.
 """
 
 from __future__ import annotations
@@ -387,9 +385,9 @@ def run_server(
     """Blocking entry point: serve until SIGTERM/SIGINT, then clean up.
 
     The signal handlers set an event rather than raising, so shutdown
-    always runs :meth:`QueryServer.aclose` — worker pools are stopped via
-    ``stop_worker_pool`` and shm segments unlinked even when the process
-    is terminated externally.  The first signal drains gracefully (stops
+    always runs :meth:`QueryServer.aclose` — tcp host connections are
+    stopped via ``stop_worker_pool`` even when the process is terminated
+    externally.  The first signal drains gracefully (stops
     accepting, answers everything already queued); a second signal cuts
     the drain short and fails what is left.  Returns the final serving
     counters.

@@ -1,7 +1,7 @@
 """Deterministic retry/backoff shared by reconnect and respawn paths.
 
-Both the TCP :class:`~repro.core.engine_net.HostPool` (connect and
-rejoin) and the local pool supervisor retry transient failures.  The
+The TCP :class:`~repro.core.engine_mp.HostPool` retries transient
+failures when it connects and when it re-dials lost hosts.  The
 schedule lives here so it is computed once, tested once, and — like
 every other source of nondeterminism in this repo — *seeded*: jitter
 comes from an explicit seed, never from global RNG state, so two runs

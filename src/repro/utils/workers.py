@@ -1,37 +1,29 @@
-"""Shared teardown for persistent worker pools (dm-mp, walk store).
+"""Shared teardown for a pool of worker connections (the dm-mp hosts).
 
-One escalation ladder, used by every engine that owns a pipe-per-worker
-pool: send a guarded stop, then ``join -> terminate -> kill`` with bounded
-timeouts so a worker that died mid-round (or wedged) can never hang the
-caller, and close the parent pipe ends last.  Keeping it here means a fix
-to the timeouts or the exception classes applies to every pool at once.
+Send a guarded stop to every member, then close its connection.  A
+member that already died (its socket reset, or already closed by the
+supervisor) must never make the caller raise or hang, so every failure
+of either step is swallowed here, in one place.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-#: Per-stage join timeout (seconds); worst case a close takes three of
-#: these per worker before giving up on an unkillable process.
-_JOIN_TIMEOUT = 5
-
 
 def stop_worker_pool(handles, send_stop: Callable[[object], None]) -> None:
     """Stop every worker in ``handles``; never raises, never hangs.
 
-    ``handles`` are objects with a ``conn`` attribute and, for local
-    pools, a ``process``; ``send_stop(conn)`` delivers the pool's stop
-    message (failures on a dead pipe are swallowed — the join ladder
-    below reaps the process either way).  Handles without a ``process``
-    — the TCP :class:`~repro.core.engine_net.HostPool`'s remote hosts,
-    which no local pid can reap — skip the join ladder: the stop frame
-    (or the socket close) returns the remote worker to its accept loop.
+    ``handles`` are objects with a ``conn`` attribute; ``send_stop(conn)``
+    delivers the pool's stop message (failures on a dead connection are
+    swallowed).  The stop frame — or the close itself — returns a remote
+    ``net-worker`` to its accept loop.
 
     Idempotent: calling it again with the same handles — or with a
-    worker that was SIGKILLed, already joined, or whose ``Process`` /
-    pipe was already ``close()``d — is a no-op for that handle, never an
-    error.  Supervised pools rely on this: a crash can race the engine's
-    own teardown against an outer ``close()``.
+    member whose peer died or whose connection was already closed — is
+    a no-op for that handle, never an error.  Supervised pools rely on
+    this: a host loss can race the engine's own teardown against an
+    outer ``close()``.
     """
     for handle in handles:
         try:
@@ -39,18 +31,6 @@ def stop_worker_pool(handles, send_stop: Callable[[object], None]) -> None:
         except (BrokenPipeError, ConnectionError, OSError, ValueError):
             pass
     for handle in handles:
-        process = getattr(handle, "process", None)
-        if process is not None:
-            try:
-                process.join(timeout=_JOIN_TIMEOUT)
-                if process.is_alive():  # pragma: no cover - wedged worker
-                    process.terminate()
-                    process.join(timeout=_JOIN_TIMEOUT)
-                if process.is_alive():  # pragma: no cover - wedged worker
-                    process.kill()
-                    process.join(timeout=_JOIN_TIMEOUT)
-            except ValueError:
-                pass  # Process already close()d: nothing left to reap.
         try:
             handle.conn.close()
         except (OSError, ValueError):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core.engine_net import run_net_worker
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import TruncatedWalks, generate_reverse_walks_streamed
 from repro.datasets.example import running_example
@@ -83,3 +86,40 @@ def walks_from(graph, stubbornness, b0, horizon, starts, seed):
         graph, stubbornness, horizon, starts, [seed]
     )
     return TruncatedWalks(walks, lengths, b0, graph.n)
+
+
+def start_worker(connections=1, store_dir=None, store_seed=0):
+    """One net worker on a free loopback port; returns ``host:port`` and
+    its thread (``connections=None`` serves until the process exits)."""
+    ready = threading.Event()
+    address: list[str] = []
+
+    def on_ready(host, port):
+        address.append(f"{host}:{port}")
+        ready.set()
+
+    thread = threading.Thread(
+        target=run_net_worker,
+        kwargs=dict(
+            port=0,
+            connections=connections,
+            store_dir=None if store_dir is None else str(store_dir),
+            store_seed=store_seed,
+            on_ready=on_ready,
+        ),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(10), "net worker never became ready"
+    return address[0], thread
+
+
+@pytest.fixture(scope="session")
+def loopback_hosts():
+    """Four loopback net-worker addresses shared by the session's tests.
+
+    Each serves one coordinator at a time and returns to ``accept`` when
+    it disconnects, so every test dials them afresh (and must close its
+    engine).  The daemon threads end with the test process.
+    """
+    return [start_worker(connections=None)[0] for _ in range(4)]

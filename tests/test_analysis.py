@@ -480,7 +480,7 @@ def test_wire_format_scoped_to_serve_paths():
 # ----------------------------------------------------------------------
 FAULT_REGISTRY = """
 FAULT_IDS = {
-    "mp-kill-worker": ("worker", "round"),
+    "net-sever-host": ("host", "round"),
     "store-corrupt-block": ("candidate", "kind", "block"),
     "never-instrumented": ("round",),
 }
@@ -491,7 +491,7 @@ from repro.core import faults
 
 
 def run(self):
-    faults.maybe_fail("mp-kill-worker", worker=1, round=2)
+    faults.maybe_fail("net-sever-host", host="a:1", round=2)
     faults.maybe_fail("made-up-fault", worker=1)
     faults.maybe_fail("store-corrupt-block", candidate=0, shard=3)
     faults.maybe_fail(self.fault_id)
@@ -502,7 +502,7 @@ from repro.core import faults
 
 
 def run(self):
-    faults.maybe_fail("mp-kill-worker", worker=1, round=2)
+    faults.maybe_fail("net-sever-host", host="a:1", round=2)
     faults.maybe_fail("store-corrupt-block", candidate=0, kind="uniform")
     faults.maybe_fail("never-instrumented", round=1)
 """
@@ -657,4 +657,4 @@ def test_live_tree_checkers_have_coverage():
     engine_mp = next(
         s for p, s in sources.items() if p.endswith("core/engine_mp.py")
     )
-    assert "_worker_main" in engine_mp
+    assert "_worker_loop" in engine_mp

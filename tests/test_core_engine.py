@@ -8,7 +8,6 @@ hand-picked cases and a hypothesis property suite.
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 
@@ -28,7 +27,7 @@ from repro.core.engine import (
     make_engine,
     spec_is_exact_dm,
 )
-from repro.core.engine_mp import MultiprocessDMEngine
+from repro.core.engine_mp import HostPool
 from repro.core.greedy import greedy_dm, greedy_engine
 from repro.core.problem import FJVoteProblem
 from repro.datasets.twitter import twitter_social_distancing
@@ -139,9 +138,11 @@ def test_make_engine_specs():
     assert isinstance(make_engine("dm-batched", problem), BatchedDMEngine)
     assert isinstance(make_engine("rw", problem, walks_per_node=2), WalkEngine)
     assert isinstance(make_engine("sketch", problem, theta=50), WalkEngine)
-    with make_engine("dm-mp:3", problem) as mp_engine:
-        assert isinstance(mp_engine, MultiprocessDMEngine)
-        assert mp_engine.workers == 3
+    with make_engine("dm-mp:3", problem) as local_mp:
+        assert type(local_mp) is BatchedDMEngine
+    with make_engine("dm-mp:tcp=127.0.0.1:9", problem) as host_pool:
+        assert isinstance(host_pool, HostPool)
+        assert host_pool.hosts == ("127.0.0.1:9",)
     engine = DMEngine(problem)
     assert make_engine(engine, problem) is engine
     with pytest.raises(ValueError):
@@ -162,8 +163,8 @@ def test_make_engine_specs():
 def test_parse_engine_spec_and_exactness():
     for spec, name, kwargs in (
         ("dm-batched", "dm-batched", {}),
-        ("dm-mp", "dm-mp", {}),
-        ("dm-mp:4", "dm-mp", {"workers": 4}),
+        ("dm-mp", "dm-batched", {}),
+        ("dm-mp:4", "dm-batched", {}),
     ):
         parsed = EngineSpec.parse(spec)
         assert (parsed.name, parsed.kwargs()) == (name, kwargs)
@@ -1021,55 +1022,24 @@ def test_consumer_error_mid_call_stops_the_block_threads():
     assert threading.active_count() == baseline
 
 
-def test_pool_member_engines_run_one_thread(monkeypatch):
-    """dm-mp workers and net-worker hosts build their engines with T=1:
-    the pool already spreads candidates over the cores."""
-    from repro.core import engine_mp, engine_net
-
-    problem = _dense_random_problem()
-    built = []
-
-    def capture(conn, problem, engine, **kwargs):
-        built.append(engine)
-
-    monkeypatch.setattr(engine_mp, "_worker_loop", capture)
-    monkeypatch.setattr(engine_net, "_worker_loop", capture)
-    engine_mp._worker_main(None, problem, {"batch_rows": 8})
-
-    class HelloConn:
-        def recv_bytes(self):
-            return pickle.dumps(("hello", problem, {}))
-
-        def send_bytes(self, data):
-            pass
-
-    engine_net._net_worker_connection(
-        HelloConn(), workers=1, store_dir=None, store_seed=0, engine_overrides=None
-    )
-    assert [type(e) for e in built] == [BatchedDMEngine, BatchedDMEngine]
-    assert [e._threads for e in built] == [1, 1]
-    assert BatchedDMEngine(problem)._threads >= 1
-
-
 # ----------------------------------------------------------------------
-# Multiprocess fan-out engine (dm-mp)
+# The dm-mp coordinator over loopback net-worker hosts
 # ----------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 20),
     score_name=st.sampled_from(sorted(SCORE_FACTORIES)),
     horizon=st.integers(0, 4),
-    workers=st.sampled_from([1, 2, 4]),
-    transport=st.sampled_from(["pipe", "shm"]),
+    hosts=st.sampled_from([1, 2, 4]),
     data=st.data(),
 )
 def test_mp_engine_matches_batched_objectives(
-    seed, score_name, horizon, workers, transport, data
+    loopback_hosts, seed, score_name, horizon, hosts, data
 ):
-    """dm-mp evaluation == dm-batched byte for byte — over both the pipe
-    and the shared-memory transport — and the probe accounting
-    (evaluate_calls / sets_evaluated) is identical for every worker
-    count: the parent counts probes, workers only evolve."""
+    """dm-mp evaluation == dm-batched byte for byte over 1/2/4 tcp hosts,
+    and the probe accounting (evaluate_calls / sets_evaluated) is
+    identical for every host count: the coordinator counts probes, hosts
+    only evolve."""
     problem = make_problem(seed, score_name, horizon)
     n = problem.n
     num_sets = data.draw(st.integers(1, 6))
@@ -1079,9 +1049,7 @@ def test_mp_engine_matches_batched_objectives(
     ]
     batched = BatchedDMEngine(problem)
     expected = batched.evaluate(seed_sets)
-    with MultiprocessDMEngine(
-        problem, workers=workers, min_fanout=1, transport=transport
-    ) as engine:
+    with HostPool(problem, hosts=loopback_hosts[:hosts], min_fanout=1) as engine:
         # Chunked scoring can reorder float sums (numpy pairwise summation
         # depends on block width), so values carry the 1e-10 parity
         # contract, not bitwise equality.
@@ -1094,31 +1062,33 @@ def test_mp_engine_matches_batched_objectives(
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_mp_greedy_selects_identical_seeds(workers):
+def test_mp_greedy_selects_identical_seeds(loopback_hosts, workers):
     """Fanned-out greedy must pick byte-identical seeds and gains for any
-    worker count, with probe accounting matching the batched engine."""
+    host count, with probe accounting matching the batched engine."""
     problem = make_problem(2, "plurality", 4, n=14)
     ref_engine = BatchedDMEngine(problem)
     reference = greedy_engine(ref_engine, 4, lazy=False)
-    with MultiprocessDMEngine(problem, workers=workers, min_fanout=1) as engine:
+    with HostPool(problem, hosts=loopback_hosts[:workers], min_fanout=1) as engine:
         result = greedy_engine(engine, 4, lazy=False)
         assert result.seeds.tolist() == reference.seeds.tolist()
         np.testing.assert_allclose(result.gains, reference.gains, atol=1e-10, rtol=0)
         assert result.evaluations == reference.evaluations
         assert engine.stats.evaluate_calls == ref_engine.stats.evaluate_calls
         assert engine.stats.sets_evaluated == ref_engine.stats.sets_evaluated
-        # Work was genuinely sharded: every worker evolved some columns.
+        # Work was genuinely sharded: every host evolved some columns.
         assert all(
             w.dense_column_steps + w.sparse_steps > 0 for w in engine.worker_stats
         )
 
 
 def test_mp_small_rounds_run_locally_without_pool():
-    """Below min_fanout the parent evaluates locally — the pool never
-    starts, yet results and session commits stay byte-identical."""
+    """Below min_fanout the coordinator evaluates locally — no host is
+    ever dialed (these addresses have no listener), yet results and
+    session commits stay byte-identical."""
     problem = make_problem(5, "cumulative", 3, n=12, r=2)
     reference = BatchedDMEngine(problem)
-    with MultiprocessDMEngine(problem, workers=2, min_fanout=64) as engine:
+    hosts = ["127.0.0.1:9", "127.0.0.1:10"]
+    with HostPool(problem, hosts=hosts, min_fanout=64) as engine:
         session = engine.open_session()
         ref_session = reference.open_session()
         for commit in (3, 8):
@@ -1130,170 +1100,56 @@ def test_mp_small_rounds_run_locally_without_pool():
             session.commit(commit)
             ref_session.commit(commit)
         assert session.value == ref_session.value
-        assert engine._handles is None  # pool never spawned
+        assert engine._handles is None  # pool never connected
 
 
-@pytest.mark.parametrize("start_method", ["fork", "forkserver"])
-def test_mp_session_commit_broadcast_across_start_methods(start_method):
-    """Session commit broadcast smoke under fork *and* forkserver: workers
-    fold every committed seed into their local trajectory (or lazily
-    rebuild it), so warm-started rounds stay byte-identical to dm-batched
-    however the pool was started."""
-    import multiprocessing as mp
-
-    if start_method not in mp.get_all_start_methods():
-        pytest.skip(f"start method {start_method!r} unavailable")
-    problem = make_problem(4, "plurality", 3, n=12, r=2)
-    reference = BatchedDMEngine(problem)
-    ref_session = reference.open_session()
-    with MultiprocessDMEngine(
-        problem, workers=2, start_method=start_method, min_fanout=1
-    ) as engine:
-        assert len(engine.ping()) == 2
-        session = engine.open_session()
-        for commit in (6, 2, 9):
-            candidates = np.array(
-                sorted(set(range(problem.n)) - set(session.seeds))
-            )
-            np.testing.assert_allclose(
-                session.marginal_gains(candidates),
-                ref_session.marginal_gains(candidates),
-                atol=1e-10,
-                rtol=0,
-            )
-            session.commit(commit)
-            ref_session.commit(commit)
-        assert session.value == pytest.approx(ref_session.value, abs=1e-10)
-        # Prefix probes (win-min's path) stay parent-side and exact.
-        for k in (0, 1, 3):
-            assert session.prefix_wins(k) == problem.target_wins(
-                session.prefix_seeds(k)
-            )
-
-
-def test_mp_engine_close_is_idempotent_and_restartable():
+def test_mp_engine_close_is_idempotent_and_restartable(loopback_hosts):
     problem = make_problem(1, "cumulative", 2, n=10, r=2)
-    engine = MultiprocessDMEngine(problem, workers=2, min_fanout=1)
+    engine = HostPool(problem, hosts=loopback_hosts[:2], min_fanout=1)
     sets = [(1,), (2,), (3,), (4,)]
     expected = BatchedDMEngine(problem).evaluate(sets)
     np.testing.assert_array_equal(engine.evaluate(sets), expected)
     engine.close()
     engine.close()  # idempotent
     assert engine._handles is None
-    # The pool restarts lazily after close.
+    # The pool reconnects lazily after close.
     np.testing.assert_array_equal(engine.evaluate(sets), expected)
     engine.close()
 
 
-def test_mp_dead_worker_resharded_then_respawned():
-    """A killed worker no longer fails the round: its chunk re-shards to
-    the survivor byte-identically, the loss lands in the supervision
-    counters, and the dead slot respawns before the next round."""
-    import os
-    import signal
+def test_mp_dead_worker_resharded_then_respawned(loopback_hosts):
+    """A lost host no longer fails the round: its chunk re-shards to the
+    survivor byte-identically, the loss lands in the supervision
+    counters, and the host rejoins its slot on a later round."""
     import time
 
     problem = make_problem(1, "cumulative", 2, n=10, r=2)
     sets = [(1,), (2,), (3,), (4,)]
     expected = BatchedDMEngine(problem).evaluate(sets)
-    engine = MultiprocessDMEngine(problem, workers=2, min_fanout=1)
+    engine = HostPool(problem, hosts=loopback_hosts[:2], min_fanout=1)
     try:
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        os.kill(engine._handles[1].process.pid, signal.SIGKILL)
-        time.sleep(0.2)
-        # The in-flight round survives on the remaining worker.
+        engine._handles[1].conn.close()
+        # The in-flight round survives on the remaining host.
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        assert engine.stats.workers_lost == 1
+        assert engine.stats.hosts_lost == 1
         assert engine.stats.chunks_resharded >= 1
-        # The next dispatch heals the pool back to full strength.
+        # Past the first backoff delay the next dispatch re-dials the
+        # host and restores the pool to full strength.
+        time.sleep(0.3)
         np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        assert engine.stats.workers_respawned == 1
+        assert engine.stats.hosts_rejoined == 1
         assert len(engine._handles) == 2
-        assert all(h.process.is_alive() for h in engine._handles)
     finally:
         engine.close()
 
 
-def test_mp_worker_count_validated():
-    problem = make_problem(0, "cumulative", 2)
-    with pytest.raises(ValueError):
-        MultiprocessDMEngine(problem, workers=0)
-    with pytest.raises(ValueError):
-        MultiprocessDMEngine(problem, workers=-3)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy shm transport (dm-mp:<W>:shm)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_mp_shm_selections_match_pipe_transport(workers):
-    """Greedy selections over the shm transport must be byte-identical to
-    the pipe transport (and to dm-batched) at workers 1/2/4, with the shm
-    rounds moving strictly fewer bytes through the pipes."""
-    problem = make_problem(3, "plurality", 4, n=14)
-    reference = greedy_engine(BatchedDMEngine(problem), 4, lazy=False)
-    results = {}
-    ipc = {}
-    for transport in ("pipe", "shm"):
-        with MultiprocessDMEngine(
-            problem, workers=workers, min_fanout=1, transport=transport
-        ) as engine:
-            results[transport] = greedy_engine(engine, 4, lazy=False)
-            ipc[transport] = engine.stats.ipc_bytes
-    for transport, result in results.items():
-        assert result.seeds.tolist() == reference.seeds.tolist(), transport
-        np.testing.assert_allclose(
-            result.gains, reference.gains, atol=1e-10, rtol=0
-        )
-    assert 0 < ipc["shm"] < ipc["pipe"]
-
-
-@pytest.mark.parametrize("start_method", ["fork", "forkserver"])
-def test_mp_shm_commit_broadcast_across_start_methods(start_method):
-    """Under shm the commit slab publishes the parent's trajectory; worker
-    sessions must stay byte-identical to dm-batched whether the problem
-    arrived by fork inheritance or was rebuilt from the mapped arrays."""
-    import multiprocessing as mp
-
-    if start_method not in mp.get_all_start_methods():
-        pytest.skip(f"start method {start_method!r} unavailable")
-    problem = make_problem(6, "plurality", 3, n=12, r=2)
-    reference = BatchedDMEngine(problem)
-    ref_session = reference.open_session()
-    with MultiprocessDMEngine(
-        problem,
-        workers=2,
-        start_method=start_method,
-        min_fanout=1,
-        transport="shm",
-    ) as engine:
-        assert len(engine.ping()) == 2
-        session = engine.open_session()
-        for commit in (5, 1, 8):
-            candidates = np.array(
-                sorted(set(range(problem.n)) - set(session.seeds))
-            )
-            np.testing.assert_allclose(
-                session.marginal_gains(candidates),
-                ref_session.marginal_gains(candidates),
-                atol=1e-10,
-                rtol=0,
-            )
-            session.commit(commit)
-            ref_session.commit(commit)
-        assert session.value == pytest.approx(ref_session.value, abs=1e-10)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_target_opinion_rows_fanned_out(transport):
-    """The dense rows fan-out must reproduce the batched engine's rows for
-    both transports (shm writes the blocks straight into reply slabs)."""
+def test_mp_target_opinion_rows_fanned_out(loopback_hosts):
+    """The dense rows fan-out must reproduce the batched engine's rows."""
     problem = make_problem(7, "cumulative", 4, n=13, r=2)
     sets = [(1,), (2, 5), (), (8,), (3, 4), (11,), (0,), (9, 10)]
     expected = BatchedDMEngine(problem).target_opinion_rows(sets)
-    with MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport=transport
-    ) as engine:
+    with HostPool(problem, hosts=loopback_hosts[:2], min_fanout=1) as engine:
         np.testing.assert_allclose(
             engine.target_opinion_rows(sets), expected, atol=1e-10, rtol=0
         )
@@ -1304,108 +1160,33 @@ def test_mp_target_opinion_rows_fanned_out(transport):
         )
 
 
-def test_mp_shm_close_unlinks_segments_and_is_idempotent():
-    """close() must unlink every arena segment, never hang, and leave the
-    engine restartable; gc of an unclosed engine must also unlink."""
-    import gc
-
-    from repro.core.shm import attach_segment
-
-    problem = make_problem(1, "cumulative", 2, n=10, r=2)
-    sets = [(1,), (2,), (3,), (4,)]
-    expected = BatchedDMEngine(problem).evaluate(sets)
-    engine = MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport="shm"
-    )
-    np.testing.assert_allclose(engine.evaluate(sets), expected, atol=1e-10)
-    names = engine._arena.names
-    assert names
-    engine.close()
-    engine.close()  # idempotent
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            attach_segment(name)
-    # Restart after close, then leave cleanup to garbage collection.
-    np.testing.assert_allclose(engine.evaluate(sets), expected, atol=1e-10)
-    names = engine._arena.names
-    del engine
-    gc.collect()
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            attach_segment(name)
-
-
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_close_robust_to_crashed_worker(transport):
-    """Crash injection: a SIGKILLed worker re-shards in-flight and
-    respawns byte-identically (shm respawns re-attach the live arena),
-    and close() still returns promptly (no hang on the dead pipe),
-    unlinks the shm segments, and stays idempotent."""
-    import os
-    import signal
-    import time
-
-    from repro.core.shm import attach_segment
-
-    problem = make_problem(2, "cumulative", 2, n=10, r=2)
-    sets = [(1,), (2,), (3,), (4,)]
-    expected = BatchedDMEngine(problem).evaluate(sets)
-    engine = MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport=transport
-    )
-    try:
-        np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        names = engine._arena.names if transport == "shm" else ()
-        os.kill(engine._handles[0].process.pid, signal.SIGKILL)
-        time.sleep(0.2)
-        # The crashed round survives on the remaining worker, then the
-        # supervisor heals the pool (the shm respawn re-attaches the
-        # same segments — never a second arena).
-        np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        assert engine.stats.workers_lost == 1
-        np.testing.assert_array_equal(engine.evaluate(sets), expected)
-        assert engine.stats.workers_respawned == 1
-        if transport == "shm":
-            assert engine._arena.names == names
-        start = time.monotonic()
-        engine.close()
-        engine.close()
-        assert time.monotonic() - start < 15.0
-        for name in names:  # close unlinked the arena exactly once
-            with pytest.raises(FileNotFoundError):
-                attach_segment(name)
-        # The pool restarts lazily with a fresh arena after the close.
-        np.testing.assert_array_equal(engine.evaluate(sets), expected)
-    finally:
-        engine.close()
-
-
-def test_mp_transport_validated():
-    problem = make_problem(0, "cumulative", 2)
-    with pytest.raises(ValueError, match="transport"):
-        MultiprocessDMEngine(problem, transport="carrier-pigeon")
-
-
 def test_parse_engine_spec_shm_suffix():
-    shm = EngineSpec.parse("dm-mp:shm")
-    assert (shm.name, shm.kwargs()) == ("dm-mp", {"transport": "shm"})
-    sized = EngineSpec.parse("dm-mp:3:shm")
-    assert (sized.name, sized.kwargs()) == (
-        "dm-mp",
-        {"workers": 3, "transport": "shm"},
-    )
+    """The retired transports' suffixes stay accepted spellings of
+    dm-batched; misplaced or repeated ones stay errors."""
+    for spelling in ("dm-mp:shm", "dm-mp:3:shm", "dm-mp:pipe", "dm-mp:3:pipe"):
+        parsed = EngineSpec.parse(spelling)
+        assert (parsed.name, parsed.kwargs()) == ("dm-batched", {})
     assert spec_is_exact_dm("dm-mp:2:shm")
     for bad in ("dm-mp:shm:2", "dm-mp:shm:shm", "rw-store:shm", "dm:shm"):
         with pytest.raises(ValueError):
             EngineSpec.parse(bad)
 
 
-def test_make_engine_builds_shm_transport():
-    problem = make_problem(0, "cumulative", 2)
+def test_dm_mp_shm_spelling_selects_like_dm():
+    """``dm-mp:2:shm`` (the e2e ``select-dense-mp`` engine) builds the
+    threaded dm-batched engine, and on that workload's tiny shape (yelp
+    n=300, t=8, plurality, exhaustive k=4) it picks the per-set ``dm``
+    engine's seeds with the same objective."""
+    from repro.datasets.yelp import yelp_like
+
+    problem = yelp_like(n=300, rng=2023, horizon=8).problem(PluralityScore())
+    reference = greedy_engine(make_engine("dm", problem), 4, lazy=False)
     with make_engine("dm-mp:2:shm", problem) as engine:
-        assert isinstance(engine, MultiprocessDMEngine)
-        assert engine.workers == 2
-        assert engine.transport == "shm"
+        assert type(engine) is BatchedDMEngine
+        result = greedy_engine(engine, 4, lazy=False)
+    assert result.seeds.tolist() == reference.seeds.tolist()
+    assert result.objective == reference.objective
+    assert problem.objective(result.seeds) == reference.objective
 
 
 # ----------------------------------------------------------------------
@@ -1463,20 +1244,23 @@ def test_coalesced_gains_batch_stable_bitwise(spec):
         np.testing.assert_array_equal(batched, singles)
 
 
-def test_pool_stats_accounting():
-    """pool_stats: zeros on the single-process engines, live rounds /
-    busy-time / shm segment names on the pool (the serving 'stats' op)."""
+def test_pool_stats_accounting(loopback_hosts):
+    """pool_stats: zeros on the single-process engines (every local dm-mp
+    spelling among them), live rounds / busy-time / hosts on the tcp
+    pool (the serving 'stats' op)."""
     problem = make_problem(4, "cumulative", 3)
-    with make_engine("dm-batched", problem) as engine:
-        stats = engine.pool_stats()
-        assert stats["workers"] == 0 and stats["started"] is False
-    with make_engine("dm-mp:2:shm", problem, min_fanout=1) as engine:
+    for spec in ("dm-batched", "dm-mp:2:shm"):
+        with make_engine(spec, problem) as engine:
+            stats = engine.pool_stats()
+            assert stats["workers"] == 0 and stats["started"] is False
+    hosts = loopback_hosts[:2]
+    with HostPool(problem, hosts=hosts, min_fanout=1) as engine:
         assert engine.pool_stats()["started"] is False
         engine.evaluate([(1,), (2,), (3,), (4,)])
         stats = engine.pool_stats()
         assert stats["started"] is True
-        assert stats["workers"] == 2 and stats["transport"] == "shm"
+        assert stats["workers"] == 2 and stats["hosts_connected"] == hosts
         assert stats["rounds"] >= 1 and stats["busy_s"] > 0
-        assert stats["shm_segments"]  # arena is mapped and named
-    # close() unlinked the arena: a fresh stats call shows none.
-    assert engine.pool_stats()["shm_segments"] == []
+    # close() disconnected every host.
+    stats = engine.pool_stats()
+    assert stats["started"] is False and stats["hosts_connected"] == []

@@ -19,9 +19,10 @@ rebuilt.  The contracts pinned here:
   Opinion-only deltas leave every block byte-intact.  Persisted stores
   pin graph versions in the manifest and refuse to open across an
   unforwarded delta.
-* **dm-mp pools** — the delta broadcast (pipe columns / shm in-place
-  patch) keeps live workers byte-identical to a single-process engine
-  over the same post-delta problem.
+* **dm-mp tcp hosts** — the delta broadcast (touched columns and
+  opinion values) keeps live hosts byte-identical to a single-process
+  engine over the same post-delta problem, and a host that misses a
+  broadcast catches up through the rejoin handshake and journal replay.
 * **CLI** — ``--apply-delta`` replays a journal against ``--store-dir``
   so cold runs, delta runs and idempotent re-runs share one command.
 """
@@ -36,13 +37,13 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.engine import BatchedDMEngine
-from repro.core.engine_mp import MultiprocessDMEngine
+from repro.core.engine_mp import HostPool
 from repro.core.problem import FJVoteProblem
 from repro.core.walk_store import KIND_PER_NODE, WalkStore
 from repro.datasets.yelp import yelp_like
 from repro.voting.scores import CumulativeScore, PluralityScore
 
-from tests.conftest import random_instance
+from tests.conftest import random_instance, start_worker
 
 
 def make_problem(seed, *, n=24, r=3, horizon=4, score=None):
@@ -87,7 +88,7 @@ def test_graph_surgery_invariants_and_versioning():
     src, dst, weight = graph.edges()
     assert graph.version == 0
 
-    # Weight-only: arrays are rewritten in place (shm views observe it).
+    # Weight-only: arrays are rewritten in place.
     data_before = graph.csr.data
     touched, structural = graph.apply_edge_delta(
         added=[(int(src[0]), int(dst[0]), float(weight[0]) * 3.0)]
@@ -539,10 +540,16 @@ def test_lru_eviction_order_survives_delta_patch(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# dm-mp delta broadcast
+# dm-mp tcp delta broadcast
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_delta_broadcast_matches_reference(transport):
+def test_tcp_delta_broadcast_matches_reference():
+    """Four deltas (data-only, structural, competitor removal, opinion
+    flip) broadcast to two live hosts keep every fanned-out answer equal
+    to a single-process engine on the post-delta problem; a host lost
+    during a later broadcast rejoins with the patched problem and the
+    journal replay, and answers stay equal."""
+    import time
+
     problem = make_problem(9, n=40, horizon=4, score=CumulativeScore())
     sets = [[0, 5], [7], [], [11, 3, 2]]
     graph0 = problem.state.graph(0)
@@ -580,9 +587,9 @@ def test_mp_delta_broadcast_matches_reference(transport):
     apply_sequence(reference_problem)
     reference = BatchedDMEngine(reference_problem)
 
-    engine = MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1, transport=transport
-    )
+    # Host A serves the original connection and the rejoin dial.
+    started = [start_worker(connections=2), start_worker(connections=1)]
+    engine = HostPool(problem, hosts=[a for a, _ in started], min_fanout=1)
     try:
         engine.ping()  # live pool: the deltas must be broadcast
         engine.evaluate(sets)  # warm worker caches pre-delta
@@ -602,17 +609,38 @@ def test_mp_delta_broadcast_matches_reference(transport):
             reference_session.marginal_gains(list(range(12))),
         )
 
-        # A second round against the already-patched pool.
+        # A second round against the already-patched pool, with host A
+        # lost as the broadcast goes out: only host B folds it in.
+        engine._handles[0].conn.close()
         report = problem.apply_delta(edges_added=[(2, 9, 0.4)])
         engine.apply_delta(report)
+        assert engine.stats.hosts_lost == 1
         reference.apply_delta(
             reference_problem.apply_delta(edges_added=[(2, 9, 0.4)])
         )
         np.testing.assert_array_equal(
             engine.evaluate(sets), reference.evaluate(sets)
         )
+        # Host A rejoins past the first backoff delay: the handshake ships
+        # the patched problem, the journal replays the session and the
+        # (now idempotent) deltas, and both hosts answer again.
+        time.sleep(0.3)
+        np.testing.assert_array_equal(
+            engine.evaluate(sets), reference.evaluate(sets)
+        )
+        assert engine.stats.hosts_rejoined == 1
+        reference_session = reference.open_session()
+        reference_session.commit(committed)
+        np.testing.assert_array_equal(
+            session.marginal_gains(list(range(12))),
+            reference_session.marginal_gains(list(range(12))),
+        )
+        assert all(w.dense_column_steps > 0 for w in engine.worker_stats)
     finally:
         engine.close()
+    for _, thread in started:
+        thread.join(10)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------

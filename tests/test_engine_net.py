@@ -1,10 +1,11 @@
-"""Tests for the multi-host TCP transport (repro.core.engine_net).
+"""Tests for the multi-host engine (repro.core.engine_mp, engine_net).
 
 The central contracts: ``dm-mp:tcp=...`` selections are byte-identical to
 the in-process batched engine at every host count, a host lost mid-round
 degrades gracefully (its chunks re-shard to survivors, counted in
-``EngineStats``, results still byte-identical), and the structured
-:class:`EngineSpec` API round-trips the whole spec grammar.
+``EngineStats``, results still byte-identical), deltas reach the hosts
+bit for bit, and the structured :class:`EngineSpec` API round-trips the
+whole spec grammar — every local ``dm-mp`` spelling is ``dm-batched``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import re
 import socket
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
@@ -27,40 +27,16 @@ from repro.core.engine import (
     make_engine,
     spec_is_exact_dm,
 )
-from repro.core.engine_net import FramedSocket, HostPool, run_net_worker
+from repro.core.engine_mp import HostPool
+from repro.core.engine_net import FramedSocket
 from repro.eval.harness import select_seeds
+from tests.conftest import start_worker
 from tests.test_core_engine import make_problem
 
 
 # ----------------------------------------------------------------------
 # Thread-hosted net workers (2 sockets pretending to be 2 hosts)
 # ----------------------------------------------------------------------
-def start_worker(workers=1, connections=1, store_dir=None, store_seed=0):
-    """One net worker on a free loopback port; returns ``host:port``."""
-    ready = threading.Event()
-    address: list[str] = []
-
-    def on_ready(host, port):
-        address.append(f"{host}:{port}")
-        ready.set()
-
-    thread = threading.Thread(
-        target=run_net_worker,
-        kwargs=dict(
-            port=0,
-            workers=workers,
-            connections=connections,
-            store_dir=None if store_dir is None else str(store_dir),
-            store_seed=store_seed,
-            on_ready=on_ready,
-        ),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(10), "net worker never became ready"
-    return address[0], thread
-
-
 @pytest.fixture
 def two_hosts():
     """Two single-connection loopback workers; yields their addresses."""
@@ -94,7 +70,7 @@ def test_tcp_evaluate_matches_batched_at_one_and_two_hosts(host_count):
         assert engine.stats.ipc_bytes > 0
         assert engine.stats.hosts_lost == 0
         stats = engine.pool_stats()
-        assert stats["transport"] == "tcp"
+        assert stats["backend"] == "HostPool"
         assert stats["hosts_connected"] == hosts
     for _, thread in started:
         thread.join(10)
@@ -142,22 +118,66 @@ def test_tcp_selection_matches_dm(two_hosts):
         problem,
         4,
         rng=np.random.default_rng(0),
-        engine=EngineSpec(name="dm-mp", transport="tcp", hosts=tuple(two_hosts)),
+        engine=EngineSpec(name="dm-mp", hosts=tuple(two_hosts)),
     )
     assert list(map(int, expected)) == list(map(int, got))
 
 
-def test_tcp_nested_host_pool_matches():
-    """A net worker hosting its own dm-mp pool re-fans chunks identically."""
-    addr, thread = start_worker(workers=2)
+def test_net_worker_host_engine_uses_every_core(monkeypatch):
+    """A net worker builds a plain dm-batched engine from the hello: the
+    host splits wide chunks over its own cores, like any local engine."""
+    import pickle
+
+    from repro.core import engine_mp
+    from repro.core.engine import BatchedDMEngine
+    from repro.core.engine_net import _net_worker_connection
+
     problem = make_problem(2, "cumulative", 9)
-    sets = [np.array([i, (i + 1) % 13]) for i in range(13)]
-    with make_engine("dm-batched", problem) as ref:
-        expected = ref.evaluate(sets)
-    with _tcp_engine(problem, [addr]) as engine:
-        assert np.array_equal(expected, engine.evaluate(sets))
-    thread.join(15)
-    assert not thread.is_alive()
+    built = []
+    monkeypatch.setattr(
+        engine_mp, "_worker_loop", lambda conn, problem, engine: built.append(engine)
+    )
+
+    class HelloConn:
+        def recv_bytes(self):
+            return pickle.dumps(("hello", problem, {"batch_rows": 8}))
+
+        def send_bytes(self, data):
+            pass
+
+    _net_worker_connection(HelloConn(), store_dir=None, store_seed=0)
+    (engine,) = built
+    assert type(engine) is BatchedDMEngine
+    assert engine.batch_rows == 8
+    assert engine._threads == BatchedDMEngine(problem)._threads
+
+
+def test_tcp_opinion_delta_then_selection_matches_dm():
+    """Regression: an opinion delta made every host reply ``err`` — the
+    host's problem, unpickled from the handshake bytes, held a read-only
+    opinion matrix.  After the delta a tcp selection must equal ``dm``
+    on the post-delta problem byte for byte."""
+    started = [start_worker() for _ in range(2)]
+    hosts = [addr for addr, _ in started]
+    problem = make_problem(5, "plurality", 6)
+    reference = make_problem(5, "plurality", 6)
+    delta = dict(opinions_changed=[(0, 4, 0.95), (1, 2, 0.05)])
+    reference.apply_delta(**delta)
+    expected = select_seeds("dm", reference, 3, rng=np.random.default_rng(0))
+    with _tcp_engine(problem, hosts) as engine:
+        engine.ping()  # connected pool: the delta must be broadcast
+        ipc = engine.stats.ipc_bytes
+        engine.apply_delta(problem.apply_delta(**delta))
+        assert engine.stats.ipc_bytes > ipc
+        got = select_seeds(
+            "dm", problem, 3, rng=np.random.default_rng(0), engine=engine
+        )
+        assert engine.stats.hosts_lost == 0
+        assert all(w.dense_column_steps > 0 for w in engine.worker_stats)
+    assert list(map(int, got)) == list(map(int, expected))
+    for _, thread in started:
+        thread.join(10)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +307,6 @@ def test_host_pool_validates_hosts():
         HostPool(problem, hosts=[])
     with pytest.raises(ValueError, match="host"):
         HostPool(problem, hosts=["no-port-here"])
-    with pytest.raises(ValueError, match="at least one worker"):
-        run_net_worker(workers=0)
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +320,7 @@ def test_framed_socket_round_trips_messages():
         left.send_bytes(payload)
     for payload in payloads:
         assert right.recv_bytes() == payload
-    assert not right.poll(0.0)
     left.send_bytes(b"z")
-    assert right.poll(1.0)
     left.close()
     with pytest.raises(EOFError):
         right.recv_bytes()  # drains "z" header+payload... then EOF
@@ -315,29 +331,36 @@ def test_framed_socket_round_trips_messages():
 # ----------------------------------------------------------------------
 # EngineSpec: structured parse / canonical / build
 # ----------------------------------------------------------------------
+#: Every local ``dm-mp`` spelling: bare, counted, and the retired
+#: transports' suffixes.  All of them are ``dm-batched``.
+LOCAL_DM_MP_SPELLINGS = (
+    "dm-mp",
+    "dm-mp:2",
+    "dm-mp:pipe",
+    "dm-mp:shm",
+    "dm-mp:2:pipe",
+    "dm-mp:2:shm",
+    "dm-mp:64:shm",
+)
+
+
 def test_engine_spec_parses_the_full_grammar():
     spec = EngineSpec.parse("dm-mp:tcp=alpha:7001,beta:7002")
     assert spec.name == "dm-mp"
-    assert spec.transport == "tcp"
     assert spec.hosts == ("alpha:7001", "beta:7002")
-    assert spec.workers is None
-    assert spec.kwargs() == {
-        "transport": "tcp",
-        "hosts": ("alpha:7001", "beta:7002"),
-    }
-    assert EngineSpec.parse("dm-mp:3:shm").kwargs() == {
-        "workers": 3,
-        "transport": "shm",
-    }
+    assert spec.kwargs() == {"hosts": ("alpha:7001", "beta:7002")}
+    for spelling in LOCAL_DM_MP_SPELLINGS:
+        local = EngineSpec.parse(spelling)
+        assert (local.name, local.kwargs()) == ("dm-batched", {}), spelling
     # mmap paths keep their colons verbatim, to the end of the spec
     spec = EngineSpec.parse("rw-store:4:mmap=/tmp/a:b/c")
     assert spec.store_dir == "/tmp/a:b/c"
 
 
 def test_engine_spec_canonical_drops_default_spellings():
-    assert EngineSpec.parse("dm-mp:2:pipe").canonical() == "dm-mp:2"
-    assert EngineSpec.parse("dm-mp:pipe").canonical() == "dm-mp"
-    assert str(EngineSpec.parse("dm-mp:2:shm")) == "dm-mp:2:shm"
+    for spelling in LOCAL_DM_MP_SPELLINGS:
+        assert EngineSpec.parse(spelling).canonical() == "dm-batched"
+    assert str(EngineSpec.parse("dm-mp:2:shm")) == "dm-batched"
     assert (
         EngineSpec.parse("dm-mp:tcp=a:1,b:2").canonical() == "dm-mp:tcp=a:1,b:2"
     )
@@ -371,17 +394,15 @@ def test_engine_spec_constructor_validates_fields():
     with pytest.raises(ValueError):
         EngineSpec(name="warp-drive")
     with pytest.raises(ValueError):
-        EngineSpec(name="dm", workers=2)
+        EngineSpec(name="dm", hosts=("a:1",))  # hosts only on dm-mp
     with pytest.raises(ValueError):
-        EngineSpec(name="dm-mp", transport="tcp")  # tcp without hosts
+        EngineSpec(name="dm-mp", hosts=("no-port",))
     with pytest.raises(ValueError):
-        EngineSpec(name="dm-mp", hosts=("a:1",))  # hosts without tcp
+        EngineSpec(name="dm-batched", store_dir="/x")  # store_dir: rw-store
     with pytest.raises(ValueError):
-        EngineSpec(name="dm-mp", transport="tcp", hosts=("a:1",), workers=2)
-    with pytest.raises(ValueError):
-        EngineSpec(name="rw-store", transport="shm")
-    # pipe normalizes to the default spelling
-    assert EngineSpec(name="dm-mp", transport="pipe").transport is None
+        EngineSpec(name="rw-store", store_dir="")
+    # A dm-mp spec without hosts is dm-batched.
+    assert EngineSpec(name="dm-mp") == EngineSpec(name="dm-batched")
 
 
 def test_engine_spec_with_store_dir():
@@ -400,7 +421,7 @@ def test_engine_spec_with_store_dir():
 def test_engine_spec_parse_passthrough_and_exactness():
     spec = EngineSpec.parse("dm-mp:2")
     assert EngineSpec.parse(spec) is spec
-    assert (spec.name, spec.kwargs()) == ("dm-mp", {"workers": 2})
+    assert (spec.name, spec.kwargs()) == ("dm-batched", {})
     assert spec_is_exact_dm(spec)
     assert spec_is_exact_dm("dm-mp:tcp=a:1")
     assert not spec_is_exact_dm(EngineSpec.parse("rw"))
@@ -425,27 +446,18 @@ _HOST_CHARS = st.text(
 @st.composite
 def canonical_specs(draw):
     """Canonical spellings across the full grammar, including host lists
-    and colon-bearing mmap paths."""
+    and colon-bearing mmap paths (a canonical ``dm-mp`` names hosts)."""
     name = draw(st.sampled_from(ENGINE_NAMES))
     parts = [name]
     if name == "dm-mp":
-        form = draw(st.sampled_from(["plain", "workers", "shm", "tcp"]))
-        if form in ("workers", "shm"):
-            if draw(st.booleans()) or form == "workers":
-                parts.append(str(draw(st.integers(1, 64))))
-            if form == "shm":
-                parts.append("shm")
-        elif form == "tcp":
-            hosts = draw(
-                st.lists(
-                    st.tuples(_HOST_CHARS, st.integers(1, 65535)),
-                    min_size=1,
-                    max_size=4,
-                )
+        hosts = draw(
+            st.lists(
+                st.tuples(_HOST_CHARS, st.integers(1, 65535)),
+                min_size=1,
+                max_size=4,
             )
-            parts.append(
-                "tcp=" + ",".join(f"{h}:{p}" for h, p in hosts)
-            )
+        )
+        parts.append("tcp=" + ",".join(f"{h}:{p}" for h, p in hosts))
     elif name == "rw-store":
         if draw(st.booleans()):
             path = draw(
@@ -462,6 +474,20 @@ def canonical_specs(draw):
     return ":".join(parts)
 
 
+@st.composite
+def accepted_spellings(draw):
+    """``(spelling, canonical)`` pairs: a canonical spec dressed in the
+    accepted spellings that parse away — counts, ``:pipe``/``:shm`` and a
+    hostless ``dm-mp``."""
+    name = draw(st.sampled_from(["dm-mp", "rw-store"]))
+    count = draw(st.one_of(st.none(), st.integers(1, 64)))
+    parts = [name] + ([] if count is None else [str(count)])
+    if name == "dm-mp":
+        suffix = draw(st.sampled_from([None, "pipe", "shm"]))
+        return ":".join(parts + ([suffix] if suffix else [])), "dm-batched"
+    return ":".join(parts), "rw-store"
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=canonical_specs())
 def test_engine_spec_canonical_round_trips(spec):
@@ -473,22 +499,35 @@ def test_engine_spec_canonical_round_trips(spec):
     assert EngineSpec(parsed.name, **parsed.kwargs()) == parsed
 
 
+@settings(max_examples=100, deadline=None)
+@given(pair=accepted_spellings())
+def test_accepted_spellings_parse_to_their_canonical_spec(pair):
+    spelling, canonical = pair
+    parsed = EngineSpec.parse(spelling)
+    assert parsed == EngineSpec.parse(canonical)
+    assert parsed.canonical() == canonical
+
+
 # ----------------------------------------------------------------------
 # EngineHub: canonical keying dedups equivalent spellings
 # ----------------------------------------------------------------------
 def test_engine_hub_dedups_equivalent_spec_spellings():
+    from repro.core.engine import BatchedDMEngine
     from repro.serve.batcher import EngineHub
 
     problem = make_problem(6, "cumulative", 6)
-    hub = EngineHub(problem, ["dm-mp:2", "dm-mp:2:pipe", "dm-batched"])
+    hub = EngineHub(problem, [*LOCAL_DM_MP_SPELLINGS, "dm-batched"])
     try:
-        # Regression: literal-string keying warmed two dm-mp:2 pools.
-        assert hub.specs == ("dm-mp:2", "dm-batched")
-        key, engine = hub.resolve("dm-mp:2:pipe")
-        assert key == "dm-mp:2"
-        assert engine is hub.resolve("dm-mp:2")[1]
+        # Regression: literal-string keying warmed one engine per
+        # spelling; every local dm-mp spelling shares the one warm engine.
+        assert hub.specs == ("dm-batched",)
+        key, engine = hub.resolve("dm-mp:2:shm")
+        assert key == "dm-batched"
+        assert type(engine) is BatchedDMEngine
+        for spelling in LOCAL_DM_MP_SPELLINGS:
+            assert hub.resolve(spelling)[1] is engine
         assert hub.resolve(EngineSpec.parse("dm-mp:2"))[1] is engine
-        assert hub.default_spec == "dm-mp:2"
+        assert hub.default_spec == "dm-batched"
     finally:
         hub.close()
 
@@ -521,7 +560,8 @@ def test_engine_hub_warms_a_net_engine(two_hosts):
         assert key == spec
         assert engine.pool_stats()["hosts_connected"] == list(two_hosts)
         described = hub.describe()["engines"][spec]["pool"]
-        assert described["transport"] == "tcp"
+        assert described["started"] is True
+        assert described["hosts_connected"] == list(two_hosts)
     finally:
         hub.close()
 

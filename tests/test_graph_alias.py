@@ -116,28 +116,3 @@ def test_pickle_omits_the_table():
     assert pickle.dumps(graph) == graph_bytes
     assert pickle.dumps(problem) == problem_bytes
     assert pickle.loads(graph_bytes).alias_sampler() is not graph.alias_sampler()
-
-
-def test_shared_array_graph_serves_a_table_keyed_on_version():
-    """``InfluenceGraph.__new__`` graphs (shared-memory problem views).
-
-    A data-only delta lands in the shared arrays without any method call
-    on the view's graph; only ``note_external_delta`` bumps its version,
-    and that alone must retire the stale table.
-    """
-    from repro.core.problem import FJVoteProblem
-
-    problem = _delta_problem()
-    skeleton, arrays = problem.share_arrays()
-    view = FJVoteProblem.from_shared_arrays(skeleton, arrays)
-    graph = view.state.graph(0)
-    stale = graph.alias_sampler()
-    _assert_table_matches(stale, graph)
-    dst, src = _reweightable_edge(graph)
-    report = problem.apply_delta([(src, dst, 5.0)])
-    assert not report.structural
-    assert graph.alias_sampler() is stale  # patched bytes, same version
-    view.note_external_delta(report)
-    fresh = graph.alias_sampler()
-    assert fresh is not stale
-    _assert_table_matches(fresh, graph)

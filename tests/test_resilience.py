@@ -3,9 +3,9 @@
 The central contract: a failure injected through :mod:`repro.core.faults`
 never changes *what* the system computes, only which counters tick while
 it recovers.  Selections, evaluations and walk-store bytes under a
-:class:`FaultPlan` must be identical to the fault-free run — worker
-SIGKILL mid-commit-broadcast (dm-mp over pipe and shm), severed tcp
-hosts that rejoin, corrupted store blocks that quarantine and repair —
+:class:`FaultPlan` must be identical to the fault-free run — severed tcp
+hosts that re-shard and rejoin (also mid-commit-broadcast), corrupted
+store blocks that quarantine and repair —
 and the serve layer must degrade with *structured* errors (``overloaded``,
 ``deadline-exceeded``) instead of hangs or lost requests.
 """
@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import faults
 from repro.core.engine import BatchedDMEngine, make_engine
-from repro.core.engine_mp import MultiprocessDMEngine
 from repro.core.faults import FAULT_IDS, FaultPlan, FaultSpec
 from repro.core.greedy import greedy_engine
 from repro.core.walk_store import WalkStore
@@ -44,7 +43,7 @@ def test_fault_spec_validates_against_registry():
     with pytest.raises(ValueError, match="unknown fault id"):
         FaultSpec("made-up-fault")
     with pytest.raises(ValueError, match="context keys"):
-        FaultSpec("mp-kill-worker", when={"shard": 1})
+        FaultSpec("net-sever-host", when={"shard": 1})
     # Registered ids accept any subset of their registered keys.
     for fault_id, keys in FAULT_IDS.items():
         FaultSpec(fault_id)
@@ -56,18 +55,18 @@ def test_fault_plan_fires_each_spec_exactly_once():
     plan = FaultPlan(
         seed=3,
         faults=[
-            FaultSpec("mp-kill-worker", when={"worker": 1}),
-            FaultSpec("mp-kill-worker", when={"worker": 1}),
+            FaultSpec("net-sever-host", when={"host": "b:2"}),
+            FaultSpec("net-sever-host", when={"host": "b:2"}),
         ],
     )
-    assert plan.maybe_fail("mp-kill-worker", worker=0, round=0) is None
-    assert plan.maybe_fail("mp-kill-worker", worker=1, round=0) is not None
-    assert plan.maybe_fail("mp-kill-worker", worker=1, round=1) is not None
+    assert plan.maybe_fail("net-sever-host", host="a:1", round=0) is None
+    assert plan.maybe_fail("net-sever-host", host="b:2", round=0) is not None
+    assert plan.maybe_fail("net-sever-host", host="b:2", round=1) is not None
     # Both armed copies are spent now.
-    assert plan.maybe_fail("mp-kill-worker", worker=1, round=2) is None
+    assert plan.maybe_fail("net-sever-host", host="b:2", round=2) is None
     assert plan.fired == [
-        ("mp-kill-worker", {"worker": 1, "round": 0}),
-        ("mp-kill-worker", {"worker": 1, "round": 1}),
+        ("net-sever-host", {"host": "b:2", "round": 0}),
+        ("net-sever-host", {"host": "b:2", "round": 1}),
     ]
     with pytest.raises(ValueError, match="unregistered"):
         plan.maybe_fail("made-up-fault")
@@ -181,67 +180,6 @@ def test_injected_scopes_and_restores_the_active_plan():
 
 
 # ----------------------------------------------------------------------
-# dm-mp: planned worker SIGKILL, byte-identical recovery
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_mp_planned_kill_selection_is_byte_identical(transport):
-    """A greedy selection with a planned mid-run worker SIGKILL matches
-    the fault-free dm-batched selection exactly, and the recovery lands
-    in the supervision counters."""
-    problem = make_problem(3, "plurality", 4, n=14)
-    reference = greedy_engine(BatchedDMEngine(problem), 4, lazy=False)
-    plan = FaultPlan(
-        seed=5, faults=[FaultSpec("mp-kill-worker", when={"worker": 1, "round": 2})]
-    )
-    with faults.injected(plan):
-        with MultiprocessDMEngine(
-            problem, workers=2, min_fanout=1, transport=transport
-        ) as engine:
-            result = greedy_engine(engine, 4, lazy=False)
-            assert engine.stats.workers_lost == 1
-            assert engine.stats.workers_respawned == 1
-            assert engine.stats.chunks_resharded == 1
-    assert plan.fired == [("mp-kill-worker", {"worker": 1, "round": 2})]
-    assert result.seeds.tolist() == reference.seeds.tolist()
-    np.testing.assert_allclose(result.gains, reference.gains, atol=1e-10, rtol=0)
-
-
-def test_mp_kill_during_commit_broadcast_stays_exact():
-    """SIGKILL landing on the commit-broadcast round: the respawned
-    worker adopts the committed trajectory from the journal, and every
-    later marginal-gain round is byte-identical to dm-batched."""
-    problem = make_problem(6, "cumulative", 3, n=12, r=2)
-    reference = BatchedDMEngine(problem).open_session()
-    with MultiprocessDMEngine(
-        problem, workers=2, min_fanout=1
-    ) as engine:
-        session = engine.open_session()
-        candidates = np.arange(problem.n)
-        np.testing.assert_array_equal(
-            session.marginal_gains(candidates),
-            reference.marginal_gains(candidates),
-        )
-        plan = FaultPlan(
-            seed=2, faults=[FaultSpec("mp-kill-worker", when={"worker": 0})]
-        )
-        with faults.injected(plan):
-            session.commit(5)  # the kill fires on this broadcast round
-        reference.commit(5)
-        assert plan.fired and plan.fired[0][1]["worker"] == 0
-        assert engine.stats.workers_lost == 1
-        # Commit again *immediately*: the respawned worker replays the
-        # journal (seeds only, lazy trajectory) and must take the
-        # rebuild path for this commit, not extend a missing trajectory.
-        session.commit(9)
-        reference.commit(9)
-        np.testing.assert_array_equal(
-            session.marginal_gains(candidates),
-            reference.marginal_gains(candidates),
-        )
-        assert session.value == pytest.approx(reference.value, abs=1e-10)
-
-
-# ----------------------------------------------------------------------
 # tcp: planned host sever, re-shard, backoff rejoin
 # ----------------------------------------------------------------------
 def test_tcp_planned_sever_resharded_then_rejoined():
@@ -284,6 +222,53 @@ def test_tcp_planned_sever_resharded_then_rejoined():
         assert engine.workers == 2
         assert engine.pool_stats()["hosts_connected"] == [addr_a, addr_b]
         assert np.array_equal(expected, engine.evaluate(sets))
+    finally:
+        engine.close()
+    thread_a.join(10)
+    thread_b.join(10)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
+
+
+def test_tcp_sever_during_commit_broadcast_stays_exact():
+    """A sever landing on the commit-broadcast round: the survivor folds
+    the commit, the rejoined host adopts the committed seed sequence from
+    the journal, and every later marginal-gain round is byte-identical
+    to dm-batched."""
+    import time
+
+    addr_a, thread_a = start_worker(connections=2)
+    addr_b, thread_b = start_worker(connections=1)
+    problem = make_problem(6, "cumulative", 3, n=12, r=2)
+    reference = BatchedDMEngine(problem).open_session()
+    engine = _tcp_engine(problem, [addr_a, addr_b])
+    try:
+        session = engine.open_session()
+        candidates = np.arange(problem.n)
+        np.testing.assert_array_equal(
+            session.marginal_gains(candidates),
+            reference.marginal_gains(candidates),
+        )
+        plan = FaultPlan(
+            seed=2, faults=[FaultSpec("net-sever-host", when={"host": addr_a})]
+        )
+        with faults.injected(plan):
+            session.commit(5)  # the sever fires on this broadcast round
+        reference.commit(5)
+        assert plan.fired and plan.fired[0][1]["host"] == addr_a
+        assert engine.stats.hosts_lost == 1
+        # Past the first backoff delay the next round re-dials host A,
+        # which replays the journal (seeds only, lazy trajectory) and
+        # must take the rebuild path for this commit.
+        time.sleep(0.3)
+        session.commit(9)
+        reference.commit(9)
+        assert engine.stats.hosts_rejoined == 1
+        np.testing.assert_array_equal(
+            session.marginal_gains(candidates),
+            reference.marginal_gains(candidates),
+        )
+        assert session.value == pytest.approx(reference.value, abs=1e-10)
+        assert all(w.dense_column_steps > 0 for w in engine.worker_stats)
     finally:
         engine.close()
     thread_a.join(10)
@@ -486,22 +471,23 @@ def test_serve_graceful_drain_answers_everything_admitted():
 # ----------------------------------------------------------------------
 # CLI: --fault-plan wires a plan file into a real selection run
 # ----------------------------------------------------------------------
-def test_cli_fault_plan_selection_matches_fault_free(tmp_path):
-    """``repro select --fault-plan`` with a worker-kill schedule exits 0
-    and prints the same seeds line as the fault-free run."""
+def test_cli_fault_plan_selection_matches_fault_free(tmp_path, loopback_hosts):
+    """``repro select --fault-plan`` with a host-sever schedule exits 0
+    and prints the same seeds line as the fault-free ``dm`` run."""
+    hosts = loopback_hosts[:2]
     plan = FaultPlan(
-        seed=1, faults=[FaultSpec("mp-kill-worker", when={"worker": 1})]
+        seed=1, faults=[FaultSpec("net-sever-host", when={"host": hosts[0]})]
     )
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(plan.to_json())
 
-    def select(extra=()):
+    def select(engine, extra=()):
         result = subprocess.run(
             [
                 sys.executable, "-m", "repro", "select",
                 "--dataset", "yelp", "--users", "60", "--horizon", "4",
                 "--method", "dm", "--score", "cumulative",
-                "-k", "4", "--seed", "1", "--engine", "dm-mp:2",
+                "-k", "4", "--seed", "1", "--engine", engine,
                 *extra,
             ],
             capture_output=True,
@@ -517,6 +503,8 @@ def test_cli_fault_plan_selection_matches_fault_free(tmp_path):
         assert seeds, result.stdout
         return seeds[0]
 
-    expected = select()
-    faulted = select(("--fault-plan", str(plan_path)))
+    expected = select("dm")
+    faulted = select(
+        f"dm-mp:tcp={','.join(hosts)}", ("--fault-plan", str(plan_path))
+    )
     assert faulted == expected

@@ -3,12 +3,13 @@
 The central contract: coalescing is *answer-preserving byte for byte*.
 A request's encoded response line must be identical whether it was
 answered alone or merged into a shared engine round — across backends
-(``dm``, ``dm-batched``, ``dm-mp`` over both transports), with deltas
-interleaved mid-stream, and over the real socket server.  On top of
-that: structured protocol errors (a malformed engine spec answers with
-the registry's own message instead of dropping the connection), the
-deterministic coalescing counters, and crash-safe shutdown (SIGTERM and
-SIGKILL both leave zero shm segments behind).
+(``dm``, ``dm-batched`` and the local ``dm-mp`` spellings that build it),
+with deltas interleaved mid-stream, and over the real socket server.  On
+top of that: structured protocol errors (a malformed engine spec answers
+with the registry's own message instead of dropping the connection;
+non-finite numbers, unknown parameters and ill-typed flags are
+``bad-request``), the deterministic coalescing counters, and a clean
+SIGTERM shutdown.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import EngineSpec
 from repro.core.problem import FJVoteProblem
@@ -31,10 +34,13 @@ from repro.serve.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_ENGINE_NOT_LOADED,
     ERROR_UNKNOWN_OP,
+    OP_PARAMS,
+    OPS,
     ProtocolError,
     Request,
     decode_line,
     encode,
+    error_response,
     parse_request,
 )
 from repro.voting.scores import CumulativeScore, PluralityScore
@@ -42,8 +48,9 @@ from tests.conftest import random_instance
 
 SCORES = {"cumulative": CumulativeScore, "plurality": PluralityScore}
 
-#: One spec per coalescing code path: per-set fallback, vectorized
-#: extension rows, fan-out over both transports.
+#: One spec per coalescing code path (per-set fallback, vectorized
+#: extension rows) plus two local ``dm-mp`` spellings, which build the
+#: vectorized engine.
 COALESCING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
 
 
@@ -247,15 +254,24 @@ def test_parameter_validation_errors():
 
 @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
 def test_non_finite_delta_weight_is_a_bad_request(weight):
-    """JSON ``Infinity``/``NaN`` parse as floats; an edge weight of either
-    would renormalize its column to NaN and poison every later answer."""
+    """``Infinity``/``NaN`` are not JSON, though Python's decoder parses
+    them as floats; an edge weight of either would renormalize its column
+    to NaN and poison every later answer."""
     hub = EngineHub(make_problem(), ["dm-batched"], rng=7)
     try:
         batcher = CoalescingBatcher(hub)
         gains = make_request(0, "marginal_gain", seeds=[1], candidates=[2, 3])
         (before,) = batcher.execute([gains])
         line = '{"id":1,"op":"apply_delta","edges_added":[[0,1,%s]]}\n' % weight
-        request = parse_request(decode_line(line.encode()))
+        # Strict JSON: the constant never gets past the line decoder ...
+        with pytest.raises(ProtocolError) as err:
+            decode_line(line.encode())
+        assert err.value.code == ERROR_BAD_REQUEST
+        # ... and the batcher's own weight check still guards in-process
+        # callers that build requests directly.
+        request = make_request(
+            1, "apply_delta", edges_added=[[0, 1, float(weight)]]
+        )
         (response,) = batcher.execute([request])
         assert response["ok"] is False
         assert response["error"]["code"] == ERROR_BAD_REQUEST
@@ -263,6 +279,162 @@ def test_non_finite_delta_weight_is_a_bad_request(weight):
         assert batcher.execute([gains]) == [before]
     finally:
         hub.close()
+
+
+def answer_line(batcher, line: bytes) -> bytes:
+    """One request line through the whole in-process path — decode,
+    envelope check, batcher — as the socket server runs it."""
+    request_id = None
+    try:
+        payload = decode_line(line)
+        request_id = payload.get("id")
+        request = parse_request(payload)
+    except ProtocolError as exc:
+        return encode(error_response(request_id, exc.code, exc.message))
+    (response,) = batcher.execute([request])
+    return encode(response)
+
+
+def strict_json(line: bytes) -> dict:
+    """Parse a reply line, refusing the non-JSON constants."""
+
+    def reject(name):
+        raise ValueError(f"reply line carries {name}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        # Non-finite numbers: the constants Python's decoder accepts and a
+        # float literal that overflows to infinity.
+        (b'{"op":"ping","id":NaN}', "NaN"),
+        (b'{"op":"ping","deadline_ms":Infinity}', "Infinity"),
+        (b'{"op":"ping","payload":[-Infinity]}', "-Infinity"),
+        (b'{"op":"ping","deadline_ms":1e999}', "1e999"),
+        # Unknown parameters: a misspelt key must not fall back to a default.
+        (b'{"op":"marginal_gain","base":"x","candidates":[2]}', "'base'"),
+        (b'{"op":"top_k_seeds","k":2,"lazzy":true}', "'lazzy'"),
+        (b'{"op":"apply_delta","opinion_changed":[[0,1,0.5]]}', "'opinion_changed'"),
+        (b'{"op":"stats","engine":"dm-batched"}', "'engine'"),
+        (b'{"op":"ping","seeds":[1]}', "'seeds'"),
+        # Ill-typed flags: "no" is truthy, 0 is not a boolean.
+        (b'{"op":"top_k_seeds","k":2,"lazy":"no"}', "'lazy'"),
+        (b'{"op":"top_k_seeds","k":2,"lazy":0}', "'lazy'"),
+    ],
+)
+def test_request_line_validation(line, names):
+    """Each malformed line answers a structured ``bad-request`` naming
+    what is wrong, in a reply line that is itself strict JSON, and costs
+    no engine work."""
+    hub = EngineHub(make_problem(), ["dm-batched"], rng=7)
+    try:
+        batcher = CoalescingBatcher(hub)
+        reply = strict_json(answer_line(batcher, line))
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == ERROR_BAD_REQUEST
+        assert names in reply["error"]["message"]
+        assert batcher.stats.engine_rounds == 0
+    finally:
+        hub.close()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 16),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6,
+)
+#: Values that often pass validation, so the success paths get exercised.
+_PLAUSIBLE = st.one_of(
+    st.lists(st.integers(0, 12), max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 12), st.floats(0, 1)).map(list),
+        max_size=2,
+    ),
+    st.integers(1, 3),
+    st.booleans(),
+    st.just("dm-batched"),
+)
+_STRAY_KEYS = st.sampled_from(["id", "deadline_ms", "base", "seed", "op"])
+
+
+@st.composite
+def _requests(draw):
+    """A JSON object that is mostly a plausible request for its op (so
+    the success paths run), with stray keys and arbitrary values mixed in."""
+    op = draw(st.sampled_from([*OPS, "frobnicate", None]))
+    keys = sorted(OP_PARAMS.get(op, ()))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    if draw(st.integers(0, 4)) == 0:
+        chosen.append(draw(_STRAY_KEYS))
+    obj = {} if op is None else {"op": op}
+    for key in chosen:
+        value = draw(st.one_of(_PLAUSIBLE, _PLAUSIBLE, _JSON_VALUES))
+        obj[key] = value
+    if op == "marginal_gain" and "candidates" not in obj:
+        obj["candidates"] = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    if op == "top_k_seeds" and "k" not in obj:
+        obj["k"] = draw(st.integers(1, 3))
+    return obj
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(objects=st.lists(_requests(), min_size=1, max_size=6))
+def test_arbitrary_json_objects_answer_structured_or_serial(objects):
+    """Arbitrary JSON objects through the whole in-process path: every
+    reply is strict JSON and either a structured error or byte-equal to
+    the serial answer (the same engine on its own hub, one request per
+    batch).  ``stats`` replies describe each hub's own counters, so only
+    their shape is compared."""
+    lines = [encode(obj) for obj in objects]
+    hub = EngineHub(make_problem(), ["dm-batched"], rng=7)
+    serial_hub = EngineHub(make_problem(), ["dm-batched"], rng=7)
+    try:
+        batcher = CoalescingBatcher(hub)
+        serial = CoalescingBatcher(serial_hub)
+        # The coalesced path: every line that parses shares one batch.
+        replies: list[bytes | None] = [None] * len(lines)
+        parsed = []
+        for i, line in enumerate(lines):
+            try:
+                parsed.append((i, parse_request(decode_line(line))))
+            except ProtocolError:
+                replies[i] = answer_line(batcher, line)
+        responses = batcher.execute([request for _, request in parsed])
+        for (i, _), response in zip(parsed, responses):
+            replies[i] = encode(response)
+        for obj, line, reply in zip(objects, lines, replies):
+            assert reply is not None
+            expected = answer_line(serial, line)
+            answer = strict_json(reply)
+            if not answer["ok"]:
+                assert set(answer["error"]) == {"code", "message"}
+                assert answer["error"]["code"] in (
+                    ERROR_BAD_REQUEST,
+                    ERROR_BAD_ENGINE_SPEC,
+                    ERROR_ENGINE_NOT_LOADED,
+                    ERROR_UNKNOWN_OP,
+                )
+            elif obj["op"] == "stats":
+                assert strict_json(expected)["ok"]
+            else:
+                assert reply == expected
+    finally:
+        hub.close()
+        serial_hub.close()
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +574,7 @@ def test_server_rejects_unknown_op_and_keeps_serving():
 
 
 # ----------------------------------------------------------------------
-# Crash-safe shutdown: no leaked shm segments
+# Clean shutdown
 # ----------------------------------------------------------------------
 def _spawn_cli_server(tmp_path=None, extra=()):
     argv = [
@@ -431,68 +603,22 @@ def _spawn_cli_server(tmp_path=None, extra=()):
     return proc, port
 
 
-def _live_shm_segments(port):
+def test_sigterm_shutdown_drains_and_exits_cleanly():
+    """The signal-routed shutdown path: a server started on a local
+    dm-mp spelling answers, then SIGTERM drains it to exit code 0 with
+    the final counters line."""
     from repro.serve.client import request_once
 
-    stats = request_once("127.0.0.1", port, "stats")
-    assert stats["ok"]
-    return stats["result"]["engines"]["dm-mp:2:shm"]["pool"]["shm_segments"]
-
-
-def _assert_segments_unlinked(names, timeout=20.0):
-    from repro.core.shm import attach_segment
-
-    deadline = time.time() + timeout
-    remaining = list(names)
-    while remaining and time.time() < deadline:
-        still = []
-        for name in remaining:
-            try:
-                segment = attach_segment(name)
-            except FileNotFoundError:
-                continue
-            segment.close()
-            still.append(name)
-        remaining = still
-        if remaining:
-            time.sleep(0.25)
-    assert not remaining, f"leaked shm segments: {remaining}"
-
-
-def test_sigterm_shutdown_unlinks_shm_segments():
-    """The signal-routed shutdown path: SIGTERM stops the pool through
-    stop_worker_pool and unlinks every arena segment."""
     proc, port = _spawn_cli_server()
     try:
-        names = _live_shm_segments(port)
-        assert names  # the pool is warm, its arena is mapped
+        stats = request_once("127.0.0.1", port, "stats")
+        assert stats["ok"]
+        assert list(stats["result"]["engines"]) == ["dm-batched"]
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0, out
         assert "serve:" in out  # final counters line still printed
-        _assert_segments_unlinked(names)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=30)
-
-
-def test_sigkill_crash_unlinks_shm_segments():
-    """Crash injection: SIGKILL the whole server mid-flight.  Nothing in
-    the process gets to run, so cleanup falls to the resource tracker —
-    segments must still disappear (bounded poll), mirroring the engine
-    crash tests."""
-    proc, port = _spawn_cli_server()
-    try:
-        names = _live_shm_segments(port)
-        assert names
-        proc.send_signal(signal.SIGKILL)
-        # wait(), not communicate(): the worker children inherited the
-        # stdout pipe, so it only reaches EOF once *they* exit too.
-        proc.wait(timeout=60)
-        proc.stdout.close()
-        _assert_segments_unlinked(names)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)

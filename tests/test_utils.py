@@ -201,50 +201,38 @@ def test_with_backoff_explicit_schedule():
 # ----------------------------------------------------------------------
 # stop_worker_pool idempotency (repro.utils.workers)
 # ----------------------------------------------------------------------
-def _sleepy_worker(conn):
-    try:
-        conn.recv()
-    except (EOFError, KeyboardInterrupt):
-        pass
-
-
 def test_stop_worker_pool_idempotent_after_kill_and_double_close():
-    """A SIGKILLed worker plus a second close must both be no-ops.
+    """A dead peer plus a second close must both be no-ops.
 
-    Regression test: supervised pools can race their own respawn
-    teardown against the engine's outer close(), so the ladder has to
-    tolerate dead processes, already-joined processes, close()d Process
-    objects, and already-closed pipes without raising.
+    Regression test: supervised pools can race their own loss handling
+    against the engine's outer close(), so the teardown has to tolerate
+    connections whose peer died, and connections that were already
+    closed, without raising.
     """
-    import multiprocessing as mp
+    import socket
 
+    from repro.core.engine_net import FramedSocket
     from repro.utils.workers import stop_worker_pool
 
     class Handle:
-        def __init__(self, process, conn):
-            self.process = process
+        def __init__(self, conn):
             self.conn = conn
 
-    ctx = mp.get_context()
-    handles = []
-    for _ in range(2):
-        parent, child = ctx.Pipe()
-        process = ctx.Process(target=_sleepy_worker, args=(child,), daemon=True)
-        process.start()
-        child.close()
-        handles.append(Handle(process, parent))
+    pairs = [socket.socketpair() for _ in range(2)]
+    handles = [Handle(FramedSocket(ours)) for ours, _ in pairs]
+    # Host 0 dies hard mid-round: its end of the connection is gone.
+    pairs[0][1].close()
 
-    # Worker 0 dies hard mid-round, as the fault plan would kill it.
-    handles[0].process.kill()
-    handles[0].process.join(timeout=5.0)
+    def send_stop(conn):
+        conn.send_bytes(b"stop")
 
-    stop_worker_pool(handles, lambda conn: conn.send(("stop",)))
-    assert all(not h.process.is_alive() for h in handles)
+    stop_worker_pool(handles, send_stop)
+    # The live host got its stop frame, then saw the connection close.
+    survivor = FramedSocket(pairs[1][1])
+    assert survivor.recv_bytes() == b"stop"
+    with pytest.raises(EOFError):
+        survivor.recv_bytes()
+    survivor.close()
 
-    # Second close on the same handles: pipes closed, processes reaped.
-    stop_worker_pool(handles, lambda conn: conn.send(("stop",)))
-
-    # Even fully released Process objects must not raise.
-    for handle in handles:
-        handle.process.close()
-    stop_worker_pool(handles, lambda conn: conn.send(("stop",)))
+    # Second close on the same, already-closed handles.
+    stop_worker_pool(handles, send_stop)
