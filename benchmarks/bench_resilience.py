@@ -45,9 +45,9 @@ K = 3
 #: Walk-store shard count: an accepted spelling of ``rw-store``.
 SHARDS = 2
 #: The fixed chaos schedule: one planned failure per layer.
-# Round 2 is the second marginal-gains fan-out (round 1 is the first
-# commit broadcast), so the severed host dies holding a chunk and the
-# re-shard path runs, not just the loss bookkeeping.
+# Round 2 is the third marginal-gains fan-out (a commit sends nothing,
+# so every pool round is a fan-out), so the severed host dies holding a
+# chunk and the re-shard path runs, not just the loss bookkeeping.
 SEVER = FaultSpec("net-sever-host", when={"round": 2})
 CORRUPT = FaultSpec("store-corrupt-block", when={"block": 0})
 DROP = FaultSpec("serve-drop", when={"request": 0})

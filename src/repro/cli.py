@@ -158,9 +158,51 @@ _FAST_KWARGS = {
 }
 
 
-def _build_dataset(args: argparse.Namespace) -> Dataset:
-    maker = DATASETS[args.dataset]
-    return maker(n=args.users, rng=args.seed, horizon=args.horizon)
+def _build_dataset(
+    args: argparse.Namespace, maker: Callable[..., Dataset] | None = None
+) -> Dataset:
+    """Build the ``--dataset`` (or ``maker``) recipe at the flags' size.
+
+    A size the recipe cannot be built at (e.g. fewer users than a
+    generator attaches per node) is a one-line error, not a traceback.
+    """
+    maker = maker or DATASETS[args.dataset]
+    try:
+        return maker(n=args.users, rng=args.seed, horizon=args.horizon)
+    except ValueError as exc:
+        raise SystemExit(
+            f"cannot build the dataset with --users {args.users}: {exc}"
+        ) from None
+
+
+def _check_budget(flag: str, budget: int, dataset: Dataset) -> None:
+    """A seed budget above the network size is a one-line error."""
+    if budget > dataset.n:
+        raise SystemExit(
+            f"{flag} {budget} exceeds the network size (--users {dataset.n})"
+        )
+
+
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer flag in ``[low, high]``: an
+    out-of-range value is a usage error (exit 2) at parse time, not a
+    traceback (or a silent no-op) once the command runs."""
+
+    def convert(value: str) -> int:
+        number = int(value)  # argparse reports "invalid int value"
+        if number < low or (high is not None and number > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {number}")
+        return number
+
+    convert.__name__ = "int"
+    return convert
+
+
+_NATURAL = _int_in(0)
+_POSITIVE = _int_in(1)
+#: Listening ports: 0 binds a free port.
+_PORT = _int_in(0, 65535)
 
 
 class _SpecSafeFormatter(argparse.HelpFormatter):
@@ -209,15 +251,15 @@ def _add_engine_option(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", choices=sorted(DATASETS), default="yelp")
-    parser.add_argument("--users", type=int, default=1000, help="network size n")
-    parser.add_argument("--horizon", type=int, default=20, help="time horizon t")
+    parser.add_argument("--users", type=_POSITIVE, default=1000, help="network size n")
+    parser.add_argument("--horizon", type=_NATURAL, default=20, help="time horizon t")
     parser.add_argument(
         "--score",
         default="plurality",
         choices=["cumulative", "plurality", "copeland", "p-approval"],
     )
-    parser.add_argument("--p", type=int, default=2, help="p for p-approval")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--p", type=_POSITIVE, default=2, help="p for p-approval")
+    parser.add_argument("--seed", type=_NATURAL, default=0, help="random seed")
     _add_engine_option(parser)
     parser.add_argument(
         "--store-dir",
@@ -391,6 +433,7 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
 
 def cmd_select(args: argparse.Namespace) -> int:
     dataset = _build_dataset(args)
+    _check_budget("-k", args.k, dataset)
     problem = dataset.problem(_make_score(args))
     problem.others_by_user()
     kwargs = _FAST_KWARGS.get(args.method, {})
@@ -432,6 +475,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_winmin(args: argparse.Namespace) -> int:
     dataset = _build_dataset(args)
+    _check_budget("--kmax", args.kmax, dataset)
     problem = dataset.problem(_make_score(args))
     kwargs = _FAST_KWARGS.get(args.method, {})
     store = _wire_store_and_delta(args, problem)
@@ -604,7 +648,8 @@ def cmd_net_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_case_study(args: argparse.Namespace) -> int:
-    dataset = dblp_like(n=args.users, rng=args.seed, horizon=args.horizon)
+    dataset = _build_dataset(args, dblp_like)
+    _check_budget("-k", args.k, dataset)
     result = acm_election_case_study(
         dataset, k=args.k, method=args.method, rng=args.seed + 1,
         engine=args.engine,
@@ -693,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_select)
     p_select.add_argument("--method", choices=METHOD_NAMES, default="rs")
-    p_select.add_argument("-k", type=int, default=20, help="seed budget")
+    p_select.add_argument("-k", type=_NATURAL, default=20, help="seed budget")
     p_select.set_defaults(func=cmd_select)
 
     p_win = sub.add_parser(
@@ -703,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_win)
     p_win.add_argument("--method", choices=("dm", "rw", "rs"), default="dm")
-    p_win.add_argument("--kmax", type=int, default=300)
+    p_win.add_argument("--kmax", type=_POSITIVE, default=300)
     p_win.set_defaults(func=cmd_winmin)
 
     p_case = sub.add_parser(
@@ -711,10 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="ACM election case study",
         formatter_class=_SpecSafeFormatter,
     )
-    p_case.add_argument("--users", type=int, default=2000)
-    p_case.add_argument("--horizon", type=int, default=20)
-    p_case.add_argument("--seed", type=int, default=0)
-    p_case.add_argument("-k", type=int, default=100)
+    p_case.add_argument("--users", type=_POSITIVE, default=2000)
+    p_case.add_argument("--horizon", type=_NATURAL, default=20)
+    p_case.add_argument("--seed", type=_NATURAL, default=0)
+    p_case.add_argument("-k", type=_NATURAL, default=100)
     p_case.add_argument("--method", choices=METHOD_NAMES, default="rw")
     _add_engine_option(p_case)
     p_case.set_defaults(func=cmd_case_study)
@@ -728,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port",
-        type=int,
+        type=_PORT,
         default=0,
         help="0 picks a free port (printed on the 'serving on' line)",
     )
@@ -751,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--queue-cap",
-        type=int,
+        type=_POSITIVE,
         default=None,
         metavar="N",
         help="bound the dispatch queue at N requests; admissions past it "
@@ -788,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--host", default="127.0.0.1")
     p_net.add_argument(
         "--port",
-        type=int,
+        type=_PORT,
         default=0,
         help="0 picks a free port (printed on the readiness line)",
     )
@@ -802,13 +847,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_net.add_argument(
         "--seed",
-        type=int,
+        type=_NATURAL,
         default=0,
         help="store seed for the --store-dir identity check",
     )
     p_net.add_argument(
         "--connections",
-        type=int,
+        type=_POSITIVE,
         default=None,
         metavar="N",
         help="serve N coordinators, then exit (default: serve forever)",

@@ -56,8 +56,8 @@ Backends
 :class:`~repro.core.engine_mp.HostPool`
     ``dm-mp:tcp=<host:port,...>``: the batched evaluation sharded across
     remote ``repro net-worker`` hosts — candidate chunks evolve
-    concurrently, session commits are broadcast so hosts fold the
-    committed trajectory locally, and selections stay byte-identical to
+    concurrently, each carrying the session's committed seed sequence so
+    hosts keep no session state, and selections stay byte-identical to
     the single-process engine for every host count
     (``EngineStats.ipc_bytes`` counts the bytes on the wire).
 :class:`WalkEngine`
@@ -199,7 +199,7 @@ class EngineStats:
     hosts_lost: int = 0
     chunks_resharded: int = 0
     #: Previously-lost tcp hosts that reconnected through the backoff
-    #: rejoin path, with replayed journal state.
+    #: rejoin path (re-handshaken with the current problem).
     hosts_rejoined: int = 0
     #: Estimator (ε, δ) accounting, filled by ``prepare_budget`` on the
     #: walk backends: the precision the caller asked for, the precision
@@ -1016,7 +1016,7 @@ class BatchedDMEngine(ObjectiveEngine):
             raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
         self.densify_threshold = float(densify_threshold)
         #: Threads that evolve a wide call's column groups (see
-        #: ``_evolve_blocks``); pool members set 1.
+        #: ``_evolve_blocks``).
         self._threads = _usable_cores()
         self._build_wt_scaled()
 
@@ -2108,19 +2108,10 @@ class EngineSpec:
             return
         if self.name != "dm-mp":
             raise ValueError(f"'hosts' only applies to dm-mp, not {self.name!r}")
+        from repro.core.engine_net import _split_address  # imports this module
+
         for entry in self.hosts:
-            host, sep, port = entry.rpartition(":")
-            if (
-                not sep
-                or not host
-                or "," in entry
-                or not port.isdigit()
-                or not 0 < int(port) < 65536
-            ):
-                raise ValueError(
-                    f"malformed dm-mp:tcp host {entry!r}; expected "
-                    "host:port with a port in [1, 65535]"
-                )
+            _split_address(entry)
 
     # ------------------------------------------------------------------
     @classmethod

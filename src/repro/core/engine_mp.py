@@ -19,8 +19,8 @@ seeded-trajectory cache, see ``FJVoteProblem.__getstate__``).  Each host
 builds its own private :class:`BatchedDMEngine` from it — per-round
 messages then carry only seed id chunks and score vectors, never matrices.
 Every message is one framed pickle; :func:`_worker_loop` is the host side
-of the protocol (``chunk``, ``rows``, ``ext``, ``extrows``, ``commit``,
-``delta``, ``adopt``, ``ping``, ``stop``).
+of the protocol (``chunk``, ``rows``, ``ext``, ``extrows``, ``delta``,
+``ping``, ``stop``).
 
 The wire cost is measured, not guessed:
 :attr:`~repro.core.engine.EngineStats.ipc_bytes` counts every payload
@@ -28,15 +28,14 @@ byte the coordinator actually moves through host sockets (both
 directions; the engine frames messages itself, so the counter is exact
 and deterministic).
 
-Selection sessions fan out too: :class:`MultiprocessDMSession` keeps the
-coordinator-side committed trajectory (for values and win-min prefix
-probes) exactly like its base class, and *broadcasts* every ``commit`` to
-the hosts so each folds the chosen seed into a host-local committed
-trajectory by the same one-column extension the coordinator performs —
-bitwise the same state.  A host that missed a broadcast (e.g. it joined
-mid-session) rebuilds the committed trajectory lazily from the
-``(base, seeds)`` pair every fan-out message carries, replaying the
-commit sequence so the rebuilt trajectory is still bitwise identical.
+Selection sessions fan out too, and hosts keep no session state:
+:class:`MultiprocessDMSession` keeps the coordinator-side committed
+trajectory (for values, commits and win-min prefix probes) exactly like
+its base class, and a commit sends nothing.  Every ``ext`` / ``extrows``
+message carries the session's ``(base, seeds)`` pair; a host looks the
+committed trajectory up by that pair, or grows it from the longest cached
+prefix by the same one-seed extensions a commit performs, so it is
+bitwise the coordinator's trajectory whichever host computes it.
 
 Failure model
 -------------
@@ -46,11 +45,12 @@ After the handshake, a host that dies mid-round is dropped from the pool
 survivors (``stats.chunks_resharded``); later rounds shard across the
 survivors while the coordinator keeps re-dialing the lost address on a
 deterministic backoff schedule — a host that comes back is re-handshaken
-with the current problem, journal-replayed, and restored to its original
-shard slot (``stats.hosts_rejoined``).  A pool reused after
+with the current problem and restored to its original shard slot
+(``stats.hosts_rejoined``); it needs nothing else, since every fan-out
+carries the seed sequence it evolves against.  A pool reused after
 :meth:`HostPool.close` reconnects every host and shards across all of
 them again, whatever was lost before.  Broadcast ops (``ping`` /
-``commit`` / ``delta``) are simply dropped for dead hosts.  Losing the
+``delta``) are simply dropped for dead hosts.  Losing the
 *last* host raises.  A host-side evaluation error (as opposed to a
 transport failure) still raises immediately.  Re-sharding only moves
 *which* connection evaluates a chunk, never the chunk contents or their
@@ -95,19 +95,14 @@ _EVOLUTION_COUNTERS = (
     "repin_inserted",
 )
 
-#: Host-local committed trajectories kept per host (FIFO eviction);
-#: mirrors ``FJVoteProblem.SEEDED_TRAJECTORY_CACHE``.
+#: Committed trajectories kept per host, keyed by ``(base, seeds)``
+#: (FIFO eviction); mirrors ``FJVoteProblem.SEEDED_TRAJECTORY_CACHE``.
 _WORKER_SESSION_CACHE = 8
-
-#: Delta broadcasts remembered for journal replay onto rejoined hosts.
-#: Replay is idempotent (``_worker_apply_delta`` early-outs on current
-#: versions), so the cap bounds memory, not correctness.
-_DELTA_JOURNAL_CAP = 4
 
 #: One identical message per host; a lost host's copy is dropped, not
 #: re-dispatched (survivors already received theirs, and a rejoined host
-#: recovers the state from the journal replay / lazy rebuild).
-_BROADCAST_OPS = frozenset({"ping", "commit", "delta", "adopt"})
+#: is handshaken with the current problem).
+_BROADCAST_OPS = frozenset({"ping", "delta"})
 
 #: Re-dial ladder for lost hosts (seconds between rejoin attempts);
 #: deterministic — the attempt count indexes it, the tail repeats.
@@ -177,7 +172,7 @@ def _unique_graphs(state) -> list:
 def _worker_apply_delta(
     problem: FJVoteProblem,
     engine: BatchedDMEngine,
-    sessions: dict,
+    trajectories: dict,
     report,
     columns_by_gid,
     opinions,
@@ -218,8 +213,7 @@ def _worker_apply_delta(
         problem._base_target = None
         problem._base_trajectory = None
         problem._seeded_trajectories.clear()
-        for state in sessions.values():
-            state["traj"] = None  # rebuilt lazily from the seed sequence
+        trajectories.clear()  # regrown from the seed sequences on demand
     if dirty - {problem.target}:
         problem._competitors = None
         problem._others_by_user = None
@@ -227,43 +221,38 @@ def _worker_apply_delta(
         engine._build_wt_scaled()
 
 
-def _rebuild_session(engine: BatchedDMEngine, base: tuple, seeds: tuple) -> dict:
-    """Host-side committed state for a session, rebuilt from scratch.
+def _committed_trajectory(
+    engine: BatchedDMEngine, trajectories: dict, base: tuple, seeds: tuple
+) -> np.ndarray:
+    """The committed trajectory of ``seeds``, grown from ``base``.
 
-    Replays the exact commit sequence a :class:`BatchedDMSession` performs
-    — base trajectory, then one single-seed extension per commit — so the
-    rebuilt trajectory is bitwise identical to the coordinator's
-    regardless of whether the host saw the individual commit broadcasts.
+    Content-addressed by ``(base, seeds)``.  A miss resumes from the
+    longest cached prefix of ``seeds`` over the same base (else the base
+    trajectory) and applies the one-seed extensions a
+    :class:`BatchedDMSession` commit performs, so the result is bitwise
+    the coordinator's trajectory whichever host computes it.
     """
-    traj = engine.problem.target_trajectory(tuple(base))
-    committed = list(base)
-    for seed in list(seeds)[len(base) :]:
+    key = (base, seeds)
+    traj = trajectories.get(key)
+    if traj is not None:
+        return traj
+    done = len(base)
+    for (cached_base, cached_seeds), cached in trajectories.items():
+        size = len(cached_seeds)
+        if cached_base == base and done < size and seeds[:size] == cached_seeds:
+            done, traj = size, cached
+    if traj is None:
+        traj = engine.problem.target_trajectory(base)
+    for i in range(done, len(seeds)):
         traj = engine.extend_trajectory(
             traj,
-            np.asarray(committed, dtype=np.int64),
-            np.array([seed], dtype=np.int64),
+            np.asarray(seeds[:i], dtype=np.int64),
+            np.array([seeds[i]], dtype=np.int64),
         )
-        committed.append(int(seed))
-    return {"seeds": list(seeds), "traj": traj}
-
-
-def _store_session(sessions: dict, sid: int, state: dict) -> None:
-    """Insert session state with the FIFO eviction cap."""
-    evict = [k for k in sessions if k != sid]
-    while len(evict) + 1 > _WORKER_SESSION_CACHE:
-        sessions.pop(evict.pop(0))
-    sessions[sid] = state
-
-
-def _worker_session(
-    engine: BatchedDMEngine, sessions: dict, sid: int, base: tuple, seeds: tuple
-) -> dict:
-    """Fetch (or lazily rebuild) the host's state for session ``sid``."""
-    state = sessions.get(sid)
-    if state is None or state["seeds"] != list(seeds) or state["traj"] is None:
-        state = _rebuild_session(engine, base, seeds)
-        _store_session(sessions, sid, state)
-    return state
+    while len(trajectories) >= _WORKER_SESSION_CACHE:
+        trajectories.pop(next(iter(trajectories)))
+    trajectories[key] = traj
+    return traj
 
 
 def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
@@ -274,9 +263,11 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
     delta of the host engine's evolution counters (as a tuple ordered like
     ``_EVOLUTION_COUNTERS``) so the coordinator can account the work each
     host actually performed; payload arrays are pickled into the ack.  A
-    coordinator that goes away arrives as EOF and ends the loop.
+    coordinator that goes away arrives as EOF and ends the loop.  The only
+    state kept between messages is the problem, the engine and the
+    ``(base, seeds)``-keyed committed trajectories.
     """
-    sessions: dict[int, dict] = {}
+    trajectories: dict[tuple[tuple, tuple], np.ndarray] = {}
     while True:
         try:
             message = pickle.loads(conn.recv_bytes())
@@ -293,22 +284,16 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
             elif op == "chunk":
                 _, lengths, values = message
                 result = engine.evaluate(_split_sets(lengths, values))
-            elif op == "ext":
-                _, sid, base, seeds, cand = message
-                state = _worker_session(engine, sessions, sid, base, seeds)
-                result = engine.extension_values(
-                    state["traj"],
-                    np.asarray(seeds, dtype=np.int64),
-                    np.asarray(cand, dtype=np.int64),
-                )
-            elif op == "extrows":
-                # Like "ext" but unscored: the (chunk, n) horizon rows go
-                # back so the coordinator scores each through the
+            elif op in ("ext", "extrows"):
+                # "extrows" is "ext" unscored: the (chunk, n) horizon rows
+                # go back so the coordinator scores each through the
                 # canonical width-1 path (batch-stable serving responses).
-                _, sid, base, seeds, cand = message
-                state = _worker_session(engine, sessions, sid, base, seeds)
-                result = engine.extension_rows(
-                    state["traj"],
+                _, base, seeds, cand = message
+                extend = (
+                    engine.extension_values if op == "ext" else engine.extension_rows
+                )
+                result = extend(
+                    _committed_trajectory(engine, trajectories, base, seeds),
                     np.asarray(seeds, dtype=np.int64),
                     np.asarray(cand, dtype=np.int64),
                 )
@@ -318,37 +303,7 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
             elif op == "delta":
                 _, report, columns_by_gid, opinions = message
                 _worker_apply_delta(
-                    problem, engine, sessions, report, columns_by_gid, opinions
-                )
-            elif op == "commit":
-                _, sid, base, before, seed = message
-                state = sessions.get(sid)
-                if (
-                    state is not None
-                    and state["traj"] is not None
-                    and state["seeds"] == list(before)
-                ):
-                    state["traj"] = engine.extend_trajectory(
-                        state["traj"],
-                        np.asarray(before, dtype=np.int64),
-                        np.array([seed], dtype=np.int64),
-                    )
-                    state["seeds"].append(int(seed))
-                else:
-                    # Missed or out-of-order broadcast: remember the seed
-                    # sequence, rebuild lazily on the next fan-out.
-                    sessions[sid] = {
-                        "seeds": list(before) + [int(seed)],
-                        "traj": None,
-                    }
-            elif op == "adopt":
-                # Journal replay onto a rejoined host: register the
-                # session's committed seed sequence; the trajectory is
-                # rebuilt lazily (``_rebuild_session`` replays the exact
-                # commit sequence, so it is bitwise the coordinator's).
-                _, sid, base, seeds = message
-                _store_session(
-                    sessions, sid, {"seeds": list(seeds), "traj": None}
+                    problem, engine, trajectories, report, columns_by_gid, opinions
                 )
             else:
                 raise ValueError(f"unknown dm-mp host op {op!r}")
@@ -379,25 +334,24 @@ class _Handle:
 
 
 class MultiprocessDMSession(BatchedDMSession):
-    """Warm-started session whose commits are broadcast to the hosts.
+    """Warm-started session whose wide rounds fan out to the hosts.
 
     The coordinator keeps the committed trajectory exactly like
-    :class:`BatchedDMSession` (values, ``gain=None`` commits and win-min
-    prefix probes are single-column work, cheapest done locally); each
-    round's ``marginal_gains`` fans the candidate chunks out with the
-    session id, and each ``commit`` tells every host to fold the chosen
-    seed into its local copy of the committed trajectory.
+    :class:`BatchedDMSession` (values, commits and win-min prefix probes
+    are single-column work, cheapest done locally); each round's
+    ``marginal_gains`` fans the candidate chunks out with the session's
+    ``(base, seeds)`` pair, from which every host finds or regrows the
+    same committed trajectory.  A commit sends nothing.
     """
 
     def __init__(self, engine: "HostPool", base: SeedSet = ()) -> None:
         super().__init__(engine, base)
         self._base = tuple(self._seeds)
-        self._sid = engine._next_session_id()
 
     def marginal_gains(self, candidates: SeedSet) -> np.ndarray:
         self._ensure_fresh()  # a delta may have scheduled a lazy rebuild
         values = self.engine.session_extension_values(
-            self._sid, self._base, tuple(self._seeds), self._traj, candidates
+            self._base, tuple(self._seeds), self._traj, candidates
         )
         return values - self._value
 
@@ -411,19 +365,13 @@ class MultiprocessDMSession(BatchedDMSession):
         """
         self._ensure_fresh()
         rows = self.engine.session_extension_rows(
-            self._sid, self._base, tuple(self._seeds), self._traj, candidates
+            self._base, tuple(self._seeds), self._traj, candidates
         )
         values = np.array(
             [self.engine.score_target_row(row) for row in rows],
             dtype=np.float64,
         )
         return values - self._value
-
-    def commit(self, seed: int, *, gain: float | None = None) -> float:
-        before = tuple(self._seeds)
-        value = super().commit(seed, gain=gain)
-        self.engine.broadcast_commit(self._sid, self._base, before, int(seed))
-        return value
 
     def _on_delta(self, report, mode: str = "auto") -> None:
         # Hosts rebuild their committed trajectories from the seed
@@ -496,14 +444,8 @@ class HostPool(BatchedDMEngine):
         self._pool_started: float | None = None
         self._engine_kwargs = dict(kwargs)
         self._handles: list[_Handle] | None = None
-        self._session_counter = 0
-        #: Supervision state: lost addresses pending rejoin
-        #: (address -> [attempts, next_retry]) and the coordinator-side
-        #: journal a rejoined host replays — committed seed sequences per
-        #: live session plus the recent delta broadcasts.
+        #: Lost addresses pending rejoin: address -> [attempts, next_retry].
         self._lost_hosts: dict[str, list[float]] = {}
-        self._session_journal: dict[int, tuple[tuple, tuple]] = {}
-        self._delta_journal: list[tuple] = []
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -512,19 +454,21 @@ class HostPool(BatchedDMEngine):
         """Dial one host and ship the hello (problem + engine kwargs).
 
         The handshake always carries the *current* problem, so a host
-        rejoining after deltas starts from patched state (journal replay
-        of the deltas is then an idempotent no-op).
+        rejoining after deltas starts from patched state.
         """
         conn, nbytes = _dial_host(address, timeout, self.problem, self._engine_kwargs)
         self.stats.ipc_bytes += nbytes
         return _Handle(conn, self.hosts.index(address))
 
-    def _ensure_pool(self) -> list[_Handle]:
-        """Connect and handshake every host (idempotent, all-or-nothing).
+    def _connected(self) -> int:
+        """Connect the pool and re-dial due lost hosts; the host count.
 
-        The shard count is re-derived from the connected hosts, so a pool
-        reused after :meth:`close` shards across every host again however
-        many were lost before.
+        The first connect (or the first after :meth:`close`) handshakes
+        every host, all-or-nothing, so a reused pool shards across every
+        host again however many were lost before.  Every dispatch sizes
+        its messages from the count returned *after* the re-dial, so a
+        host that rejoins on this round gets its own broadcast copy or
+        shard.
         """
         if self._handles is None:
             handles: list[_Handle] = []
@@ -539,7 +483,8 @@ class HostPool(BatchedDMEngine):
             self.workers = len(handles)
             self._lost_hosts = {}
             self._pool_started = time.monotonic()
-        return self._handles
+        self._heal_pool()
+        return self.workers
 
     def close(self) -> None:
         """Send stop frames, close every socket, forget pending rejoins.
@@ -561,7 +506,7 @@ class HostPool(BatchedDMEngine):
 
     def ping(self) -> list[tuple[int, str]]:
         """Round-trip every host; returns ``(pid, hostname)`` pairs."""
-        return self._run([("ping",)] * len(self._ensure_pool()))
+        return self._run([("ping",)] * self._connected())
 
     def pool_stats(self) -> dict[str, object]:
         """Live pool accounting (the serving layer's ``stats`` op).
@@ -598,7 +543,8 @@ class HostPool(BatchedDMEngine):
     def _run(self, messages: Sequence[tuple]) -> list:
         """Supervised dispatch: send, gather, survive host losses.
 
-        ``messages[i]`` goes to the ``i``-th connected host.  Hosts
+        ``messages[i]`` goes to the ``i``-th connected host (callers size
+        ``messages`` from :meth:`_connected`).  Hosts
         compute concurrently — all sends complete before the first
         receive — and replies are folded into ``stats`` and the host's
         ``worker_stats`` entry.  Every payload byte actually crossing a
@@ -610,12 +556,10 @@ class HostPool(BatchedDMEngine):
         kept, so ``results[i]`` always answers ``messages[i]`` and the
         chunk-order concatenation never observes the loss), while
         broadcast copies are simply dropped.  :meth:`_heal_pool` re-dials
-        lost hosts at the start of a later dispatch with journal-replayed
-        state.  A host-side ``err`` status still raises — the evaluation
-        itself failed on a live host and would fail anywhere.
+        lost hosts before a later dispatch.  A host-side ``err`` status
+        still raises — the evaluation itself failed on a live host and
+        would fail anywhere.
         """
-        self._ensure_pool()
-        self._heal_pool()
         self._inject_faults()
         handles = list(self._handles or [])
         round_start = time.monotonic()
@@ -643,8 +587,8 @@ class HostPool(BatchedDMEngine):
             if failed and messages[failed[0]][0] not in _BROADCAST_OPS:
                 self._redispatch(messages, sorted(failed), results, live)
             elif not live:
-                # Survivors already served a broadcast and the journal
-                # replay covers lost hosts — unless nobody survived.
+                # Survivors already served a broadcast and a rejoining
+                # host gets the current problem — unless nobody survived.
                 raise self._all_lost()
             return [results[index] for index in sorted(results)]
         finally:
@@ -731,9 +675,9 @@ class HostPool(BatchedDMEngine):
     def _heal_pool(self) -> None:
         """Re-dial lost hosts whose backoff deadline has passed.
 
-        A successful dial re-runs the full handshake (current problem),
-        replays the coordinator journal, and restores the host to its
-        original shard slot — selections stay byte-identical throughout
+        A successful dial re-runs the full handshake (current problem)
+        and restores the host to its original shard slot — nothing else
+        is replayed, and selections stay byte-identical throughout
         because chunk contents and concatenation order never depended on
         *which* connection evaluates a chunk.
         """
@@ -754,18 +698,6 @@ class HostPool(BatchedDMEngine):
             self._handles.sort(key=lambda h: h.slot)
             self.workers = len(self._handles)
             self.stats.hosts_rejoined += 1
-            self._replay_journal(handle)
-
-    def _replay_journal(self, handle: _Handle) -> None:
-        """Ship the coordinator-side journal to one rejoined host."""
-        replay: list[tuple] = []
-        for sid, (base, seeds) in self._session_journal.items():
-            replay.append(("adopt", sid, base, seeds))
-        replay.extend(self._delta_journal)
-        for message in replay:
-            self.stats.ipc_bytes += _send_message(handle.conn, message)
-        for _ in replay:
-            self._receive(handle)
 
     def _inject_faults(self) -> None:
         """The ``net-sever-host`` fault point: cut a planned host's socket.
@@ -801,10 +733,9 @@ class HostPool(BatchedDMEngine):
         chunk order, which keeps results byte-identical at every pool
         size.
         """
-        self._ensure_pool()  # the chunk count follows the connected hosts
         messages = [
             (op, *head, *arrays(idx))
-            for idx in np.array_split(np.arange(count), self.workers)
+            for idx in np.array_split(np.arange(count), self._connected())
             if idx.size
         ]
         return np.concatenate(self._run(messages))
@@ -814,10 +745,6 @@ class HostPool(BatchedDMEngine):
     # ------------------------------------------------------------------
     def open_session(self, base: SeedSet = ()) -> MultiprocessDMSession:
         return MultiprocessDMSession(self, base)
-
-    def _next_session_id(self) -> int:
-        self._session_counter += 1
-        return self._session_counter
 
     def evaluate(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
         sets = self._normalize_sets(seed_sets)
@@ -846,13 +773,12 @@ class HostPool(BatchedDMEngine):
 
     def session_extension_values(
         self,
-        sid: int,
         base: tuple,
         seeds: tuple,
         traj: np.ndarray,
         candidates: SeedSet,
     ) -> np.ndarray:
-        """One session round: candidate chunks fanned out with the session id.
+        """One session round: candidate chunks fanned out with the seed pair.
 
         Small rounds (CELF refreshes) run on the coordinator's own
         committed trajectory; both paths produce bitwise-identical values.
@@ -864,13 +790,10 @@ class HostPool(BatchedDMEngine):
             return self.extension_values(
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
-        return self._fan_out(
-            "ext", (sid, base, seeds), cand.size, lambda idx: [cand[idx]]
-        )
+        return self._fan_out("ext", (base, seeds), cand.size, lambda idx: [cand[idx]])
 
     def session_extension_rows(
         self,
-        sid: int,
         base: tuple,
         seeds: tuple,
         traj: np.ndarray,
@@ -894,7 +817,7 @@ class HostPool(BatchedDMEngine):
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
         return self._fan_out(
-            "extrows", (sid, base, seeds), cand.size, lambda idx: [cand[idx]]
+            "extrows", (base, seeds), cand.size, lambda idx: [cand[idx]]
         )
 
     def apply_delta(self, report, *, sessions: str = "auto") -> None:
@@ -904,10 +827,10 @@ class HostPool(BatchedDMEngine):
         re-handshaken with a re-shipped problem: the broadcast carries
         only the touched columns' post-delta bytes and the changed
         opinion values.  Warm sessions are rebuilt (never patched): hosts
-        reconstruct committed trajectories from seed sequences, and
+        regrow committed trajectories from seed sequences, and
         coordinator/host state must stay bitwise identical.  A pool that
         has not connected yet needs no broadcast — its handshake ships
-        the already-patched problem.
+        the already-patched problem, as does a rejoining host's.
         """
         if report.empty:
             return
@@ -938,35 +861,5 @@ class HostPool(BatchedDMEngine):
                     )
                     for q, nodes in report.opinions_by_candidate.items()
                 ]
-            # Journaled before dispatch so a host lost *during* this
-            # broadcast still sees the delta on rejoin replay (idempotent:
-            # the rejoin handshake ships the already-patched problem).
-            self._delta_journal.append(("delta", report, columns_by_gid, opinions))
-            del self._delta_journal[:-_DELTA_JOURNAL_CAP]
-            self._run([self._delta_journal[-1]] * self.workers)
+            self._run([("delta", report, columns_by_gid, opinions)] * self._connected())
         super().apply_delta(report, sessions=sessions)
-
-    def broadcast_commit(self, sid: int, base: tuple, before: tuple, seed: int) -> None:
-        """Tell every host to fold ``seed`` into session ``sid``'s state.
-
-        A no-op while the pool has not connected: the first fan-out
-        message carries the full seed sequence and hosts rebuild from it.
-        """
-        if self._handles is None:
-            return
-        self._journal_commit(sid, tuple(base), tuple(before) + (int(seed),))
-        self._run([("commit", sid, base, before, seed)] * self.workers)
-
-    def _journal_commit(self, sid: int, base: tuple, seeds: tuple) -> None:
-        """Record session ``sid``'s committed seed sequence (FIFO-capped).
-
-        The journal is what a rejoined host replays (as ``adopt``
-        messages) to recover every live session's committed state; the
-        cap mirrors the host-side session cache, so the journal never
-        promises more sessions than a host would retain anyway.
-        """
-        journal = self._session_journal
-        journal.pop(sid, None)
-        journal[sid] = (base, seeds)
-        while len(journal) > _WORKER_SESSION_CACHE:
-            journal.pop(next(iter(journal)))

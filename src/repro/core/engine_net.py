@@ -85,11 +85,23 @@ class FramedSocket:
 
 
 def _split_address(entry: str) -> tuple[str, int]:
-    """``host:port`` -> ``(host, port)``; the EngineSpec grammar's shape."""
+    """``host:port`` -> ``(host, port)``: the one tcp host validator.
+
+    ``EngineSpec`` and ``HostPool`` both call it, so a malformed entry
+    (no port, a port outside [1, 65535], a comma) fails at construction
+    with one message instead of dialing until ``connect_timeout``.
+    """
     host, sep, port = entry.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    if (
+        not sep
+        or not host
+        or "," in entry
+        or not port.isdigit()
+        or not 0 < int(port) < 65536
+    ):
         raise ValueError(
-            f"malformed dm-mp tcp host {entry!r}; expected host:port"
+            f"malformed dm-mp:tcp host {entry!r}; expected "
+            "host:port with a port in [1, 65535]"
         )
     return host, int(port)
 

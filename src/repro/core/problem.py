@@ -387,8 +387,8 @@ class FJVoteProblem:
         would otherwise recompute identically — but drops the
         seeded-trajectory cache: that is per-session warm state (up to
         :data:`SEEDED_TRAJECTORY_CACHE` dense ``(horizon+1, n)`` arrays),
-        and host sessions rebuild their committed trajectories from
-        commit broadcasts instead (see :mod:`repro.core.engine_mp`).  The
+        and hosts regrow committed trajectories from the seed sequence
+        each fan-out carries instead (see :mod:`repro.core.engine_mp`).  The
         pickled size is therefore bounded by the instance's fixed state
         regardless of how many seeded trajectories were evaluated — a
         regression test pins that byte budget.

@@ -545,6 +545,12 @@ class CoalescingBatcher:
                         if cand_param is None
                         else _node_list(cand_param, "candidates", n)
                     )
+                    if cand_key is not None and k > len(set(cand_key)):
+                        raise ProtocolError(
+                            ERROR_BAD_REQUEST,
+                            f"'k'={k} exceeds the {len(set(cand_key))} "
+                            "distinct 'candidates'",
+                        )
                     lazy = request.params.get("lazy", False)
                     if not isinstance(lazy, bool):
                         raise ProtocolError(

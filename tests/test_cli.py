@@ -140,6 +140,51 @@ def test_case_study_small(capsys):
     assert "votes for target" in out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["net-worker", "--port", "70000"], "--port"),
+        (["serve", "--port", "70000"], "--port"),
+        (["select", "-k", "-1"], "-k"),
+        (["select", "--users", "0"], "--users"),
+        (["select", "--horizon", "-2"], "--horizon"),
+        (["winmin", "--kmax", "0"], "--kmax"),
+        (["select", "--p", "0"], "--p"),
+        (["net-worker", "--connections", "0"], "--connections"),
+        (["net-worker", "--connections", "-1"], "--connections"),
+    ],
+)
+def test_out_of_range_numeric_flags_are_usage_errors(capsys, argv, flag):
+    """Out-of-range numeric flags exit 2 with argparse's usage line
+    naming the flag; none gets as far as a traceback or a silent run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["select", "--users", "3", "--horizon", "2"], "cannot build the dataset"),
+        (
+            ["select", "--users", "50", "--horizon", "2", "-k", "51"],
+            "-k 51 exceeds the network size",
+        ),
+        (
+            ["winmin", "--users", "50", "--horizon", "2", "--kmax", "51"],
+            "--kmax 51 exceeds the network size",
+        ),
+    ],
+)
+def test_unbuildable_sizes_exit_with_one_line(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert message in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -22,7 +22,7 @@ rebuilt.  The contracts pinned here:
 * **dm-mp tcp hosts** — the delta broadcast (touched columns and
   opinion values) keeps live hosts byte-identical to a single-process
   engine over the same post-delta problem, and a host that misses a
-  broadcast catches up through the rejoin handshake and journal replay.
+  broadcast catches up through the rejoin handshake's patched problem.
 * **CLI** — ``--apply-delta`` replays a journal against ``--store-dir``
   so cold runs, delta runs and idempotent re-runs share one command.
 """
@@ -546,8 +546,8 @@ def test_tcp_delta_broadcast_matches_reference():
     """Four deltas (data-only, structural, competitor removal, opinion
     flip) broadcast to two live hosts keep every fanned-out answer equal
     to a single-process engine on the post-delta problem; a host lost
-    during a later broadcast rejoins with the patched problem and the
-    journal replay, and answers stay equal."""
+    during a later broadcast rejoins with the patched problem, and
+    answers stay equal."""
     import time
 
     problem = make_problem(9, n=40, horizon=4, score=CumulativeScore())
@@ -622,8 +622,8 @@ def test_tcp_delta_broadcast_matches_reference():
             engine.evaluate(sets), reference.evaluate(sets)
         )
         # Host A rejoins past the first backoff delay: the handshake ships
-        # the patched problem, the journal replays the session and the
-        # (now idempotent) deltas, and both hosts answer again.
+        # the patched problem, the session's next fan-out carries its seed
+        # sequence, and both hosts answer again.
         time.sleep(0.3)
         np.testing.assert_array_equal(
             engine.evaluate(sets), reference.evaluate(sets)

@@ -309,6 +309,15 @@ def test_host_pool_validates_hosts():
         HostPool(problem, hosts=["no-port-here"])
 
 
+@pytest.mark.parametrize("bad", ["127.0.0.1:0", "127.0.0.1:70000", "127.0.0.1"])
+def test_host_pool_rejects_bad_ports_at_construction(bad):
+    """The EngineSpec validator guards HostPool too: a bad port fails at
+    construction instead of dialing until ``connect_timeout``."""
+    problem = make_problem(0, "cumulative", 4)
+    with pytest.raises(ValueError, match=r"port in \[1, 65535\]"):
+        HostPool(problem, hosts=[bad])
+
+
 # ----------------------------------------------------------------------
 # FramedSocket framing
 # ----------------------------------------------------------------------

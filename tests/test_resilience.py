@@ -4,8 +4,8 @@ The central contract: a failure injected through :mod:`repro.core.faults`
 never changes *what* the system computes, only which counters tick while
 it recovers.  Selections, evaluations and walk-store bytes under a
 :class:`FaultPlan` must be identical to the fault-free run — severed tcp
-hosts that re-shard and rejoin (also mid-commit-broadcast), corrupted
-store blocks that quarantine and repair —
+hosts that re-shard and rejoin (also on a delta broadcast's round),
+corrupted store blocks that quarantine and repair —
 and the serve layer must degrade with *structured* errors (``overloaded``,
 ``deadline-exceeded``) instead of hangs or lost requests.
 """
@@ -229,11 +229,12 @@ def test_tcp_planned_sever_resharded_then_rejoined():
     assert not thread_a.is_alive() and not thread_b.is_alive()
 
 
-def test_tcp_sever_during_commit_broadcast_stays_exact():
-    """A sever landing on the commit-broadcast round: the survivor folds
-    the commit, the rejoined host adopts the committed seed sequence from
-    the journal, and every later marginal-gain round is byte-identical
-    to dm-batched."""
+def test_tcp_commits_send_nothing_and_a_rejoined_host_regrows_them():
+    """Hosts keep no session state.  A commit adds no pool round; a host
+    severed on the fan-out after two commits rejoins with the handshake
+    alone, regrows the committed trajectory from the ``(base, seeds)``
+    pair its next fan-out carries, and every later round is
+    byte-identical to dm-batched."""
     import time
 
     addr_a, thread_a = start_worker(connections=2)
@@ -241,34 +242,87 @@ def test_tcp_sever_during_commit_broadcast_stays_exact():
     problem = make_problem(6, "cumulative", 3, n=12, r=2)
     reference = BatchedDMEngine(problem).open_session()
     engine = _tcp_engine(problem, [addr_a, addr_b])
-    try:
-        session = engine.open_session()
-        candidates = np.arange(problem.n)
+    candidates = np.arange(problem.n)
+
+    def same_round():
         np.testing.assert_array_equal(
             session.marginal_gains(candidates),
             reference.marginal_gains(candidates),
         )
+
+    def trajectory_steps():
+        return [w.trajectory_steps for w in engine.worker_stats]
+
+    try:
+        session = engine.open_session()
+        same_round()
+        rounds = engine.pool_rounds
+        for seed in (5, 9):
+            session.commit(seed)
+            reference.commit(seed)
+        assert engine.pool_rounds == rounds  # a commit sends nothing
         plan = FaultPlan(
             seed=2, faults=[FaultSpec("net-sever-host", when={"host": addr_a})]
         )
         with faults.injected(plan):
-            session.commit(5)  # the sever fires on this broadcast round
-        reference.commit(5)
-        assert plan.fired and plan.fired[0][1]["host"] == addr_a
+            same_round()  # host A's chunk re-shards to host B
+        assert plan.fired == [
+            ("net-sever-host", {"host": addr_a, "round": rounds})
+        ]
         assert engine.stats.hosts_lost == 1
-        # Past the first backoff delay the next round re-dials host A,
-        # which replays the journal (seeds only, lazy trajectory) and
-        # must take the rebuild path for this commit.
+        assert engine.stats.chunks_resharded == 1
+        # Past the first backoff delay the next round re-dials host A.
+        # It holds no trajectory, so it regrows both commits; host B
+        # answers from its cache.
         time.sleep(0.3)
-        session.commit(9)
-        reference.commit(9)
+        before = trajectory_steps()
+        same_round()
         assert engine.stats.hosts_rejoined == 1
-        np.testing.assert_array_equal(
-            session.marginal_gains(candidates),
-            reference.marginal_gains(candidates),
-        )
+        assert engine.workers == 2
+        after = trajectory_steps()
+        assert after[0] - before[0] == 2 * problem.horizon
+        assert after[1] == before[1]
+        # A third commit: each host extends its cached prefix by one seed.
+        session.commit(2)
+        reference.commit(2)
+        same_round()
+        assert [b - a for a, b in zip(after, trajectory_steps())] == [
+            problem.horizon
+        ] * 2
         assert session.value == pytest.approx(reference.value, abs=1e-10)
-        assert all(w.dense_column_steps > 0 for w in engine.worker_stats)
+    finally:
+        engine.close()
+    thread_a.join(10)
+    thread_b.join(10)
+    assert not thread_a.is_alive() and not thread_b.is_alive()
+
+
+def test_tcp_delta_reaches_every_host_when_a_host_rejoins_on_it():
+    """Regression: a lost host that rejoins on a delta broadcast's own
+    round gets its own copy — the broadcast is sized after the re-dial —
+    so the survivor still patches its problem and later answers match
+    dm-batched on the post-delta problem."""
+    import time
+
+    addr_a, thread_a = start_worker(connections=2)
+    addr_b, thread_b = start_worker(connections=1)
+    problem = make_problem(6, "cumulative", 3, n=12, r=2)
+    sets = [np.array([i]) for i in range(problem.n)]
+    change = dict(opinions_changed=[(0, node, 0.95) for node in range(problem.n)])
+    engine = _tcp_engine(problem, [addr_a, addr_b])
+    try:
+        engine.evaluate(sets)
+        engine._handles[0].conn.close()
+        engine.evaluate(sets)  # host A is lost, its chunk re-shards
+        assert engine.stats.hosts_lost == 1
+        time.sleep(0.3)  # past the first rejoin backoff delay
+        engine.apply_delta(problem.apply_delta(**change))
+        assert engine.stats.hosts_rejoined == 1  # on the delta's round
+        reference_problem = make_problem(6, "cumulative", 3, n=12, r=2)
+        reference_problem.apply_delta(**change)
+        np.testing.assert_array_equal(
+            engine.evaluate(sets), BatchedDMEngine(reference_problem).evaluate(sets)
+        )
     finally:
         engine.close()
     thread_a.join(10)

@@ -241,6 +241,8 @@ def test_parameter_validation_errors():
             make_request(6, "apply_delta", edges_added=[[1, 2]]),
             make_request(7, "apply_delta", candidate=99),
             make_request(8, "prefix_win_probability", seeds=[1], engine=7),
+            make_request(9, "top_k_seeds", k=1, candidates=[]),
+            make_request(10, "top_k_seeds", k=2, candidates=[4, 4]),
         ]
         responses = batcher.execute(cases)
         for response in responses:
