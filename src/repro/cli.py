@@ -45,12 +45,13 @@ chunks across ``repro net-worker`` hosts (one chunk per host, selections
 byte-identical at every host count, lost hosts' chunks re-sharded to the
 survivors — see the README's Multi-host section), and
 ``rw-store:mmap=<DIR>`` persists walk blocks as crc32-verified files
-under ``DIR``.  ``--store-dir DIR`` is the
-convenience form of the latter: it rewrites an ``rw-store`` engine spec
-to ``...:mmap=DIR`` and hands the sampling methods one shared store
-rooted at ``DIR``, so a second invocation with the same ``--seed``
-re-opens the pools and regenerates **zero** walk blocks (the ``store:``
-line printed after selection shows the cold/warm counters).  Persistence
+under ``DIR``.  ``--store-dir DIR`` and the ``:mmap=DIR`` suffix are two
+spellings of one store: the CLI opens it once, seeded by ``--seed``, and
+hands it to the sampling methods and every ``rw-store`` engine (naming
+two different directories is an error), so a second invocation with the
+same ``--seed`` re-opens the pools and regenerates **zero** walk blocks
+(the ``store:`` line printed after selection shows the cold/warm
+counters).  Persistence
 covers *walk* pools (rw/rs); the ic/lt RR-set pools share the store
 within one invocation but are in-memory only.
 
@@ -68,8 +69,9 @@ step or a list of them::
 Each step is forwarded through :meth:`FJVoteProblem.apply_delta`
 (``candidate`` picks whose graph the edge churn hits; default the
 target's) and its :class:`~repro.core.problem.DeltaReport` flows into the
-``--store-dir`` walk store, which re-draws **only the walks that crossed
-a touched node** instead of regenerating blocks — a warm store replayed
+persistent walk store (``--store-dir`` or ``:mmap=DIR``), which re-draws
+**only the walks that crossed a touched node** instead of regenerating
+blocks — a warm store replayed
 against a delta keeps ``blocks generated=0`` and reports the surgical
 work in the ``invalidated=``/``walks patched=`` counters of the
 ``store:`` line.  One ``delta:`` line per invocation prints the
@@ -124,7 +126,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.engine import ENGINE_HELP, ENGINE_NAMES, EngineSpec
 from repro.core.winmin import min_seeds_to_win
@@ -141,6 +144,10 @@ from repro.eval.harness import METHOD_NAMES, select_seeds
 from repro.eval.reporting import format_table
 from repro.utils.timing import Timer
 from repro.voting.scores import make_score
+
+if TYPE_CHECKING:
+    from repro.core.engine import ObjectiveEngine
+    from repro.core.walk_store import WalkStore
 
 DATASETS: dict[str, Callable[..., Dataset]] = {
     "dblp": dblp_like,
@@ -265,19 +272,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="persist walk pools as crc32-verified blocks under DIR "
-        "(rw-store engines gain :mmap=DIR; rw/rs re-open them, so "
-        "rerunning with the same --seed regenerates zero walk blocks; "
-        "ic/lt RR-set pools stay in-memory)",
+        help="persist walk pools as crc32-verified blocks under DIR; this "
+        "flag and an rw-store engine's :mmap=DIR suffix name one store, "
+        "which the rw/rs methods and every rw-store engine share, so "
+        "rerunning with the same --seed regenerates zero walk blocks "
+        "(ic/lt RR-set pools stay in-memory)",
     )
     parser.add_argument(
         "--apply-delta",
         default=None,
         metavar="FILE",
         help="replay a JSON delta file (graph/opinion churn) against the "
-        "problem before selecting; with --store-dir, a warm walk store "
-        "re-draws only the walks the delta invalidated (see the module "
-        "docstring for the file format)",
+        "problem before selecting; a warm persistent walk store "
+        "(--store-dir or :mmap=DIR) re-draws only the walks the delta "
+        "invalidated (see the module docstring for the file format)",
     )
     parser.add_argument(
         "--fault-plan",
@@ -296,37 +304,32 @@ def _make_score(args: argparse.Namespace):
     return make_score(args.score)
 
 
-#: Methods drawing samples from the shared :class:`WalkStore` of
-#: ``--store-dir`` (walk pools for rw/rs, RR-set pools for ic/lt).
+#: Methods drawing samples from the invocation's one
+#: :class:`~repro.core.walk_store.WalkStore` (walk pools for rw/rs,
+#: RR-set pools for ic/lt).
 _STORE_METHODS = ("rw", "rs", "ic", "lt")
 
 
-def _wire_store_dir(args: argparse.Namespace, problem) -> "WalkStore | None":
-    """Apply ``--store-dir``: spec rewrite plus a shared persistent store.
+def _store_dir(args: argparse.Namespace, specs: Sequence[str]) -> "str | None":
+    """The one walk-store directory this invocation names.
 
-    Engine specs naming ``rw-store`` gain the ``:mmap=DIR`` suffix (their
-    private store persists); the sampling methods get one shared
-    :class:`~repro.core.walk_store.WalkStore` rooted at ``DIR`` and seeded
-    by ``--seed``, so repeat invocations re-open the same pools.
+    ``--store-dir DIR`` and an engine spec's ``rw-store[:S]:mmap=DIR`` are
+    two spellings of one store; naming two different directories is a
+    one-line error.
     """
-    if not getattr(args, "store_dir", None):
-        return None
-    spec = EngineSpec.parse(args.engine)
-    if spec.name == "rw-store":
-        try:
-            spec = spec.with_store_dir(args.store_dir)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        args.engine = str(spec)
-    # The dm method with an rw-store engine draws from the shared store
-    # too (mirroring run_methods): the store must exist *before* any
-    # --apply-delta replay so the delta can be forwarded through it.
-    dm_with_store = args.method == "dm" and spec.name == "rw-store"
-    if args.method not in _STORE_METHODS and not dm_with_store:
-        return None
-    from repro.core.walk_store import store_for_problem
-
-    return store_for_problem(problem, seed=args.seed, store_dir=args.store_dir)
+    chosen, source = args.store_dir or None, "--store-dir"
+    for spec in specs:
+        named = EngineSpec.parse(spec).store_dir
+        if named is None:
+            continue
+        if chosen is None:
+            chosen, source = named, "mmap directory"
+        elif Path(named) != Path(chosen):
+            raise SystemExit(
+                f"{source} {chosen!r} conflicts with the engine spec's "
+                f"mmap directory {named!r}"
+            )
+    return chosen
 
 
 def _print_store_stats(store: "WalkStore | None") -> None:
@@ -349,8 +352,60 @@ def _print_store_stats(store: "WalkStore | None") -> None:
     )
 
 
-def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | None":
-    """Open the ``--store-dir`` store and replay the ``--apply-delta`` journal.
+#: The keys one ``--apply-delta`` step may carry.
+_DELTA_KEYS = ("edges_added", "edges_removed", "opinions_changed", "candidate")
+
+
+def _read_delta_journal(path: str) -> list[dict]:
+    """The steps of an ``--apply-delta`` journal, checked at the boundary.
+
+    An unreadable file, malformed JSON, a top level that is neither a step
+    object nor a list of them, a step that is not an object and an
+    unknown step key each stop the command with one line naming the file
+    (and the step), never a traceback or a silently skipped step.
+    """
+    import json
+
+    try:
+        with open(path) as handle:
+            loaded = json.load(handle)
+    except OSError as exc:
+        raise SystemExit(
+            f"--apply-delta {path}: cannot read the file ({exc.strerror or exc})"
+        ) from None
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes
+        raise SystemExit(f"--apply-delta {path}: malformed JSON ({exc})") from None
+    steps = [loaded] if isinstance(loaded, dict) else loaded
+    if not isinstance(steps, list):
+        raise SystemExit(
+            f"--apply-delta {path}: expected a delta object or a list of "
+            f"them, got {type(loaded).__name__}"
+        )
+    for number, step in enumerate(steps, 1):
+        if not isinstance(step, dict):
+            raise SystemExit(
+                f"--apply-delta step {number}: expected an object, got "
+                f"{type(step).__name__} (in {path})"
+            )
+        unknown = sorted(set(step) - set(_DELTA_KEYS))
+        if unknown:
+            raise SystemExit(
+                f"--apply-delta step {number}: unknown key {unknown[0]!r}, "
+                f"expected one of {', '.join(_DELTA_KEYS)} (in {path})"
+            )
+    return steps
+
+
+def _wire_store_and_delta(
+    args: argparse.Namespace, problem, method: str, specs: Sequence[str]
+) -> "WalkStore | None":
+    """Open the invocation's one walk store and replay ``--apply-delta``.
+
+    The store lives in the directory :func:`_store_dir` works out and is
+    opened once, seeded by ``--seed``, when something samples from it:
+    the rw/rs/ic/lt methods, or ``dm`` over an ``rw-store`` engine.  The
+    caller hands it as ``store=`` to every sampler, so no engine opens a
+    second store on the same directory.
 
     The delta file is a *journal*: a persistent store dir may already hold
     the patches of any prefix of it (its manifest records the graph
@@ -361,28 +416,31 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
     after it are forwarded through :meth:`WalkStore.apply_delta` so only
     the walks they invalidated are re-drawn.  A store that matches *no*
     point of the journal — or is refused outright (another identity, a
-    format other than the current one) — stops the command with its
-    one-line error, never a traceback.
+    format other than the current one) or cannot be created — stops the
+    command with its one-line error, never a traceback.
 
     Prints one grep-able ``delta:`` line aggregating every step's
     :class:`~repro.core.problem.DeltaReport`, mirroring the ``store:``
     line's role for the warm-store smoke tests.
     """
-    steps: list[dict] = []
-    if getattr(args, "apply_delta", None):
-        import json
-
-        with open(args.apply_delta) as handle:
-            loaded = json.load(handle)
-        steps = [loaded] if isinstance(loaded, dict) else list(loaded)
+    steps = _read_delta_journal(args.apply_delta) if args.apply_delta else []
+    directory = _store_dir(args, specs)
+    rw_store = any(EngineSpec.parse(spec).name == "rw-store" for spec in specs)
+    sampled = method in _STORE_METHODS or (method == "dm" and rw_store)
     store = None
-    open_error: ValueError | None = None
-    try:
-        store = _wire_store_dir(args, problem)
-    except ValueError as exc:
-        if not steps:
-            raise SystemExit(str(exc)) from None
-        open_error = exc
+    open_error: ValueError | OSError | None = None
+    if directory is not None and sampled:
+        from repro.core.walk_store import store_for_problem
+
+        def open_store() -> "WalkStore":
+            return store_for_problem(problem, seed=args.seed, store_dir=directory)
+
+        try:
+            store = open_store()
+        except (ValueError, OSError) as exc:
+            if not steps:
+                raise SystemExit(str(exc)) from None
+            open_error = exc
     added = removed = opinions = 0
     touched: set[int] = set()
     structural = False
@@ -397,7 +455,7 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
                 ],
                 candidate=step.get("candidate"),
             )
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise SystemExit(f"--apply-delta step {number}: {exc}") from None
         if store is not None:
             store.apply_delta(report)
@@ -405,9 +463,9 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
             # Store manifest is ahead of the pristine problem; retry now
             # that this journal step has been replayed onto the problem.
             try:
-                store = _wire_store_dir(args, problem)
+                store = open_store()
                 open_error = None
-            except ValueError as exc:
+            except (ValueError, OSError) as exc:
                 open_error = exc
         added += report.edges_added
         removed += report.edges_removed
@@ -431,21 +489,25 @@ def _wire_store_and_delta(args: argparse.Namespace, problem) -> "WalkStore | Non
     return store
 
 
+def _dm_engine(args: argparse.Namespace, problem, store) -> "str | ObjectiveEngine":
+    """``--engine`` for the dm method: an ``rw-store`` engine is built
+    around the invocation's store; other specs stay strings, which the
+    selection builds (and closes) itself."""
+    if store is None or EngineSpec.parse(args.engine).name != "rw-store":
+        return args.engine
+    from repro.core.engine import make_engine
+
+    return make_engine(args.engine, problem, rng=args.seed, store=store)
+
+
 def cmd_select(args: argparse.Namespace) -> int:
     dataset = _build_dataset(args)
     _check_budget("-k", args.k, dataset)
     problem = dataset.problem(_make_score(args))
     problem.others_by_user()
     kwargs = _FAST_KWARGS.get(args.method, {})
-    store = _wire_store_and_delta(args, problem)
-    engine: "str | ObjectiveEngine" = args.engine
-    if store is not None and args.method == "dm":
-        if EngineSpec.parse(args.engine).name == "rw-store":
-            # Build the engine around the shared (possibly delta-patched)
-            # store instead of letting it open a private one.
-            from repro.core.engine import make_engine
-
-            engine = make_engine(args.engine, problem, rng=args.seed, store=store)
+    store = _wire_store_and_delta(args, problem, args.method, [args.engine])
+    engine = _dm_engine(args, problem, store) if args.method == "dm" else args.engine
     try:
         with Timer() as timer:
             seeds = select_seeds(
@@ -478,11 +540,16 @@ def cmd_winmin(args: argparse.Namespace) -> int:
     _check_budget("--kmax", args.kmax, dataset)
     problem = dataset.problem(_make_score(args))
     kwargs = _FAST_KWARGS.get(args.method, {})
-    store = _wire_store_and_delta(args, problem)
+    store = _wire_store_and_delta(args, problem, args.method, [args.engine])
     if args.method == "dm":
-        result = min_seeds_to_win(
-            problem, k_max=args.kmax, engine=args.engine, rng=args.seed
-        )
+        engine = _dm_engine(args, problem, store)
+        try:
+            result = min_seeds_to_win(
+                problem, k_max=args.kmax, engine=engine, rng=args.seed
+            )
+        finally:
+            if not isinstance(engine, str):
+                engine.close()
     else:
         result = min_seeds_to_win(
             problem,
@@ -507,26 +574,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     dataset = _build_dataset(args)
     problem = dataset.problem(_make_score(args))
     specs = [args.engine, *(args.extra_engine or [])]
-    # The shared-store/delta wiring keys off ``args.engine``; point it at
-    # the first rw-store spec so --store-dir opens one store for it (the
-    # spec may gain its :mmap=DIR suffix in the process).
-    store_index = next(
-        (
-            i
-            for i, spec in enumerate(specs)
-            if EngineSpec.parse(spec).name == "rw-store"
-        ),
-        0,
-    )
-    args.engine = specs[store_index]
-    args.method = "dm"  # reuse select's store-wiring rules
-    store = _wire_store_and_delta(args, problem)
-    specs[store_index] = args.engine
-    if args.store_dir:
-        for i, spec in enumerate(specs):
-            parsed = EngineSpec.parse(spec)
-            if parsed.name == "rw-store" and parsed.store_dir is None:
-                specs[i] = str(parsed.with_store_dir(args.store_dir))
+    store = _wire_store_and_delta(args, problem, "dm", specs)
     hub = EngineHub(problem, specs, rng=args.seed, store=store)
     print(
         f"{dataset.name}: n={dataset.n}, target="
@@ -558,7 +606,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_load(args: argparse.Namespace) -> int:
-    """Deterministic concurrent workload against a running server."""
+    """Deterministic concurrent workload against a running server.
+
+    A server that cannot be reached (refused, reset, timed out) is a
+    one-line exit, not a traceback.
+    """
+    try:
+        return _drive_load(args)
+    except OSError as exc:
+        raise SystemExit(
+            f"serve-load: cannot reach the server at {args.host}:{args.port} "
+            f"({exc})"
+        ) from None
+
+
+def _drive_load(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.serve.client import request_once, run_load
@@ -621,9 +683,8 @@ def cmd_net_worker(args: argparse.Namespace) -> int:
     answers its candidate-chunk fan-outs with a host-local ``dm-batched``
     engine (which splits wide chunks over the host's cores), and returns
     to ``accept`` when the coordinator stops — so a long-lived host
-    outlives many selection runs.  With ``--store-dir`` the host opens the shared walk
-    store against each coordinator's problem first; the store manifest's
-    identity check rejects coordinators solving a different problem.
+    outlives many selection runs.  A host never reads a walk, so it takes
+    no walk-store options.
     """
     from repro.core.engine_net import run_net_worker
 
@@ -636,8 +697,6 @@ def cmd_net_worker(args: argparse.Namespace) -> int:
         served = run_net_worker(
             args.host,
             args.port,
-            store_dir=args.store_dir,
-            store_seed=args.seed,
             connections=args.connections,
             on_ready=on_ready,
         )
@@ -819,10 +878,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-load", help="drive concurrent load against a running server"
     )
     p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--port", type=int, required=True)
-    p_load.add_argument("--requests", type=int, default=64)
-    p_load.add_argument("--connections", type=int, default=8)
-    p_load.add_argument("--seed", type=int, default=0)
+    p_load.add_argument("--port", type=_int_in(1, 65535), required=True)
+    p_load.add_argument("--requests", type=_POSITIVE, default=64)
+    p_load.add_argument("--connections", type=_POSITIVE, default=8)
+    p_load.add_argument("--seed", type=_NATURAL, default=0)
     p_load.set_defaults(func=cmd_serve_load)
 
     p_net = sub.add_parser(
@@ -836,20 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_PORT,
         default=0,
         help="0 picks a free port (printed on the readiness line)",
-    )
-    p_net.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="open the shared walk store under DIR against each "
-        "coordinator's problem; the store manifest's identity check "
-        "rejects coordinators whose problem does not match the walks",
-    )
-    p_net.add_argument(
-        "--seed",
-        type=_NATURAL,
-        default=0,
-        help="store seed for the --store-dir identity check",
     )
     p_net.add_argument(
         "--connections",

@@ -112,8 +112,9 @@ import warnings
 import weakref
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -1630,13 +1631,10 @@ class WalkEngine(ObjectiveEngine):
         sketch walks, rescaled by ``n / theta``.
     store:
         A shared :class:`~repro.core.walk_store.WalkStore` to draw from;
-        ``None`` builds a private one seeded from ``rng``.
-    store_dir:
-        Directory for a private *persistent* store (the
-        ``rw-store:mmap=<DIR>`` spec / CLI ``--store-dir``): blocks
-        persist as ``.npy`` files and a re-opened store regenerates
-        nothing.  Mutually exclusive with ``store`` — a supplied store
-        already decided where its blocks live.
+        ``None`` builds a private in-memory one seeded from ``rng``.  A
+        persistent store is opened by its owner (the ``rw-store`` factory
+        for an ``:mmap=<DIR>`` spec, the CLI for ``--store-dir``) and
+        handed in here.
     adaptive:
         Enable IMM-style adaptive sample-size escalation in
         :meth:`prepare_budget`: the sample grows in reuse-friendly
@@ -1682,7 +1680,6 @@ class WalkEngine(ObjectiveEngine):
         theta: int = 4000,
         rng: int | np.random.Generator | None = None,
         store=None,
-        store_dir=None,
         adaptive: bool = False,
         epsilon: float | None = None,
         rho: float = 0.9,
@@ -1701,20 +1698,9 @@ class WalkEngine(ObjectiveEngine):
         theta_cap = check_count(theta_cap, "theta_cap")
         lambda_cap = check_count(lambda_cap, "lambda_cap")
         if store is None:
-            store = WalkStore(
-                problem.state, problem.horizon, seed=rng, store_dir=store_dir
-            )
+            store = WalkStore(problem.state, problem.horizon, seed=rng)
         else:
             store.require_problem(problem)
-            if store_dir is not None:
-                from pathlib import Path
-
-                if store.store_dir is None or Path(store_dir) != store.store_dir:
-                    raise ValueError(
-                        "store_dir conflicts with the supplied store; "
-                        "persist by building the shared store with "
-                        "store_dir instead"
-                    )
         self.store = store
         self.grouping = grouping
         #: One count for every node, or a per-node ``λ`` array.
@@ -1992,15 +1978,28 @@ def _make_sketch(problem, rng, **kwargs):
     return WalkEngine(problem, grouping="walk", rng=rng, **kwargs)
 
 
-def _make_rw_store(problem, rng, **kwargs):
+def _make_rw_store(problem, rng, *, store=None, store_dir=None, **kwargs):
     # The shared-walk-store estimator: rw semantics (per-node grouping) on
     # a walk store, with IMM-style adaptive sample escalation on by
     # default.  ``adaptive=False`` with matching fixed counts reproduces
-    # the plain ``rw`` engine byte for byte.
+    # the plain ``rw`` engine byte for byte.  The only place an
+    # ``:mmap=<DIR>`` suffix becomes a store: without a supplied ``store``
+    # the engine opens its own persistent one under DIR; a supplied store
+    # must already live there.
+    if store_dir is not None:
+        from repro.core.walk_store import store_for_problem
+
+        if store is None:
+            store = store_for_problem(problem, seed=rng, store_dir=store_dir)
+        elif store.store_dir is None or Path(store_dir) != store.store_dir:
+            raise ValueError(
+                "store_dir conflicts with the supplied store; persist by "
+                "building the shared store with store_dir instead"
+            )
     kwargs.setdefault("grouping", "start")
     kwargs.setdefault("adaptive", True)
     kwargs.setdefault("epsilon", 0.1)
-    return WalkEngine(problem, rng=rng, **kwargs)
+    return WalkEngine(problem, rng=rng, store=store, **kwargs)
 
 
 #: Registry behind :func:`make_engine`; the single source of truth for
@@ -2074,10 +2073,9 @@ class EngineSpec:
     code should hold the parsed spec and use :meth:`canonical` (the
     normalized string — equivalent spellings like ``dm-mp:2:shm`` and
     ``dm-batched`` canonicalize identically, which is what the serving
-    hub keys warm engines by), :meth:`build` (construct the engine via
-    the registry) and :meth:`with_store_dir` (the ``--store-dir``
-    rewrite).  Instances are frozen and hashable, so they work as cache
-    keys directly.
+    hub keys warm engines by) and :meth:`build` (construct the engine
+    via the registry).  Instances are frozen and hashable, so they work
+    as cache keys directly.
 
     ``hosts`` carries the ``host:port`` targets of the multi-host
     coordinator and only applies to ``dm-mp``: a ``dm-mp`` spec without
@@ -2210,26 +2208,6 @@ class EngineSpec:
         """
         factory = _ENGINE_FACTORIES[self.name]
         return factory(problem, rng, **{**self.kwargs(), **kwargs})
-
-    def with_store_dir(self, store_dir: "str | None") -> "EngineSpec":
-        """The ``--store-dir`` spec rewrite, shared by CLI and server.
-
-        ``rw-store`` specs gain ``store_dir`` (the ``:mmap=<DIR>``
-        suffix); other engines and a falsy ``store_dir`` pass through
-        unchanged.  A spec already pinning a *different* directory
-        raises ``ValueError`` — the callers surface it as the
-        ``--store-dir`` conflict error.
-        """
-        if not store_dir or self.name != "rw-store":
-            return self
-        if self.store_dir is None:
-            return replace(self, store_dir=str(store_dir))
-        if self.store_dir != str(store_dir):
-            raise ValueError(
-                f"--store-dir {str(store_dir)!r} conflicts with the engine "
-                f"spec's mmap directory {self.store_dir!r}"
-            )
-        return self
 
     def __str__(self) -> str:
         return self.canonical()

@@ -19,7 +19,7 @@ seeded-trajectory cache, see ``FJVoteProblem.__getstate__``).  Each host
 builds its own private :class:`BatchedDMEngine` from it — per-round
 messages then carry only seed id chunks and score vectors, never matrices.
 Every message is one framed pickle; :func:`_worker_loop` is the host side
-of the protocol (``chunk``, ``rows``, ``ext``, ``extrows``, ``delta``,
+of the protocol (``chunk``, ``ext``, ``extrows``, ``delta``,
 ``ping``, ``stop``).
 
 The wire cost is measured, not guessed:
@@ -297,9 +297,6 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
                     np.asarray(seeds, dtype=np.int64),
                     np.asarray(cand, dtype=np.int64),
                 )
-            elif op == "rows":
-                _, lengths, values = message
-                result = engine.target_opinion_rows(_split_sets(lengths, values))
             elif op == "delta":
                 _, report, columns_by_gid, opinions = message
                 _worker_apply_delta(
@@ -756,19 +753,6 @@ class HostPool(BatchedDMEngine):
             return self._chunked_scores(sets)
         return self._fan_out(
             "chunk", (), len(sets), lambda idx: _flatten_sets([sets[i] for i in idx])
-        )
-
-    def target_opinion_rows(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
-        """``(C, n)`` horizon opinion rows, fanned out across the hosts.
-
-        Chunks of seed sets evolve concurrently; small requests run
-        locally, like ``evaluate``.
-        """
-        sets = self._normalize_sets(seed_sets)
-        if len(sets) < self.min_fanout:
-            return super().target_opinion_rows(sets)
-        return self._fan_out(
-            "rows", (), len(sets), lambda idx: _flatten_sets([sets[i] for i in idx])
         )
 
     def session_extension_values(

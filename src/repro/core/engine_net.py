@@ -15,11 +15,8 @@ owns only how the bytes travel and who answers them:
   over the host's own cores) and serves
   :func:`~repro.core.engine_mp._worker_loop`.
 
-When the net worker was started with ``--store-dir``, it opens the shared
-:class:`~repro.core.walk_store.WalkStore` against the coordinator's
-problem first — the store manifest's identity check rejects coordinators
-whose problem does not match the walks on disk, so a fleet can only ever
-agree on one problem identity.
+A host evaluates exact DM only and never reads a walk, so it opens no
+walk store.
 """
 
 from __future__ import annotations
@@ -147,8 +144,8 @@ def _dial_host(
     """Dial one host and ship the hello (problem + engine kwargs).
 
     Returns the connected socket and the handshake's payload bytes (both
-    directions, for ``ipc_bytes``).  A host that answers ``err`` — a store
-    identity mismatch, a bad kwarg — raises ``RuntimeError`` naming it.
+    directions, for ``ipc_bytes``).  A host that answers ``err`` — a bad
+    kwarg — raises ``RuntimeError`` naming it.
     """
     conn = _connect(address, timeout)
     try:
@@ -169,16 +166,11 @@ def _dial_host(
 # ----------------------------------------------------------------------
 # The host side: ``repro net-worker``
 # ----------------------------------------------------------------------
-def _net_worker_connection(
-    conn: FramedSocket, *, store_dir: str | None, store_seed: int
-) -> None:
+def _net_worker_connection(conn: FramedSocket) -> None:
     """Serve one coordinator: handshake, then the dm-mp host loop.
 
-    The hello frame carries the pickled problem and engine kwargs.  With
-    ``store_dir`` set, the shared :class:`WalkStore` is opened against
-    that problem *before* the ok goes back — its manifest identity check
-    turns a mismatched coordinator into a structured ``err`` reply
-    instead of silently answering for the wrong problem.
+    The hello frame carries the pickled problem and engine kwargs; kwargs
+    the host engine rejects turn into a structured ``err`` reply.
     """
     from repro.core.engine_mp import _worker_loop  # imports this module
 
@@ -198,12 +190,8 @@ def _net_worker_connection(
         return
     _, problem, engine_kwargs = message
     try:
-        if store_dir is not None:
-            from repro.core.walk_store import store_for_problem
-
-            store_for_problem(problem, seed=store_seed, store_dir=store_dir)
         engine = BatchedDMEngine(problem, **engine_kwargs)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError) as exc:
         conn.send_bytes(
             pickle.dumps(
                 ("err", f"handshake rejected: {exc}", None), _PICKLE_PROTOCOL
@@ -226,8 +214,6 @@ def run_net_worker(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    store_dir: str | None = None,
-    store_seed: int = 0,
     connections: int | None = None,
     on_ready: Callable[[str, int], None] | None = None,
 ) -> int:
@@ -256,9 +242,7 @@ def run_net_worker(
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = FramedSocket(sock)
             try:
-                _net_worker_connection(
-                    conn, store_dir=store_dir, store_seed=store_seed
-                )
+                _net_worker_connection(conn)
             except (OSError, EOFError, ConnectionError):
                 # A coordinator that dies mid-serve (socket reset, severed
                 # link) must not take the host down: the loop returns to

@@ -127,7 +127,6 @@ def run_methods(
     method_kwargs: dict[str, dict[str, object]] | None = None,
     engine: "str | EngineSpec | None" = None,
     store: WalkStore | None = None,
-    store_dir: "str | None" = None,
 ) -> list[MethodRun]:
     """Run every (method, k) combination; timing covers seed selection only.
 
@@ -138,24 +137,14 @@ def run_methods(
     same cached trajectories.  ``engine`` selects the evaluation backend
     for the greedy-based methods; ``store`` hands the sampling methods
     (RW, RS, IC, LT) one shared :class:`~repro.core.walk_store.WalkStore`
-    so every budget extends the same walk/RR-set pools.  ``store_dir``
-    (no effect when ``store`` is supplied) builds that shared store as a
-    persistent on-disk one rooted at the directory, with a fixed
-    seed so re-running the sweep re-opens the same pools and regenerates
-    nothing.
+    so every budget extends the same walk/RR-set pools (a persistent
+    store built with ``store_for_problem(problem, store_dir=...)`` makes a
+    re-run sweep re-open the same pools and regenerate nothing).
     """
     rng = ensure_rng(rng)
     if isinstance(engine, EngineSpec):
         engine = engine.canonical()
     method_kwargs = method_kwargs or {}
-    if store is None and store_dir is not None:
-        from repro.core.walk_store import store_for_problem
-
-        # An ``rw-store:mmap=<DIR>`` spec must name the same directory, or
-        # the engine build below would reject the pairing.
-        if isinstance(engine, str):
-            EngineSpec.parse(engine).with_store_dir(store_dir)
-        store = store_for_problem(problem, store_dir=store_dir)
     problem.others_by_user()  # warm the shared cache outside the timers
     runs: list[MethodRun] = []
     for method in methods:

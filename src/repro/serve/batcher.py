@@ -163,8 +163,8 @@ class EngineHub:
         Seed for the stochastic backends (reproducible estimators).
     store:
         Optional shared :class:`~repro.core.walk_store.WalkStore` the
-        ``rw-store`` specs draw from (the CLI's ``--store-dir`` store);
-        deltas are forwarded through it.
+        ``rw-store`` specs draw from (the one store the CLI opens from
+        ``--store-dir`` or ``:mmap=DIR``); deltas are forwarded through it.
     session_cap / topk_cache_cap:
         LRU bounds on cached per-prefix sessions and top-k results.
     """

@@ -88,7 +88,7 @@ def walks_from(graph, stubbornness, b0, horizon, starts, seed):
     return TruncatedWalks(walks, lengths, b0, graph.n)
 
 
-def start_worker(connections=1, store_dir=None, store_seed=0):
+def start_worker(connections=1):
     """One net worker on a free loopback port; returns ``host:port`` and
     its thread (``connections=None`` serves until the process exits)."""
     ready = threading.Event()
@@ -103,8 +103,6 @@ def start_worker(connections=1, store_dir=None, store_seed=0):
         kwargs=dict(
             port=0,
             connections=connections,
-            store_dir=None if store_dir is None else str(store_dir),
-            store_seed=store_seed,
             on_ready=on_ready,
         ),
         daemon=True,

@@ -1144,22 +1144,6 @@ def test_mp_dead_worker_resharded_then_respawned(loopback_hosts):
         engine.close()
 
 
-def test_mp_target_opinion_rows_fanned_out(loopback_hosts):
-    """The dense rows fan-out must reproduce the batched engine's rows."""
-    problem = make_problem(7, "cumulative", 4, n=13, r=2)
-    sets = [(1,), (2, 5), (), (8,), (3, 4), (11,), (0,), (9, 10)]
-    expected = BatchedDMEngine(problem).target_opinion_rows(sets)
-    with HostPool(problem, hosts=loopback_hosts[:2], min_fanout=1) as engine:
-        np.testing.assert_allclose(
-            engine.target_opinion_rows(sets), expected, atol=1e-10, rtol=0
-        )
-        # Small requests stay local and bitwise identical.
-        engine.min_fanout = 64
-        np.testing.assert_array_equal(
-            engine.target_opinion_rows(sets), expected
-        )
-
-
 def test_parse_engine_spec_shm_suffix():
     """The retired transports' suffixes stay accepted spellings of
     dm-batched; misplaced or repeated ones stay errors."""

@@ -82,10 +82,8 @@ def test_tcp_two_host_parity_and_rows(two_hosts):
     sets = [np.array([i]) for i in range(13)]
     with make_engine("dm-batched", problem) as ref:
         expected = ref.evaluate(sets)
-        rows = ref.target_opinion_rows(sets)
     with _tcp_engine(problem, two_hosts) as engine:
         assert np.array_equal(expected, engine.evaluate(sets))
-        assert np.array_equal(rows, engine.target_opinion_rows(sets))
         assert engine.workers == 2
         # ipc accounting counts payload bytes only, both directions
         assert engine.stats.ipc_bytes > 0
@@ -145,7 +143,7 @@ def test_net_worker_host_engine_uses_every_core(monkeypatch):
         def send_bytes(self, data):
             pass
 
-    _net_worker_connection(HelloConn(), store_dir=None, store_seed=0)
+    _net_worker_connection(HelloConn())
     (engine,) = built
     assert type(engine) is BatchedDMEngine
     assert engine.batch_rows == 8
@@ -288,19 +286,6 @@ def test_connect_timeout_names_the_host():
         engine.evaluate([np.array([i]) for i in range(13)])
 
 
-def test_store_identity_mismatch_rejects_handshake(tmp_path):
-    from repro.core.walk_store import store_for_problem
-
-    original = make_problem(4, "cumulative", 6)
-    store_for_problem(original, seed=0, store_dir=tmp_path)
-    addr, thread = start_worker(store_dir=tmp_path, store_seed=0)
-    other = make_problem(4, "cumulative", 7)  # different horizon identity
-    engine = _tcp_engine(other, [addr])
-    with pytest.raises(RuntimeError, match="identity"):
-        engine.evaluate([np.array([i]) for i in range(13)])
-    thread.join(10)
-
-
 def test_host_pool_validates_hosts():
     problem = make_problem(0, "cumulative", 4)
     with pytest.raises(ValueError, match="at least one host"):
@@ -412,19 +397,6 @@ def test_engine_spec_constructor_validates_fields():
         EngineSpec(name="rw-store", store_dir="")
     # A dm-mp spec without hosts is dm-batched.
     assert EngineSpec(name="dm-mp") == EngineSpec(name="dm-batched")
-
-
-def test_engine_spec_with_store_dir():
-    spec = EngineSpec.parse("rw-store:2")
-    assert spec.with_store_dir("/tmp/walks").store_dir == "/tmp/walks"
-    assert spec.with_store_dir(None) is spec
-    pinned = EngineSpec.parse("rw-store:2:mmap=/tmp/walks")
-    assert pinned.with_store_dir("/tmp/walks") is pinned
-    with pytest.raises(ValueError, match="conflicts"):
-        pinned.with_store_dir("/tmp/other")
-    # Non-store engines pass through untouched.
-    dm = EngineSpec.parse("dm-mp:2")
-    assert dm.with_store_dir("/tmp/walks") is dm
 
 
 def test_engine_spec_parse_passthrough_and_exactness():

@@ -102,38 +102,27 @@ def test_case_study_requires_domains(small_dataset):
         acm_election_case_study(small_dataset, k=5)
 
 
-def test_run_methods_store_dir_composes_with_parameterized_specs(tmp_path):
-    """Regression: run_methods(store_dir=...) must honor the engine spec's
-    shard count (and mmap directory) when building the shared store — the
-    naive shards=1 store was rejected by rw-store:<S> engines."""
-    import numpy as np
-
+def test_run_methods_store_must_live_in_the_spec_mmap_dir(tmp_path):
+    """A shared ``store=`` composes with ``rw-store:<S>`` specs and with an
+    ``:mmap=<DIR>`` spec naming its own directory; a spec naming another
+    directory is refused instead of opening a second store."""
     from repro.core.problem import FJVoteProblem
-    from repro.eval.harness import run_methods
-    from repro.voting.scores import PluralityScore
+    from repro.core.walk_store import store_for_problem
     from tests.conftest import random_instance
 
     state = random_instance(n=12, r=2, seed=9)
     problem = FJVoteProblem(state, 0, 3, PluralityScore())
-    directory = str(tmp_path / "pools")
+    directory = tmp_path / "pools"
+    store = store_for_problem(problem, store_dir=directory)
     for spec in ("rw-store:2", f"rw-store:2:mmap={directory}"):
-        runs = run_methods(
-            problem,
-            [2],
-            ["dm"],
-            rng=1,
-            engine=spec,
-            store_dir=directory,
-        )
+        runs = run_methods(problem, [2], ["dm"], rng=1, engine=spec, store=store)
         assert len(runs) == 1 and runs[0].seeds.size == 2
-    import pytest
-
-    with pytest.raises(ValueError, match="conflicts with the engine spec"):
+    with pytest.raises(ValueError, match="store_dir conflicts"):
         run_methods(
             problem,
             [2],
             ["dm"],
             rng=1,
             engine=f"rw-store:2:mmap={tmp_path / 'other'}",
-            store_dir=directory,
+            store=store,
         )
