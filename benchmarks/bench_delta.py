@@ -27,9 +27,9 @@ Acceptance (the issue's floors, asserted here):
   with each other), and ``rw-store:mmap`` (patched blocks are
   bitwise equal to cold-regenerated ones, so the stochastic greedy
   reproduces exactly).
-* The pre-delta committed session survives via the sparse trajectory
-  correction (``EngineStats.trajectories_patched`` >= 1) and its gains
-  match a fresh session replaying the same commit.
+* The pre-delta committed session survives the delta: its committed
+  trajectory is replayed lazily, bitwise, so its gains are bitwise equal
+  to a fresh session's that commits the same seed.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_delta.py``.
 Set ``REPRO_BENCH_TINY=1`` for the CI smoke variant: tiny sizes, same
@@ -156,7 +156,6 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
 
         # --- the delta: problem surgery, then per-layer forwards -------
         evolution_before = problem.evolution_steps
-        patched_before = dm_engine.stats.trajectories_patched
         blocks_before = store.stats.blocks_generated
         with Timer() as delta_timer:
             report = problem.apply_delta(
@@ -173,9 +172,6 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
             delta_ship_bytes = float(host_pool.stats.ipc_bytes - ipc_before)
             store.apply_delta(report)
         delta_blocks = float(store.stats.blocks_generated - blocks_before)
-        trajectories_patched = float(
-            dm_engine.stats.trajectories_patched - patched_before
-        )
 
         # --- post-delta selections on the warm stack -------------------
         delta_dm = greedy_engine(dm_engine, K, lazy=False)
@@ -219,16 +215,13 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
     )
     np.testing.assert_array_equal(delta_store.gains, scratch_store.gains)
 
-    # The pre-delta committed session survived by trajectory patching and
-    # matches a fresh session replaying the same commit.
-    assert trajectories_patched >= 1
+    # The pre-delta committed session replayed its commit: bitwise the
+    # gains of a fresh session that commits the same seed.
     reference_session = scratch_engine.open_session()
     reference_session.commit(committed_seed)
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(
         warm_session.marginal_gains(probe),
         reference_session.marginal_gains(probe),
-        atol=1e-8,
-        rtol=0,
     )
 
     walks_patched = float(store.stats.walks_patched)
@@ -246,7 +239,6 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
         "full_ship_bytes": full_ship_bytes,
         "delta_ship_bytes": delta_ship_bytes,
         "ship_reduction_x": full_ship_bytes / max(delta_ship_bytes, 1.0),
-        "trajectories_patched": trajectories_patched,
         "delta_s": delta_timer.elapsed,
         "scratch_s": scratch_timer.elapsed,
     }

@@ -95,8 +95,8 @@ problem caches        touched competitor rows     touched competitor rows
                       recomputed, target          recomputed, target
                       trajectories lazily         trajectories lazily
                       rebuilt                     rebuilt
-warm engine sessions  trajectory patched (small   trajectory patched /
-                      deltas) or replayed         replayed, same rule
+warm engine sessions  trajectory replayed        trajectory replayed
+                      lazily, bitwise             lazily, bitwise
 walk-store blocks     walks crossing a touched    **all blocks survive**
                       node re-drawn in place      (walks never read B⁰);
                                                   only masters drop
@@ -456,7 +456,9 @@ def _wire_store_and_delta(
                 candidate=step.get("candidate"),
             )
         except (ValueError, TypeError) as exc:
-            raise SystemExit(f"--apply-delta step {number}: {exc}") from None
+            raise SystemExit(
+                f"--apply-delta step {number}: {exc} (in {args.apply_delta})"
+            ) from None
         if store is not None:
             store.apply_delta(report)
         elif open_error is not None:

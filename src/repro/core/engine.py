@@ -185,10 +185,6 @@ class EngineStats:
     #: product did not store that were spliced in at the end of their rows.
     repin_steps: int = 0
     repin_inserted: int = 0
-    #: Committed session trajectories refreshed in place by a delta
-    #: correction (``apply_delta``'s fast path) instead of a full rebuild.
-    #: The correction work itself lands in ``sparse_steps``/``sparse_nnz``.
-    trajectories_patched: int = 0
     #: Exact serialized bytes moved through host sockets, both directions
     #: (the ``dm-mp:tcp=...`` coordinator frames its own messages, so
     #: this is a measurement, not an estimate).
@@ -322,7 +318,7 @@ class SelectionSession:
     def _apply_commit(self, seed: int) -> None:
         """Backend hook: update warm state before the seed is recorded."""
 
-    def _on_delta(self, report: DeltaReport, mode: str = "auto") -> None:
+    def _on_delta(self, report: DeltaReport) -> None:
         """Refresh session state after the problem absorbed ``report``.
 
         The backend-agnostic fallback re-evaluates every committed prefix
@@ -330,7 +326,6 @@ class SelectionSession:
         correct, no warm state to keep.  Backends with warm trajectories
         override this (see :class:`BatchedDMSession`).
         """
-        del mode
         if report.empty:
             return
         values = [
@@ -436,7 +431,7 @@ class ObjectiveEngine(ABC):
         """
         return False
 
-    def apply_delta(self, report: DeltaReport, *, sessions: str = "auto") -> None:
+    def apply_delta(self, report: DeltaReport) -> None:
         """Absorb a :class:`~repro.core.problem.DeltaReport` into warm state.
 
         Call after ``problem.apply_delta`` so engine caches derived from
@@ -444,19 +439,10 @@ class ObjectiveEngine(ABC):
         implementation refreshes every live session; backends with
         problem-derived caches (the pre-scaled ``W^T`` of
         :class:`BatchedDMEngine`, a :class:`~repro.core.walk_store.WalkStore`,
-        worker-pool replicas) extend it.
-
-        ``sessions`` selects how committed session trajectories are
-        refreshed: ``"patch"`` evolves only the delta correction seeded at
-        touched nodes, ``"rebuild"`` marks them for a lazy bitwise-exact
-        replay, ``"auto"`` patches when the touched set is small.
+        host replicas) extend it.
         """
-        if sessions not in ("auto", "patch", "rebuild"):
-            raise ValueError(
-                f"sessions must be 'auto', 'patch' or 'rebuild', got {sessions!r}"
-            )
         for session in list(self._sessions):
-            session._on_delta(report, sessions)
+            session._on_delta(report)
 
     def close(self) -> None:
         """Release backend resources (host connections, device memory).
@@ -649,51 +635,36 @@ class BatchedDMSession(SelectionSession):
     # ------------------------------------------------------------------
     # Delta refresh (engine.apply_delta)
     # ------------------------------------------------------------------
-    def _on_delta(self, report: DeltaReport, mode: str = "auto") -> None:
-        """Patch or lazily rebuild the committed trajectory after a delta.
+    def _on_delta(self, report: DeltaReport) -> None:
+        """Schedule a lazy replay of the committed trajectory after a delta.
 
         Graph/opinion churn that touches the *target* invalidates the
-        committed trajectory: the fast path evolves only the correction
-        term seeded at the touched nodes and adds it on
-        (:meth:`_patch_trajectory`), the fallback marks the session for a
-        lazy full replay of its commits — bitwise identical to a session
-        built from scratch on the patched problem.  Churn that touches
-        only competitors leaves the trajectory valid; just the scores are
-        refreshed.  Prefix-probe caches never survive a delta.
+        committed trajectory: the session is marked for a lazy full replay
+        of its commits on next use, bitwise identical to a session built
+        from scratch on the patched problem that commits the same seeds.
+        Churn that touches only competitors leaves the trajectory valid;
+        just the scores are refreshed.  Prefix-probe caches never survive
+        a delta.
         """
-        problem = self.engine.problem
         dirty = set(report.touched_by_candidate) | set(report.opinions_by_candidate)
         if not dirty:
             return
         self._probe_cache.clear()
-        target = problem.target
-        target_dirty = target in dirty
-        if not target_dirty:
-            # Competitor-only churn: trajectory (target dynamics) intact,
-            # but every stored score was computed against stale rivals.
-            self._value = float(self.engine.score_target_row(self._traj[-1]))
-            self._prefix_values[-1] = self._value
-            self._prefix_dirty = len(self._seeds) > self._base_size
-            return
-        touched = report.target_touched(target)
-        opinion_nodes = report.opinions_by_candidate.get(
-            target, np.empty(0, dtype=np.int64)
-        )
-        n = problem.n
-        if mode == "patch" or (
-            mode == "auto"
-            and touched.size + opinion_nodes.size <= max(8, n // 8)
-        ):
-            self._patch_trajectory(report)
-        else:
+        if self.engine.problem.target in dirty:
             self._needs_rebuild = True
+            return
+        # Competitor-only churn: trajectory (target dynamics) intact, but
+        # every stored score was computed against stale rivals.
+        self._value = float(self.engine.score_target_row(self._traj[-1]))
+        self._prefix_values[-1] = self._value
+        self._prefix_dirty = len(self._seeds) > self._base_size
 
     def _ensure_fresh(self) -> None:
         if self._needs_rebuild:
             self._rebuild()
 
     def _rebuild(self) -> None:
-        """Full replay of the committed seeds — the bitwise-exact fallback.
+        """Full replay of the committed seeds, bitwise exact.
 
         Reproduces exactly what a fresh session would hold after the same
         commit sequence: the base-seed trajectory plus one
@@ -715,101 +686,6 @@ class BatchedDMSession(SelectionSession):
         self._value = values[-1]
         self._prefix_values = values
         self._prefix_dirty = False
-
-    def _patch_trajectory(self, report: DeltaReport) -> None:
-        """Evolve the delta correction and add it onto the trajectory.
-
-        Write the committed trajectory as ``b_old`` and the post-delta one
-        as ``b_old + e``.  The correction obeys
-
-        ``e(s+1) = (1-d)·(Wₙᵀ e(s)) + (1-d)·(ΔWᵀ b_old(s)) + d·Δb⁰``
-
-        with ``e`` zeroed at pinned (committed/base) seeds.  ``ΔWᵀ`` has
-        nonzero rows exactly at the touched nodes, so the forcing term is
-        evaluated only there — ``(1-d)·(W_oldᵀ b_old(s))`` is recovered
-        from the stored trajectory itself (``b_old(s+1) - d·b⁰_old`` off
-        the pins), no copy of the pre-delta matrix needed.  ``e`` is
-        carried sparsely; its footprint (and ``stats.sparse_nnz``) scales
-        with how far the touched set's influence has spread, not with
-        ``n``.  Values match the rebuild to machine precision (the
-        bitwise-exact path is :meth:`_rebuild`).
-        """
-        engine = self.engine
-        problem = engine.problem
-        n = problem.n
-        target = problem.target
-        horizon = self._traj.shape[0] - 1
-        d = problem.state.stubbornness[target]
-        touched = report.target_touched(target)
-        nodes, shift = report.opinion_deltas.get(
-            target, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        )
-        pins = np.unique(np.asarray(self._seeds, dtype=np.int64))
-        pin_mask = np.zeros(n, dtype=bool)
-        pin_mask[pins] = True
-        # d·Δb⁰ forcing (constant across steps), zero at pins.
-        op_force = sparse.csr_matrix((n, 1), dtype=np.float64)
-        if nodes.size:
-            keep = ~pin_mask[nodes]
-            op_force = sparse.csr_matrix(
-                (
-                    d[nodes[keep]] * shift[keep],
-                    (nodes[keep], np.zeros(keep.sum(), dtype=np.int64)),
-                ),
-                shape=(n, 1),
-            )
-        wt = engine._wt_scaled
-        old = self._traj
-        new = old.copy()
-        # e(0) = Δb⁰ off the pins.
-        e = sparse.csr_matrix((n, 1), dtype=np.float64)
-        if nodes.size:
-            keep = ~pin_mask[nodes]
-            e = sparse.csr_matrix(
-                (shift[keep], (nodes[keep], np.zeros(keep.sum(), dtype=np.int64))),
-                shape=(n, 1),
-            )
-            dense0 = np.zeros(n)
-            dense0[nodes[keep]] = shift[keep]
-            new[0] = old[0] + dense0
-        b0_old = problem.state.initial_opinions[target].astype(np.float64).copy()
-        if nodes.size:
-            b0_old[nodes] -= shift
-        free_touched = touched[~pin_mask[touched]] if touched.size else touched
-        for s in range(horizon):
-            engine.stats.sparse_steps += 1
-            engine.stats.sparse_nnz += e.nnz
-            e = wt @ e
-            # Forcing at touched rows: (1-d)(Wₙᵀ b_old(s)) − (1-d)(W_oldᵀ b_old(s)).
-            if free_touched.size:
-                new_rows = np.asarray(
-                    wt[free_touched] @ old[s], dtype=np.float64
-                ).ravel()
-                old_rows = (
-                    old[s + 1][free_touched] - d[free_touched] * b0_old[free_touched]
-                )
-                force = sparse.csr_matrix(
-                    (
-                        new_rows - old_rows,
-                        (free_touched, np.zeros(free_touched.size, dtype=np.int64)),
-                    ),
-                    shape=(n, 1),
-                )
-                e = e + force
-            if op_force.nnz:
-                e = e + op_force
-            if pins.size:
-                e = e.tolil()
-                e[pins, 0] = 0.0
-                e = e.tocsr()
-                e.eliminate_zeros()
-            new[s + 1] = old[s + 1] + e.toarray().ravel()
-        engine.stats.trajectories_patched += 1
-        self._traj = new
-        self._value = float(engine.score_target_row(new[-1]))
-        self._prefix_values[-1] = self._value
-        self._prefix_dirty = len(self._seeds) > self._base_size
-        self._needs_rebuild = False
 
     def _refresh_prefix_values(self) -> None:
         """Recompute committed-prefix values from warm probe rows."""
@@ -1034,17 +910,17 @@ class BatchedDMEngine(ObjectiveEngine):
         # so they cost nothing in every subsequent product.
         self._wt_scaled.eliminate_zeros()
 
-    def apply_delta(self, report, *, sessions: str = "auto") -> None:
-        """Refresh the pre-scaled operator, then patch live sessions.
+    def apply_delta(self, report) -> None:
+        """Refresh the pre-scaled operator, then mark live sessions stale.
 
         ``_wt_scaled`` derives from the target graph, so it is rebuilt
-        (O(nnz), no FJ work) whenever the target's graph was touched;
-        session trajectories are then corrected per the ``sessions`` mode
-        (see :meth:`ObjectiveEngine.apply_delta`).
+        (O(nnz), no FJ work) whenever the target's graph was touched.  A
+        session whose target the delta touched replays its commits lazily,
+        bitwise, on next use (see :meth:`BatchedDMSession._on_delta`).
         """
         if report.target_touched(self.problem.target).size:
             self._build_wt_scaled()
-        super().apply_delta(report, sessions=sessions)
+        super().apply_delta(report)
 
     # ------------------------------------------------------------------
     def open_session(self, base: SeedSet = ()) -> BatchedDMSession:
@@ -1524,17 +1400,6 @@ class BatchedDMEngine(ObjectiveEngine):
         return out
 
     # ------------------------------------------------------------------
-    def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Score each ``(C, n)`` target-opinion row under the problem's score."""
-        score = self.problem.score
-        if self.user_weights is not None:
-            contrib = score.contributions_batch(rows, self.problem.others_by_user())
-            return contrib @ self.user_weights
-        if isinstance(score, SeparableScore):
-            contrib = score.contributions_batch(rows, self.problem.others_by_user())
-            return contrib.sum(axis=1)
-        return score.score_targets(rows, self.problem.others_by_user())
-
     def _score_cols(self, cols: np.ndarray) -> np.ndarray:
         """Score ``(n, C)`` users-by-sets opinions via the transposed paths."""
         score = self.problem.score
@@ -1884,7 +1749,7 @@ class WalkEngine(ObjectiveEngine):
                 stacklevel=3,
             )
 
-    def apply_delta(self, report, *, sessions: str = "auto") -> None:
+    def apply_delta(self, report) -> None:
         """Patch the walk store, rebind the walk view, refresh sessions.
 
         Store patching is idempotent per graph version, so engines
@@ -1904,7 +1769,7 @@ class WalkEngine(ObjectiveEngine):
                 self._bind_walks(
                     self.store.uniform_view(self.problem.target, self.theta)
                 )
-        super().apply_delta(report, sessions=sessions)
+        super().apply_delta(report)
 
     # ------------------------------------------------------------------
     def open_session(self, base: SeedSet = ()) -> WalkSession:

@@ -370,14 +370,6 @@ class MultiprocessDMSession(BatchedDMSession):
         )
         return values - self._value
 
-    def _on_delta(self, report, mode: str = "auto") -> None:
-        # Hosts rebuild their committed trajectories from the seed
-        # sequence after a delta, so the coordinator must rebuild too: a
-        # patched (floating-point-corrected) trajectory would disagree
-        # bitwise with the host-side rebuilds that fanned-out rounds
-        # read from.
-        super()._on_delta(report, "rebuild")
-
 
 class HostPool(BatchedDMEngine):
     """Exact DM evaluation sharded across remote ``net-worker`` hosts.
@@ -804,17 +796,18 @@ class HostPool(BatchedDMEngine):
             "extrows", (base, seeds), cand.size, lambda idx: [cand[idx]]
         )
 
-    def apply_delta(self, report, *, sessions: str = "auto") -> None:
+    def apply_delta(self, report) -> None:
         """Broadcast a delta to the hosts, then refresh the local engine.
 
         Hosts patch their problem state in place instead of being
         re-handshaken with a re-shipped problem: the broadcast carries
         only the touched columns' post-delta bytes and the changed
-        opinion values.  Warm sessions are rebuilt (never patched): hosts
-        regrow committed trajectories from seed sequences, and
-        coordinator/host state must stay bitwise identical.  A pool that
-        has not connected yet needs no broadcast — its handshake ships
-        the already-patched problem, as does a rejoining host's.
+        opinion values.  Warm sessions replay their commits lazily,
+        bitwise, as hosts regrow committed trajectories from seed
+        sequences, so coordinator and host state stay bitwise identical.
+        A pool that has not connected yet needs no broadcast — its
+        handshake ships the already-patched problem, as does a rejoining
+        host's.
         """
         if report.empty:
             return
@@ -846,4 +839,4 @@ class HostPool(BatchedDMEngine):
                     for q, nodes in report.opinions_by_candidate.items()
                 ]
             self._run([("delta", report, columns_by_gid, opinions)] * self._connected())
-        super().apply_delta(report, sessions=sessions)
+        super().apply_delta(report)

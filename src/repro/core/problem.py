@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.opinion.fj import fj_evolve
 from repro.opinion.state import CampaignState
-from repro.utils.validation import check_index, check_index_array, check_time_horizon
+from repro.utils.validation import (
+    check_index,
+    check_index_array,
+    check_real,
+    check_time_horizon,
+)
 from repro.voting.rules import is_strict_winner, score_all_candidates
 from repro.voting.scores import SeparableScore, VotingScore
 
@@ -54,12 +59,6 @@ class DeltaReport:
     touched_nodes: np.ndarray
     touched_by_candidate: dict[int, np.ndarray] = field(default_factory=dict)
     opinions_by_candidate: dict[int, np.ndarray] = field(default_factory=dict)
-    #: Per-candidate ``(nodes, new - old)`` opinion shifts, aligned with
-    #: ``opinions_by_candidate`` — what a session correction patch seeds
-    #: its ``d·Δb⁰`` forcing term with.
-    opinion_deltas: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict
-    )
     structural: bool = False
     edges_added: int = 0
     edges_removed: int = 0
@@ -285,22 +284,15 @@ class FJVoteProblem:
             raise ValueError(f"candidate must be in [0, {self.r}), got {cand}")
         # Opinion rows are validated before the graph surgery, so a bad row
         # leaves the graph, the opinions and both versions untouched.
-        ops = [
-            (
-                check_index(q, "opinion candidate"),
-                check_index(v, "opinion node"),
-                float(x),
-            )
-            for q, v, x in opinions_changed
-        ]
         by_cand: dict[int, dict[int, float]] = {}
-        for q, v, x in ops:
+        for q, v, x in opinions_changed:
+            q = check_index(q, "opinion candidate")
+            v = check_index(v, "opinion node")
             if not 0 <= q < self.r:
                 raise ValueError(f"opinion candidate {q} out of range")
             if not 0 <= v < self.n:
                 raise ValueError(f"opinion node {v} out of range")
-            if not np.isfinite(x):
-                raise ValueError(f"opinion value for ({q}, {v}) not finite")
+            x = check_real(x, f"opinion value for ({q}, {v})")
             # Last write wins when one node appears twice.
             by_cand.setdefault(q, {})[v] = min(max(x, 0.0), 1.0)
         graph = self.state.graph(cand)
@@ -311,23 +303,19 @@ class FJVoteProblem:
                 if self.state.graph(q) is graph:
                     touched_by_candidate[q] = touched
         opinions_by_candidate: dict[int, np.ndarray] = {}
-        opinion_deltas: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if ops:
+        if by_cand:
             b0 = self.state.initial_opinions
             b0.setflags(write=True)
             try:
                 for q, writes in sorted(by_cand.items()):
                     nodes = np.array(sorted(writes), dtype=np.int64)
-                    values = np.array([writes[int(v)] for v in nodes])
-                    shift = values - b0[q, nodes]
-                    b0[q, nodes] = values
+                    b0[q, nodes] = [writes[int(v)] for v in nodes]
                     opinions_by_candidate[q] = nodes
-                    opinion_deltas[q] = (nodes, shift)
             finally:
                 b0.setflags(write=False)
         if touched.size:
             self.graph_version += 1
-        if ops:
+        if by_cand:
             self.opinion_version += 1
         refreshed = self._refresh_for_delta(
             touched_by_candidate, opinions_by_candidate
@@ -338,7 +326,6 @@ class FJVoteProblem:
             touched_nodes=touched,
             touched_by_candidate=touched_by_candidate,
             opinions_by_candidate=opinions_by_candidate,
-            opinion_deltas=opinion_deltas,
             structural=structural,
             edges_added=len(tuple(edges_added)),
             edges_removed=len(tuple(edges_removed)),

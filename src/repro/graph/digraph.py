@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph.alias import AliasSampler
-from repro.utils.validation import check_index
+from repro.utils.validation import check_index, check_real
 
 _STOCHASTIC_ATOL = 1e-8
 
@@ -144,7 +144,9 @@ class InfluenceGraph:
         are interpreted relative to the column's current stored weights, and
         every touched column is renormalized to sum to 1 afterwards (a column
         emptied by removals receives the standard self-loop of weight 1).
-        ``removed`` holds ``(src, dst)`` pairs that must exist.
+        ``removed`` holds ``(src, dst)`` pairs that must exist.  Weights must
+        be finite positive reals whose column sums stay finite; any bad row
+        raises ``ValueError`` before anything is mutated.
 
         Weight-only deltas (all added pairs already present, nothing removed)
         rewrite ``csr``/``csc`` data buffers in place, preserving the array
@@ -159,24 +161,22 @@ class InfluenceGraph:
         Bumps :attr:`version` by one when the delta is non-empty.
         """
         n = self.n
-        add = [
-            (check_index(s, "edge source"), check_index(t, "edge target"), float(w))
-            for s, t, w in added
-        ]
-        rem = [
-            (check_index(s, "edge source"), check_index(t, "edge target"))
-            for s, t in removed
-        ]
-        for s, t, w in add:
+        add = []
+        for s, t, w in added:
+            s, t = check_index(s, "edge source"), check_index(t, "edge target")
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"added edge ({s}, {t}) out of range [0, {n})")
-            if not np.isfinite(w):
-                raise ValueError(f"added edge ({s}, {t}) has non-finite weight {w!r}")
+            w = check_real(w, f"weight of added edge ({s}, {t})")
             if w <= 0:
                 raise ValueError(
                     f"added edge ({s}, {t}) has non-positive weight {w!r}; "
                     "use `removed` to delete edges"
                 )
+            add.append((s, t, w))
+        rem = [
+            (check_index(s, "edge source"), check_index(t, "edge target"))
+            for s, t in removed
+        ]
         for s, t in rem:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"removed edge ({s}, {t}) out of range [0, {n})")
@@ -208,7 +208,14 @@ class InfluenceGraph:
                 col = {t: 1.0}
             sources = np.array(sorted(col), dtype=csc.indices.dtype)
             weights = np.array([col[int(s)] for s in sources], dtype=np.float64)
-            weights = weights / weights.sum()
+            with np.errstate(over="ignore"):
+                total = weights.sum()
+            if not np.isfinite(total):
+                raise ValueError(
+                    f"column {t}: in-edge weights sum to {float(total)!r}, "
+                    "which is not finite"
+                )
+            weights = weights / total
             if sources.size != hi - lo or not np.array_equal(
                 sources, csc.indices[lo:hi]
             ):

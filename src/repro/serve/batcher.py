@@ -322,8 +322,9 @@ class EngineHub:
         """One delta through every warm layer, caches dropped first.
 
         Sessions are cleared *before* the engines see the report so the
-        engines' own weak-session refresh has (almost) nothing to do;
-        ``sessions="rebuild"`` covers any session a client still holds.
+        engines' own weak-session refresh has (almost) nothing to do; a
+        session a client still holds is replayed lazily, bitwise, on next
+        use.
         The shared walk store is patched after the engines (walk engines
         forward the report to their store themselves — store patching is
         idempotent per graph version, so double delivery is safe).
@@ -340,7 +341,7 @@ class EngineHub:
         self._sessions.clear()
         self._topk.clear()
         for engine in self._engines.values():
-            engine.apply_delta(report, sessions="rebuild")
+            engine.apply_delta(report)
         if self._store is not None:
             self._store.apply_delta(report)
         return report

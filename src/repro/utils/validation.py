@@ -65,6 +65,23 @@ def check_index(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(value, name: str) -> float:
+    """Validate that ``value`` is a finite real number; return it as ``float``.
+
+    ``float()`` would read ``True`` as 1.0 and the string ``"0.5"`` as 0.5,
+    and fail with a ``TypeError`` on ``None`` or a list; edge weights and
+    opinion values must be finite Python or NumPy reals, never bools,
+    strings, ``None`` or containers.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, (bool, np.bool_)
+    ):
+        real = float(value)
+        if np.isfinite(real):
+            return real
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 def check_index_array(values, name: str) -> np.ndarray:
     """Validate that ``values`` holds integer indices; return them as int64.
 

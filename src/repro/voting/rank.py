@@ -46,31 +46,3 @@ def rank_against(values: np.ndarray, others_by_user: np.ndarray) -> np.ndarray:
         )
     return 1 + np.sum(others_by_user >= values[:, None], axis=1).astype(np.int64)
 
-
-def rank_against_batch(values: np.ndarray, others_by_user: np.ndarray) -> np.ndarray:
-    """Batched :func:`rank_against`: many hypothetical target rows at once.
-
-    Parameters
-    ----------
-    values:
-        ``(C, m)`` candidate-``q`` opinion values — one row per hypothesis
-        (e.g. per candidate seed set in a batched greedy round).
-    others_by_user:
-        ``(m, r-1)`` competitor opinions, shared by every row.
-
-    Returns the ``(C, m)`` rank matrix.  Memory is ``C * m * (r-1)`` bytes
-    of transient booleans, so callers chunk ``C`` (the batched DM engine
-    keeps chunks to a few hundred rows).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    others_by_user = np.asarray(others_by_user, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError(f"values must be 2-D (C, m), got shape {values.shape}")
-    if others_by_user.ndim != 2 or others_by_user.shape[0] != values.shape[1]:
-        raise ValueError(
-            f"others_by_user must be (m, r-1) with m={values.shape[1]}, "
-            f"got {others_by_user.shape}"
-        )
-    return 1 + np.sum(
-        others_by_user[None, :, :] >= values[:, :, None], axis=2, dtype=np.int64
-    )

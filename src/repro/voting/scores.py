@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.voting.rank import rank_against, rank_against_batch
+from repro.voting.rank import rank_against
 
 
 class VotingScore(ABC):
@@ -32,44 +32,32 @@ class VotingScore(ABC):
         r = np.asarray(opinions).shape[0]
         return np.array([self.evaluate(opinions, q) for q in range(r)])
 
-    def score_targets(
-        self, values: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        """Target score for ``C`` hypothetical target-opinion rows at once.
-
-        Parameters
-        ----------
-        values:
-            ``(C, n)`` target opinions — one row per hypothesis (e.g. per
-            candidate seed set in a batched greedy round).
-        others_by_user:
-            ``(n, r-1)`` fixed competitor opinions shared by all rows.
-
-        The base implementation reassembles a full opinion matrix per row
-        and calls :meth:`evaluate`; subclasses override with vectorized
-        paths (this is the batch seam used by
-        :class:`repro.core.engine.BatchedDMEngine`).
-        """
-        values = np.asarray(values, dtype=np.float64)
-        others = np.asarray(others_by_user, dtype=np.float64).T  # (r-1, n)
-        out = np.empty(values.shape[0], dtype=np.float64)
-        for i, row in enumerate(values):
-            opinions = np.vstack([row[None, :], others])
-            out[i] = self.evaluate(opinions, 0)
-        return out
-
     def score_targets_T(
         self, values_T: np.ndarray, others_by_user: np.ndarray
     ) -> np.ndarray:
-        """Transposed :meth:`score_targets`: values come as ``(n, C)``.
+        """Target score for ``C`` hypothetical target-opinion columns at once.
 
-        The users-by-sets orientation is the batched DM engine's native
-        memory layout; overriding this avoids a strided transpose on the
-        hot path.  The base implementation falls back to the row layout.
+        Parameters
+        ----------
+        values_T:
+            ``(n, C)`` target opinions — one column per hypothesis (e.g.
+            per candidate seed set in a batched greedy round), the batched
+            DM engine's native users-by-sets layout.
+        others_by_user:
+            ``(n, r-1)`` fixed competitor opinions shared by all columns.
+
+        The base implementation reassembles a full opinion matrix per
+        column and calls :meth:`evaluate`; subclasses override with
+        vectorized paths (this is the batch seam used by
+        :class:`repro.core.engine.BatchedDMEngine`).
         """
-        return self.score_targets(
-            np.ascontiguousarray(np.asarray(values_T).T), others_by_user
-        )
+        values_T = np.asarray(values_T, dtype=np.float64)
+        others = np.asarray(others_by_user, dtype=np.float64).T  # (r-1, n)
+        out = np.empty(values_T.shape[1], dtype=np.float64)
+        for i in range(values_T.shape[1]):
+            opinions = np.vstack([values_T[None, :, i], others])
+            out[i] = self.evaluate(opinions, 0)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -92,23 +80,6 @@ class SeparableScore(VotingScore):
             ``(m, r-1)`` competitor opinions of the same users.
         """
 
-    def contributions_batch(
-        self, values: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        """Per-user contributions for ``C`` target rows at once: ``(C, m)``.
-
-        The base implementation loops :meth:`contributions` per row;
-        subclasses provide vectorized overrides.  The dtype may be boolean
-        for indicator-style scores (p-approval); consumers must treat the
-        result numerically (sums / dot products promote correctly).
-        """
-        values = np.asarray(values, dtype=np.float64)
-        return (
-            np.stack([self.contributions(row, others_by_user) for row in values])
-            if values.shape[0]
-            else np.empty((0, values.shape[1]), dtype=np.float64)
-        )
-
     def evaluate(self, opinions: np.ndarray, q: int) -> float:
         opinions = np.asarray(opinions, dtype=np.float64)
         others = np.delete(opinions, q, axis=0).T  # (n, r-1)
@@ -117,17 +88,19 @@ class SeparableScore(VotingScore):
     def contributions_batch_T(
         self, values_T: np.ndarray, others_by_user: np.ndarray
     ) -> np.ndarray:
-        """Transposed :meth:`contributions_batch`: ``(m, C)`` in and out."""
-        return np.ascontiguousarray(
-            self.contributions_batch(
-                np.ascontiguousarray(np.asarray(values_T).T), others_by_user
-            ).T
-        )
+        """Per-user contributions for ``C`` target columns at once.
 
-    def score_targets(
-        self, values: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        return self.contributions_batch(values, others_by_user).sum(axis=1)
+        ``(m, C)`` in and out.  The base implementation loops
+        :meth:`contributions` per column; subclasses provide vectorized
+        overrides.  The dtype may be boolean for indicator-style scores
+        (p-approval); consumers must treat the result numerically (sums /
+        dot products promote correctly).
+        """
+        values_T = np.asarray(values_T, dtype=np.float64)
+        out = np.empty(values_T.shape, dtype=np.float64)
+        for i in range(values_T.shape[1]):
+            out[:, i] = self.contributions(values_T[:, i], others_by_user)
+        return out
 
     def score_targets_T(
         self, values_T: np.ndarray, others_by_user: np.ndarray
@@ -146,11 +119,6 @@ class CumulativeScore(SeparableScore):
     name = "cumulative"
 
     def contributions(
-        self, values: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64)
-
-    def contributions_batch(
         self, values: np.ndarray, others_by_user: np.ndarray
     ) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
@@ -199,12 +167,6 @@ class PositionalPApprovalScore(SeparableScore):
         beta = rank_against(values, others_by_user)
         return self._weights_of_ranks(beta)
 
-    def contributions_batch(
-        self, values: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        beta = rank_against_batch(values, others_by_user)
-        return self._weights_of_ranks(beta)
-
     def contributions_batch_T(
         self, values_T: np.ndarray, others_by_user: np.ndarray
     ) -> np.ndarray:
@@ -233,41 +195,22 @@ class PApprovalScore(PositionalPApprovalScore):
         size = max(int(p), 1) if r is None else int(r)
         super().__init__(p, np.ones(size))
 
-    def contributions_batch(
-        self, values: np.ndarray, others_by_user: np.ndarray
+    def contributions_batch_T(
+        self, values_T: np.ndarray, others_by_user: np.ndarray
     ) -> np.ndarray:
         # Uniform top-p weights: the contribution is the plain indicator
         # ``rank <= p``, i.e. at most p-1 competitors at or above the value
         # — no rank materialization or weight gather needed.  Competitor
         # counts accumulate per-competitor in uint8 (r <= 256 always holds
-        # in practice) to avoid a (C, n, r-1) 3-D temporary.
-        values = np.asarray(values, dtype=np.float64)
-        others = np.asarray(others_by_user, dtype=np.float64)
-        n_comp = others.shape[1]
-        if n_comp <= self.p - 1:
-            # Fewer competitors than approval slots: everyone approves.
-            return np.ones(values.shape, dtype=np.float64)
-        if n_comp == 1:
-            # Head-to-head (r = 2, p = 1): approval iff strictly ahead.
-            return values > others[:, 0][None, :]
-        if n_comp >= 255:
-            beta = rank_against_batch(values, others)
-            return beta <= self.p
-        count_ge = np.zeros(values.shape, dtype=np.uint8)
-        for x in range(n_comp):
-            count_ge += others[:, x][None, :] >= values
-        return count_ge < self.p
-
-    def contributions_batch_T(
-        self, values_T: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        # Same fast paths as contributions_batch, in (m, C) orientation.
+        # in practice) to avoid an (m, C, r-1) 3-D temporary.
         values_T = np.asarray(values_T, dtype=np.float64)
         others = np.asarray(others_by_user, dtype=np.float64)
         n_comp = others.shape[1]
         if n_comp <= self.p - 1:
+            # Fewer competitors than approval slots: everyone approves.
             return np.ones(values_T.shape, dtype=np.float64)
         if n_comp == 1:
+            # Head-to-head (r = 2, p = 1): approval iff strictly ahead.
             return values_T > others[:, 0][:, None]
         if n_comp >= 255:
             return super().contributions_batch_T(values_T, others)
@@ -318,28 +261,15 @@ class CopelandScore(VotingScore):
                 score += 1
         return float(score)
 
-    def score_targets(
-        self, values: np.ndarray, others_by_user: np.ndarray
-    ) -> np.ndarray:
-        """Copeland score of ``C`` target rows against fixed competitors.
-
-        Competitions among the competitors themselves never involve the
-        target's opinions, so only the ``r-1`` target-vs-x duels matter —
-        one ``(C, n)`` comparison pair per competitor.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        others = np.asarray(others_by_user, dtype=np.float64)
-        score = np.zeros(values.shape[0], dtype=np.float64)
-        for x in range(others.shape[1]):
-            col = others[:, x][None, :]
-            wins = np.sum(values > col, axis=1)
-            losses = np.sum(values < col, axis=1)
-            score += wins > losses
-        return score
-
     def score_targets_T(
         self, values_T: np.ndarray, others_by_user: np.ndarray
     ) -> np.ndarray:
+        """Copeland score of ``C`` target columns against fixed competitors.
+
+        Competitions among the competitors themselves never involve the
+        target's opinions, so only the ``r-1`` target-vs-x duels matter —
+        one ``(n, C)`` comparison pair per competitor.
+        """
         values_T = np.asarray(values_T, dtype=np.float64)
         others = np.asarray(others_by_user, dtype=np.float64)
         score = np.zeros(values_T.shape[1], dtype=np.float64)

@@ -333,6 +333,22 @@ _CHURN = [{"edges_added": [[19, 115, 0.389532], [0, 70, 0.063267]]}]
         ("5", "expected a delta object or a list of them, got int"),
         ("[1, 2]", "step 1: expected an object, got int"),
         ('[{}, {"edge_added": []}]', "step 2: unknown key 'edge_added'"),
+        (
+            '[{"edges_added": [[0, 7, true]]}]',
+            "step 1: weight of added edge (0, 7) must be a finite real number",
+        ),
+        (
+            '[{"edges_added": [[0, 7, null]]}]',
+            "step 1: weight of added edge (0, 7) must be a finite real number",
+        ),
+        (
+            '[{"opinions_changed": [[0, 5, "0.5"]]}]',
+            "step 1: opinion value for (0, 5) must be a finite real number",
+        ),
+        (
+            '[{"edges_added": [[19, 3, 1e308], [4, 3, 1e308]]}]',
+            "step 1: column 3: in-edge weights sum to inf",
+        ),
     ],
 )
 def test_apply_delta_bad_journal_exits_with_one_line(tmp_path, content, message):

@@ -9,9 +9,14 @@ rebuilt.  The contracts pinned here:
   bit for bit; emptied columns get the standard self-loop.
 * **Problem caches** — after a delta the warm problem's caches equal a
   cold problem built over the same post-delta state, byte for byte.
-* **Sessions** — small deltas patch committed trajectories via the
-  sparse correction (``EngineStats.trajectories_patched``); large deltas
-  fall back to a bitwise rebuild.
+* **Sessions** — after any delta that touches the target, a warm
+  session's committed trajectory is replayed lazily, bitwise: its gains
+  equal those of a session opened on the post-delta problem that commits
+  the same seeds, on ``dm-batched`` and on two loopback ``dm-mp:tcp``
+  hosts.  A hypothesis state machine interleaves commits, target and
+  competitor edge reweights and opinion changes, and checks the warm
+  session against such a fresh session and against a dense numpy FJ
+  recurrence after every step.
 * **Walk store** — exactly the walks that stepped out of a touched
   column are regenerated, in place inside their blocks; a patched pool
   is byte-identical to one generated cold under the post-delta graph,
@@ -34,6 +39,15 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.cli import main as cli_main
 from repro.core.engine import BatchedDMEngine
@@ -224,6 +238,26 @@ BAD_DELTAS = {
     "neg-inf-weight": dict(edges_added=[_VALID_EDGE, (0, 1, float("-inf"))]),
     "float-added-source": dict(edges_added=[_VALID_EDGE, (1.5, 3, 0.4)]),
     "bool-added-target": dict(edges_added=[_VALID_EDGE, (0, True, 0.4)]),
+    # ``float()`` reads ``True`` and ``"0.5"`` as numbers and raises
+    # TypeError on ``None`` or a list.
+    "none-weight": dict(edges_added=[_VALID_EDGE, (0, 1, None)]),
+    "list-weight": dict(edges_added=[_VALID_EDGE, (0, 1, [0.5])]),
+    "bool-weight": dict(edges_added=[_VALID_EDGE, (0, 1, True)]),
+    "str-weight": dict(edges_added=[_VALID_EDGE, (0, 1, "0.5")]),
+    "none-opinion": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[_VALID_OPINION, (0, 5, None)]
+    ),
+    "bool-opinion": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[_VALID_OPINION, (0, 5, True)]
+    ),
+    "str-opinion": dict(
+        edges_added=[_VALID_EDGE], opinions_changed=[_VALID_OPINION, (0, 5, "0.5")]
+    ),
+    # Two finite weights whose column sum overflows would renormalize
+    # column 3 to all zeros.
+    "overflowing-column": dict(
+        edges_added=[_VALID_EDGE, (1, 3, 1e308), (4, 3, 1e308)]
+    ),
     # ``edge`` is an existing edge out of node 1, so ``int()`` would find
     # and remove it.
     "float-removed-source": lambda edge: dict(
@@ -250,8 +284,9 @@ BAD_DELTAS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_DELTAS))
 def test_malformed_delta_is_rejected_before_any_mutation(case):
-    """A non-finite weight or a non-integer id raises ValueError and leaves
-    the graph bytes, the opinions and both versions untouched — ``int()``
+    """A weight or opinion value that is not a finite real, a column whose
+    weights overflow, or a non-integer id raises ValueError and leaves the
+    graph bytes, the opinions and both versions untouched — ``int()``
     would read ``1.5`` and ``True`` as node 1, and a NaN or infinite weight
     would renormalize its column to NaN."""
     problem = make_problem(19)
@@ -285,38 +320,53 @@ def test_malformed_delta_is_rejected_before_any_mutation(case):
 
 
 # ----------------------------------------------------------------------
-# Sessions: patch vs rebuild
+# Sessions: lazy bitwise replay
 # ----------------------------------------------------------------------
-def test_session_patched_after_small_delta():
-    problem = make_problem(13)
-    engine = BatchedDMEngine(problem)
-    session = engine.open_session()
-    gains = session.marginal_gains(np.arange(problem.n))
-    session.commit(int(np.argmax(gains)))
-    committed = list(session.seeds)
-
-    graph = problem.state.graph(0)
-    src, dst, weight = graph.edges()
-    patched_before = engine.stats.trajectories_patched
-    report = problem.apply_delta(
-        edges_added=[(int(src[0]), int(dst[0]), float(weight[0]) * 2.0)],
-        opinions_changed=[(0, 2, 0.9)],
-    )
-    engine.apply_delta(report)
-    assert engine.stats.trajectories_patched == patched_before + 1
-
+def fresh_session(problem, seeds):
+    """A session on a fresh problem over ``problem``'s current state that
+    commits ``seeds``: what a warm session must equal bitwise."""
     fresh = FJVoteProblem(
         problem.state, problem.target, problem.horizon, problem.score
     )
-    reference = BatchedDMEngine(fresh).open_session()
-    for seed in committed:
-        reference.commit(seed)
-    np.testing.assert_allclose(
-        session.marginal_gains(np.arange(problem.n)),
-        reference.marginal_gains(np.arange(problem.n)),
-        atol=1e-9,
-        rtol=0,
+    session = BatchedDMEngine(fresh).open_session()
+    for seed in seeds:
+        session.commit(seed)
+    return session
+
+
+def small_delta(problem):
+    """One reweighted target edge and one target opinion change."""
+    src, dst, weight = problem.state.graph(0).edges()
+    return dict(
+        edges_added=[(int(src[0]), int(dst[0]), float(weight[0]) * 2.0)],
+        opinions_changed=[(0, 2, 0.9)],
     )
+
+
+def large_delta(problem):
+    """Reweighted in-edges of ten target columns."""
+    graph = problem.state.graph(0)
+    _, dst, _ = graph.edges()
+    columns = sorted({int(d) for d in dst})[:10]
+    assert len(columns) == 10
+    return dict(edges_added=[reweight_in_edge(graph, c) for c in columns])
+
+
+def test_session_replayed_bitwise_after_small_delta():
+    for score in (PluralityScore(), CumulativeScore()):
+        problem = make_problem(13, score=score)
+        engine = BatchedDMEngine(problem)
+        session = engine.open_session()
+        gains = session.marginal_gains(np.arange(problem.n))
+        session.commit(int(np.argmax(gains)))
+
+        engine.apply_delta(problem.apply_delta(**small_delta(problem)))
+        reference = fresh_session(problem, session.seeds)
+        np.testing.assert_array_equal(
+            session.marginal_gains(np.arange(problem.n)),
+            reference.marginal_gains(np.arange(problem.n)),
+        )
+        np.testing.assert_array_equal(session._traj, reference._traj)
 
 
 def test_session_rebuilt_bitwise_after_large_delta():
@@ -326,29 +376,153 @@ def test_session_rebuilt_bitwise_after_large_delta():
     session.commit(1)
     session.commit(7)
 
-    # Touch more than max(8, n // 8) columns: the patch correction would
-    # be denser than a rebuild, so the session must replay its commits.
-    graph = problem.state.graph(0)
-    _, dst, _ = graph.edges()
-    columns = sorted({int(d) for d in dst})[:10]
-    assert len(columns) == 10
-    report = problem.apply_delta(
-        edges_added=[reweight_in_edge(graph, c) for c in columns]
-    )
-    patched_before = engine.stats.trajectories_patched
-    engine.apply_delta(report)
-    assert engine.stats.trajectories_patched == patched_before
-
-    fresh = FJVoteProblem(
-        problem.state, problem.target, problem.horizon, problem.score
-    )
-    reference = BatchedDMEngine(fresh).open_session()
-    reference.commit(1)
-    reference.commit(7)
+    engine.apply_delta(problem.apply_delta(**large_delta(problem)))
+    reference = fresh_session(problem, (1, 7))
     np.testing.assert_array_equal(
         session.marginal_gains(np.arange(problem.n)),
         reference.marginal_gains(np.arange(problem.n)),
     )
+
+
+def test_tcp_session_replayed_bitwise_after_small_and_large_delta(loopback_hosts):
+    """A warm session on two loopback ``dm-mp:tcp`` hosts gives gains
+    bitwise equal to a fresh single-process session after each delta."""
+    problem = make_problem(17, score=CumulativeScore())
+    engine = HostPool(problem, hosts=loopback_hosts[:2], min_fanout=1)
+    try:
+        engine.ping()  # live pool: the deltas must be broadcast
+        session = engine.open_session()
+        session.commit(1)
+        session.commit(7)
+        for delta in (small_delta(problem), large_delta(problem)):
+            engine.apply_delta(problem.apply_delta(**delta))
+            reference = fresh_session(problem, (1, 7))
+            np.testing.assert_array_equal(
+                session.marginal_gains(np.arange(problem.n)),
+                reference.marginal_gains(np.arange(problem.n)),
+            )
+    finally:
+        engine.close()
+
+
+def dense_trajectory(state, q, seeds, horizon):
+    """``(horizon+1, n)`` opinions about ``q`` with ``seeds`` pinned, from a
+    dense numpy form of the FJ recurrence ``b(s+1) = (b(s) W)(1-d) + b⁰d``
+    (seeded rows have ``d = 1`` and ``b⁰ = 1``): no pre-scaled operator,
+    no sparse kernel."""
+    src, dst, weight = state.graph(q).edges()
+    w = np.zeros((state.n, state.n))
+    w[src, dst] = weight
+    b0 = np.array(state.initial_opinions[q], dtype=np.float64)
+    d = np.array(state.stubbornness[q], dtype=np.float64)
+    b0[list(seeds)] = 1.0
+    d[list(seeds)] = 1.0
+    rows = [b0]
+    for _ in range(horizon):
+        rows.append((rows[-1] @ w) * (1.0 - d) + b0 * d)
+    return np.stack(rows)
+
+
+class WarmSessionMachine(RuleBasedStateMachine):
+    """A warm ``dm-batched`` session under interleaved commits and deltas.
+
+    Rules commit the best candidate, reweight one in-edge of a target or
+    competitor graph, and change one initial opinion (n = 24, r = 3, one
+    graph per candidate).  After every step the warm session's committed
+    trajectory and absolute ``extension_values`` must be bitwise those of
+    a session opened on a fresh ``FJVoteProblem`` over the same state that
+    commits the same seeds, and both, with the session's value, must
+    agree with :func:`dense_trajectory` and the per-matrix
+    ``score.evaluate`` to within 1e-12.
+
+    Scoped to ``dm-batched``: the same machine over ``dm-mp:tcp`` loopback
+    hosts and ``rw-store`` is left for later.
+    """
+
+    @initialize(seed=st.integers(0, 2**16), cumulative=st.booleans())
+    def build(self, seed, cumulative):
+        score = CumulativeScore() if cumulative else PluralityScore()
+        self.problem = make_problem(seed, score=score)
+        self.engine = BatchedDMEngine(self.problem)
+        self.session = self.engine.open_session()
+
+    def _apply(self, **delta):
+        self.engine.apply_delta(self.problem.apply_delta(**delta))
+
+    @precondition(lambda self: len(self.session.seeds) < 5)
+    @rule()
+    def commit_best(self):
+        candidates = self._candidates()
+        gains = self.session.marginal_gains(candidates)
+        self.session.commit(int(candidates[np.argmax(gains)]))
+
+    @rule(
+        candidate=st.integers(0, 2),
+        column=st.integers(0, 23),
+        factor=st.floats(0.25, 4.0),
+    )
+    def reweight_edge(self, candidate, column, factor):
+        sources, weights = self.problem.state.graph(candidate).in_neighbors(column)
+        edge = (int(sources[0]), column, float(weights[0]) * factor)
+        self._apply(edges_added=[edge], candidate=candidate)
+
+    @rule(
+        candidate=st.integers(0, 2),
+        node=st.integers(0, 23),
+        value=st.floats(0.0, 1.0),
+    )
+    def change_opinion(self, candidate, node, value):
+        self._apply(opinions_changed=[(candidate, node, value)])
+
+    def _candidates(self):
+        return np.setdiff1d(np.arange(self.problem.n), self.session.seeds)
+
+    @invariant()
+    def matches_fresh_session_and_dense_oracle(self):
+        seeds = self.session.seeds
+        committed = np.asarray(seeds, dtype=np.int64)
+        candidates = self._candidates()
+        reference = fresh_session(self.problem, seeds)
+        self.session.value  # runs a pending lazy replay
+        np.testing.assert_array_equal(self.session._traj, reference._traj)
+        values = self.engine.extension_values(
+            self.session._traj, committed, candidates
+        )
+        np.testing.assert_array_equal(
+            values,
+            reference.engine.extension_values(
+                reference._traj, committed, candidates
+            ),
+        )
+
+        problem = self.problem
+        state, target, horizon = problem.state, problem.target, problem.horizon
+        np.testing.assert_allclose(
+            self.session._traj,
+            dense_trajectory(state, target, seeds, horizon),
+            rtol=0,
+            atol=1e-12,
+        )
+        horizon_rows = np.stack(
+            [dense_trajectory(state, q, (), horizon)[-1] for q in range(state.r)]
+        )
+        horizon_rows[target] = dense_trajectory(state, target, seeds, horizon)[-1]
+        assert abs(
+            self.session.value - problem.score.evaluate(horizon_rows, target)
+        ) <= 1e-12
+        dense_values = []
+        for c in candidates:
+            horizon_rows[target] = dense_trajectory(
+                state, target, seeds + (int(c),), horizon
+            )[-1]
+            dense_values.append(problem.score.evaluate(horizon_rows, target))
+        np.testing.assert_allclose(values, dense_values, rtol=0, atol=1e-12)
+
+
+TestWarmSessionMachine = WarmSessionMachine.TestCase
+TestWarmSessionMachine.settings = settings(
+    max_examples=25, stateful_step_count=8, deadline=None
+)
 
 
 # ----------------------------------------------------------------------

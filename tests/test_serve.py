@@ -243,6 +243,18 @@ def test_parameter_validation_errors():
             make_request(8, "prefix_win_probability", seeds=[1], engine=7),
             make_request(9, "top_k_seeds", k=1, candidates=[]),
             make_request(10, "top_k_seeds", k=2, candidates=[4, 4]),
+            # Delta numbers must be finite reals: ``float()`` would fail on
+            # null or a list and read true or "0.5" as numbers.
+            make_request(11, "apply_delta", edges_added=[[1, 2, None]]),
+            make_request(12, "apply_delta", edges_added=[[1, 2, [0.5]]]),
+            make_request(13, "apply_delta", edges_added=[[1, 2, True]]),
+            make_request(14, "apply_delta", edges_added=[[1, 2, "0.5"]]),
+            make_request(15, "apply_delta", opinions_changed=[[0, 1, None]]),
+            make_request(16, "apply_delta", opinions_changed=[[0, 1, True]]),
+            # Two finite weights whose column sum overflows.
+            make_request(
+                17, "apply_delta", edges_added=[[1, 3, 1e308], [4, 3, 1e308]]
+            ),
         ]
         responses = batcher.execute(cases)
         for response in responses:
@@ -250,6 +262,7 @@ def test_parameter_validation_errors():
             assert response["error"]["code"] == ERROR_BAD_REQUEST
         # Failed requests never mutate: versions unchanged.
         assert hub.problem.graph_version == 0
+        assert hub.problem.opinion_version == 0
     finally:
         hub.close()
 

@@ -11,6 +11,8 @@ from repro.voting.scores import (
     PApprovalScore,
     PluralityScore,
     PositionalPApprovalScore,
+    SeparableScore,
+    VotingScore,
     make_score,
 )
 
@@ -141,3 +143,55 @@ def test_property_plurality_sums_at_most_n(seed):
     opinions = rng.random((4, 20))
     total = sum(PluralityScore().evaluate(opinions, q) for q in range(4))
     assert total <= 20
+
+
+class _SquaredScore(SeparableScore):
+    """A separable score with no vectorized path of its own."""
+
+    def contributions(self, values, others_by_user):
+        return np.asarray(values) ** 2 - others_by_user.min(axis=1)
+
+
+class _WeightedSumScore(VotingScore):
+    """A non-separable score with only ``evaluate``."""
+
+    def evaluate(self, opinions, q):
+        return float(np.sum(opinions[q] * np.arange(opinions.shape[1])))
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        CumulativeScore(),
+        PluralityScore(),
+        PApprovalScore(2),
+        PositionalPApprovalScore(2, np.array([1.0, 0.5])),
+        CopelandScore(),
+        _SquaredScore(),
+        _WeightedSumScore(),
+    ],
+    ids=lambda score: type(score).__name__,
+)
+def test_column_batches_match_per_matrix_evaluate(score):
+    """``score_targets_T`` (and ``contributions_batch_T`` for separable
+    scores) score each column of a users-by-sets block exactly as
+    ``evaluate`` scores the full opinion matrix with that column as the
+    target row; the base classes' per-column loops are the fallback."""
+    rng = np.random.default_rng(3)
+    n, r, c = 9, 4, 5
+    others = rng.random((n, r - 1))
+    values_T = rng.random((n, c))
+    values_T[:2, 0] = others[:2, 0]  # ties count against the target
+    expected = [
+        score.evaluate(np.vstack([values_T[:, i], others.T]), 0) for i in range(c)
+    ]
+    np.testing.assert_allclose(
+        score.score_targets_T(values_T, others), expected, rtol=0, atol=1e-12
+    )
+    if isinstance(score, SeparableScore):
+        contrib = np.asarray(score.contributions_batch_T(values_T, others))
+        assert contrib.shape == (n, c)
+        for i in range(c):
+            np.testing.assert_array_equal(
+                contrib[:, i], score.contributions(values_T[:, i], others)
+            )
