@@ -6,8 +6,9 @@ committed prefix (overlapping candidate lists) plus win/value probes —
 is executed twice through :class:`~repro.serve.batcher.CoalescingBatcher`
 on fresh hubs: serially (one request per batch, the no-coalescing
 reference) and as one coalesced batch.  Responses must be **byte
-identical** (the encoded protocol lines), on the per-set ``dm`` backend
-and the vectorized ``dm-batched``.  The gated metrics are the deterministic counters:
+identical** (the encoded protocol lines), on the per-set ``dm`` backend,
+the vectorized ``dm-batched`` and the ``rw-store`` walk estimator.  The
+gated metrics are the deterministic counters:
 ``round_reduction_x`` (serial engine rounds / coalesced engine rounds —
 the acceptance floor is >= 2x with 8 clients), ``requests_per_round``,
 and ``evolution_sets_saved`` (candidate-union sharing).
@@ -48,9 +49,10 @@ TINY = BENCH_TINY
 N_USERS = 150 if TINY else 600
 HORIZON = 6 if TINY else 10
 CLIENTS = 8
-#: Byte-identity is asserted on every backend; the gated counters come
-#: from ``dm-batched`` (identical on all of them by construction).
-SPECS = ("dm", "dm-batched")
+#: Byte-identity is asserted on every backend, a walk estimator among
+#: them; the gated counters come from ``dm-batched`` (identical on all of
+#: them by construction).
+SPECS = ("dm", "dm-batched", "rw-store")
 MIN_ROUND_REDUCTION = 2.0
 SOCKET_REQUESTS = 32 if TINY else 128
 #: Bursts per mode row: one burst lasts tens of milliseconds, so a row

@@ -29,6 +29,12 @@ shape instead of restarting every FJ evolution from the empty-seed base:
   binary-search probes from the greedy ranking, reusing the closest cached
   prefix trajectory when probing a nearby size.
 
+Every gains and values call is *batch-stable*: a seed set's value and a
+candidate's gain are bitwise the same whatever else shares the call, at
+any call width, ``batch_rows`` and thread count.  CELF's narrow refreshes
+therefore agree with its wide first round, and the serving layer may
+merge concurrent requests into one round without changing an answer.
+
 Backends
 --------
 :class:`DMEngine`
@@ -239,7 +245,8 @@ class SelectionSession:
     are delegated to the engine's stateless ``marginal_gains`` with the
     session's cached base objective, and prefix probes fall back to exact
     per-set checks.  Backends override the hot paths (see
-    :class:`BatchedDMSession`).
+    :class:`BatchedDMSession`), keeping every gains and values call
+    batch-stable.
     """
 
     def __init__(self, engine: "ObjectiveEngine", base: SeedSet = ()) -> None:
@@ -264,24 +271,15 @@ class SelectionSession:
         return self._value
 
     def marginal_gains(self, candidates: SeedSet) -> np.ndarray:
-        """Gain of extending the committed set by each candidate."""
+        """Gain of extending the committed set by each candidate.
+
+        Batch-stable on every backend: a candidate's gain is bitwise the
+        same however the candidates are grouped into calls, so greedy,
+        CELF refreshes and the serving coalescer's merged rounds agree.
+        """
         return self.engine.marginal_gains(
             self.seeds, candidates, base_objective=self._value
         )
-
-    def coalesced_gains(self, candidates: SeedSet) -> np.ndarray:
-        """Batch-stable marginal gains (the serving coalescer's contract).
-
-        Bitwise identical however the candidates are grouped into calls,
-        so a coalescing batcher may merge concurrent requests into one
-        round and still answer each byte-for-byte as if it ran alone.
-        Per-set backends evaluate candidates independently, so the plain
-        ``marginal_gains`` already satisfies the contract;
-        :class:`BatchedDMSession` overrides this to evolve one shared
-        (n, C) block and score each extension row through the canonical
-        single-row path (see :meth:`ObjectiveEngine.query_sets`).
-        """
-        return self.marginal_gains(candidates)
 
     def rebase(self) -> None:
         """Re-evaluate the base objective against the engine's current state.
@@ -490,13 +488,10 @@ class ObjectiveEngine(ABC):
         every request coalesced into a round.  The contract is
         *batch-stability* — results are bitwise identical no matter how
         the sets are grouped into calls — so coalesced and serial
-        execution agree byte for byte.  The base implementation loops per
-        set (per-set backends are trivially batch-stable);
-        :class:`BatchedDMEngine` overrides it with one shared (n, C)
-        evolution whose horizon rows are then scored one at a time
-        through the canonical ``score_target_row`` path, because the
-        batched scoring *reduction* is the one place numpy's pairwise
-        summation depends on the batch width.
+        execution agree byte for byte.  The base implementation answers
+        values through ``evaluate``; :class:`BatchedDMEngine` overrides it
+        to check the win flags on the horizon rows its one shared (n, C)
+        evolution already holds.
         """
         sets = [tuple(check_index_array(s, "seed set").tolist()) for s in seed_sets]
         values = self.evaluate(sets)
@@ -596,25 +591,6 @@ class BatchedDMSession(SelectionSession):
         self._ensure_fresh()
         committed = np.asarray(self._seeds, dtype=np.int64)
         values = self.engine.extension_values(self._traj, committed, candidates)
-        return values - self._value
-
-    def coalesced_gains(self, candidates: SeedSet) -> np.ndarray:
-        """Batch-stable gains: shared (n, C) evolution, per-row scoring.
-
-        The evolved extension rows are bitwise independent of how the
-        candidates are batched (sparse and dense products accumulate per
-        column), and every row is scored through ``score_target_row`` —
-        always a width-1 reduction — so the gains are too.  The session's
-        own base value already comes from ``score_target_row``, keeping
-        the subtraction on the same canonical footing.
-        """
-        self._ensure_fresh()
-        committed = np.asarray(self._seeds, dtype=np.int64)
-        rows = self.engine.extension_rows(self._traj, committed, candidates)
-        values = np.array(
-            [self.engine.score_target_row(row) for row in rows],
-            dtype=np.float64,
-        )
         return values - self._value
 
     def commit(self, seed: int, *, gain: float | None = None) -> float:
@@ -1140,16 +1116,12 @@ class BatchedDMEngine(ObjectiveEngine):
             group = groups[g]
             part, group.delta = group.delta, None
             one, two = buffers[g]
-            # A block that takes no dense step is scored column-major, the
-            # layout ``part.toarray()`` gives: a layout changes the order
-            # of a column reduction, and so its bytes.
-            order = "F" if part is not None and not steps else "C"
             for lo in range(group.lo, group.hi, width):
                 if stop.is_set():
                     return
                 hi = min(lo + width, group.hi)
                 shape = (n, hi - lo)
-                block = one[: n * (hi - lo)].reshape(shape, order=order)
+                block = one[: n * (hi - lo)].reshape(shape)
                 block.fill(0.0)
                 block = self._block_steps(
                     wt,
@@ -1224,7 +1196,9 @@ class BatchedDMEngine(ObjectiveEngine):
         other buffer by the kernel and zeroed output that ``wt @ delta``
         uses (``csr_matvecs``, or ``csr_matvec`` for one column), so the
         bytes are the same and no step allocates an ``(n, width)`` array.
-        Returns the buffer holding ``base + delta(horizon)``.
+        Returns ``base + delta(horizon)``, written into a column-major view
+        of the buffer the last step freed, so :meth:`_score_cols` reduces
+        each column contiguously.
         """
         if part is None:
             delta[pins] = 1.0 - traj[0][pins[0]]
@@ -1245,8 +1219,9 @@ class BatchedDMEngine(ObjectiveEngine):
                 scratch[zero] = 0.0
             scratch[pins] = 1.0 - traj[s][pins[0]]
             delta, scratch = scratch, delta
-        delta += base
-        return delta
+        out = scratch.reshape(-1).reshape((n, width), order="F")
+        np.add(delta, base, out=out)
+        return out
 
     def _dense_steps(
         self,
@@ -1349,24 +1324,6 @@ class BatchedDMEngine(ObjectiveEngine):
             return np.empty(0, dtype=np.float64)
         return self._chunked_scores(sets, traj=traj, zero_rows=committed)
 
-    def extension_rows(
-        self,
-        traj: np.ndarray,
-        committed: np.ndarray,
-        candidates: SeedSet,
-    ) -> np.ndarray:
-        """``(C, n)`` horizon rows of ``committed ∪ {c}`` per candidate.
-
-        Same warm-start contract as :meth:`extension_values`, but the
-        evolved rows come back unscored.  They are batch-stable (bitwise
-        identical for any candidate grouping), which lets callers score
-        each row through the canonical width-1 ``score_target_row`` path
-        — the basis of :meth:`SelectionSession.coalesced_gains` and the
-        serving batcher.
-        """
-        sets = self._candidate_sets(candidates)
-        return self._evolved_rows(sets, traj=traj, zero_rows=committed)
-
     def extend_trajectory(
         self,
         traj: np.ndarray,
@@ -1401,15 +1358,20 @@ class BatchedDMEngine(ObjectiveEngine):
 
     # ------------------------------------------------------------------
     def _score_cols(self, cols: np.ndarray) -> np.ndarray:
-        """Score ``(n, C)`` users-by-sets opinions via the transposed paths."""
+        """Score ``(n, C)`` users-by-sets opinions via the transposed paths.
+
+        Separable contributions are summed down each contiguous column
+        (numpy's pairwise sum of ``n`` values), so a column's score has
+        the bits of a one-column call at every width and block position.
+        """
         score = self.problem.score
+        others = self.problem.others_by_user()
+        if not isinstance(score, SeparableScore):
+            return score.score_targets_T(cols, others)
+        contrib = np.asfortranarray(score.contributions_batch_T(cols, others))
         if self.user_weights is not None:
-            contrib = score.contributions_batch_T(cols, self.problem.others_by_user())
-            return self.user_weights @ contrib
-        if isinstance(score, SeparableScore):
-            contrib = score.contributions_batch_T(cols, self.problem.others_by_user())
-            return contrib.sum(axis=0, dtype=np.float64)
-        return score.score_targets_T(cols, self.problem.others_by_user())
+            contrib = np.multiply(contrib, self.user_weights[:, None], order="F")
+        return contrib.sum(axis=0, dtype=np.float64)
 
     def score_target_row(self, row: np.ndarray) -> float:
         """Objective from one ``(n,)`` target horizon row (session base value)."""
@@ -1426,11 +1388,10 @@ class BatchedDMEngine(ObjectiveEngine):
     def query_sets(
         self, seed_sets: Iterable[SeedSet], *, wins: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One shared (n, C) evolution, canonically scored row by row.
+        """One shared (n, C) evolution, scored block by block.
 
-        The evolution (``target_opinion_rows``' machinery) is batch-stable;
-        scoring and win checks run per row so they are width-1 reductions
-        regardless of ``C`` — coalesced and serial calls agree bitwise.
+        Values are ``evaluate``'s, bitwise, for any grouping of the sets;
+        win flags are checked per horizon row.
         """
         sets = self._normalize_sets(seed_sets)
         self.stats.evaluate_calls += 1
@@ -1439,11 +1400,10 @@ class BatchedDMEngine(ObjectiveEngine):
         win_flags = np.empty(len(sets), dtype=bool) if wins else None
 
         def score(lo: int, hi: int, cols: np.ndarray) -> None:
-            for j in range(lo, hi):
-                row = np.ascontiguousarray(cols[:, j - lo])
-                values[j] = self.score_target_row(row)
-                if win_flags is not None:
-                    win_flags[j] = self.problem.target_wins_from_row(row)
+            values[lo:hi] = self._score_cols(cols)
+            if win_flags is not None:
+                for j in range(lo, hi):
+                    win_flags[j] = self.problem.target_wins_from_row(cols[:, j - lo])
 
         self._evolve_blocks(sets, score)
         return values, win_flags
@@ -1810,15 +1770,11 @@ class WalkEngine(ObjectiveEngine):
     ) -> np.ndarray:
         self._ensure_bound()
         candidates = check_index_array(candidates, "candidates")
-        # The optimizer's vectorized pass scores every node at once; for a
-        # handful of candidates (CELF stale-entry refreshes) per-candidate
-        # evaluation is cheaper than the all-nodes scan.
-        if candidates.size < 8:
-            return super().marginal_gains(
-                base, candidates, base_objective=base_objective
-            )
+        n = self.problem.n
+        if candidates.size and (candidates.min() < 0 or candidates.max() >= n):
+            raise ValueError("seed indices out of range")
         self._sync(base)
-        return self.optimizer.marginal_gains()[candidates]
+        return self.optimizer.marginal_gains(candidates)
 
 
 def _make_dm(problem, rng, **kwargs):

@@ -19,8 +19,10 @@ seeded-trajectory cache, see ``FJVoteProblem.__getstate__``).  Each host
 builds its own private :class:`BatchedDMEngine` from it — per-round
 messages then carry only seed id chunks and score vectors, never matrices.
 Every message is one framed pickle; :func:`_worker_loop` is the host side
-of the protocol (``chunk``, ``ext``, ``extrows``, ``delta``,
-``ping``, ``stop``).
+of the protocol (``chunk``, ``ext``, ``delta``, ``ping``, ``stop``).
+The coordinator concatenates the hosts' scored chunks, and every chunk
+is scored column by column exactly as a one-candidate call is, so a
+value does not depend on the host count or on what shared its round.
 
 The wire cost is measured, not guessed:
 :attr:`~repro.core.engine.EngineStats.ipc_bytes` counts every payload
@@ -31,8 +33,8 @@ and deterministic).
 Selection sessions fan out too, and hosts keep no session state:
 :class:`MultiprocessDMSession` keeps the coordinator-side committed
 trajectory (for values, commits and win-min prefix probes) exactly like
-its base class, and a commit sends nothing.  Every ``ext`` / ``extrows``
-message carries the session's ``(base, seeds)`` pair; a host looks the
+its base class, and a commit sends nothing.  Every ``ext`` message
+carries the session's ``(base, seeds)`` pair; a host looks the
 committed trajectory up by that pair, or grows it from the longest cached
 prefix by the same one-seed extensions a commit performs, so it is
 bitwise the coordinator's trajectory whichever host computes it.
@@ -284,15 +286,9 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
             elif op == "chunk":
                 _, lengths, values = message
                 result = engine.evaluate(_split_sets(lengths, values))
-            elif op in ("ext", "extrows"):
-                # "extrows" is "ext" unscored: the (chunk, n) horizon rows
-                # go back so the coordinator scores each through the
-                # canonical width-1 path (batch-stable serving responses).
+            elif op == "ext":
                 _, base, seeds, cand = message
-                extend = (
-                    engine.extension_values if op == "ext" else engine.extension_rows
-                )
-                result = extend(
+                result = engine.extension_values(
                     _committed_trajectory(engine, trajectories, base, seeds),
                     np.asarray(seeds, dtype=np.int64),
                     np.asarray(cand, dtype=np.int64),
@@ -349,24 +345,6 @@ class MultiprocessDMSession(BatchedDMSession):
         self._ensure_fresh()  # a delta may have scheduled a lazy rebuild
         values = self.engine.session_extension_values(
             self._base, tuple(self._seeds), self._traj, candidates
-        )
-        return values - self._value
-
-    def coalesced_gains(self, candidates: SeedSet) -> np.ndarray:
-        """Batch-stable gains over the hosts: fanned rows, local scoring.
-
-        Hosts return unscored extension rows (bitwise identical to the
-        single-process engine's at every host count); the coordinator
-        scores each through the canonical width-1 path, so coalesced
-        responses match serial ones byte for byte across pool sizes.
-        """
-        self._ensure_fresh()
-        rows = self.engine.session_extension_rows(
-            self._base, tuple(self._seeds), self._traj, candidates
-        )
-        values = np.array(
-            [self.engine.score_target_row(row) for row in rows],
-            dtype=np.float64,
         )
         return values - self._value
 
@@ -767,34 +745,6 @@ class HostPool(BatchedDMEngine):
                 traj, np.asarray(seeds, dtype=np.int64), cand
             )
         return self._fan_out("ext", (base, seeds), cand.size, lambda idx: [cand[idx]])
-
-    def session_extension_rows(
-        self,
-        base: tuple,
-        seeds: tuple,
-        traj: np.ndarray,
-        candidates: SeedSet,
-    ) -> np.ndarray:
-        """Unscored extension rows for one session round, fanned out.
-
-        The rows counterpart of :meth:`session_extension_values`: hosts
-        evolve their candidate chunks against the session's committed
-        trajectory and reply with the ``(chunk, n)`` horizon rows, so the
-        coordinator can score each row through the canonical width-1 path
-        (:meth:`MultiprocessDMSession.coalesced_gains`).  Rows are bitwise
-        identical to the local :meth:`BatchedDMEngine.extension_rows` at
-        every host count and batch size.
-        """
-        cand = check_index_array(candidates, "candidates")
-        if cand.size == 0:
-            return np.empty((0, self.problem.n), dtype=np.float64)
-        if cand.size < self.min_fanout:
-            return self.extension_rows(
-                traj, np.asarray(seeds, dtype=np.int64), cand
-            )
-        return self._fan_out(
-            "extrows", (base, seeds), cand.size, lambda idx: [cand[idx]]
-        )
 
     def apply_delta(self, report) -> None:
         """Broadcast a delta to the hosts, then refresh the local engine.

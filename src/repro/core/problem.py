@@ -279,6 +279,10 @@ class FJVoteProblem:
         ``dm-mp`` delta broadcast) consume to invalidate exactly what the
         delta touched.
         """
+        # Read each argument once: a generator is consumed by the first pass.
+        edges_added = tuple(edges_added)
+        edges_removed = tuple(edges_removed)
+        opinions_changed = tuple(opinions_changed)
         cand = self.target if candidate is None else check_index(candidate, "candidate")
         if not 0 <= cand < self.r:
             raise ValueError(f"candidate must be in [0, {self.r}), got {cand}")
@@ -327,8 +331,8 @@ class FJVoteProblem:
             touched_by_candidate=touched_by_candidate,
             opinions_by_candidate=opinions_by_candidate,
             structural=structural,
-            edges_added=len(tuple(edges_added)),
-            edges_removed=len(tuple(edges_removed)),
+            edges_added=len(edges_added),
+            edges_removed=len(edges_removed),
             competitor_rows_refreshed=refreshed,
         )
 

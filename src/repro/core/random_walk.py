@@ -231,14 +231,19 @@ class TruncatedWalks:
         lo, hi = self.node_ptr[node], self.node_ptr[node + 1]
         return self.idx_walk[lo:hi], self.idx_pos[lo:hi]
 
-    def live_entries(self) -> tuple[np.ndarray, np.ndarray]:
+    def live_entries(
+        self, wanted: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``(nodes, walk_ids)`` of index entries inside current truncations.
 
         An entry is *live* when its first-occurrence position has not been
         cut off by a previously chosen seed; only live entries can change a
-        walk's value.
+        walk's value.  ``wanted``, an ``(n,)`` bool mask, keeps only the
+        entries of those nodes, in index order.
         """
         mask = self.idx_pos <= self.end_pos[self.idx_walk]
+        if wanted is not None:
+            mask &= wanted[self.idx_node]
         return self.idx_node[mask], self.idx_walk[mask]
 
     @property
@@ -438,16 +443,21 @@ class WalkGreedyOptimizer:
 
     # ------------------------------------------------------------------
     def _candidate_updates(
-        self,
+        self, candidates: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per (candidate-node, group) estimate updates for this round.
 
         Returns ``(pair_node, pair_group, old_b, new_b)``: for every node
-        ``w`` still present in some truncated walk and every group with a
-        walk through ``w``, the group estimate before and after seeding
-        ``w`` (all affected walk values jump to 1).
+        ``w`` still present in some truncated walk (among ``candidates``,
+        when given) and every group with a walk through ``w``, the group
+        estimate before and after seeding ``w`` (all affected walk values
+        jump to 1).
         """
-        nodes, wids = self.walks.live_entries()
+        wanted = None
+        if candidates is not None:
+            wanted = np.zeros(self.walks.n, dtype=bool)
+            wanted[candidates] = True
+        nodes, wids = self.walks.live_entries(wanted)
         groups = self.group_of_walk[wids]
         delta = 1.0 - self.walks.values[wids]
         key = nodes * np.int64(self.num_groups) + groups
@@ -460,19 +470,27 @@ class WalkGreedyOptimizer:
         new_b = (sums[pair_group] + delta_sum) / self.group_size[pair_group]
         return pair_node, pair_group, old_b, new_b
 
-    def marginal_gains(self) -> np.ndarray:
-        """Estimated marginal gain of seeding each node (one vectorized scan)."""
+    def marginal_gains(self, candidates: np.ndarray | None = None) -> np.ndarray:
+        """Estimated marginal gain of seeding each node (one vectorized scan).
+
+        With ``candidates``, the scan reads only their live entries and
+        returns their gains, in order.  A pair's updates accumulate in the
+        same order either way, so each gain has the full scan's bits
+        whatever else is requested.
+        """
         n = self.walks.n
-        pair_node, pair_group, old_b, new_b = self._candidate_updates()
+        pair_node, pair_group, old_b, new_b = self._candidate_updates(candidates)
         others_pair = self.others[self.group_user[pair_group]]
         weight = self.group_weight[pair_group]
         if self._is_copeland:
-            return self._copeland_gains(pair_node, old_b, new_b, others_pair, weight)
-        contrib_old = self.score.contributions(old_b, others_pair)
-        contrib_new = self.score.contributions(new_b, others_pair)
-        return np.bincount(
-            pair_node, weights=weight * (contrib_new - contrib_old), minlength=n
-        )
+            gains = self._copeland_gains(pair_node, old_b, new_b, others_pair, weight)
+        else:
+            contrib_old = self.score.contributions(old_b, others_pair)
+            contrib_new = self.score.contributions(new_b, others_pair)
+            gains = np.bincount(
+                pair_node, weights=weight * (contrib_new - contrib_old), minlength=n
+            )
+        return gains if candidates is None else gains[candidates]
 
     def _copeland_gains(
         self,

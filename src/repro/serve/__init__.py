@@ -37,8 +37,8 @@ sharing a prefix evolve the union of their candidates as a single
 :meth:`~repro.core.engine.ObjectiveEngine.query_sets` call, and duplicate
 top-k requests run greedy once.  Responses are *batch-stable*: byte
 identical whether a request was coalesced or served alone, on every
-backend and host count (the engines evolve batch-stable rows and
-score each through the canonical width-1 reduction).  Deltas are
+backend and host count (every engine's gains and values calls are
+bitwise independent of what else shares the call).  Deltas are
 serialized through the same queue, acting as barriers — every response
 carries the ``graph_version``/``opinion_version`` it was computed
 against.

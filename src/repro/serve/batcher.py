@@ -13,7 +13,7 @@ queries into shared engine rounds:
 
 * ``marginal_gain`` requests with the same (engine, committed prefix)
   evolve the **union** of their candidate lists as one (n, C) block
-  (:meth:`~repro.core.engine.SelectionSession.coalesced_gains`), then
+  (:meth:`~repro.core.engine.SelectionSession.marginal_gains`), then
   each request reads its own candidates out of the shared result;
 * ``prefix_win_probability`` requests on the same engine share one
   :meth:`~repro.core.engine.ObjectiveEngine.query_sets` call over the
@@ -23,9 +23,9 @@ queries into shared engine rounds:
 * ``apply_delta`` acts as a barrier: queries buffered before it are
   flushed first, so responses on either side carry distinct versions.
 
-Every merge is answer-preserving byte for byte: the engines' coalesced
-entry points are batch-stable (bitwise identical however requests are
-grouped), which the serving tests and ``benchmarks/bench_serving.py``
+Every merge is answer-preserving byte for byte: every engine's gains
+and values calls are batch-stable (bitwise identical however requests
+are grouped), which the serving tests and ``benchmarks/bench_serving.py``
 assert across backends and host counts.
 
 All counters in :class:`ServeStats` are deterministic — a fixed request
@@ -595,9 +595,7 @@ class CoalescingBatcher:
         try:
             union = sorted({c for _, _, cand in members for c in cand})
             session = self.hub.session(key, seeds)
-            values = session.coalesced_gains(
-                np.asarray(union, dtype=np.int64)
-            )
+            values = session.marginal_gains(np.asarray(union, dtype=np.int64))
             base_value = float(session.value)
             lookup = dict(zip(union, (float(v) for v in values)))
         except ProtocolError as exc:

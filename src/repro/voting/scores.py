@@ -202,7 +202,9 @@ class PApprovalScore(PositionalPApprovalScore):
         # ``rank <= p``, i.e. at most p-1 competitors at or above the value
         # — no rank materialization or weight gather needed.  Competitor
         # counts accumulate per-competitor in uint8 (r <= 256 always holds
-        # in practice) to avoid an (m, C, r-1) 3-D temporary.
+        # in practice) to avoid an (m, C, r-1) 3-D temporary, in the
+        # layout of ``values_T`` and against contiguous competitor
+        # columns, so every pass over a column-major block is unit-stride.
         values_T = np.asarray(values_T, dtype=np.float64)
         others = np.asarray(others_by_user, dtype=np.float64)
         n_comp = others.shape[1]
@@ -214,9 +216,9 @@ class PApprovalScore(PositionalPApprovalScore):
             return values_T > others[:, 0][:, None]
         if n_comp >= 255:
             return super().contributions_batch_T(values_T, others)
-        count_ge = np.zeros(values_T.shape, dtype=np.uint8)
-        for x in range(n_comp):
-            count_ge += others[:, x][:, None] >= values_T
+        count_ge = np.zeros_like(values_T, dtype=np.uint8)
+        for col in np.ascontiguousarray(others.T)[:, :, None]:
+            count_ge += col >= values_T
         return count_ge < self.p
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -273,8 +275,8 @@ class CopelandScore(VotingScore):
         values_T = np.asarray(values_T, dtype=np.float64)
         others = np.asarray(others_by_user, dtype=np.float64)
         score = np.zeros(values_T.shape[1], dtype=np.float64)
-        for x in range(others.shape[1]):
-            col = others[:, x][:, None]
+        # Contiguous competitor columns keep every comparison unit-stride.
+        for col in np.ascontiguousarray(others.T)[:, :, None]:
             wins = np.sum(values_T > col, axis=0)
             losses = np.sum(values_T < col, axis=0)
             score += wins > losses

@@ -121,3 +121,18 @@ def loopback_hosts():
     engine).  The daemon threads end with the test process.
     """
     return [start_worker(connections=None)[0] for _ in range(4)]
+
+
+#: Stands in a parametrized spec list for two loopback net-worker hosts,
+#: whose addresses exist only once :func:`loopback_hosts` has started them.
+TCP_SPEC = "dm-mp:tcp"
+
+
+@pytest.fixture
+def spec(request):
+    """An engine spec parametrized with ``indirect=True``; :data:`TCP_SPEC`
+    becomes ``dm-mp:tcp=`` two of the shared loopback hosts."""
+    if request.param == TCP_SPEC:
+        hosts = request.getfixturevalue("loopback_hosts")[:2]
+        return f"{TCP_SPEC}={','.join(hosts)}"
+    return request.param

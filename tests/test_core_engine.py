@@ -40,7 +40,7 @@ from repro.voting.scores import (
     PluralityScore,
     PositionalPApprovalScore,
 )
-from tests.conftest import random_instance
+from tests.conftest import TCP_SPEC, random_instance
 
 SCORE_FACTORIES = {
     "cumulative": CumulativeScore,
@@ -573,10 +573,17 @@ def test_sparse_repin_matches_dense_only_oracle(seed, score_name, horizon, data)
         candidates = np.array(sorted(set(range(n)) - set(commits)))
         committed = np.array(session.seeds, dtype=np.int64)
         assert np.array_equal(
-            sparse_engine.extension_rows(session._traj, committed, candidates),
-            oracle.extension_rows(session._traj, committed, candidates),
+            _candidate_rows(sparse_engine, session._traj, committed, candidates),
+            _candidate_rows(oracle, session._traj, committed, candidates),
         )
         session.commit(commit)
+
+
+def _candidate_rows(engine, traj, committed, candidates) -> np.ndarray:
+    """``(C, n)`` horizon rows of ``committed + {c}`` per candidate, evolved
+    against ``traj`` by the engine's own warm-start block machinery."""
+    sets = engine._candidate_sets(candidates)
+    return engine._evolved_rows(sets, traj=traj, zero_rows=committed)
 
 
 def _gapped_problem() -> FJVoteProblem:
@@ -618,8 +625,8 @@ def test_missing_pins_sharing_an_insertion_point_splice_in_row_order():
     committed = np.array(session.seeds, dtype=np.int64)
     candidates = np.array([5, 2, 0, 7, 4])
     assert np.array_equal(
-        sparse_engine.extension_rows(session._traj, committed, candidates),
-        oracle.extension_rows(session._traj, committed, candidates),
+        _candidate_rows(sparse_engine, session._traj, committed, candidates),
+        _candidate_rows(oracle, session._traj, committed, candidates),
     )
 
 
@@ -661,16 +668,17 @@ def _narrow_calls(engine, c, total, call):
 
 
 def _scored(engine, rows):
-    """Objectives of ``(C, n)`` rows at one call's scoring width."""
+    """Objectives of ``(C, n)`` rows, scored in one call from a row-major
+    block (the scorer sums each column contiguously whatever the layout)."""
     return engine._score_cols(np.ascontiguousarray(rows.T))
 
 
 @pytest.mark.parametrize("commits", [(), (11, 240)], ids=["fresh", "committed"])
-def test_narrow_extension_rows_match_wide_call_bitwise(commits):
+def test_narrow_candidate_rows_match_wide_call_bitwise(commits):
     """A candidate's row from a one- or two-column call (straight dense
     steps) equals its row inside a 64-column call (sparse steps, then
     dense), with and without committed ``zero_rows``; the narrow values
-    equal the wide rows scored at the narrow width."""
+    equal the wide call's values and the wide rows scored in one call."""
     problem = _sparse_retweet_problem()
     engine = BatchedDMEngine(problem)
     session = engine.open_session()
@@ -681,14 +689,18 @@ def test_narrow_extension_rows_match_wide_call_bitwise(commits):
     free = np.setdiff1d(np.arange(problem.n), committed)
     candidates = np.random.default_rng(4).choice(free, size=64, replace=False)
     engine.stats.reset()
-    wide = engine.extension_rows(traj, committed, candidates)
+    wide = _candidate_rows(engine, traj, committed, candidates)
     assert engine.stats.sparse_steps > 0
+    wide_values = engine.extension_values(traj, committed, candidates)
+    assert wide_values.tobytes() == _scored(engine, wide).tobytes()
     for c in (1, 2):
         rows, sparse_steps, dense_steps = _narrow_calls(
             engine,
             c,
             64,
-            lambda lo, hi: engine.extension_rows(traj, committed, candidates[lo:hi]),
+            lambda lo, hi: _candidate_rows(
+                engine, traj, committed, candidates[lo:hi]
+            ),
         )
         assert (sparse_steps, dense_steps) == (0, 64 * problem.horizon)
         assert np.concatenate(rows).tobytes() == wide.tobytes()
@@ -701,14 +713,13 @@ def test_narrow_extension_rows_match_wide_call_bitwise(commits):
             ),
         )
         assert sparse_steps == 0
-        expected = [_scored(engine, wide[lo : lo + c]) for lo in range(0, 64, c)]
-        assert np.concatenate(values).tobytes() == np.concatenate(expected).tobytes()
+        assert np.concatenate(values).tobytes() == wide_values.tobytes()
 
 
 def test_narrow_query_sets_and_evaluate_match_wide_call_bitwise():
     """Stateless multi-seed sets: ``query_sets`` and ``evaluate`` answer a
     one- or two-set call exactly as they answer the set inside a 64-set
-    call."""
+    call, and both equal the wide rows scored in one call."""
     problem = _sparse_retweet_problem()
     engine = BatchedDMEngine(problem)
     rng = np.random.default_rng(9)
@@ -720,6 +731,8 @@ def test_narrow_query_sets_and_evaluate_match_wide_call_bitwise():
     wide_values, wide_wins = engine.query_sets(sets, wins=True)
     assert engine.stats.sparse_steps > 0
     wide_rows = engine.target_opinion_rows(sets)
+    assert wide_values.tobytes() == _scored(engine, wide_rows).tobytes()
+    assert wide_values.tobytes() == engine.evaluate(sets).tobytes()
     for c in (1, 2):
         answers, sparse_steps, dense_steps = _narrow_calls(
             engine, c, 64, lambda lo, hi: engine.query_sets(sets[lo:hi], wins=True)
@@ -733,12 +746,7 @@ def test_narrow_query_sets_and_evaluate_match_wide_call_bitwise():
             engine, c, 64, lambda lo, hi: engine.evaluate(sets[lo:hi])
         )
         assert sparse_steps == 0
-        expected = [
-            _scored(engine, wide_rows[lo : lo + c]) for lo in range(0, 64, c)
-        ]
-        assert (
-            np.concatenate(evaluated).tobytes() == np.concatenate(expected).tobytes()
-        )
+        assert np.concatenate(evaluated).tobytes() == wide_values.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -781,7 +789,7 @@ def _wide_answers(engine) -> list[bytes]:
         committed = np.array(session.seeds, dtype=np.int64)
         free = np.setdiff1d(candidates, committed)
         answers.append(engine.extension_values(session._traj, committed, free))
-        answers.append(engine.extension_rows(session._traj, committed, free))
+        answers.append(_candidate_rows(engine, session._traj, committed, free))
     return [a.tobytes() for a in answers]
 
 
@@ -934,7 +942,7 @@ def test_calls_of_one_block_start_no_thread(monkeypatch):
         engine.query_sets(sets, wins=True)
         engine.target_opinion_rows(sets)
         engine.extension_values(traj, committed, candidates)
-        engine.extension_rows(traj, committed, candidates)
+        _candidate_rows(engine, traj, committed, candidates)
         session.marginal_gains(candidates)
     assert made == []
     assert set(running) == {baseline}
@@ -1174,12 +1182,12 @@ def test_dm_mp_shm_spelling_selects_like_dm():
 
 
 # ----------------------------------------------------------------------
-# Serving seams: query_sets / coalesced_gains batch-stability
+# Serving seams: query_sets / marginal_gains batch-stability
 # ----------------------------------------------------------------------
-SERVING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
+SERVING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm", TCP_SPEC)
 
 
-@pytest.mark.parametrize("spec", SERVING_SPECS)
+@pytest.mark.parametrize("spec", SERVING_SPECS, indirect=True)
 @pytest.mark.parametrize("score_name", ["cumulative", "plurality"])
 def test_query_sets_batch_equals_singles_bitwise(spec, score_name):
     """The serving batch entry: one query_sets call over N sets must be
@@ -1200,32 +1208,146 @@ def test_query_sets_batch_equals_singles_bitwise(spec, score_name):
             assert bool(wins[i]) == expected
 
 
-@pytest.mark.parametrize("spec", SERVING_SPECS)
-def test_coalesced_gains_batch_stable_bitwise(spec):
-    """coalesced_gains is the batcher's shared round: its values must be
-    bitwise independent of how candidates are grouped, before and after
-    commits, and consistent with marginal_gains to float tolerance."""
+@pytest.mark.parametrize("spec", SERVING_SPECS, indirect=True)
+def test_session_gains_batch_stable_bitwise(spec):
+    """marginal_gains is also the batcher's shared round: its values must
+    be bitwise independent of how candidates are grouped, before and after
+    commits."""
     problem = make_problem(12, "cumulative", 4)
     candidates = np.array([1, 2, 4, 5, 7, 8, 9, 10], dtype=np.int64)
     with make_engine(spec, problem) as engine:
         session = engine.open_session((3,))
-        batched = session.coalesced_gains(candidates)
-        singles = np.concatenate(
-            [session.coalesced_gains(candidates[i : i + 1])
-             for i in range(len(candidates))]
-        )
-        np.testing.assert_array_equal(batched, singles)
-        np.testing.assert_allclose(
-            batched, session.marginal_gains(candidates), atol=1e-10
-        )
-        # Same contract after a commit moves the prefix.
-        session.commit(6)
-        batched = session.coalesced_gains(candidates)
-        singles = np.concatenate(
-            [session.coalesced_gains(candidates[i : i + 1])
-             for i in range(len(candidates))]
-        )
-        np.testing.assert_array_equal(batched, singles)
+        for commit in (None, 6):  # then a commit moves the prefix
+            if commit is not None:
+                session.commit(commit)
+            singles = [session.marginal_gains(candidates[i : i + 1]) for i in range(8)]
+            np.testing.assert_array_equal(
+                session.marginal_gains(candidates), np.concatenate(singles)
+            )
+
+
+# ----------------------------------------------------------------------
+# Width stability: a candidate's gain and a set's value have the bits of
+# a one-column call at every width, batch_rows and thread count
+# ----------------------------------------------------------------------
+#: Every built-in score, with and without ``user_weights`` (which need a
+#: separable score, so Copeland runs unweighted only).
+WIDTH_CASES = [
+    (score_name, weighted)
+    for score_name in sorted(SCORE_FACTORIES)
+    for weighted in (False, True)
+    if not (weighted and score_name == "copeland")
+]
+WIDTH_IDS = [f"{name}-{'weighted' if w else 'unweighted'}" for name, w in WIDTH_CASES]
+
+
+def _width_problem(score_name):
+    """Sparse enough that a 40-column call takes sparse steps first."""
+    state = random_instance(n=60, r=3, density=0.04, seed=21)
+    return FJVoteProblem(state, 0, 6, SCORE_FACTORIES[score_name]())
+
+
+def _width_kwargs(problem, weighted):
+    if not weighted:
+        return {}
+    return {"user_weights": np.random.default_rng(3).uniform(0, 2, problem.n)}
+
+
+def _assert_width_stable(engine) -> list[np.ndarray]:
+    """Wide calls equal the concatenation of one-column calls, bitwise:
+    session gains before and after a commit, ``evaluate`` and
+    ``query_sets``.  Returns the wide answers."""
+    n = engine.problem.n
+    rng = np.random.default_rng(8)
+    candidates = rng.permutation(n)[:40]
+    sets = [
+        tuple(rng.choice(n, size=int(rng.integers(0, 4)), replace=False))
+        for _ in range(40)
+    ]
+    answers = []
+    session = engine.open_session((5,))
+    for commit in (None, 17):
+        if commit is not None:
+            session.commit(commit)
+        gains = session.marginal_gains(candidates)
+        singles = [session.marginal_gains(candidates[i : i + 1]) for i in range(40)]
+        np.testing.assert_array_equal(gains, np.concatenate(singles))
+        answers.append(gains)
+    values = engine.evaluate(sets)
+    np.testing.assert_array_equal(values, engine.query_sets(sets)[0])
+    singles = [engine.evaluate([s]) for s in sets]
+    np.testing.assert_array_equal(values, np.concatenate(singles))
+    answers.append(values)
+    return answers
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("batch_rows", [1, 3, 64])
+@pytest.mark.parametrize(("score_name", "weighted"), WIDTH_CASES, ids=WIDTH_IDS)
+def test_gains_and_values_width_stable_bitwise(
+    score_name, weighted, batch_rows, threads
+):
+    problem = _width_problem(score_name)
+    engine = BatchedDMEngine(
+        problem, batch_rows=batch_rows, **_width_kwargs(problem, weighted)
+    )
+    engine._threads = threads  # forced, so a one-core runner covers T=2
+    _assert_width_stable(engine)
+    assert engine.stats.sparse_steps > 0
+
+
+@pytest.mark.parametrize(("score_name", "weighted"), WIDTH_CASES, ids=WIDTH_IDS)
+def test_gains_and_values_width_stable_over_tcp_hosts(
+    score_name, weighted, loopback_hosts
+):
+    """Two loopback ``dm-mp:tcp`` hosts with every call fanned out: the
+    same width stability, with the in-process engine's bits."""
+    problem = _width_problem(score_name)
+    kwargs = _width_kwargs(problem, weighted)
+    expected = _assert_width_stable(BatchedDMEngine(problem, **kwargs))
+    spec = f"{TCP_SPEC}={','.join(loopback_hosts[:2])}"
+    with make_engine(spec, problem, min_fanout=1, **kwargs) as engine:
+        got = _assert_width_stable(engine)
+        assert engine.stats.ipc_bytes > 0
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("score_name", ["cumulative", "plurality", "copeland"])
+@pytest.mark.parametrize("spec", ["rw", "sketch", "rw-store"])
+def test_walk_gains_width_stable_bitwise(spec, score_name):
+    """A walk engine scans only the requested candidates' live entries, so
+    each gain has the bits of the full all-nodes scan at any width."""
+    problem = make_problem(4, score_name, 5, n=40)
+    candidates = np.random.default_rng(2).permutation(problem.n)[:20]
+    with make_engine(spec, problem, rng=0) as engine:
+        session = engine.open_session((6,))
+        session.commit(11)
+        gains = session.marginal_gains(candidates)
+        singles = [session.marginal_gains(candidates[i : i + 1]) for i in range(20)]
+        np.testing.assert_array_equal(gains, np.concatenate(singles))
+        engine._sync(session.seeds)
+        full_scan = engine.optimizer.marginal_gains()
+        np.testing.assert_array_equal(gains, full_scan[candidates])
+        for bad in (-1, problem.n):
+            with pytest.raises(ValueError, match="out of range"):
+                session.marginal_gains([bad])
+
+
+def test_celf_objective_equals_exhaustive_greedy_bitwise():
+    """CELF's one-candidate refreshes and exhaustive greedy's wide rounds
+    score a candidate identically, so the two report the same objective
+    to the bit, not just the same seeds (yelp n=300, cumulative)."""
+    from repro.datasets.yelp import yelp_like
+
+    for seed in range(12):
+        problem = yelp_like(n=300, rng=seed, horizon=8).problem(CumulativeScore())
+        with make_engine("dm-batched", problem) as engine:
+            lazy = greedy_engine(engine, 5, lazy=True)
+        with make_engine("dm-batched", problem) as engine:
+            full = greedy_engine(engine, 5, lazy=False)
+        assert lazy.seeds.tolist() == full.seeds.tolist(), seed
+        assert lazy.objective == full.objective, seed
 
 
 def test_pool_stats_accounting(loopback_hosts):

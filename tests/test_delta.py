@@ -191,6 +191,38 @@ def test_adopt_columns_matches_parent_surgery():
 # ----------------------------------------------------------------------
 # Problem caches
 # ----------------------------------------------------------------------
+def test_delta_generator_arguments_are_applied_and_counted():
+    """Generators are read once, at the boundary: the report counts every
+    row and the problem ends bitwise where the same rows as lists leave
+    it (the counts feed the serve response, the CLI ``delta:`` line and
+    the tcp broadcast's report)."""
+    listed, generated = make_problem(19), make_problem(19)
+    src, dst, weight = listed.state.graph(0).edges()
+    added = [(1, 2, 0.5), (int(src[0]), int(dst[0]), float(weight[0]) * 2.0)]
+    removed = [(int(src[1]), int(dst[1]))]
+    opinions = [(0, 3, 0.75), (1, 5, 0.25)]
+    expected = listed.apply_delta(added, removed, opinions)
+    report = generated.apply_delta(
+        edges_added=(row for row in added),
+        edges_removed=(row for row in removed),
+        opinions_changed=(row for row in opinions),
+    )
+    assert (report.edges_added, report.edges_removed) == (2, 1)
+    assert (expected.edges_added, expected.edges_removed) == (2, 1)
+    assert report.touched_nodes.tolist() == expected.touched_nodes.tolist()
+    assert sorted(report.opinions_by_candidate) == [0, 1]
+    assert (report.graph_version, report.opinion_version) == (1, 1)
+    assert generated.state.graph(0).csc.data.tobytes() == (
+        listed.state.graph(0).csc.data.tobytes()
+    )
+    np.testing.assert_array_equal(
+        generated.state.initial_opinions, listed.state.initial_opinions
+    )
+    np.testing.assert_array_equal(
+        generated.others_by_user(), listed.others_by_user()
+    )
+
+
 def test_problem_delta_refreshes_caches_bitwise():
     problem = make_problem(11)
     problem.others_by_user()  # warm every cache the delta must refresh

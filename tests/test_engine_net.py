@@ -101,9 +101,8 @@ def test_tcp_session_commits_match_batched(two_hosts):
             g_ref = s_ref.marginal_gains(cands)
             g_net = s_net.marginal_gains(cands)
             assert np.array_equal(g_ref, g_net)
-            assert np.array_equal(
-                s_ref.coalesced_gains(cands[:6]), s_net.coalesced_gains(cands[:6])
-            )
+            # A narrower round answers its candidates with the same bits.
+            assert np.array_equal(s_net.marginal_gains(cands[:6]), g_ref[:6])
             seed = int(np.argmax(g_ref))
             assert s_ref.commit(seed) == s_net.commit(seed)
 

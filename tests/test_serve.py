@@ -3,10 +3,11 @@
 The central contract: coalescing is *answer-preserving byte for byte*.
 A request's encoded response line must be identical whether it was
 answered alone or merged into a shared engine round — across backends
-(``dm``, ``dm-batched`` and the local ``dm-mp`` spellings that build it),
-with deltas interleaved mid-stream, and over the real socket server.  On
-top of that: structured protocol errors (a malformed engine spec answers
-with the registry's own message instead of dropping the connection;
+(``dm``, ``dm-batched``, the local ``dm-mp`` spellings that build it,
+two loopback ``dm-mp:tcp`` hosts and a walk backend), with deltas
+interleaved mid-stream, and over the real socket server.  On top of
+that: structured protocol errors (a malformed engine spec answers with
+the registry's own message instead of dropping the connection;
 non-finite numbers, unknown parameters and ill-typed flags are
 ``bad-request``), the deterministic coalescing counters, and a clean
 SIGTERM shutdown.
@@ -44,14 +45,13 @@ from repro.serve.protocol import (
     parse_request,
 )
 from repro.voting.scores import CumulativeScore, PluralityScore
-from tests.conftest import random_instance
+from tests.conftest import TCP_SPEC, random_instance
 
 SCORES = {"cumulative": CumulativeScore, "plurality": PluralityScore}
 
-#: One spec per coalescing code path (per-set fallback, vectorized
-#: extension rows) plus two local ``dm-mp`` spellings, which build the
-#: vectorized engine.
-COALESCING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm")
+#: The per-set and the vectorized engine, two local ``dm-mp`` spellings
+#: (which build the vectorized engine) and two loopback tcp hosts.
+COALESCING_SPECS = ("dm", "dm-batched", "dm-mp:2", "dm-mp:2:shm", TCP_SPEC)
 
 
 def make_problem(seed=0, score="cumulative", horizon=4, *, n=13, r=3):
@@ -125,7 +125,7 @@ def test_parse_request_envelope():
 # ----------------------------------------------------------------------
 # Coalescing determinism: byte-identical to serial, across backends
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("spec", COALESCING_SPECS)
+@pytest.mark.parametrize("spec", COALESCING_SPECS, indirect=True)
 @pytest.mark.parametrize("score", sorted(SCORES))
 def test_coalesced_matches_serial_bytes(spec, score):
     """N concurrent queries answered in one batch must produce the exact
@@ -155,7 +155,7 @@ def test_coalesced_matches_serial_bytes(spec, score):
     assert serial_stats.engine_rounds == 8
 
 
-@pytest.mark.parametrize("spec", COALESCING_SPECS)
+@pytest.mark.parametrize("spec", COALESCING_SPECS, indirect=True)
 def test_delta_mid_batch_is_a_barrier(spec):
     """A delta inside a batch splits it: queries before answer against the
     old graph_version, queries after against the bumped one — and both
@@ -180,7 +180,7 @@ def test_delta_mid_batch_is_a_barrier(spec):
     assert after["result"]["gains"] != before["result"]["gains"]
 
 
-def test_coalesced_gains_independent_of_batch_composition():
+def test_coalesced_round_independent_of_batch_composition():
     """The same request must get the same bytes whatever *else* happens
     to share its round (the batch-stability contract end to end)."""
     probe = make_request(9, "marginal_gain", seeds=[2], candidates=[4, 7])
@@ -195,6 +195,26 @@ def test_coalesced_gains_independent_of_batch_composition():
         ],
     )
     assert crowded[2] == alone[0]
+
+
+def test_walk_gains_independent_of_batch_composition():
+    """A walk backend answers a two-candidate request with the same bytes
+    alone and beside a ten-candidate request on the same prefix."""
+    from repro.datasets.yelp import yelp_like
+
+    problem = yelp_like(n=300, rng=0, horizon=8).problem(CumulativeScore())
+    probe = make_request(1, "marginal_gain", seeds=[3], candidates=[4, 7])
+    crowd = make_request(
+        0, "marginal_gain", seeds=[3], candidates=list(range(10, 20))
+    )
+    lines = []
+    for batch in ([probe], [crowd, probe]):
+        hub = EngineHub(problem, ["rw-store"], rng=0)
+        try:
+            lines.append(encode(CoalescingBatcher(hub).execute(batch)[-1]))
+        finally:
+            hub.close()
+    assert lines[0] == lines[1]
 
 
 # ----------------------------------------------------------------------
