@@ -21,7 +21,8 @@ Acceptance (the issue's floors, asserted here):
   versus the cold store.  The per-walk ratio (walks generated from
   scratch / walks patched) must also clear 5x.
 * The tcp delta broadcast ships >= 5x fewer bytes than the initial full
-  problem ship (only the churned columns and opinion values travel).
+  problem ship (only the delta's argument rows, candidate and versions
+  travel; each host replays them through its own ``apply_delta``).
 * Post-delta selections are byte-identical to the from-scratch reference
   on every engine: ``dm-batched`` and ``dm-mp:tcp`` (exact engines agree
   with each other), and ``rw-store:mmap`` (patched blocks are

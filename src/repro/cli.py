@@ -100,8 +100,8 @@ warm engine sessions  trajectory replayed        trajectory replayed
 walk-store blocks     walks crossing a touched    **all blocks survive**
                       node re-drawn in place      (walks never read B⁰);
                                                   only masters drop
-dm-mp:tcp hosts       touched columns patched     changed opinions patched
-                      in place                    in place
+dm-mp:tcp hosts       delta replayed through      delta replayed through
+                      apply_delta (same rows)     apply_delta (same rows)
 ====================  ==========================  =========================
 
 Serving (``serve`` / ``serve-load``)
@@ -474,8 +474,7 @@ def _wire_store_and_delta(
         opinions += sum(
             len(nodes) for nodes in report.opinions_by_candidate.values()
         )
-        for nodes in report.touched_by_candidate.values():
-            touched.update(int(v) for v in nodes)
+        touched.update(report.touched_nodes.tolist())
         structural = structural or report.structural
         refreshed += report.competitor_rows_refreshed
     if open_error is not None:

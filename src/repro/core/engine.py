@@ -622,7 +622,7 @@ class BatchedDMSession(SelectionSession):
         just the scores are refreshed.  Prefix-probe caches never survive
         a delta.
         """
-        dirty = set(report.touched_by_candidate) | set(report.opinions_by_candidate)
+        dirty = report.dirty
         if not dirty:
             return
         self._probe_cache.clear()

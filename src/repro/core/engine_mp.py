@@ -30,6 +30,15 @@ byte the coordinator actually moves through host sockets (both
 directions; the engine frames messages itself, so the counter is exact
 and deterministic).
 
+Deltas reach the hosts as replays: ``HostPool.apply_delta`` broadcasts
+the delta as the coordinator's problem applied it (the
+:class:`~repro.core.problem.DeltaReport`'s argument rows, candidate and
+post-delta versions), and each host runs the same
+:meth:`~repro.core.problem.FJVoteProblem.apply_delta` and
+:meth:`~repro.core.engine.BatchedDMEngine.apply_delta` on its own copy.
+Hosts compute every value with the coordinator's float kernels, so the
+replayed renormalisation and cache refresh are bitwise the coordinator's.
+
 Selection sessions fan out too, and hosts keep no session state:
 :class:`MultiprocessDMSession` keeps the coordinator-side committed
 trajectory (for values, commits and win-min prefix probes) exactly like
@@ -158,71 +167,6 @@ def _split_sets(lengths: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _unique_graphs(state) -> list:
-    """Deduplicated graphs in first-occurrence order — coordinator and
-    hosts derive identical gids from their own state, so delta broadcasts
-    can address graphs by gid without shipping object identities."""
-    seen: dict[int, None] = {}
-    graphs = []
-    for graph in state.graphs:
-        if id(graph) not in seen:
-            seen[id(graph)] = None
-            graphs.append(graph)
-    return graphs
-
-
-def _worker_apply_delta(
-    problem: FJVoteProblem,
-    engine: BatchedDMEngine,
-    trajectories: dict,
-    report,
-    columns_by_gid,
-    opinions,
-) -> None:
-    """Fold a coordinator delta broadcast into the host's problem and engine.
-
-    Splices the shipped post-delta columns and opinion rows into the
-    host's arrays (never re-running the surgery: the coordinator ships
-    final bytes, keeping host state bit-identical).  Idempotent per
-    problem version, so a re-broadcast is a no-op.
-    """
-    if (
-        problem.graph_version >= report.graph_version
-        and problem.opinion_version >= report.opinion_version
-    ):
-        return
-    graphs = _unique_graphs(problem.state)
-    if columns_by_gid:
-        for gid_key, columns in columns_by_gid.items():
-            graphs[int(gid_key)].adopt_columns(
-                columns, graphs[int(gid_key)].version + 1
-            )
-    if opinions:
-        # The host's problem was unpickled from the handshake bytes, so
-        # its opinion matrix is a read-only view of them: patch a
-        # private copy and swap it in.
-        b0 = np.array(problem.state.initial_opinions)
-        for q, nodes, values in opinions:
-            b0[int(q), np.asarray(nodes, dtype=np.int64)] = values
-        b0.setflags(write=False)
-        object.__setattr__(problem.state, "initial_opinions", b0)
-    # Versions/caches: selective invalidation (graph versions were
-    # already advanced by adopt_columns).
-    problem.graph_version = report.graph_version
-    problem.opinion_version = report.opinion_version
-    dirty = set(report.touched_by_candidate) | set(report.opinions_by_candidate)
-    if problem.target in dirty:
-        problem._base_target = None
-        problem._base_trajectory = None
-        problem._seeded_trajectories.clear()
-        trajectories.clear()  # regrown from the seed sequences on demand
-    if dirty - {problem.target}:
-        problem._competitors = None
-        problem._others_by_user = None
-    if report.target_touched(problem.target).size:
-        engine._build_wt_scaled()
-
-
 def _committed_trajectory(
     engine: BatchedDMEngine, trajectories: dict, base: tuple, seeds: tuple
 ) -> np.ndarray:
@@ -267,7 +211,10 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
     host actually performed; payload arrays are pickled into the ack.  A
     coordinator that goes away arrives as EOF and ends the loop.  The only
     state kept between messages is the problem, the engine and the
-    ``(base, seeds)``-keyed committed trajectories.
+    ``(base, seeds)``-keyed committed trajectories.  A ``delta`` message
+    is replayed through ``problem.apply_delta`` and
+    ``engine.apply_delta`` unless the problem is already at its
+    versions, so a re-broadcast is a no-op.
     """
     trajectories: dict[tuple[tuple, tuple], np.ndarray] = {}
     while True:
@@ -294,10 +241,17 @@ def _worker_loop(conn, problem: FJVoteProblem, engine: BatchedDMEngine) -> None:
                     np.asarray(cand, dtype=np.int64),
                 )
             elif op == "delta":
-                _, report, columns_by_gid, opinions = message
-                _worker_apply_delta(
-                    problem, engine, trajectories, report, columns_by_gid, opinions
-                )
+                _, graph_version, opinion_version, candidate, *rows = message
+                # Replay unless the handshake already shipped the
+                # post-delta problem (a host that rejoined on this round).
+                if (
+                    problem.graph_version < graph_version
+                    or problem.opinion_version < opinion_version
+                ):
+                    report = problem.apply_delta(*rows, candidate=candidate)
+                    engine.apply_delta(report)
+                    if problem.target in report.dirty:
+                        trajectories.clear()  # regrown from seed sequences
             else:
                 raise ValueError(f"unknown dm-mp host op {op!r}")
             stats = tuple(
@@ -747,46 +701,33 @@ class HostPool(BatchedDMEngine):
         return self._fan_out("ext", (base, seeds), cand.size, lambda idx: [cand[idx]])
 
     def apply_delta(self, report) -> None:
-        """Broadcast a delta to the hosts, then refresh the local engine.
+        """Replay a delta on the hosts, then refresh the local engine.
 
-        Hosts patch their problem state in place instead of being
-        re-handshaken with a re-shipped problem: the broadcast carries
-        only the touched columns' post-delta bytes and the changed
-        opinion values.  Warm sessions replay their commits lazily,
-        bitwise, as hosts regrow committed trajectories from seed
-        sequences, so coordinator and host state stay bitwise identical.
-        A pool that has not connected yet needs no broadcast — its
-        handshake ships the already-patched problem, as does a rejoining
-        host's.
+        The broadcast carries the delta as the coordinator's problem
+        applied it (the report's argument rows, candidate and post-delta
+        versions), and every host runs the same
+        :meth:`FJVoteProblem.apply_delta` on the same state, so host and
+        coordinator state stay bitwise identical without re-shipping the
+        problem.  A host already at the post-delta versions (one that
+        rejoined on this round: its handshake shipped the patched
+        problem) skips the replay.  A pool that has not connected yet
+        needs no broadcast.
         """
         if report.empty:
             return
         if self._handles is not None:
-            state = self.problem.state
-            graphs = _unique_graphs(state)
-            gid_of = {id(g): i for i, g in enumerate(graphs)}
-            columns_by_gid: dict[int, dict] = {}
-            for q, touched in report.touched_by_candidate.items():
-                graph = state.graph(int(q))
-                gid = gid_of[id(graph)]
-                if gid in columns_by_gid:
-                    continue
-                columns_by_gid[gid] = {
-                    int(t): tuple(
-                        np.array(part) for part in graph.in_neighbors(int(t))
-                    )
-                    for t in np.asarray(touched, dtype=np.int64)
-                }
-            opinions = None
-            if report.opinions_by_candidate:
-                b0 = state.initial_opinions
-                opinions = [
+            self._run(
+                [
                     (
-                        int(q),
-                        np.asarray(nodes, dtype=np.int64),
-                        np.array(b0[int(q), np.asarray(nodes, dtype=np.int64)]),
+                        "delta",
+                        report.graph_version,
+                        report.opinion_version,
+                        report.candidate,
+                        report.added_edges,
+                        report.removed_edges,
+                        report.changed_opinions,
                     )
-                    for q, nodes in report.opinions_by_candidate.items()
                 ]
-            self._run([("delta", report, columns_by_gid, opinions)] * self._connected())
+                * self._connected()
+            )
         super().apply_delta(report)

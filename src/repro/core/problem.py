@@ -30,8 +30,11 @@ class DeltaReport:
     """What :meth:`FJVoteProblem.apply_delta` changed, for cache layers.
 
     Downstream consumers (``BatchedDMEngine.apply_delta``,
-    ``WalkStore.apply_delta``, the ``dm-mp`` delta broadcast) key their
-    invalidation on this report instead of re-deriving it from the graph.
+    ``WalkStore.apply_delta``) key their invalidation on this report
+    instead of re-deriving it from the graph.  The report also records
+    the delta as it was applied (the argument rows and the resolved
+    candidate), which is what the ``dm-mp`` broadcast ships: every tcp
+    host replays it through its own :meth:`FJVoteProblem.apply_delta`.
 
     Attributes
     ----------
@@ -52,6 +55,11 @@ class DeltaReport:
     structural:
         Whether any graph's sparsity pattern changed (insert/remove) as
         opposed to in-place weight rewrites.
+    candidate / added_edges / removed_edges / changed_opinions:
+        The delta as applied: the resolved graph owner and the argument
+        rows, each read once into a tuple.  Passing them back to
+        ``apply_delta`` on a problem at the pre-delta versions replays
+        the delta bitwise.
     """
 
     graph_version: int
@@ -60,13 +68,28 @@ class DeltaReport:
     touched_by_candidate: dict[int, np.ndarray] = field(default_factory=dict)
     opinions_by_candidate: dict[int, np.ndarray] = field(default_factory=dict)
     structural: bool = False
-    edges_added: int = 0
-    edges_removed: int = 0
     competitor_rows_refreshed: int = 0
+    candidate: int = 0
+    added_edges: tuple = ()
+    removed_edges: tuple = ()
+    changed_opinions: tuple = ()
+
+    @property
+    def edges_added(self) -> int:
+        return len(self.added_edges)
+
+    @property
+    def edges_removed(self) -> int:
+        return len(self.removed_edges)
+
+    @property
+    def dirty(self) -> set[int]:
+        """Candidates whose graph or initial opinions changed."""
+        return set(self.touched_by_candidate) | set(self.opinions_by_candidate)
 
     @property
     def empty(self) -> bool:
-        return not self.touched_by_candidate and not self.opinions_by_candidate
+        return not self.dirty
 
     def target_touched(self, target: int) -> np.ndarray:
         """Graph-touched nodes for candidate ``target`` (empty if untouched)."""
@@ -275,9 +298,12 @@ class FJVoteProblem:
           opinion-only deltas — stored walks never depend on ``B⁰``).
 
         Returns a :class:`DeltaReport` that downstream layers
-        (``BatchedDMEngine.apply_delta``, ``WalkStore.apply_delta``, the
-        ``dm-mp`` delta broadcast) consume to invalidate exactly what the
-        delta touched.
+        (``BatchedDMEngine.apply_delta``, ``WalkStore.apply_delta``)
+        consume to invalidate exactly what the delta touched.  The
+        ``dm-mp`` broadcast ships the report's argument rows, and every
+        tcp host runs this same method on them: the renormalisation and
+        the cache refresh exist once, and a host's state stays bitwise
+        the coordinator's.
         """
         # Read each argument once: a generator is consumed by the first pass.
         edges_added = tuple(edges_added)
@@ -331,9 +357,11 @@ class FJVoteProblem:
             touched_by_candidate=touched_by_candidate,
             opinions_by_candidate=opinions_by_candidate,
             structural=structural,
-            edges_added=len(edges_added),
-            edges_removed=len(edges_removed),
             competitor_rows_refreshed=refreshed,
+            candidate=cand,
+            added_edges=edges_added,
+            removed_edges=edges_removed,
+            changed_opinions=opinions_changed,
         )
 
     def _refresh_for_delta(

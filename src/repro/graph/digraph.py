@@ -84,7 +84,8 @@ class InfluenceGraph:
         """The alias table over :attr:`csc` for the current :attr:`version`.
 
         Built on first use and cached until :attr:`version` moves — every
-        delta (:meth:`apply_edge_delta`, :meth:`adopt_columns`) bumps it.
+        :meth:`apply_edge_delta` bumps it, on the coordinator and on each
+        tcp host that replays the delta.
         """
         cached = self._alias
         if cached is None or cached[0] != self.version:
@@ -225,38 +226,6 @@ class InfluenceGraph:
         self._install_columns(touched, new_cols, structural)
         self.version += 1
         return np.asarray(touched, dtype=np.int64), structural
-
-    def adopt_columns(
-        self,
-        columns: "dict[int, tuple[np.ndarray, np.ndarray]]",
-        version: int,
-    ) -> None:
-        """Splice already-normalized post-delta columns in (worker side).
-
-        The ``dm-mp`` delta broadcast ships each touched column's final
-        ``(sources, weights)`` pair instead of the raw delta: workers must
-        not re-run :meth:`apply_edge_delta` (renormalization is not
-        idempotent), and splicing the parent's bytes keeps the worker
-        matrices bit-identical to the parent's.  ``version`` adopts the
-        parent's post-delta surgery counter.
-        """
-        if not columns:
-            return
-        csc = self._csc
-        touched = sorted(int(t) for t in columns)
-        new_cols: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        structural = False
-        for t in touched:
-            sources = np.asarray(columns[t][0], dtype=csc.indices.dtype)
-            weights = np.asarray(columns[t][1], dtype=np.float64)
-            lo, hi = int(csc.indptr[t]), int(csc.indptr[t + 1])
-            if sources.size != hi - lo or not np.array_equal(
-                sources, csc.indices[lo:hi]
-            ):
-                structural = True
-            new_cols[t] = (sources, weights)
-        self._install_columns(touched, new_cols, structural)
-        self.version = int(version)
 
     def _install_columns(
         self,

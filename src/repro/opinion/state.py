@@ -67,6 +67,15 @@ class CampaignState:
         object.__setattr__(self, "stubbornness", d)
         object.__setattr__(self, "candidates", names)
 
+    def __setstate__(self, state: dict) -> None:
+        # A read-only array unpickles as a view of the pickle's bytes, whose
+        # WRITEABLE flag can never be set again; own B⁰ so that
+        # ``FJVoteProblem.apply_delta`` rewrites it in place on either side
+        # of a pickle (a tcp host replays every delta that way).
+        b0 = np.array(state["initial_opinions"])
+        b0.setflags(write=False)
+        self.__dict__.update(state, initial_opinions=b0)
+
     # ------------------------------------------------------------------
     @property
     def r(self) -> int:

@@ -488,16 +488,13 @@ class CoalescingBatcher:
             edges_added, edges_removed, opinions, candidate
         )
         self.stats.deltas_applied += 1
-        touched: set[int] = set()
-        for nodes in report.touched_by_candidate.values():
-            touched.update(int(v) for v in nodes)
         result = {
             "edges_added": int(report.edges_added),
             "edges_removed": int(report.edges_removed),
             "opinions_changed": sum(
                 len(nodes) for nodes in report.opinions_by_candidate.values()
             ),
-            "touched_nodes": len(touched),
+            "touched_nodes": int(report.touched_nodes.size),
             "structural": bool(report.structural),
         }
         return ok_response(request.id, result, **self._versions())

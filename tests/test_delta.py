@@ -4,9 +4,8 @@
 a ``DeltaReport`` that every warm cache layer accepts instead of being
 rebuilt.  The contracts pinned here:
 
-* **Graph surgery** — touched columns are renormalized exactly; the
-  worker-side ``adopt_columns`` splice reproduces the parent's surgery
-  bit for bit; emptied columns get the standard self-loop.
+* **Graph surgery** — touched columns are renormalized exactly;
+  emptied columns get the standard self-loop.
 * **Problem caches** — after a delta the warm problem's caches equal a
   cold problem built over the same post-delta state, byte for byte.
 * **Sessions** — after any delta that touches the target, a warm
@@ -24,8 +23,9 @@ rebuilt.  The contracts pinned here:
   Opinion-only deltas leave every block byte-intact.  Persisted stores
   pin graph versions in the manifest and refuse to open across an
   unforwarded delta.
-* **dm-mp tcp hosts** — the delta broadcast (touched columns and
-  opinion values) keeps live hosts byte-identical to a single-process
+* **dm-mp tcp hosts** — every live host replays the broadcast delta
+  (its argument rows, candidate and versions) through its own
+  ``apply_delta``, which keeps it byte-identical to a single-process
   engine over the same post-delta problem, and a host that misses a
   broadcast catches up through the rejoin handshake's patched problem.
 * **CLI** — ``--apply-delta`` replays a journal against ``--store-dir``
@@ -35,6 +35,7 @@ rebuilt.  The contracts pinned here:
 from __future__ import annotations
 
 import json
+import pickle
 import zlib
 
 import numpy as np
@@ -154,40 +155,6 @@ def test_graph_surgery_invariants_and_versioning():
     assert graph.version == version
 
 
-def test_adopt_columns_matches_parent_surgery():
-    """The pipe-worker splice must reproduce the parent's surgery bitwise."""
-    parent = random_instance(n=14, r=2, seed=7, shared_graph=False).graph(0)
-    worker = random_instance(n=14, r=2, seed=7, shared_graph=False).graph(0)
-    src, dst, weight = parent.edges()
-    dense = parent.csr.toarray()
-    non_edge = next(
-        (i, j)
-        for i in range(14)
-        for j in range(14)
-        if i != j and dense[i, j] == 0
-    )
-    touched, _ = parent.apply_edge_delta(
-        added=[
-            (int(src[0]), int(dst[0]), float(weight[0]) * 2.0),
-            (non_edge[0], non_edge[1], 0.3),
-        ],
-        removed=[(int(src[5]), int(dst[5]))],
-    )
-    columns = {
-        int(t): tuple(np.array(a) for a in parent.in_neighbors(int(t)))
-        for t in touched
-    }
-    worker.adopt_columns(columns, parent.version)
-    assert worker.version == parent.version
-    for attr in ("data", "indices", "indptr"):
-        np.testing.assert_array_equal(
-            getattr(worker.csr, attr), getattr(parent.csr, attr)
-        )
-        np.testing.assert_array_equal(
-            getattr(worker.csc, attr), getattr(parent.csc, attr)
-        )
-
-
 # ----------------------------------------------------------------------
 # Problem caches
 # ----------------------------------------------------------------------
@@ -220,6 +187,48 @@ def test_delta_generator_arguments_are_applied_and_counted():
     )
     np.testing.assert_array_equal(
         generated.others_by_user(), listed.others_by_user()
+    )
+
+
+def test_report_rows_replay_bitwise_on_an_unpickled_problem():
+    """A report records the delta as applied; passing its rows back to
+    ``apply_delta`` on an unpickled pre-delta copy (what a tcp host holds:
+    its opinion matrix arrived read-only in the handshake bytes) lands
+    bitwise where the original did, versions and caches included."""
+    problem = make_problem(19)
+    problem.others_by_user()
+    problem.target_trajectory()
+    replica = pickle.loads(pickle.dumps(problem, pickle.HIGHEST_PROTOCOL))
+    src, dst, weight = problem.state.graph(0).edges()
+    report = problem.apply_delta(
+        edges_added=[(1, 2, 0.5), (int(src[0]), int(dst[0]), float(weight[0]) * 2.0)],
+        edges_removed=[(int(src[1]), int(dst[1]))],
+        opinions_changed=[(0, 3, 0.75), (1, 5, 0.25)],
+    )
+    assert (report.candidate, report.edges_added, report.edges_removed) == (0, 2, 1)
+    replayed = replica.apply_delta(
+        report.added_edges,
+        report.removed_edges,
+        report.changed_opinions,
+        candidate=report.candidate,
+    )
+    assert (replayed.graph_version, replayed.opinion_version) == (
+        report.graph_version,
+        report.opinion_version,
+    )
+    assert replayed.dirty == report.dirty == {0, 1}
+    for attr in ("csr", "csc"):
+        for part in ("data", "indices", "indptr"):
+            assert getattr(getattr(replica.state.graph(0), attr), part).tobytes() == (
+                getattr(getattr(problem.state.graph(0), attr), part).tobytes()
+            )
+    assert replica.state.initial_opinions.tobytes() == (
+        problem.state.initial_opinions.tobytes()
+    )
+    assert not replica.state.initial_opinions.flags.writeable
+    assert replica.others_by_user().tobytes() == problem.others_by_user().tobytes()
+    assert replica.target_trajectory().tobytes() == (
+        problem.target_trajectory().tobytes()
     )
 
 

@@ -297,18 +297,36 @@ def test_tcp_commits_send_nothing_and_a_rejoined_host_regrows_them():
     assert not thread_a.is_alive() and not thread_b.is_alive()
 
 
-def test_tcp_delta_reaches_every_host_when_a_host_rejoins_on_it():
+def _opinion_flip(problem):
+    return dict(opinions_changed=[(0, node, 0.95) for node in range(problem.n)])
+
+
+def _in_edge_reweight(problem):
+    """Double one in-edge of the target graph's busiest column: unlike an
+    opinion write, renormalising the column a second time moves it again."""
+    graph = problem.state.graph(problem.target)
+    node = int(np.argmax(graph.in_degrees()))
+    sources, weights = graph.in_neighbors(node)
+    assert sources.size > 1
+    return dict(edges_added=[(int(sources[0]), node, float(weights[0]) * 2.0)])
+
+
+@pytest.mark.parametrize(
+    "make_change", [_opinion_flip, _in_edge_reweight], ids=["opinions", "in-edge"]
+)
+def test_tcp_delta_reaches_every_host_when_a_host_rejoins_on_it(make_change):
     """Regression: a lost host that rejoins on a delta broadcast's own
     round gets its own copy — the broadcast is sized after the re-dial —
-    so the survivor still patches its problem and later answers match
-    dm-batched on the post-delta problem."""
+    so the survivor still replays the delta, while the rejoined host,
+    handshaken with the post-delta problem, skips it by version; later
+    answers match dm-batched on the post-delta problem."""
     import time
 
     addr_a, thread_a = start_worker(connections=2)
     addr_b, thread_b = start_worker(connections=1)
     problem = make_problem(6, "cumulative", 3, n=12, r=2)
     sets = [np.array([i]) for i in range(problem.n)]
-    change = dict(opinions_changed=[(0, node, 0.95) for node in range(problem.n)])
+    change = make_change(problem)
     engine = _tcp_engine(problem, [addr_a, addr_b])
     try:
         engine.evaluate(sets)
