@@ -39,7 +39,6 @@ def _store_greedy(problem, store: WalkStore):
         problem,
         store=store,
         walks_per_node=WALKS_PER_NODE,
-        adaptive=False,
         epsilon=None,
     )
     return greedy_engine(engine, STORE_K, lazy=False)

@@ -32,6 +32,16 @@ Acceptance (the issue's floors, asserted here):
   trajectory is replayed lazily, bitwise, so its gains are bitwise equal
   to a fresh session's that commits the same seed.
 
+The two wall-time cells time the same layers on each side:
+
+* "delta refresh (s)" — ``problem.apply_delta`` plus the competitor and
+  target caches brought current, the warm ``dm-batched`` engine's
+  ``apply_delta`` and the walk store's ``apply_delta`` (walks patched in
+  place).  The tcp broadcast is left out: its cost is the bytes cell.
+* "scratch refresh (s)" — a fresh problem with both caches computed, a
+  fresh ``dm-batched`` engine over it, and a cold walk store in a second
+  directory generating the per-node view the selection reads.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_delta.py``.
 Set ``REPRO_BENCH_TINY=1`` for the CI smoke variant: tiny sizes, same
 assertions, counters land in ``BENCH_delta.tiny.json``.
@@ -120,7 +130,6 @@ def _store_greedy(problem: FJVoteProblem, store: WalkStore):
         problem,
         store=store,
         walks_per_node=WALKS_PER_NODE,
-        adaptive=False,
         epsilon=None,
     )
     return greedy_engine(engine, K, lazy=False)
@@ -168,10 +177,10 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
             problem.target_trajectory()  # the one dirty trajectory
             delta_steps = float(problem.evolution_steps - evolution_before)
             dm_engine.apply_delta(report)
-            ipc_before = host_pool.stats.ipc_bytes
-            host_pool.apply_delta(report)
-            delta_ship_bytes = float(host_pool.stats.ipc_bytes - ipc_before)
             store.apply_delta(report)
+        ipc_before = host_pool.stats.ipc_bytes
+        host_pool.apply_delta(report)
+        delta_ship_bytes = float(host_pool.stats.ipc_bytes - ipc_before)
         delta_blocks = float(store.stats.blocks_generated - blocks_before)
 
         # --- post-delta selections on the warm stack -------------------
@@ -192,13 +201,14 @@ def _delta_vs_scratch(store_dir_delta, store_dir_scratch) -> dict[str, float]:
         )
         scratch_problem.others_by_user()
         scratch_problem.target_trajectory()
+        scratch_engine = BatchedDMEngine(scratch_problem)
+        scratch_store_handle = WalkStore(
+            problem.state, problem.horizon, seed=BENCH_SEED,
+            store_dir=store_dir_scratch,
+        )
+        scratch_store_handle.per_node_view(problem.target, WALKS_PER_NODE)
     scratch_steps = float(scratch_problem.evolution_steps)
-    scratch_engine = BatchedDMEngine(scratch_problem)
     scratch_dm = greedy_engine(scratch_engine, K, lazy=False)
-    scratch_store_handle = WalkStore(
-        problem.state, problem.horizon, seed=BENCH_SEED,
-        store_dir=store_dir_scratch,
-    )
     scratch_store = _store_greedy(scratch_problem, scratch_store_handle)
     scratch_blocks = float(scratch_store_handle.stats.blocks_generated)
     scratch_walks = float(scratch_store_handle.stats.walks_generated)

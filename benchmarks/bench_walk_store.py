@@ -73,7 +73,6 @@ def _store_engine(problem, store=None):
         rng=BENCH_SEED,
         store=store,
         walks_per_node=WALKS_PER_NODE,
-        adaptive=False,
         epsilon=None,
     )
 

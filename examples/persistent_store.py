@@ -40,7 +40,6 @@ def run_once(problem, store_dir: Path, label: str):
         problem,
         store=store,
         walks_per_node=16,
-        adaptive=False,
         epsilon=None,
     )
     result = greedy_engine(engine, 4)

@@ -29,16 +29,16 @@ spec                         exact  backend
                                     ``repro net-worker`` hosts over TCP
 ``rw``                       no     random-walk estimator (Algorithm 4)
 ``sketch``                   no     sketch estimator (Algorithm 5)
-``rw-store[:mmap=DIR]``      no     shared walk store, adaptive sampling;
+``rw-store[:mmap=DIR]``      no     shared walk store, Theorem 10's λ per node;
                                     ``:mmap=DIR`` = persistent on-disk blocks
 ===========================  =====  ================================================
 
 All exact specs produce byte-identical selections; on one machine
 ``dm-batched`` already evolves a wide call's columns on every core, and
 ``dm-mp:tcp=...`` adds the cores of other machines.  ``rw-store`` keeps
-walks in one shared store and escalates the sample IMM-style until the
-requested (ε, δ) bound holds, reusing every walk across greedy rounds,
-budgets and win-min probes.
+walks in one shared store and binds Theorem 10's λ walks per node for
+the requested ε once, when the engine is built, reusing every walk
+across greedy rounds, budgets and win-min probes.
 
 Data-plane suffixes: ``dm-mp:tcp=<host:port,...>`` shards candidate
 chunks across ``repro net-worker`` hosts (one chunk per host, selections

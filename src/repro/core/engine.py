@@ -75,8 +75,10 @@ Backends
     apply post-generation truncation incrementally as seeds are committed.
     Walks come from a :class:`~repro.core.walk_store.WalkStore` — private
     for the ``rw``/``sketch`` specs, shared for ``rw-store``, which also
-    turns on IMM-style adaptive sample-size escalation (see
-    :meth:`WalkEngine.prepare_budget`).  The ``rw-store:mmap=<DIR>``
+    sizes its per-node count from Theorem 10's λ for the requested ε; the
+    sample is bound once, when the engine is built, and
+    :meth:`WalkEngine.prepare_budget` reports the (ε, δ) it certifies.
+    The ``rw-store:mmap=<DIR>``
     suffix (CLI ``--store-dir``) makes the store persistent: blocks
     persist as ``.npy`` files under ``DIR``, each read once and
     crc32-verified on load, and a warm re-open (second process, restart)
@@ -133,6 +135,7 @@ from repro.utils.validation import (
     check_index,
     check_index_array,
     check_positive,
+    check_probability,
 )
 from repro.voting.scores import CumulativeScore, SeparableScore
 
@@ -281,19 +284,6 @@ class SelectionSession:
             self.seeds, candidates, base_objective=self._value
         )
 
-    def rebase(self) -> None:
-        """Re-evaluate the base objective against the engine's current state.
-
-        Only valid before any commit: the greedy driver calls this when a
-        caller-supplied session predates a ``prepare_budget`` escalation
-        that replaced the backend's sample, so the cached base value would
-        otherwise come from a different sample than the round gains.
-        """
-        if len(self._seeds) != self._base_size:
-            raise ValueError("cannot rebase a session with commits")
-        self._value = float(self.engine.evaluate_one(tuple(self._seeds)))
-        self._prefix_values = [self._value]
-
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         """Fold ``seed`` into the committed state; returns the new value.
 
@@ -416,18 +406,15 @@ class ObjectiveEngine(ABC):
         """
         return SelectionSession(self, base)
 
-    def prepare_budget(self, k: int) -> bool:
-        """Adapt backend state to an upcoming selection budget ``k``.
+    def prepare_budget(self, k: int) -> None:
+        """Account for an upcoming selection budget ``k``.
 
         Called by the greedy driver (and win-min) before rounds start.
-        No-op for the exact engines; estimator backends use it for
-        IMM-style adaptive sample-size escalation and for (ε, δ)
-        accounting (see :class:`WalkEngine` and
-        :attr:`EngineStats.achieved_epsilon`).  Returns True when the
-        backend's evaluation state changed (e.g. a larger sample was
-        bound), so the driver can rebase sessions opened beforehand.
+        No-op for the exact engines; the estimator backends record the
+        (ε, δ) their bound sample certifies for ``k`` (see
+        :class:`WalkEngine` and :attr:`EngineStats.achieved_epsilon`).
+        It never changes what the engine evaluates.
         """
-        return False
 
     def apply_delta(self, report: DeltaReport) -> None:
         """Absorb a :class:`~repro.core.problem.DeltaReport` into warm state.
@@ -1446,6 +1433,11 @@ class WalkEngine(ObjectiveEngine):
     Walks are generated in deterministic seed-per-block units by the
     store, so two engines built from the same ``rng`` — or sharing one
     store — see byte-identical walks and make byte-identical selections.
+    The engine binds one walk view, when it is built, and only
+    :meth:`apply_delta` rebinds it: choosing the sample size (Theorem
+    10/11's λ, Theorem 13's θ or the §VI-E doubling) is the caller's job
+    — :func:`~repro.core.random_walk.random_walk_select`,
+    :func:`~repro.core.sketch.sketch_select` and the ``rw-store`` factory.
 
     Parameters
     ----------
@@ -1460,17 +1452,9 @@ class WalkEngine(ObjectiveEngine):
         persistent store is opened by its owner (the ``rw-store`` factory
         for an ``:mmap=<DIR>`` spec, the CLI for ``--store-dir``) and
         handed in here.
-    adaptive:
-        Enable IMM-style adaptive sample-size escalation in
-        :meth:`prepare_budget`: the sample grows in reuse-friendly
-        doublings until the (ε, δ) bound for the requested ``epsilon``
-        holds (Hoeffding per-node counts for ``"start"``, the §VI
-        martingale θ ladder for ``"walk"``), replacing the fixed walk
-        counts.  Escalation never regenerates: every doubling extends the
-        store's pools.
-    epsilon, rho, ell:
-        Requested precision and confidence.  Whether or not ``adaptive``
-        is set, :meth:`prepare_budget` records the *achieved* ε in
+    epsilon, rho:
+        Requested precision and confidence ρ ∈ [0, 1).
+        :meth:`prepare_budget` records the *achieved* ε in
         ``stats.achieved_epsilon`` and warns
         (:class:`EstimatorPrecisionWarning`) when a requested ``epsilon``
         cannot be certified.  What ε *means* depends on the grouping: for
@@ -1481,16 +1465,14 @@ class WalkEngine(ObjectiveEngine):
         one-sided Copeland bound needs strictly fewer walks, so this is
         conservative for it); per-node counts certify their smallest
         ``λ_v``.  For ``"walk"`` it is Theorem 13's
-        score-level approximation ε, which exists only for the cumulative
-        score — rank scores have no closed form (§VI-E) and always warn
-        when an ``epsilon`` is requested.
-    theta_cap, lambda_cap:
-        Hard sample caps for the adaptive ladders (escalation past them
-        triggers the precision warning instead of unbounded growth).
+        score-level approximation ε (ℓ = 1, over the ``OPT ≥ k`` lower
+        bound), which exists only for the cumulative score — rank scores
+        have no closed form (§VI-E) and always warn when an ``epsilon``
+        is requested.
 
-    ``walks_per_node``, ``theta`` and the caps must be positive integers
-    and ``epsilon`` positive; any other value raises ``ValueError``
-    naming it.
+    ``walks_per_node`` and ``theta`` must be positive integers,
+    ``epsilon`` positive and ``rho`` in [0, 1); any other value raises
+    ``ValueError`` naming it, before a walk is drawn.
     """
 
     supports_batch = True
@@ -1505,12 +1487,8 @@ class WalkEngine(ObjectiveEngine):
         theta: int = 4000,
         rng: int | np.random.Generator | None = None,
         store=None,
-        adaptive: bool = False,
         epsilon: float | None = None,
         rho: float = 0.9,
-        ell: float = 1.0,
-        theta_cap: int | None = None,
-        lambda_cap: int | None = 1024,
     ) -> None:
         super().__init__(problem)
         from repro.core.walk_store import WalkStore
@@ -1520,8 +1498,9 @@ class WalkEngine(ObjectiveEngine):
         walks_per_node = check_count(walks_per_node, "walks_per_node")
         theta = check_count(theta, "theta")
         check_positive(epsilon, "epsilon")
-        theta_cap = check_count(theta_cap, "theta_cap")
-        lambda_cap = check_count(lambda_cap, "lambda_cap")
+        rho = check_probability(rho, "rho")
+        if rho >= 1.0:
+            raise ValueError("rho must be < 1")
         if store is None:
             store = WalkStore(problem.state, problem.horizon, seed=rng)
         else:
@@ -1531,43 +1510,14 @@ class WalkEngine(ObjectiveEngine):
         #: One count for every node, or a per-node ``λ`` array.
         self.walks_per_node = walks_per_node
         self.theta = theta
-        self.adaptive = bool(adaptive)
         self.epsilon = None if epsilon is None else float(epsilon)
-        self.rho = float(rho)
-        self.ell = float(ell)
-        self.theta_cap = theta_cap
-        self.lambda_cap = lambda_cap
+        self.rho = rho
         self._prepared_k: int | None = None
-        self._opt_lb: float | None = None
-        self._bind_count = 0
-        if grouping == "start":
-            if self.adaptive:
-                # The per-node escalation target is closed-form and
-                # budget-independent, so bind the escalated sample once
-                # here instead of building (and indexing) a throwaway
-                # fixed-count view that prepare_budget would replace.
-                self.walks_per_node = np.maximum(
-                    self.walks_per_node, self._per_node_target()
-                )
-            self._bind_walks(store.per_node_view(problem.target, self.walks_per_node))
-        elif self.adaptive:
-            # θ escalation needs the budget, so the first bind is
-            # deferred to prepare_budget (or the first evaluation) — the
-            # default-θ view is never materialized just to be replaced.
-            self.walks = None
-            self.optimizer = None
-        else:
-            self._bind_walks(store.uniform_view(problem.target, self.theta))
+        self._bind_walks()
 
-    def _ensure_bound(self) -> None:
-        """Bind the deferred initial walk view (adaptive sketch engines)."""
-        if self.walks is None:
-            self._bind_walks(
-                self.store.uniform_view(self.problem.target, self.theta)
-            )
-
-    def _bind_walks(self, walks) -> None:
-        """Adopt a walk view: rebuild the optimizer and pristine snapshot.
+    def _bind_walks(self) -> None:
+        """Bind the store's view for this engine's sample size: rebuild the
+        optimizer and the pristine snapshot.
 
         The snapshot shares the arrays (copy-on-write in ``add_seed``): a
         reset is an O(1) pointer swap and only the first truncation after
@@ -1577,7 +1527,10 @@ class WalkEngine(ObjectiveEngine):
         from repro.core.random_walk import WalkGreedyOptimizer
 
         problem = self.problem
-        self._bind_count += 1
+        if self.grouping == "start":
+            walks = self.store.per_node_view(problem.target, self.walks_per_node)
+        else:
+            walks = self.store.uniform_view(problem.target, self.theta)
         self.walks = walks
         self.optimizer = WalkGreedyOptimizer(
             walks,
@@ -1590,82 +1543,19 @@ class WalkEngine(ObjectiveEngine):
         self._snapshot = self.walks.snapshot_state()
 
     # ------------------------------------------------------------------
-    # Adaptive sampling and (ε, δ) accounting
+    # (ε, δ) accounting
     # ------------------------------------------------------------------
-    def prepare_budget(self, k: int) -> bool:
-        """Escalate the sample for budget ``k`` and account the precision.
+    def prepare_budget(self, k: int) -> None:
+        """Record the precision the bound sample certifies for budget ``k``.
 
         Idempotent per budget: re-preparing a smaller-or-equal ``k`` is
-        free, a larger one re-runs the ladder (reusing every walk drawn).
-        Returns True when escalation replaced the bound walk view.
+        free and warns no second time.
         """
         k = int(k)
         if self._prepared_k is not None and k <= self._prepared_k:
-            return False
-        before = self._bind_count
-        if self.adaptive:
-            self._escalate(k)
-        self._ensure_bound()
+            return
         self._account_precision(k)
-        # Recorded only after escalation/accounting succeed: a failed
-        # escalation (worker death, allocation failure) must not mark the
-        # budget prepared, or a retry would silently run on the small
-        # sample with no precision accounting.
         self._prepared_k = k
-        return self._bind_count != before
-
-    def _per_node_target(self) -> int:
-        """Escalated per-node walk count: the (capped) Hoeffding bound.
-
-        Theorem 10's count for ``|b̂ - b| < ε`` with probability ρ —
-        closed-form and budget-independent, so adaptive ``"start"``
-        engines bind it directly (no observation is made between
-        doublings that could change the target).
-        """
-        from repro.core.bounds import lambda_cumulative
-
-        eps = 0.1 if self.epsilon is None else self.epsilon
-        target = lambda_cumulative(eps, self.rho)
-        if self.lambda_cap is not None:
-            target = min(target, self.lambda_cap)
-        return int(target)
-
-    def _escalate(self, k: int) -> None:
-        if self.grouping == "start":
-            return  # the per-node target was bound at construction
-        from repro.core import sketch
-        from repro.core.bounds import theta_cumulative
-
-        eps = 0.1 if self.epsilon is None else self.epsilon
-        if isinstance(self.problem.score, CumulativeScore):
-            # IMM-style martingale ladder (§VI-B): the OPT lower-bound
-            # rounds and the final θ all extend one store pool.
-            self._opt_lb = sketch.estimate_opt_cumulative(
-                self.problem,
-                k,
-                store=self.store,
-                epsilon=eps,
-                ell=self.ell,
-                theta_cap=self.theta_cap,
-            )
-            theta = theta_cumulative(self.problem.n, k, self._opt_lb, eps, self.ell)
-        else:
-            # §VI-E heuristic for the rank scores: double θ to convergence.
-            theta = sketch.converge_theta(
-                self.problem,
-                k,
-                store=self.store,
-                theta_start=self.theta,
-                theta_max=self.theta_cap,
-            )
-        if self.theta_cap is not None:
-            theta = min(theta, self.theta_cap)
-        if theta > self.theta:
-            self.theta = theta
-            # Invalidate any currently bound view; the _ensure_bound that
-            # follows escalation binds once at the final θ.
-            self.walks = None
-            self.optimizer = None
 
     def _account_precision(self, k: int) -> None:
         from repro.core.bounds import delta_achieved, epsilon_achieved_cumulative
@@ -1681,9 +1571,10 @@ class WalkEngine(ObjectiveEngine):
             # Per-node counts certify only their smallest λ_v.
             achieved = delta_achieved(int(np.min(self.walks_per_node)), self.rho)
         elif isinstance(self.problem.score, CumulativeScore):
-            lb = self._opt_lb if self._opt_lb is not None else float(max(k, 1))
+            # Theorem 13 inverted at ℓ = 1 over OPT ≥ k: every seed is
+            # fully stubborn at opinion 1.
             achieved = epsilon_achieved_cumulative(
-                self.problem.n, k, lb, self.walks.num_walks, self.ell
+                self.problem.n, k, float(max(k, 1)), self.walks.num_walks, 1.0
             )
         else:
             achieved = None  # no closed form for the rank scores (§VI-E)
@@ -1694,16 +1585,13 @@ class WalkEngine(ObjectiveEngine):
         ):
             self.stats.precision_unmet += 1
             if achieved is None:
-                detail = (
-                    "no closed-form (ε,δ) guarantee exists for this score; "
-                    "the sample followed the §VI-E convergence heuristic"
-                )
+                detail = "no closed-form (ε,δ) guarantee exists for this score"
             else:
                 detail = f"the sample budget only certifies ε≈{achieved:.4g}"
             warnings.warn(
                 EstimatorPrecisionWarning(
                     f"requested ε={requested:g} for budget k={k}, but {detail} "
-                    f"({self.walks.num_walks} walks); raise the sample caps "
+                    f"({self.walks.num_walks} walks); draw more walks "
                     "or use an exact DM engine"
                 ),
                 stacklevel=3,
@@ -1720,15 +1608,7 @@ class WalkEngine(ObjectiveEngine):
         if report.empty:
             return
         self.store.apply_delta(report)
-        if self.walks is not None:
-            if self.grouping == "start":
-                self._bind_walks(
-                    self.store.per_node_view(self.problem.target, self.walks_per_node)
-                )
-            else:
-                self._bind_walks(
-                    self.store.uniform_view(self.problem.target, self.theta)
-                )
+        self._bind_walks()
         super().apply_delta(report)
 
     # ------------------------------------------------------------------
@@ -1751,7 +1631,6 @@ class WalkEngine(ObjectiveEngine):
             self.walks.add_seed(v)
 
     def evaluate(self, seed_sets: Iterable[SeedSet]) -> np.ndarray:
-        self._ensure_bound()
         sets = list(seed_sets)
         self.stats.evaluate_calls += 1
         self.stats.sets_evaluated += len(sets)
@@ -1768,7 +1647,6 @@ class WalkEngine(ObjectiveEngine):
         *,
         base_objective: float | None = None,
     ) -> np.ndarray:
-        self._ensure_bound()
         candidates = check_index_array(candidates, "candidates")
         n = self.problem.n
         if candidates.size and (candidates.min() < 0 or candidates.max() >= n):
@@ -1799,14 +1677,35 @@ def _make_sketch(problem, rng, **kwargs):
     return WalkEngine(problem, grouping="walk", rng=rng, **kwargs)
 
 
-def _make_rw_store(problem, rng, *, store=None, store_dir=None, **kwargs):
+#: Most walks per node the ``rw-store`` factory binds for a requested ε.
+RW_STORE_LAMBDA_CAP = 1024
+
+
+def _make_rw_store(
+    problem,
+    rng,
+    *,
+    store=None,
+    store_dir=None,
+    walks_per_node=32,
+    epsilon=0.1,
+    rho=0.9,
+    **kwargs,
+):
     # The shared-walk-store estimator: rw semantics (per-node grouping) on
-    # a walk store, with IMM-style adaptive sample escalation on by
-    # default.  ``adaptive=False`` with matching fixed counts reproduces
-    # the plain ``rw`` engine byte for byte.  The only place an
-    # ``:mmap=<DIR>`` suffix becomes a store: without a supplied ``store``
-    # the engine opens its own persistent one under DIR; a supplied store
-    # must already live there.
+    # a walk store.  A requested ε raises the per-node count to Theorem
+    # 10's λ (capped); ``epsilon=None`` keeps ``walks_per_node`` as given,
+    # which reproduces the plain ``rw`` engine byte for byte.  The only
+    # place an ``:mmap=<DIR>`` suffix becomes a store: without a supplied
+    # ``store`` the engine opens its own persistent one under DIR; a
+    # supplied store must already live there.
+    from repro.core.bounds import lambda_cumulative
+
+    walks_per_node = check_count(walks_per_node, "walks_per_node")
+    check_positive(epsilon, "epsilon")
+    if epsilon is not None:
+        target = min(lambda_cumulative(epsilon, rho), RW_STORE_LAMBDA_CAP)
+        walks_per_node = np.maximum(walks_per_node, target)
     if store_dir is not None:
         from repro.core.walk_store import store_for_problem
 
@@ -1817,10 +1716,16 @@ def _make_rw_store(problem, rng, *, store=None, store_dir=None, **kwargs):
                 "store_dir conflicts with the supplied store; persist by "
                 "building the shared store with store_dir instead"
             )
-    kwargs.setdefault("grouping", "start")
-    kwargs.setdefault("adaptive", True)
-    kwargs.setdefault("epsilon", 0.1)
-    return WalkEngine(problem, rng=rng, store=store, **kwargs)
+    return WalkEngine(
+        problem,
+        grouping="start",
+        walks_per_node=walks_per_node,
+        rng=rng,
+        store=store,
+        epsilon=epsilon,
+        rho=rho,
+        **kwargs,
+    )
 
 
 #: Registry behind :func:`make_engine`; the single source of truth for
@@ -1860,7 +1765,7 @@ ENGINE_HELP = {
     "rw": "random-walk estimator",
     "sketch": "sketch estimator",
     "rw-store": (
-        "shared-walk-store estimator, adaptive sampling "
+        "shared-walk-store estimator, Theorem 10's λ walks per node "
         "(rw-store[:mmap=<DIR>] — mmap = persistent on-disk walk blocks)"
     ),
 }

@@ -220,10 +220,9 @@ def greedy_engine(
     equal-gain ties resolve to the smallest node id.
     """
     k, pool = _candidate_pool(engine.problem.n, k, candidates)
-    # Let estimator backends escalate their sample for this budget (and
-    # account the achieved (ε, δ)) before any session state is built; a
-    # no-op for the exact engines.
-    escalated = bool(engine.prepare_budget(k))
+    # Estimator backends account the (ε, δ) their sample certifies for
+    # this budget; a no-op for the exact engines.
+    engine.prepare_budget(k)
     if session is None:
         session = engine.open_session()
     elif session.engine is not engine:
@@ -232,11 +231,6 @@ def greedy_engine(
         # A pre-committed session would let committed seeds be re-selected
         # and would fold their value into the result's objective.
         raise ValueError("session must be rooted at the empty seed set")
-    elif escalated:
-        # The caller's session snapshotted its base value on the sample
-        # the escalation just replaced; rebase so the committed value and
-        # the round gains come from one sample.
-        session.rebase()
     return run_selection_rounds(session, k, pool, lazy=lazy)
 
 

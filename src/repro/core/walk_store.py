@@ -5,9 +5,10 @@ walks are generated once per *block* (a fixed-width generation unit with its
 own deterministic seed), memoized per ``(candidate, kind, horizon)`` pool,
 and served to selection sessions as lightweight copy-on-write views that
 re-truncate incrementally on seed commits instead of regenerating.  The
-store is what lets the adaptive (IMM-style) sample-size escalation double θ
-while reusing every walk already drawn — the martingale-sampling trick of
-the RIS lineage the paper benchmarks against.
+store is what lets :func:`~repro.core.sketch.sketch_select`'s θ ladders
+(the IMM-style OPT lower bound and the §VI-E doubling) grow θ while
+reusing every walk already drawn — the martingale-sampling trick of the
+RIS lineage the paper benchmarks against.
 
 Blocks
 ------
@@ -94,7 +95,7 @@ DEFAULT_BLOCK_WALKS = 1024
 #: Default RR sets per pool block.
 DEFAULT_RR_BLOCK = 256
 
-#: Materialized masters kept per pool (FIFO): an adaptive doubling ladder
+#: Materialized masters kept per pool (FIFO): a θ doubling ladder
 #: touches O(log θ) counts, each a concatenated copy of the block rows.
 _MASTER_CACHE_CAP = 8
 

@@ -89,8 +89,8 @@ def min_seeds_to_win(
                 # Built from a spec: scoped to this search (closes dm-mp
                 # pools; a no-op for the in-process backends).
                 created = engine_obj
-            # Estimator backends escalate their sample for the full search
-            # budget *before* the session snapshots its base value.
+            # Estimator backends account their precision for the full
+            # search budget before the session opens.
             engine_obj.prepare_budget(upper)
             session = engine_obj.open_session()
             # Mirrors greedy_dm's lazy="auto": CELF exactly for the

@@ -157,7 +157,8 @@ def test_make_engine_specs():
     }
     rw_store = make_engine("rw-store:2", problem, rng=0, walks_per_node=2)
     assert isinstance(rw_store, WalkEngine)
-    assert rw_store.adaptive
+    # Theorem 10's λ for the default ε = 0.1 at ρ = 0.9.
+    assert rw_store.walks_per_node == 150
 
 
 def test_parse_engine_spec_and_exactness():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.bounds import epsilon_achieved_cumulative
 from repro.core.exact import brute_force_optimum
 from repro.core.problem import FJVoteProblem
 from repro.core.random_walk import WalkGreedyOptimizer
@@ -49,6 +50,17 @@ def test_sketch_select_cumulative_end_to_end():
     assert result.opt_lower_bound is not None
     assert result.theta <= 4000
     assert result.exact_objective >= problem.objective(()) - 1e-9
+    # Theorem 13's θ over the ladder's OPT lower bound certifies the
+    # requested ε; a cap below that θ cannot.
+    achieved = epsilon_achieved_cumulative(
+        12, 2, result.opt_lower_bound, result.theta, 1.0
+    )
+    assert achieved <= 0.3
+    capped = sketch_select(problem, 2, epsilon=0.3, theta_cap=300, rng=8)
+    assert capped.theta == 300 < result.theta
+    assert epsilon_achieved_cumulative(
+        12, 2, capped.opt_lower_bound, capped.theta, 1.0
+    ) > 0.3
 
 
 def test_sketch_select_explicit_theta_skips_estimation():

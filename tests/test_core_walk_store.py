@@ -10,7 +10,7 @@ The central contracts:
   seeds truncates its own view only; the cached masters stay
   pristine for the next consumer.
 * **Reuse** — a second view over the same pool generates zero new blocks,
-  and the adaptive θ ladder extends one sample instead of redrawing.
+  and the sketch θ ladder extends one sample instead of redrawing.
 """
 
 from __future__ import annotations
@@ -25,8 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.imm import imm
-from repro.core.bounds import delta_achieved
+from repro.core.bounds import (
+    delta_achieved,
+    epsilon_achieved_cumulative,
+    lambda_cumulative,
+)
 from repro.core.engine import (
+    RW_STORE_LAMBDA_CAP,
     EngineSpec,
     EstimatorPrecisionWarning,
     make_engine,
@@ -74,7 +79,6 @@ def test_rw_store_matches_rw_at_every_shard_count(seed, rng_seed, score_name, k)
             problem,
             rng=rng_seed,
             walks_per_node=6,
-            adaptive=False,
             epsilon=None,
         )
         result = greedy_engine(engine, k)
@@ -89,9 +93,9 @@ def test_rw_store_matches_rw_at_every_shard_count(seed, rng_seed, score_name, k)
 
 @pytest.mark.parametrize("k", [3])
 def test_rw_store_default_adaptive_is_shard_invariant(k):
-    """The default (adaptive) rw-store engine must still be byte-identical
-    across shard counts: escalation decisions depend only on the walks,
-    and the walks depend only on the store seed."""
+    """The default rw-store engine (λ for ε = 0.1) must still be
+    byte-identical across shard counts: the walks depend only on the
+    store seed."""
     problem = make_problem(4, n=12, r=2)
     results = []
     for shards in (1, 2, 4):
@@ -135,8 +139,8 @@ def test_engine_sessions_share_store_without_leaks():
     corrupting each other or the store."""
     problem = make_problem(6, n=12, r=2)
     store = store_for_problem(problem, seed=9)
-    a = make_engine("rw-store", problem, store=store, adaptive=False, epsilon=None)
-    b = make_engine("rw-store", problem, store=store, adaptive=False, epsilon=None)
+    a = make_engine("rw-store", problem, store=store, epsilon=None)
+    b = make_engine("rw-store", problem, store=store, epsilon=None)
     base_a = a.evaluate_one(())
     base_b = b.evaluate_one(())
     assert base_a == base_b  # identical pristine walks
@@ -326,12 +330,13 @@ def test_adaptive_escalation_meets_requested_precision():
     engine = make_engine(
         "rw-store", problem, rng=2, walks_per_node=2, epsilon=0.25
     )
-    # The per-node target is closed-form, so the escalated sample is bound
-    # once, at construction — no throwaway small view is ever indexed.
-    assert engine.walks_per_node > 2
+    # The factory raises the count to Theorem 10's λ before the engine is
+    # built, so the one bound view is the large one — no throwaway small
+    # view is ever indexed.
+    assert engine.walks_per_node == lambda_cumulative(0.25, 0.9)
     assert engine.store.stats.index_builds == 1
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # escalation must satisfy the bound
+        warnings.simplefilter("error")  # λ must satisfy the bound
         engine.prepare_budget(2)
     assert 0 < engine.stats.achieved_epsilon <= 0.25
     assert engine.stats.precision_unmet == 0
@@ -344,70 +349,70 @@ def test_adaptive_escalation_meets_requested_precision():
     assert again.store.stats.blocks_reused > 0
 
 
-def test_adaptive_cumulative_theta_ladder_warns_at_cap():
-    problem = make_problem(14, CumulativeScore(), n=12, r=2)
-    engine = make_engine(
-        "rw-store:2",
-        problem,
-        rng=3,
-        grouping="walk",
-        theta=32,
-        theta_cap=256,
-        epsilon=0.1,
+def test_rw_store_binds_lambda_for_requested_epsilon():
+    """ε picks Theorem 10's λ (150 at ε = 0.1, ρ = 0.9), capped at
+    RW_STORE_LAMBDA_CAP; ``epsilon=None`` keeps the given count."""
+    problem = make_problem(13, n=10, r=2)
+    engine = make_engine("rw-store", problem, rng=2)
+    assert engine.walks_per_node == lambda_cumulative(0.1, 0.9) == 150
+    assert engine.walks.num_walks == 150 * problem.n
+    tight = make_engine("rw-store", problem, store=engine.store, epsilon=0.01)
+    assert tight.walks_per_node == RW_STORE_LAMBDA_CAP
+    fixed = make_engine(
+        "rw-store", problem, store=engine.store, walks_per_node=3, epsilon=None
     )
-    with pytest.warns(EstimatorPrecisionWarning):
+    assert fixed.walks_per_node == 3
+
+
+@pytest.mark.parametrize("spec", ["rw", "sketch", "rw-store"])
+def test_prepare_budget_keeps_the_bound_walk_view(spec):
+    """A walk engine binds one sample, when it is built: preparing any
+    budget accounts precision and never replaces the view."""
+    problem = make_problem(16, CumulativeScore(), n=12, r=2)
+    engine = make_engine(spec, problem, rng=7, epsilon=0.1)
+    walks, optimizer = engine.walks, engine.optimizer
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EstimatorPrecisionWarning)
         engine.prepare_budget(2)
-    assert engine.theta == 256  # escalated to the cap
+        engine.prepare_budget(5)
+    assert engine.walks is walks and engine.optimizer is optimizer
+    assert engine.store.stats.index_builds == 1
+
+
+@pytest.mark.parametrize("spec", ["rw", "sketch", "rw-store"])
+@pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
+def test_walk_engines_reject_rho_outside_unit_interval(spec, rho):
+    """ρ ∈ [0, 1) is checked when the engine is built, before any walk
+    is drawn, with an error naming ``rho``."""
+    problem = make_problem(16, n=12, r=2)
+    store = store_for_problem(problem, seed=0)
+    with pytest.raises(ValueError, match="rho must be"):
+        make_engine(spec, problem, store=store, rho=rho)
+    assert store.stats.blocks_generated == 0
+
+
+def test_adaptive_cumulative_theta_ladder_warns_at_cap():
+    """A fixed θ too small for the requested ε on the cumulative score
+    warns and reports the ε Theorem 13 certifies over ``OPT ≥ k``."""
+    problem = make_problem(14, CumulativeScore(), n=12, r=2)
+    engine = make_engine("sketch", problem, rng=3, theta=256, epsilon=0.1)
+    with pytest.warns(EstimatorPrecisionWarning, match="certifies"):
+        engine.prepare_budget(2)
+    assert engine.theta == 256
+    assert engine.stats.achieved_epsilon == epsilon_achieved_cumulative(
+        problem.n, 2, 2.0, 256, 1.0
+    )
     assert engine.stats.achieved_epsilon > 0.1
-    assert engine._opt_lb is not None and engine._opt_lb >= 2
+    assert engine.stats.precision_unmet == 1
 
 
 def test_rank_scores_without_guarantee_warn_when_epsilon_requested():
     problem = make_problem(15, n=12, r=3)
-    engine = make_engine(
-        "rw-store",
-        problem,
-        rng=4,
-        grouping="walk",
-        theta=64,
-        theta_cap=128,
-        epsilon=0.2,
-    )
+    engine = make_engine("sketch", problem, rng=4, theta=64, epsilon=0.2)
     with pytest.warns(EstimatorPrecisionWarning, match="no closed-form"):
         engine.prepare_budget(2)
     assert engine.stats.achieved_epsilon == 0.0  # not computable
     assert engine.stats.precision_unmet == 1
-
-
-def test_greedy_rebases_presnapshotted_session_after_escalation():
-    """A caller-opened session predating an adaptive escalation must be
-    rebased: the committed value and the gains have to come from the same
-    (escalated) sample, so value == sum(base, gains) exactly.  Only the
-    θ ladder escalates mid-call — it needs the budget — so that is the
-    path driven here."""
-    problem = make_problem(16, CumulativeScore(), n=12, r=2)
-    engine = make_engine(
-        "rw-store",
-        problem,
-        rng=7,
-        grouping="walk",
-        theta=32,
-        theta_cap=256,
-        epsilon=0.1,
-    )
-    session = engine.open_session()  # snapshots the θ=32 base
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimatorPrecisionWarning)
-        result = greedy_engine(engine, 2, session=session)
-    assert engine.theta > 32  # escalation happened mid-call
-    # Base implied by the result must match the *escalated* sample's
-    # empty-set estimate — the pre-escalation snapshot was rebased away.
-    rebased_base = result.objective - float(np.sum(result.gains))
-    assert rebased_base == pytest.approx(engine.evaluate_one(()), abs=1e-12)
-    assert session.value == result.objective
-    # rebase() itself refuses sessions with commits.
-    with pytest.raises(ValueError):
-        session.rebase()
 
 
 # ----------------------------------------------------------------------
@@ -520,10 +525,8 @@ def _expected_error(param, value):
         (_sketch_select, "theta_cap", 0),
         (_sketch_select, "epsilon", 0),
         (_rw_engine, "walks_per_node", -2),
-        (_rw_engine, "lambda_cap", 0),
         (_rw_engine, "epsilon", -1),
         (_sketch_engine, "theta", 0),
-        (_sketch_engine, "theta_cap", -1),
         (_sketch_engine, "epsilon", 0),
         (_random_walk_select, "walks_per_node", 2.7),
         (_random_walk_select, "walks_per_node", True),
@@ -535,9 +538,7 @@ def _expected_error(param, value):
         (_sketch_select, "theta_start", 64.5),
         (_sketch_select, "theta_start", 0),
         (_rw_engine, "walks_per_node", 3.5),
-        (_rw_engine, "lambda_cap", True),
         (_sketch_engine, "theta", 99.99),
-        (_sketch_engine, "theta_cap", 128.0),
         (_greedy, "k", 1.5),
         (_greedy, "k", True),
         (_random_walk_budget, "k", 2.9),
@@ -644,7 +645,6 @@ def test_mmap_store_selections_match_in_ram(tmp_path, shards):
         problem,
         rng=31,
         walks_per_node=6,
-        adaptive=False,
         epsilon=None,
     )
     reference = greedy_engine(ram_engine, 3)
@@ -653,7 +653,6 @@ def test_mmap_store_selections_match_in_ram(tmp_path, shards):
         problem,
         rng=31,
         walks_per_node=6,
-        adaptive=False,
         epsilon=None,
     )
     assert engine.store.store_dir == tmp_path / "pool"
@@ -684,11 +683,11 @@ def test_warm_reopen_regenerates_zero_blocks(tmp_path):
     np.testing.assert_array_equal(reopened.values, view.values)
     # Warm selections equal cold selections byte for byte.
     cold_eng = make_engine(
-        "rw-store", problem, store=cold, adaptive=False, epsilon=None,
+        "rw-store", problem, store=cold, epsilon=None,
         walks_per_node=4,
     )
     warm_eng = make_engine(
-        "rw-store", problem, store=warm, adaptive=False, epsilon=None,
+        "rw-store", problem, store=warm, epsilon=None,
         walks_per_node=4,
     )
     a = greedy_engine(cold_eng, 2)
