@@ -111,8 +111,8 @@ def generate_reverse_walks_streamed(
     the walk store can regenerate exactly the walks invalidated by a
     graph delta, and the patched block is byte-identical to regenerating
     the whole block from scratch.  The alias table comes from
-    :meth:`InfluenceGraph.alias_sampler`, which rebuilds it when a delta
-    moves the graph version.
+    :meth:`InfluenceGraph.alias_sampler`; an edge delta rebuilds only the
+    columns it touched.
 
     Returns ``(walks, lengths)`` where ``walks`` is ``(W, horizon+1)`` int32
     padded with -1 and ``lengths[i]`` is the index of walk ``i``'s end node.
@@ -183,6 +183,7 @@ class TruncatedWalks:
         self.walks = walks
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.n = int(n)
+        self._build_index()  # validates lengths against the padding
         self.starts = walks[:, 0].astype(np.int64)
         self.num_walks = walks.shape[0]
         self._b0 = np.array(initial_opinions, dtype=np.float64)
@@ -194,35 +195,44 @@ class TruncatedWalks:
         self._seeds: list[int] = []
         self._seed_set: set[int] = set()
         self._shared = False
-        self._build_index()
 
     # ------------------------------------------------------------------
     def _build_index(self) -> None:
         """First-occurrence inverted index: (node, walk, pos) triples.
 
         Only the first occurrence of a node within a walk matters: it is
-        where truncation would cut.  Triples are stored sorted by node with
-        a CSR-style ``node_ptr`` for per-node slicing.
+        where truncation would cut.  Triples are stored sorted by node, then
+        walk, with a CSR-style ``node_ptr`` for per-node slicing.
+
+        Walk ``i`` occupies cells ``0..lengths[i]`` and is ``-1``-padded
+        after them, so the entries are read straight from the lengths
+        (walk-major, position-ascending).  A stable sort on the node keeps
+        that order inside each node, so every (node, walk) run is adjacent
+        with its first position first; node ids narrow to ``uint16`` when
+        they fit, which lets numpy take its linear radix sort.
         """
         num, width = self.walks.shape
-        pos_grid = np.broadcast_to(np.arange(width, dtype=np.int64), (num, width))
-        walk_grid = np.broadcast_to(
-            np.arange(num, dtype=np.int64)[:, None], (num, width)
+        span = self.lengths + 1
+        if num and (self.lengths.min() < 0 or self.lengths.max() >= width):
+            raise ValueError(f"walk lengths must lie in [0, {width - 1}]")
+        wids = np.repeat(np.arange(num, dtype=np.int64), span)
+        pos = np.arange(wids.size, dtype=np.int64) - np.repeat(
+            np.cumsum(span) - span, span
         )
-        valid = self.walks >= 0
-        nodes = self.walks[valid].astype(np.int64)
-        pos = pos_grid[valid]
-        wids = walk_grid[valid]
-        order = np.lexsort((pos, nodes, wids))
+        nodes = self.walks[wids, pos].astype(np.int64)
+        valid = np.count_nonzero(self.walks >= 0)
+        if valid != nodes.size or (nodes.size and nodes.min() < 0):
+            raise ValueError(
+                "walk lengths disagree with the -1 padding of the walk matrix"
+            )
+        sort_key = nodes.astype(np.uint16) if self.n <= 1 << 16 else nodes
+        order = np.argsort(sort_key, kind="stable")
         nodes, pos, wids = nodes[order], pos[order], wids[order]
         first = np.ones(nodes.size, dtype=bool)
-        if nodes.size > 1:
-            first[1:] = (nodes[1:] != nodes[:-1]) | (wids[1:] != wids[:-1])
-        nodes, pos, wids = nodes[first], pos[first], wids[first]
-        by_node = np.argsort(nodes, kind="stable")
-        self.idx_node = nodes[by_node]
-        self.idx_pos = pos[by_node]
-        self.idx_walk = wids[by_node]
+        first[1:] = (nodes[1:] != nodes[:-1]) | (wids[1:] != wids[:-1])
+        self.idx_node = nodes[first]
+        self.idx_pos = pos[first]
+        self.idx_walk = wids[first]
         self.node_ptr = np.searchsorted(self.idx_node, np.arange(self.n + 1))
 
     # ------------------------------------------------------------------

@@ -46,7 +46,10 @@ that opens the same directory with the same seed serves
 (``StoreStats.blocks_loaded`` counts the block loads;
 ``blocks_generated`` stays 0 on a warm open).  Writes are atomic (tmp +
 rename) and idempotent across concurrent writers: any two stores can only
-ever write the same bytes for the same identity.  A damaged block is
+ever write the same bytes for the same identity.  A batch of blocks (one
+generation call, one delta, one repair) stages every part in a tmp file,
+writes the manifest once, and only then renames the parts into place, so
+every visible block file has its ledger entry.  A damaged block is
 quarantined and regenerated in place from its identity
 (``blocks_quarantined`` / ``blocks_repaired``).
 
@@ -62,6 +65,7 @@ import io
 import json
 import math
 import os
+import threading
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -192,23 +196,43 @@ def _generate_block(
     )
 
 
+#: Parsed ``.npy`` headers keyed by their raw bytes (magic through the end
+#: of the header dict): every part of one kind shares a header, so a warm
+#: open parses each distinct header once.  Emptied when full; inserts hold
+#: the lock so concurrent loads cannot push it past the cap.
+_HEADER_MEMO: dict[bytes, tuple[tuple[int, ...], bool, np.dtype, int]] = {}
+_HEADER_MEMO_CAP = 64
+_HEADER_MEMO_LOCK = threading.Lock()
+
+
 def _npy_array(data: bytes) -> np.ndarray:
     """The array an ``np.save`` file holds, as a read-only view of ``data``.
 
-    The ``.npy`` header is parsed in memory and the payload wrapped with
+    The ``.npy`` header is parsed in memory — once per distinct header
+    (see ``_HEADER_MEMO``) — and the payload wrapped with
     ``np.frombuffer``, so the array is exactly the bytes the caller read
     (and checksummed) — no second open of the file, no memory map.
     """
-    stream = io.BytesIO(data)
-    version = np.lib.format.read_magic(stream)
-    if version == (1, 0):
-        header = np.lib.format.read_array_header_1_0(stream)
-    else:
-        header = np.lib.format.read_array_header_2_0(stream)
-    shape, fortran_order, dtype = header
-    array = np.frombuffer(
-        data, dtype=dtype, count=math.prod(shape), offset=stream.tell()
-    )
+    # Magic (6 bytes) and version (2), then a 2-byte header length in
+    # format 1.0 and a 4-byte one in 2.0 and 3.0.
+    size_bytes = 2 if data[6:7] == b"\x01" else 4
+    end = 8 + size_bytes + int.from_bytes(data[8 : 8 + size_bytes], "little")
+    key = data[:end]
+    header = _HEADER_MEMO.get(key)
+    if header is None:
+        stream = io.BytesIO(data)
+        version = np.lib.format.read_magic(stream)
+        if version == (1, 0):
+            parsed = np.lib.format.read_array_header_1_0(stream)
+        else:
+            parsed = np.lib.format.read_array_header_2_0(stream)
+        header = (*parsed, stream.tell())
+        with _HEADER_MEMO_LOCK:
+            if len(_HEADER_MEMO) >= _HEADER_MEMO_CAP:
+                _HEADER_MEMO.clear()
+            _HEADER_MEMO[key] = header
+    shape, fortran_order, dtype, offset = header
+    array = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=offset)
     return array.reshape(shape, order="F" if fortran_order else "C")
 
 
@@ -323,17 +347,24 @@ class _WalkPool:
             stats.blocks_reused += need
             return fresh
         stats.blocks_reused += have
-        for index in range(have, need):
-            walks, lengths = fresh[index] = self.generate(index)
-            self.blocks.append((walks, lengths))
-            stats.blocks_generated += 1
-            stats.walks_generated += walks.shape[0]
-            stats.walk_steps_generated += int(lengths.sum())
-            if self.store.store_dir is not None:
-                self.store._write_block(
-                    self.candidate, self.kind, index, walks, lengths
-                )
-                self.store._touch_resident(self, index)
+        renames: list[tuple[Path, Path]] = []
+        try:
+            for index in range(have, need):
+                walks, lengths = fresh[index] = self.generate(index)
+                if self.store.store_dir is not None:
+                    renames += self.store._write_block(
+                        self.candidate, self.kind, index, walks, lengths
+                    )
+                self.blocks.append((walks, lengths))
+                stats.blocks_generated += 1
+                stats.walks_generated += walks.shape[0]
+                stats.walk_steps_generated += int(lengths.sum())
+                if self.store.store_dir is not None:
+                    self.store._touch_resident(self, index)
+        finally:
+            # Publish every block this call added, even if a later one failed.
+            if renames:
+                self.store._publish(renames)
         return fresh
 
     def block(self, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +497,7 @@ class WalkStore:
         affected blocks and advances it atomically.  ``checksums`` is the
         integrity ledger (crc32 per block part, keyed by block stem) and
         is likewise excluded from the identity comparison: it grows with
-        the store and is rewritten by every block write.
+        the store and is rewritten once per batch of block writes.
         """
         return {
             "format": STORE_FORMAT,
@@ -592,15 +623,17 @@ class WalkStore:
         index: int,
         walks: np.ndarray,
         lengths: np.ndarray,
-    ) -> None:
-        """Persist one block atomically (tmp + rename; idempotent bytes).
+    ) -> list[tuple[Path, Path]]:
+        """Stage one block: write its parts to tmp files, ledger their crc32s.
 
         The crc32 of every part's exact file bytes lands in the manifest
         ledger, so a later load can prove the bytes it serves are the
         bytes this store wrote — and regenerate the block in place if
-        not (see ``_repair_block``).
+        not (see ``_repair_block``).  Returns the ``(tmp, final)`` renames
+        that :meth:`_publish` applies once the ledger is on disk.
         """
         checksums: dict[str, int] = {}
+        renames = []
         for part, array in (("walks", walks), ("lengths", lengths)):
             path = self._block_path(candidate, kind, index, part)
             buffer = io.BytesIO()
@@ -609,10 +642,19 @@ class WalkStore:
             checksums[part] = zlib.crc32(data)
             tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
             tmp.write_bytes(data)
-            os.replace(tmp, path)
+            renames.append((tmp, path))
         self._checksums[self._block_stem(candidate, kind, index)] = checksums
         self.stats.blocks_written += 1
+        return renames
+
+    def _publish(self, renames: list[tuple[Path, Path]]) -> None:
+        """Write the ledger once, then rename the staged block files into
+        place (atomic, idempotent bytes): a visible block file always has
+        its ledger entry, and a batch of B blocks costs one manifest write.
+        """
         self._write_manifest()
+        for tmp, path in renames:
+            os.replace(tmp, path)
 
     def _load_block(
         self, candidate: int, kind: str, index: int
@@ -681,7 +723,7 @@ class WalkStore:
         self.stats.blocks_generated += 1
         self.stats.walks_generated += walks.shape[0]
         self.stats.walk_steps_generated += int(lengths.sum())
-        self._write_block(candidate, kind, index, walks, lengths)
+        self._publish(self._write_block(candidate, kind, index, walks, lengths))
         self.stats.blocks_repaired += 1
         fresh = self._checksums.get(stem, {})
         if recorded and fresh != recorded:
@@ -746,6 +788,7 @@ class WalkStore:
                     pool._masters.clear()
         if not todo:
             return
+        renames: list[tuple[Path, Path]] = []
         for cand, touched in sorted(todo.items()):
             lookup = np.zeros(state.n, dtype=bool)
             lookup[touched] = True
@@ -759,21 +802,25 @@ class WalkStore:
                     pool = self.pool(cand, kind)
                 pool._masters.clear()
                 for index in range(len(pool.blocks)):
-                    self._patch_block(pool, index, lookup)
+                    renames += self._patch_block(pool, index, lookup)
             # RR-set pools sample the graph directly; regenerate lazily.
             self._rr_pools.pop((cand, "ic"), None)
             self._rr_pools.pop((cand, "lt"), None)
             self._graph_versions[cand] = int(state.graph(cand).version)
         if self.store_dir is not None:
-            self._write_manifest()
+            self._publish(renames)
 
     def _patch_block(
         self,
         pool: _WalkPool,
         index: int,
         touched_lookup: np.ndarray,
-    ) -> None:
-        """Regenerate the walks of one block that crossed a touched column."""
+    ) -> list[tuple[Path, Path]]:
+        """Regenerate the walks of one block that crossed a touched column.
+
+        Returns the staged renames of a patched ``store_dir`` block (see
+        :meth:`_write_block`); :meth:`apply_delta` publishes them all at once.
+        """
         entry = pool.blocks[index]
         from_disk = entry is None
         if from_disk:
@@ -788,7 +835,7 @@ class WalkStore:
         if invalid.size == 0:
             if from_disk:
                 pool.blocks[index] = None  # inspection only; LRU untouched
-            return
+            return []
         state = self.state
         entropy = _block_entropy(self.root, pool.candidate, pool.kind, index)
         new_walks, new_lengths = generate_reverse_walks_streamed(
@@ -807,11 +854,13 @@ class WalkStore:
         self.stats.blocks_invalidated += 1
         self.stats.walks_patched += int(invalid.size)
         self.stats.walk_steps_generated += int(new_lengths.sum())
-        if self.store_dir is not None:
-            self._write_block(
-                pool.candidate, pool.kind, index, patched_walks, patched_lengths
-            )
-            self._touch_resident(pool, index)
+        if self.store_dir is None:
+            return []
+        renames = self._write_block(
+            pool.candidate, pool.kind, index, patched_walks, patched_lengths
+        )
+        self._touch_resident(pool, index)
+        return renames
 
     # ------------------------------------------------------------------
     # Pools and views

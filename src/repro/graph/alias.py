@@ -8,8 +8,9 @@ one step with a few numpy operations.
 
 The O(E) table depends only on the graph's columns, so the graph owns it:
 walk code asks :meth:`repro.graph.digraph.InfluenceGraph.alias_sampler`,
-which builds one table per graph version and keeps it until a delta moves
-the version.  Nothing else constructs or caches a table.
+which builds one table per graph version; an edge delta carries a cached
+table forward with :meth:`AliasSampler.patched`, rebuilding only the
+touched columns.  Nothing else constructs or caches a table.
 """
 
 from __future__ import annotations
@@ -28,9 +29,17 @@ class AliasSampler:
     """
 
     def __init__(self, csc: sparse.csc_matrix) -> None:
+        csc = self._adopt(csc)
+        self._prob = np.empty(csc.nnz, dtype=np.float64)
+        self._alias = np.empty(csc.nnz, dtype=np.int64)
+        for j in range(self.n):
+            lo, hi = self._indptr[j], self._indptr[j + 1]
+            self._build_one(csc.data[lo:hi], lo)
+
+    def _adopt(self, csc: sparse.csc_matrix) -> sparse.csc_matrix:
+        """Take ``csc``'s column layout; refuse a column without entries."""
         csc = sparse.csc_matrix(csc)
-        n = csc.shape[1]
-        self.n = n
+        self.n = csc.shape[1]
         self._indptr = csc.indptr.astype(np.int64)
         self._indices = csc.indices.astype(np.int64)
         self._degrees = np.diff(self._indptr)
@@ -40,11 +49,34 @@ class AliasSampler:
                 f"{missing} nodes have no in-neighbors; normalize the graph "
                 "with self loops before building an AliasSampler"
             )
-        self._prob = np.empty(csc.nnz, dtype=np.float64)
-        self._alias = np.empty(csc.nnz, dtype=np.int64)
-        for j in range(n):
-            lo, hi = self._indptr[j], self._indptr[j + 1]
-            self._build_one(csc.data[lo:hi], lo)
+        return csc
+
+    def patched(self, csc: sparse.csc_matrix, touched: np.ndarray) -> "AliasSampler":
+        """The table of ``csc``, a matrix equal to this table's except in
+        the ``touched`` columns.
+
+        Untouched columns keep their ``(prob, alias)`` slices (alias
+        entries are column-local, so a slice moves unchanged when a
+        structural delta shifts its offset); only the touched columns
+        re-run Vose's construction.  Every column's table is a pure
+        function of its weights, so the result is bitwise
+        ``AliasSampler(csc)``.
+        """
+        table = AliasSampler.__new__(AliasSampler)
+        csc = table._adopt(csc)
+        keep = np.ones(self.n, dtype=bool)
+        keep[np.asarray(touched, dtype=np.int64)] = False
+        col = np.repeat(np.arange(self.n), self._degrees)
+        old = np.flatnonzero(keep[col])
+        new = old + (table._indptr - self._indptr)[col[old]]
+        table._prob = np.empty(csc.nnz, dtype=np.float64)
+        table._alias = np.empty(csc.nnz, dtype=np.int64)
+        table._prob[new] = self._prob[old]
+        table._alias[new] = self._alias[old]
+        for j in np.flatnonzero(~keep):
+            lo, hi = table._indptr[j], table._indptr[j + 1]
+            table._build_one(csc.data[lo:hi], lo)
+        return table
 
     def _build_one(self, weights: np.ndarray, offset: int) -> None:
         """Vose's alias construction for one distribution (local indices)."""

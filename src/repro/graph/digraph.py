@@ -85,7 +85,8 @@ class InfluenceGraph:
 
         Built on first use and cached until :attr:`version` moves — every
         :meth:`apply_edge_delta` bumps it, on the coordinator and on each
-        tcp host that replays the delta.
+        tcp host that replays the delta.  A delta over a current table
+        carries it forward, rebuilding only the touched columns.
         """
         cached = self._alias
         if cached is None or cached[0] != self.version:
@@ -224,8 +225,12 @@ class InfluenceGraph:
             new_cols[t] = (sources, weights)
 
         self._install_columns(touched, new_cols, structural)
+        touched = np.asarray(touched, dtype=np.int64)
+        cached = self._alias
+        if cached is not None and cached[0] == self.version:
+            self._alias = (self.version + 1, cached[1].patched(self._csc, touched))
         self.version += 1
-        return np.asarray(touched, dtype=np.int64), structural
+        return touched, structural
 
     def _install_columns(
         self,

@@ -15,9 +15,13 @@ The central contracts:
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import re
 import warnings
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.imm import imm
+from repro.core import walk_store
 from repro.core.bounds import (
     delta_achieved,
     epsilon_achieved_cumulative,
@@ -827,3 +832,141 @@ def test_mmap_spec_and_store_dir_conflicts():
     spec = EngineSpec.parse("rw-store:2:mmap=/data/walks:v1")
     assert spec.name == "rw-store"
     assert spec.kwargs() == {"store_dir": "/data/walks:v1"}
+
+
+# ----------------------------------------------------------------------
+# Write order: parts staged, ledger written once per batch, then renamed
+# ----------------------------------------------------------------------
+def _spy_manifest_writes(monkeypatch):
+    """Count ``_write_manifest`` calls and renames onto ``manifest.json``."""
+    calls = {"writes": 0, "renames": 0}
+    write_manifest = WalkStore._write_manifest
+    replace = os.replace
+
+    def spy_write(self):
+        calls["writes"] += 1
+        write_manifest(self)
+
+    def spy_replace(src, dst):
+        calls["renames"] += Path(dst).name == "manifest.json"
+        replace(src, dst)
+
+    monkeypatch.setattr(WalkStore, "_write_manifest", spy_write)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    return calls
+
+
+def test_cold_open_writes_the_manifest_once_per_batch(tmp_path, monkeypatch):
+    """Generating B blocks is one batch: B block writes, one ledger write
+    (the directory's creation wrote its own before the spy)."""
+    problem = make_problem(23, n=10, r=2)
+    store = WalkStore(
+        problem.state, problem.horizon, seed=4, block_walks=8, store_dir=tmp_path
+    )
+    calls = _spy_manifest_writes(monkeypatch)
+    store.uniform_view(0, 64)  # 8 blocks
+    assert store.stats.blocks_written == 8
+    assert calls == {"writes": 1, "renames": 1}
+    store.per_node_view(0, 5)  # a second pool: one more batch
+    assert store.stats.blocks_written == 13
+    assert calls == {"writes": 2, "renames": 2}
+    store.uniform_view(0, 64)  # served from cache: nothing written
+    assert calls == {"writes": 2, "renames": 2}
+
+
+def test_interrupted_batch_regenerates_exactly_the_unrenamed_blocks(
+    tmp_path, monkeypatch
+):
+    """The ledger lands before any part is renamed: a batch cut short
+    after three of its eight blocks reached their final names leaves a
+    ledger listing all eight.  A re-open regenerates exactly the other
+    five, and their bytes reproduce the recorded crc32s."""
+    problem = make_problem(23, n=10, r=2)
+    store = WalkStore(
+        problem.state, problem.horizon, seed=4, block_walks=8, store_dir=tmp_path
+    )
+    replace = os.replace
+    renamed: list[str] = []
+
+    class Interrupted(Exception):
+        pass
+
+    def cut_replace(src, dst):
+        if Path(dst).suffix == ".npy":
+            if len(renamed) == 6:  # blocks 0-2, two parts each
+                raise Interrupted
+            renamed.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", cut_replace)
+    with pytest.raises(Interrupted):
+        store.uniform_view(0, 64)
+    monkeypatch.setattr(os, "replace", replace)
+
+    ledger = json.loads((tmp_path / "manifest.json").read_text())["checksums"]
+    assert len(ledger) == 8
+    visible = {p.name for p in tmp_path.glob("*.npy")}
+    assert visible == set(renamed)
+    missing = sorted(s for s in ledger if f"{s}.walks.npy" not in visible)
+    assert len(missing) == 5
+
+    warm = WalkStore(
+        problem.state, problem.horizon, seed=4, block_walks=8, store_dir=tmp_path
+    )
+    view = warm.uniform_view(0, 64)
+    assert warm.stats.blocks_generated == 5
+    assert warm.stats.blocks_loaded == 3
+    assert warm.stats.blocks_quarantined == 0
+    for stem, parts in ledger.items():
+        for part, crc in parts.items():
+            assert zlib.crc32((tmp_path / f"{stem}.{part}.npy").read_bytes()) == crc
+    reference = WalkStore(problem.state, problem.horizon, seed=4, block_walks=8)
+    np.testing.assert_array_equal(view.walks, reference.uniform_view(0, 64).walks)
+
+
+def _npy_bytes(array, version):
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=version)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.arange(12, dtype=np.int32).reshape(3, 4),
+        np.asfortranarray(np.arange(12, dtype=np.float64).reshape(3, 4)),
+        np.arange(5, dtype=np.int64),
+        np.array(7, dtype=np.int16),
+    ],
+    ids=["c-order", "fortran-order", "1d", "0d"],
+)
+def test_npy_header_memo_hit_equals_miss(monkeypatch, array, version):
+    """A memoised header serves the array a fresh parse serves: same
+    values, dtype, shape and memory order; a hit reads its own payload."""
+    monkeypatch.setattr(walk_store, "_HEADER_MEMO", {})
+    data = _npy_bytes(array, version)
+    miss = walk_store._npy_array(data)
+    assert len(walk_store._HEADER_MEMO) == 1
+    other = _npy_bytes(
+        (array + 1).copy(order="F" if array.flags.f_contiguous else "C"), version
+    )
+    hit = walk_store._npy_array(other)
+    assert len(walk_store._HEADER_MEMO) == 1
+    for got, expected in ((miss, array), (hit, array + 1)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.flags.c_contiguous == array.flags.c_contiguous
+        assert got.flags.f_contiguous == array.flags.f_contiguous
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_npy_header_memo_never_grows_past_its_cap(monkeypatch):
+    monkeypatch.setattr(walk_store, "_HEADER_MEMO", {})
+    cap = walk_store._HEADER_MEMO_CAP
+    for size in range(3 * cap):
+        array = np.arange(size, dtype=np.int32)
+        np.testing.assert_array_equal(
+            walk_store._npy_array(_npy_bytes(array, (1, 0))), array
+        )
+        assert 1 <= len(walk_store._HEADER_MEMO) <= cap

@@ -35,6 +35,7 @@ rebuilt.  The contracts pinned here:
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import zlib
 
@@ -665,6 +666,49 @@ def test_mmap_warm_reopen_after_delta(tmp_path):
     stale = random_instance(n=30, r=3, seed=29, shared_graph=False)
     with pytest.raises(ValueError, match="graph versions"):
         WalkStore(stale, problem.horizon, seed=3, store_dir=tmp_path)
+
+
+def test_store_delta_writes_the_manifest_once(tmp_path, monkeypatch):
+    """A delta that patches several persisted blocks is one write batch:
+    the patched parts are staged, the ledger (new crc32s and graph
+    versions) is written once, then the parts are renamed into place."""
+    problem = make_problem(29, n=30)
+    store = WalkStore(
+        problem.state, problem.horizon, seed=3, store_dir=tmp_path
+    )
+    store.per_node_view(0, 8)
+    hot = census_hot_nodes(store, 0, KIND_PER_NODE, problem.n)
+    report = problem.apply_delta(
+        edges_added=[
+            reweight_in_edge(problem.state.graph(0), node) for node in hot
+        ]
+    )
+    writes, manifest_renames, block_renames = [], [], []
+    write_manifest, replace = WalkStore._write_manifest, os.replace
+
+    def spy_write(self):
+        writes.append(len(block_renames))
+        write_manifest(self)
+
+    def spy_replace(src, dst):
+        name = os.path.basename(dst)
+        (manifest_renames if name == "manifest.json" else block_renames).append(
+            name
+        )
+        replace(src, dst)
+
+    monkeypatch.setattr(WalkStore, "_write_manifest", spy_write)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    store.apply_delta(report)
+    assert store.stats.blocks_invalidated >= 2
+    assert writes == [0]  # once, before any block rename
+    assert len(manifest_renames) == 1
+    assert len(block_renames) == 2 * store.stats.blocks_invalidated
+    ledger = json.loads((tmp_path / "manifest.json").read_text())
+    for name in block_renames:
+        stem, part, _ = name.split(".")
+        crc = zlib.crc32((tmp_path / name).read_bytes())
+        assert ledger["checksums"][stem][part] == crc
 
 
 def test_block_changed_after_load_cannot_reach_the_patch(tmp_path):

@@ -116,3 +116,59 @@ def test_pickle_omits_the_table():
     assert pickle.dumps(graph) == graph_bytes
     assert pickle.dumps(problem) == problem_bytes
     assert pickle.loads(graph_bytes).alias_sampler() is not graph.alias_sampler()
+
+
+def _assert_bitwise_fresh(table, graph):
+    fresh = AliasSampler(graph.csc)
+    for name in ("_indptr", "_indices", "_degrees", "_prob", "_alias"):
+        ours, theirs = getattr(table, name), getattr(fresh, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        "weight-only",
+        "insert",
+        "remove",
+        "empty-column",
+        "mixed",
+    ],
+)
+def test_delta_carries_the_table_forward_bitwise(delta):
+    from tests.conftest import random_instance
+
+    graph = random_instance(n=30, r=1, seed=9, density=0.2).graph(0)
+    table = graph.alias_sampler()
+    src, dst, _ = graph.edges()
+    dst_cols = np.flatnonzero(graph.in_degrees() >= 2)
+    col = int(dst_cols[0])
+    first_src = int(graph.in_neighbors(col)[0][0])
+    fresh_src = next(
+        u for u in range(graph.n) if u not in set(graph.in_neighbors(col)[0])
+    )
+    last = int(dst_cols[-1])
+    added, removed = {
+        "weight-only": ([(first_src, col, 3.0), (int(src[0]), int(dst[0]), 0.2)], []),
+        "insert": ([(fresh_src, col, 0.5)], []),
+        "remove": ([], [(first_src, col)]),
+        "empty-column": ([], [(int(u), last) for u in graph.in_neighbors(last)[0]]),
+        "mixed": (
+            [(fresh_src, col, 0.5), (int(src[-1]), int(dst[-1]), 2.0)],
+            [(first_src, col)],
+        ),
+    }[delta]
+    version = graph.version
+    graph.apply_edge_delta(added, removed)
+    carried = graph._alias
+    assert carried is not None and carried[0] == graph.version == version + 1
+    assert carried[1] is not table
+    assert graph.alias_sampler() is carried[1]  # no rebuild on first use
+    _assert_bitwise_fresh(carried[1], graph)
+
+
+def test_delta_over_a_stale_table_builds_on_demand():
+    graph = graph_from_edges(4, [0, 1, 2, 3], [2, 2, 3, 3])
+    graph.apply_edge_delta([(0, 2, 2.0)])  # no table yet: nothing to carry
+    assert graph._alias is None
+    _assert_bitwise_fresh(graph.alias_sampler(), graph)
