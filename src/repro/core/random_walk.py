@@ -241,21 +241,6 @@ class TruncatedWalks:
         lo, hi = self.node_ptr[node], self.node_ptr[node + 1]
         return self.idx_walk[lo:hi], self.idx_pos[lo:hi]
 
-    def live_entries(
-        self, wanted: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(nodes, walk_ids)`` of index entries inside current truncations.
-
-        An entry is *live* when its first-occurrence position has not been
-        cut off by a previously chosen seed; only live entries can change a
-        walk's value.  ``wanted``, an ``(n,)`` bool mask, keeps only the
-        entries of those nodes, in index order.
-        """
-        mask = self.idx_pos <= self.end_pos[self.idx_walk]
-        if wanted is not None:
-            mask &= wanted[self.idx_node]
-        return self.idx_node[mask], self.idx_walk[mask]
-
     @property
     def seeds(self) -> list[int]:
         """Seeds applied so far, in application order."""
@@ -303,8 +288,8 @@ class TruncatedWalks:
 
         The padded walk matrices and the first-occurrence inverted index
         are immutable after construction and are shared by reference — the
-        expensive parts (generation, the index lexsort) are paid once per
-        collection, however many clones serve concurrent selection
+        expensive parts (generation, the index's stable argsort) are paid
+        once per collection, however many clones serve concurrent selection
         sessions.  The truncation state (``end_pos``, ``values``, ``b0``)
         is handed over copy-on-write, exactly like :meth:`snapshot_state`:
         the first ``add_seed`` on either side detaches it, so no clone can
@@ -374,6 +359,14 @@ class WalkGreedyOptimizer:
     scores every candidate's marginal gain in one vectorized pass.  The
     greedy loop itself is :func:`~repro.core.greedy.greedy_engine`.
 
+    The gain scan pairs each first-occurrence index entry with its
+    (node, group) pair.  The index and the grouping are fixed while the
+    optimizer is bound, so that pair table is sorted once, on the first
+    :meth:`marginal_gains`; every round after it is linear in the index
+    entries (a live mask, one ``bincount``) and gives the bits the
+    per-round sort gave.  Callers that only read :meth:`estimated_score`
+    (a walk engine's ``evaluate``) never build it.
+
     Parameters
     ----------
     walks:
@@ -411,10 +404,12 @@ class WalkGreedyOptimizer:
                 raise ValueError(f"score {score.name!r} needs competitor opinions")
             self.others = np.asarray(others_by_user, dtype=np.float64)
         if grouping == "start":
-            uniq, group_of_walk = np.unique(walks.starts, return_inverse=True)
-            self.group_of_walk = group_of_walk.astype(np.int64)
-            self.group_user = uniq.astype(np.int64)
-            self.group_weight = np.ones(uniq.size, dtype=np.float64)
+            # One group per start node, numbered in node order.
+            present = np.bincount(walks.starts, minlength=n) > 0
+            rank = np.cumsum(present, dtype=np.int64) - 1
+            self.group_of_walk = rank[walks.starts]
+            self.group_user = np.flatnonzero(present).astype(np.int64)
+            self.group_weight = np.ones(self.group_user.size, dtype=np.float64)
         else:
             self.group_of_walk = np.arange(walks.num_walks, dtype=np.int64)
             self.group_user = walks.starts.copy()
@@ -428,6 +423,7 @@ class WalkGreedyOptimizer:
         self._is_copeland = isinstance(score, CopelandScore)
         if not self._is_copeland and not isinstance(score, SeparableScore):
             raise TypeError(f"unsupported score type {type(score).__name__}")
+        self._pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     def _group_sums(self) -> np.ndarray:
@@ -452,6 +448,26 @@ class WalkGreedyOptimizer:
         return float(np.dot(self.group_weight, contrib))
 
     # ------------------------------------------------------------------
+    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pair_of_entry, pair_node, pair_group)``, built on first use.
+
+        Every index entry belongs to one (node, group) pair; the pairs are
+        sorted by node, then group.  The index and the grouping never
+        change while the optimizer is bound, so this is the one sort of
+        the gain scan, paid once however many rounds follow.
+        """
+        if self._pairs is None:
+            walks = self.walks
+            groups = self.group_of_walk[walks.idx_walk]
+            key = walks.idx_node * np.int64(self.num_groups) + groups
+            uniq, pair_of_entry = np.unique(key, return_inverse=True)
+            self._pairs = (
+                pair_of_entry,
+                uniq // self.num_groups,
+                uniq % self.num_groups,
+            )
+        return self._pairs
+
     def _candidate_updates(
         self, candidates: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -461,32 +477,37 @@ class WalkGreedyOptimizer:
         ``w`` still present in some truncated walk (among ``candidates``,
         when given) and every group with a walk through ``w``, the group
         estimate before and after seeding ``w`` (all affected walk values
-        jump to 1).
+        jump to 1).  Only the *live* entries count — those whose first
+        occurrence a chosen seed has not cut off — and a pair is live
+        when any of its entries is.  Each pair's jump is summed over its
+        live entries in index order, so a round is linear in the index.
         """
-        wanted = None
+        walks = self.walks
+        pair_of_entry, pair_node, pair_group = self._pair_table()
+        mask = walks.idx_pos <= walks.end_pos[walks.idx_walk]
         if candidates is not None:
-            wanted = np.zeros(self.walks.n, dtype=bool)
+            wanted = np.zeros(walks.n, dtype=bool)
             wanted[candidates] = True
-        nodes, wids = self.walks.live_entries(wanted)
-        groups = self.group_of_walk[wids]
-        delta = 1.0 - self.walks.values[wids]
-        key = nodes * np.int64(self.num_groups) + groups
-        uniq, inverse = np.unique(key, return_inverse=True)
-        delta_sum = np.bincount(inverse, weights=delta, minlength=uniq.size)
-        pair_node = (uniq // self.num_groups).astype(np.int64)
-        pair_group = (uniq % self.num_groups).astype(np.int64)
+            mask &= wanted[walks.idx_node]
+        pairs = pair_of_entry[mask]
+        delta = 1.0 - walks.values[walks.idx_walk[mask]]
+        delta_sum = np.bincount(pairs, weights=delta, minlength=pair_node.size)
+        live = np.zeros(pair_node.size, dtype=bool)
+        live[pairs] = True
+        pair_node, pair_group = pair_node[live], pair_group[live]
         sums = self._group_sums()
         old_b = sums[pair_group] / self.group_size[pair_group]
-        new_b = (sums[pair_group] + delta_sum) / self.group_size[pair_group]
+        new_b = (sums[pair_group] + delta_sum[live]) / self.group_size[pair_group]
         return pair_node, pair_group, old_b, new_b
 
     def marginal_gains(self, candidates: np.ndarray | None = None) -> np.ndarray:
         """Estimated marginal gain of seeding each node (one vectorized scan).
 
         With ``candidates``, the scan reads only their live entries and
-        returns their gains, in order.  A pair's updates accumulate in the
-        same order either way, so each gain has the full scan's bits
-        whatever else is requested.
+        returns their gains, in order.  Each (node, group) pair of the
+        table sums its live entries in index order and the pairs are
+        scored in their sorted order either way, so each gain has the
+        full scan's bits whatever else is requested.
         """
         n = self.walks.n
         pair_node, pair_group, old_b, new_b = self._candidate_updates(candidates)

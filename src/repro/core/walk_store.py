@@ -600,17 +600,24 @@ class WalkStore:
             f"-b{int(index):06d}"
         )
 
+    @staticmethod
+    def _part_name(stem: str, part: str) -> str:
+        """File name of one part of the block with ledger key ``stem``."""
+        return f"{stem}.{part}.npy"
+
     def _block_path(self, candidate: int, kind: str, index: int, part: str) -> Path:
         """Deterministic block file name: one identity, one path, forever."""
-        return self.store_dir / (
-            f"{self._block_stem(candidate, kind, index)}.{part}.npy"
+        return self.store_dir / self._part_name(
+            self._block_stem(candidate, kind, index), part
         )
 
     def _disk_prefix(self, candidate: int, kind: str) -> int:
-        """Number of contiguous complete blocks already on disk."""
+        """Number of contiguous complete blocks already on disk, read
+        from one listing of ``store_dir``."""
+        names = set(os.listdir(self.store_dir))
         count = 0
         while all(
-            self._block_path(candidate, kind, count, part).exists()
+            self._part_name(self._block_stem(candidate, kind, count), part) in names
             for part in ("walks", "lengths")
         ):
             count += 1
@@ -668,6 +675,11 @@ class WalkStore:
         the damaged files and serves the block regenerated in place from
         its deterministic identity — see ``_repair_block``.
         """
+        stem = self._block_stem(candidate, kind, index)
+        paths = {
+            part: self.store_dir / self._part_name(stem, part)
+            for part in ("walks", "lengths")
+        }
         spec = faults.maybe_fail(
             "store-corrupt-block",
             candidate=int(candidate),
@@ -677,15 +689,14 @@ class WalkStore:
         if spec is not None:
             plan = faults.active()
             faults.corrupt_file(
-                self._block_path(candidate, kind, index, "walks"),
+                paths["walks"],
                 plan.rng(int(candidate), _KIND_CODES[kind], int(index)),
             )
-        stem = self._block_stem(candidate, kind, index)
         recorded = self._checksums.get(stem, {})
         damaged = False
         payloads = []
-        for part in ("walks", "lengths"):
-            data = self._block_path(candidate, kind, index, part).read_bytes()
+        for part, path in paths.items():
+            data = path.read_bytes()
             crc = zlib.crc32(data)
             if part not in recorded:
                 # Block written by a concurrent pre-checksum writer
@@ -914,8 +925,8 @@ class WalkStore:
         served iff ``i // n < λ[i % n]``.  An array view is therefore a
         per-node prefix of every larger view over the same pool.  It
         lists the walks node by node (a uniform count lists them round
-        by round); estimates and gains do not depend on that order,
-        but the greedy scan runs fastest on the node-major one.
+        by round); estimates, gains and the cost of a greedy round do
+        not depend on that order.
 
         The view is a copy-on-write clone of the cached master: truncating
         it (seed commits) never touches the stored blocks, so the next

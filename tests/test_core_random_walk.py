@@ -273,11 +273,12 @@ def test_add_seed_idempotent():
     np.testing.assert_array_equal(walks.end_pos, end)
 
 
-def test_live_entries_shrink_after_seeding():
+def test_live_pairs_shrink_after_seeding():
     _, _, walks = _deterministic_path_walks()
-    nodes_before, _ = walks.live_entries()
+    optimizer = WalkGreedyOptimizer(walks, CumulativeScore(), None)
+    nodes_before = optimizer._candidate_updates()[0]
     walks.add_seed(2)
-    nodes_after, _ = walks.live_entries()
+    nodes_after = optimizer._candidate_updates()[0]
     assert nodes_after.size < nodes_before.size
     assert 1 not in nodes_after.tolist()  # node 1 got cut off
     assert 0 not in nodes_after.tolist()
@@ -474,3 +475,23 @@ def test_walk_engine_reset_does_not_leak_mutations_into_snapshot():
         engine.evaluate_one(seeds)
     np.testing.assert_array_equal(engine._snapshot[1], snap_values)
     assert engine.evaluate_one(()) == baseline
+
+
+def test_walk_greedy_rounds_never_sort(monkeypatch):
+    """The pair table is the gain scan's one sort: once the first
+    ``marginal_gains`` has built it, the rounds of a greedy selection
+    (commits, gain scans, score estimates) sort nothing."""
+    state = random_instance(n=24, r=3, seed=4)
+    problem = FJVoteProblem(state, 0, 4, PluralityScore())
+    expected = greedy_engine(make_engine("rw-store", problem, rng=7), 4)
+    engine = make_engine("rw-store", problem, rng=7)
+    engine.marginal_gains((), np.arange(problem.n))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk greedy round sorted")
+
+    for name in ("unique", "argsort", "sort", "lexsort"):
+        monkeypatch.setattr(np, name, refuse)
+    result = greedy_engine(engine, 4)
+    np.testing.assert_array_equal(result.seeds, expected.seeds)
+    assert result.objective == expected.objective

@@ -702,6 +702,46 @@ def test_warm_reopen_regenerates_zero_blocks(tmp_path):
     assert warm.stats.blocks_generated == 0
 
 
+def _exists_prefix(store, candidate, kind):
+    """The contiguous complete-block prefix, one ``exists()`` per part."""
+    count = 0
+    while all(
+        store._block_path(candidate, kind, count, part).exists()
+        for part in ("walks", "lengths")
+    ):
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [
+        ["b000003.walks"],  # block 3 lost its walks part
+        ["b000004.walks", "b000005.walks", "b000005.lengths"],  # lone lengths
+    ],
+    ids=["block-3-walks-missing", "lone-lengths-part"],
+)
+def test_warm_open_adopts_the_complete_block_prefix(tmp_path, drop):
+    """The prefix a warm open adopts from one directory listing is the
+    one per-part ``exists()`` checks find; the rest regenerates."""
+    problem = make_problem(21, n=12, r=2)
+    cold = WalkStore(problem.state, problem.horizon, seed=5, store_dir=tmp_path)
+    view = cold.per_node_view(0, 6)
+    assert cold.stats.blocks_written == 6
+    for path in tmp_path.glob("*.npy"):
+        if any(f"-{name}.npy" in path.name for name in drop):
+            path.unlink()
+    warm = WalkStore(problem.state, problem.horizon, seed=5, store_dir=tmp_path)
+    expected = _exists_prefix(warm, 0, KIND_PER_NODE)
+    assert expected == int(drop[0][1:7])
+    assert warm._disk_prefix(0, KIND_PER_NODE) == expected
+    assert len(warm.pool(0, KIND_PER_NODE).blocks) == expected
+    reopened = warm.per_node_view(0, 6)
+    assert warm.stats.blocks_generated == 6 - expected
+    np.testing.assert_array_equal(reopened.walks, view.walks)
+    np.testing.assert_array_equal(reopened.lengths, view.lengths)
+
+
 def test_mmap_manifest_mismatch_rejected(tmp_path):
     """Re-opening with a different identity must fail loudly, never serve
     walks drawn from different dynamics."""

@@ -11,7 +11,9 @@ must satisfy:
   formula over its group estimates.
 
 The first-occurrence index built from the walk lengths must equal the
-padded-grid mask + ``lexsort`` construction kept here as an oracle.
+padded-grid mask + ``lexsort`` construction kept here as an oracle, and
+the gain scan over the optimizer's once-built (node, group) pair table
+must give the bytes of a per-round ``np.unique`` over the live entries.
 """
 
 import numpy as np
@@ -20,7 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.random_walk import TruncatedWalks, WalkGreedyOptimizer
-from repro.voting.scores import CumulativeScore, PluralityScore
+from repro.core.walk_store import WalkStore
+from repro.voting.scores import (
+    CopelandScore,
+    CumulativeScore,
+    PApprovalScore,
+    PluralityScore,
+)
 from repro.core.problem import FJVoteProblem
 from tests.conftest import random_instance, walks_from
 
@@ -191,3 +199,103 @@ def test_index_refuses_lengths_that_disagree_with_padding(lengths):
     TruncatedWalks(walks, np.array([3, 1]), np.zeros(3), 3)  # consistent
     with pytest.raises(ValueError, match="length"):
         TruncatedWalks(walks, np.array(lengths), np.zeros(3), 3)
+
+
+# ----------------------------------------------------------------------
+# Gain scan: the once-built pair table == a per-round sort of live entries
+# ----------------------------------------------------------------------
+def _sorted_pair_updates(optimizer: WalkGreedyOptimizer, candidates=None):
+    """``(pair_node, pair_group, old_b, new_b)`` by sorting this round's
+    live (node, group) keys with ``np.unique``."""
+    walks = optimizer.walks
+    groups_total = optimizer.num_groups
+    mask = walks.idx_pos <= walks.end_pos[walks.idx_walk]
+    if candidates is not None:
+        wanted = np.zeros(walks.n, dtype=bool)
+        wanted[candidates] = True
+        mask &= wanted[walks.idx_node]
+    nodes, wids = walks.idx_node[mask], walks.idx_walk[mask]
+    delta = 1.0 - walks.values[wids]
+    key = nodes * np.int64(groups_total) + optimizer.group_of_walk[wids]
+    uniq, inverse = np.unique(key, return_inverse=True)
+    delta_sum = np.bincount(inverse, weights=delta, minlength=uniq.size)
+    pair_node = (uniq // groups_total).astype(np.int64)
+    pair_group = (uniq % groups_total).astype(np.int64)
+    sums = optimizer._group_sums()
+    old_b = sums[pair_group] / optimizer.group_size[pair_group]
+    new_b = (sums[pair_group] + delta_sum) / optimizer.group_size[pair_group]
+    return pair_node, pair_group, old_b, new_b
+
+
+_SCORES = {
+    "cumulative": CumulativeScore,
+    "plurality": PluralityScore,
+    "p-approval": lambda: PApprovalScore(2),
+    "copeland": CopelandScore,
+}
+
+
+@st.composite
+def _scan_cases(draw):
+    n = draw(st.integers(3, 8))
+    nodes = st.integers(0, n - 1)
+    return dict(
+        seed=draw(st.integers(0, 2000)),
+        n=n,
+        view=draw(st.sampled_from(["round-major", "node-major", "uniform"])),
+        grouping=draw(st.sampled_from(["start", "walk"])),
+        score=draw(st.sampled_from(sorted(_SCORES))),
+        lam=draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+        seeds=draw(st.lists(nodes, max_size=3)),
+        candidates=draw(
+            st.none() | st.lists(nodes, min_size=1, max_size=n, unique=True)
+        ),
+        warm=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scan_cases())
+def test_property_pair_table_scan_equals_per_round_sort(case):
+    n = case["n"]
+    state = random_instance(n=n, r=3, seed=case["seed"])
+    problem = FJVoteProblem(state, 0, 3, _SCORES[case["score"]]())
+    store = WalkStore(state, 3, seed=case["seed"])
+    if case["view"] == "round-major":
+        walks = store.per_node_view(0, 2)
+    elif case["view"] == "node-major":
+        walks = store.per_node_view(0, np.array(case["lam"], dtype=np.int64))
+    else:
+        walks = store.uniform_view(0, 3 * n)
+
+    def build(view):
+        others = None
+        if not isinstance(problem.score, CumulativeScore):
+            others = problem.others_by_user()
+        return WalkGreedyOptimizer(
+            view, problem.score, others, grouping=case["grouping"]
+        )
+
+    optimizer = build(walks)
+    oracle = build(walks.share())
+    oracle._candidate_updates = lambda c=None: _sorted_pair_updates(oracle, c)
+    if case["grouping"] == "start":
+        uniq, group_of_walk = np.unique(walks.starts, return_inverse=True)
+        assert optimizer.group_of_walk.dtype == np.int64
+        assert optimizer.group_of_walk.tobytes() == group_of_walk.tobytes()
+        assert optimizer.group_user.tobytes() == uniq.astype(np.int64).tobytes()
+    if case["warm"]:
+        optimizer.marginal_gains()  # the table is built before any commit
+    for node in case["seeds"]:
+        optimizer.walks.add_seed(node)
+        oracle.walks.add_seed(node)
+    candidates = case["candidates"]
+    if candidates is not None:
+        candidates = np.array(candidates, dtype=np.int64)
+    got = optimizer._candidate_updates(candidates)
+    expected = _sorted_pair_updates(oracle, candidates)
+    for name, a, b in zip(("pair_node", "pair_group", "old_b", "new_b"), got, expected):
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    gains = optimizer.marginal_gains(candidates)
+    assert gains.tobytes() == oracle.marginal_gains(candidates).tobytes()
