@@ -3,8 +3,10 @@
 Three claims baked into the paper's algorithms, measured head-to-head:
 
 1. **CELF** (§III-C) — lazy evaluation on the submodular cumulative score
-   must return the same seeds as exhaustive greedy with far fewer objective
-   evaluations.
+   must return the same seeds as the eager greedy with far fewer objective
+   evaluations than a full scan.  Both variants now also skip every
+   candidate whose certified gain bound cannot win a round, so the table
+   lists the full scan's count beside them.
 2. **Post-Generation Truncation** (§V-B, Theorem 9) — reusing one walk set
    across greedy rounds must be much faster than regenerating walks for
    every candidate seed set (Direct Generation), with statistically
@@ -50,13 +52,16 @@ def test_ablation_celf_vs_exhaustive(benchmark, yelp_ds, save_result):
             ["variant", "objective", "evaluations", "time (s)"],
             [
                 ["CELF", lazy.objective, lazy.evaluations, t_lazy],
-                ["exhaustive", eager.objective, eager.evaluations, t_eager],
+                ["bound-ordered", eager.objective, eager.evaluations, t_eager],
+                ["full scan", eager.objective, eager.full_scan, "-"],
             ],
         ),
     )
     assert lazy.objective == pytest.approx(eager.objective)
     assert lazy.seeds.tolist() == eager.seeds.tolist()
-    assert lazy.evaluations < 0.5 * eager.evaluations
+    assert lazy.full_scan == eager.full_scan
+    assert lazy.evaluations < 0.5 * lazy.full_scan
+    assert eager.evaluations <= eager.full_scan
 
 
 def test_ablation_truncation_vs_regeneration(benchmark, mask_ds, save_result):

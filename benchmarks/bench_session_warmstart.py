@@ -6,8 +6,10 @@ III: ~1.3-1.9 edges/node): once as PR-1-style *stateless* rounds — every
 round replays the full committed set's delta from the unseeded base — and
 once through a :class:`~repro.core.engine.SelectionSession`, whose commits
 fold the chosen seed into the committed trajectory so each round evolves
-only single-candidate deltas.  Both paths must select byte-identical
-seeds; the win is measured with the deterministic
+only single-candidate deltas — and, through ``greedy_engine``'s round
+loop, only the candidates whose certified gain bound can still win the
+round, so the reduction counts both savings.  Both paths must select
+byte-identical seeds; the win is measured with the deterministic
 :class:`~repro.core.engine.EngineStats` evolution counters (dense
 column-step equivalents), so the assertion is immune to timer noise:
 strictly less work everywhere, and >= 2x less at n >= 2000.  Wall times

@@ -130,6 +130,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.engine import ENGINE_HELP, ENGINE_NAMES, EngineSpec
+from repro.core.greedy import greedy_dm
 from repro.core.winmin import min_seeds_to_win
 from repro.datasets.dblp import dblp_like
 from repro.datasets.synth import Dataset
@@ -142,6 +143,7 @@ from repro.datasets.yelp import yelp_like
 from repro.eval.case_study import acm_election_case_study
 from repro.eval.harness import METHOD_NAMES, select_seeds
 from repro.eval.reporting import format_table
+from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
 from repro.voting.scores import make_score
 
@@ -509,17 +511,25 @@ def cmd_select(args: argparse.Namespace) -> int:
     kwargs = _FAST_KWARGS.get(args.method, {})
     store = _wire_store_and_delta(args, problem, args.method, [args.engine])
     engine = _dm_engine(args, problem, store) if args.method == "dm" else args.engine
+    greedy = None
     try:
         with Timer() as timer:
-            seeds = select_seeds(
-                args.method,
-                problem,
-                args.k,
-                rng=args.seed,
-                engine=engine,
-                store=store,
-                **kwargs,
-            )
+            if args.method == "dm":
+                # select_seeds' dm path, keeping the round counters.
+                greedy = greedy_dm(
+                    problem, args.k, engine=engine, rng=ensure_rng(args.seed)
+                )
+                seeds = greedy.seeds
+            else:
+                seeds = select_seeds(
+                    args.method,
+                    problem,
+                    args.k,
+                    rng=args.seed,
+                    engine=engine,
+                    store=store,
+                    **kwargs,
+                )
     finally:
         if not isinstance(engine, str):
             engine.close()
@@ -533,6 +543,11 @@ def cmd_select(args: argparse.Namespace) -> int:
           f"({timer.elapsed:.2f}s)")
     print("seeds:", " ".join(str(int(s)) for s in seeds))
     _print_store_stats(store)
+    if greedy is not None:
+        print(
+            f"greedy: evaluated={greedy.evaluations} "
+            f"full_scan={greedy.full_scan} bound_s={greedy.bound_s:.4f}"
+        )
     return 0
 
 

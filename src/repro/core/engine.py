@@ -31,9 +31,12 @@ shape instead of restarting every FJ evolution from the empty-seed base:
 
 Every gains and values call is *batch-stable*: a seed set's value and a
 candidate's gain are bitwise the same whatever else shares the call, at
-any call width, ``batch_rows`` and thread count.  CELF's narrow refreshes
-therefore agree with its wide first round, and the serving layer may
-merge concurrent requests into one round without changing an answer.
+any call width, ``batch_rows`` and thread count.  The greedy's
+bound-ordered chunks therefore agree with a full scan of the round (see
+:mod:`repro.core.greedy`), and the serving layer may merge concurrent
+requests into one round without changing an answer.  The exact sessions
+also certify an upper bound on every candidate's gain in one reverse pass
+(:func:`gain_bounds`), which is what lets the greedy skip candidates.
 
 Backends
 --------
@@ -151,6 +154,108 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _scaled_transpose(problem: FJVoteProblem) -> sparse.csr_matrix:
+    """The target's ``W^T`` with rows pre-scaled by ``(1 - d)``.
+
+    One sparse product per FJ step, ``delta(s+1) = WT_scaled @ delta(s)``
+    in ``(n, C)`` layout.  Fully-stubborn users leave explicit zero rows
+    behind; they are pruned so they cost nothing in every product.
+    """
+    state = problem.state
+    q = problem.target
+    d = state.stubbornness[q]
+    operator = (sparse.diags(1.0 - d) @ state.graph(q).csc.T).tocsr()
+    operator.eliminate_zeros()
+    return operator
+
+
+#: Relative slack of a certified gain bound.  The float bound can sit a
+#: few ulps below a tight exact gain (the cumulative bound is tight to
+#: about 1e-13), and a float gain carries the rounding of two objective
+#: sums, so a bound ``B`` is reported as ``B + GAIN_BOUND_SLACK * (B +
+#: scale)``, with ``scale`` the user count (the summed positive user
+#: weights when the engine has them).
+GAIN_BOUND_SLACK = 1e-9
+
+
+def gain_bounds(
+    problem: FJVoteProblem,
+    operator: sparse.csr_matrix | None,
+    traj: np.ndarray,
+    committed: np.ndarray,
+    candidates: np.ndarray,
+    user_weights: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Certified upper bound on each candidate's exact marginal gain.
+
+    ``traj`` is the committed set's ``(horizon+1, n)`` trajectory and
+    ``operator`` is :func:`_scaled_transpose` of the problem (``M``;
+    ``None`` builds it once the score has declared weights).
+    Pinning ``c`` adds a delta that obeys ``delta(s) <= Z M delta(s-1) +
+    a_s[c] e_c`` elementwise, with ``a_s = 1 - traj[s]`` and ``Z`` zeroing
+    the committed rows: FJ is linear with nonnegative weights, so a pinned
+    seed's horizon effect is at most the sum over its reverse-walk visits
+    (the absorbing-walk view of Gionis et al., arXiv 1301.7455).  For the
+    score's per-user weights ``w >= 0`` (:meth:`VotingScore.gain_weights`,
+    times ``user_weights``) the gain is therefore at most
+    ``Σ_τ a_τ[c] · ((M^T Z)^(t-τ) w)[c]`` — ``t`` sparse mat-vecs give it
+    for every candidate at once.  Users with ``w = +inf`` make the bound
+    ``+inf`` for every candidate whose walks can reach them (a
+    reachability pass over ``M``'s pattern, never ``0 · inf``).
+
+    The bound carries :data:`GAIN_BOUND_SLACK`, so a float gain never
+    exceeds it, and is rounded down for scores whose gains are integers.
+    Returns ``None`` when the score declares no weights.
+    """
+    score = problem.score
+    weights = score.gain_weights(traj[-1], problem.others_by_user())
+    if weights is None:
+        return None
+    weights = np.array(weights, dtype=np.float64)
+    scale = float(problem.n)
+    if user_weights is not None:
+        # A user weighted <= 0 cannot raise the gain: its term counts 0.
+        positive = np.maximum(user_weights, 0.0)
+        scale = float(positive.sum())
+        with np.errstate(invalid="ignore"):
+            weights = np.where(positive > 0.0, weights * positive, 0.0)
+    if not np.all(weights >= 0.0):  # a negative or NaN weight certifies nothing
+        return None
+    if operator is None:
+        operator = _scaled_transpose(problem)
+    committed = np.asarray(committed, dtype=np.int64)
+    a = np.maximum(1.0 - traj, 0.0)
+    a[:, committed] = 0.0
+    infinite = np.isinf(weights)
+    weights[infinite] = 0.0
+    weights[committed] = 0.0
+    transpose = operator.T
+    horizon = traj.shape[0] - 1
+    bound = a[horizon] * weights
+    for tau in range(horizon - 1, -1, -1):
+        weights = transpose @ weights
+        weights[committed] = 0.0
+        bound += a[tau] * weights
+    bound = bound[candidates]
+    bound += GAIN_BOUND_SLACK * (bound + scale)
+    if score.integral_gains and user_weights is None:
+        np.floor(bound, out=bound)
+    infinite[committed] = False
+    if infinite.any():
+        pattern = sparse.csr_matrix(
+            (np.ones(operator.nnz), operator.indices, operator.indptr),
+            shape=operator.shape,
+        ).T
+        reach = infinite.astype(np.float64)
+        hit = (a[horizon] > 0.0) & infinite
+        for tau in range(horizon - 1, -1, -1):
+            reach = np.minimum(pattern @ reach, 1.0)
+            reach[committed] = 0.0
+            hit |= (a[tau] > 0.0) & (reach > 0.0)
+        bound[hit[candidates]] = np.inf
+    return bound
 
 
 class EstimatorPrecisionWarning(UserWarning):
@@ -283,6 +388,11 @@ class SelectionSession:
         return self.engine.marginal_gains(
             self.seeds, candidates, base_objective=self._value
         )
+
+    def gain_bounds(self, candidates: np.ndarray) -> np.ndarray | None:
+        """Certified upper bounds on ``marginal_gains(candidates)``, or
+        ``None`` when the backend has none (see :func:`gain_bounds`)."""
+        return self.engine.gain_bounds(self.seeds, candidates)
 
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         """Fold ``seed`` into the committed state; returns the new value.
@@ -466,6 +576,15 @@ class ObjectiveEngine(ABC):
             base_objective = self.evaluate_one(base_t)
         return values - base_objective
 
+    def gain_bounds(self, base: SeedSet, candidates: np.ndarray) -> np.ndarray | None:
+        """Certified upper bounds on ``marginal_gains(base, candidates)``.
+
+        ``None`` (the default, and every estimator backend's answer): the
+        greedy evaluates every candidate.  The exact DM engines override
+        it with :func:`gain_bounds`.
+        """
+        return None
+
     def query_sets(
         self, seed_sets: Iterable[SeedSet], *, wins: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -536,6 +655,16 @@ class DMEngine(ObjectiveEngine):
             dtype=np.float64,
         )
 
+    def gain_bounds(self, base: SeedSet, candidates: np.ndarray) -> np.ndarray | None:
+        base_arr = check_index_array(base, "base")
+        return gain_bounds(
+            self.problem,
+            None,
+            self.problem.target_trajectory(base_arr),
+            base_arr,
+            candidates,
+        )
+
 
 class BatchedDMSession(SelectionSession):
     """Warm-started session over :class:`BatchedDMEngine`.
@@ -579,6 +708,17 @@ class BatchedDMSession(SelectionSession):
         committed = np.asarray(self._seeds, dtype=np.int64)
         values = self.engine.extension_values(self._traj, committed, candidates)
         return values - self._value
+
+    def gain_bounds(self, candidates: np.ndarray) -> np.ndarray | None:
+        self._ensure_fresh()
+        return gain_bounds(
+            self.engine.problem,
+            self.engine._wt_scaled,
+            self._traj,
+            np.asarray(self._seeds, dtype=np.int64),
+            candidates,
+            self.engine.user_weights,
+        )
 
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         self._ensure_fresh()
@@ -796,16 +936,19 @@ class BatchedDMEngine(ObjectiveEngine):
         which evolve on ``T`` threads (see ``_evolve_blocks``).
         The cap was picked from ``benchmarks/bench_engine_batched.py``
         runs (500 <= n <= 8000) and kept after a sweep of the two exact
-        end-to-end selections on a 2-core Xeon with 2 MiB L2 per core
-        (medians over three rounds of seven selections, ms)::
+        end-to-end selections, both on this engine, on a 2-core Xeon with
+        2 MiB L2 per core (single-threaded BLAS; medians over three rounds
+        of seven selections, ms; the range of two sweeps)::
 
-            batch_rows                          16    32    64   128
-            select-sparse-celf (dm-batched)    424   337   303   315
-            select-dense-mp (2-process pool)   611   436   419   396
+            batch_rows                          16     32     64    128
+            select-sparse-celf (CELF, k=20)   90-93  79-88  77-91  86-88
+            select-dense-mp (plurality, k=5)  27-39  24-26  24-27  25-33
 
-        64 is the fastest for the threaded CELF selection; 128 was about
-        5% faster for the two-process pool that then ran
-        ``select-dense-mp`` (since retired), within this host's noise.
+        The greedy evaluates bound-ordered chunks of at most 32 columns
+        (:data:`~repro.core.greedy.BOUND_CHUNK`), so a greedy call is one
+        block at 32 and above and the sweep is flat within noise there;
+        full-scan rounds, ``evaluate`` and the serving layer's merged
+        rounds are the wide calls.
     max_batch_bytes:
         Dense memory budget of one call.  It sizes the default
         ``batch_rows``, caps the sparse phase's fill, and caps the thread
@@ -861,17 +1004,7 @@ class BatchedDMEngine(ObjectiveEngine):
         self._build_wt_scaled()
 
     def _build_wt_scaled(self) -> None:
-        state = self.problem.state
-        q = self.problem.target
-        d = state.stubbornness[q]
-        # W^T with rows pre-scaled by (1 - d): one sparse product per FJ
-        # step, ``delta(s+1) = WT_scaled @ delta(s)`` in (n, C) layout.
-        self._wt_scaled = (
-            sparse.diags(1.0 - d) @ state.graph(q).csc.T
-        ).tocsr()
-        # Fully-stubborn users leave explicit zero rows behind; prune them
-        # so they cost nothing in every subsequent product.
-        self._wt_scaled.eliminate_zeros()
+        self._wt_scaled = _scaled_transpose(self.problem)
 
     def apply_delta(self, report) -> None:
         """Refresh the pre-scaled operator, then mark live sessions stale.

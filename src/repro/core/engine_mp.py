@@ -318,7 +318,8 @@ class HostPool(BatchedDMEngine):
     min_fanout:
         Below this many seed sets per call the coordinator — itself a
         full batched engine holding the same state — evaluates locally: a
-        CELF stale-entry refresh is one column, not worth a round-trip.
+        greedy round's first call (its top bound) or a CELF stale-entry
+        refresh is one column, not worth a round-trip.
         Results are bitwise identical either way.  Default
         ``2 * len(hosts)``.
     kwargs:
@@ -688,8 +689,9 @@ class HostPool(BatchedDMEngine):
     ) -> np.ndarray:
         """One session round: candidate chunks fanned out with the seed pair.
 
-        Small rounds (CELF refreshes) run on the coordinator's own
-        committed trajectory; both paths produce bitwise-identical values.
+        Small rounds (a round's top bound, CELF refreshes) run on the
+        coordinator's own committed trajectory; both paths produce
+        bitwise-identical values.
         """
         cand = check_index_array(candidates, "candidates")
         if cand.size == 0:

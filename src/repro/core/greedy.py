@@ -1,32 +1,53 @@
-"""Greedy seed selection (paper Algorithm 1) with optional CELF laziness.
+"""Greedy seed selection (paper Algorithm 1), pruned by certified bounds.
 
-One *round-driver*, :func:`run_selection_rounds`, hosts both the exhaustive
-scan and CELF lazy evaluation [Leskovec et al. 2007] over a
-:class:`~repro.core.engine.SelectionSession` — greedy state (the committed
-seeds, their objective, and any backend warm-start state) lives in the
-session, not in per-algorithm loops.  ``greedy_select`` drives it over a
-black-box set function; ``greedy_engine`` drives it over an
-:class:`~repro.core.engine.ObjectiveEngine` session, collapsing each
-exhaustive round into *one* batched, warm-started evaluation;
-``greedy_dm`` instantiates it with exact opinion computation via direct
-matrix multiplication (the DM method of §VIII-A, batched by default).
-CELF is valid when the objective is submodular — in this library: the
-cumulative score, the sandwich bound functions, and coverage — and is
-applied automatically for those.
+One *round-driver*, :func:`run_selection_rounds`, runs every greedy round
+over a :class:`~repro.core.engine.SelectionSession` — greedy state (the
+committed seeds, their objective, and any backend warm-start state) lives
+in the session, not in per-algorithm loops.  ``greedy_select`` drives it
+over a black-box set function; ``greedy_engine`` drives it over an
+:class:`~repro.core.engine.ObjectiveEngine` session; ``greedy_dm``
+instantiates it with exact opinion computation via direct matrix
+multiplication (the DM method of §VIII-A, batched by default).
+
+Algorithm 1 evaluates every candidate's gain in every round, yet only a
+few can win a round.  The exact DM sessions certify an upper bound on
+every candidate's gain in one reverse pass of ``t`` sparse mat-vecs
+(:func:`~repro.core.engine.gain_bounds`), so a round evaluates candidates
+in descending bound order and stops as soon as no remaining bound can
+beat the best exact gain.  With ``lazy=True`` a candidate's last exact
+gain also caps its key — CELF [Leskovec et al. 2007], valid when the
+objective is submodular (in this library: the cumulative score, the
+sandwich bound functions, and coverage), and applied automatically for
+those.  The selected seeds, gains and objective are those of the full
+scan: every gain is batch-stable, so a column's bytes do not depend on
+what shares its call.
 
 Tie-breaking contract
 ---------------------
-The driver is deterministic.  The exhaustive path scans candidates in
-ascending node order and ``np.argmax`` keeps the *first* maximum, so
-equal-gain ties resolve to the smallest node id.  The CELF heap stores
-``(-gain, node, stamp)`` tuples, so equal ``-gain`` entries compare on
-``node`` next: ties again pop the smallest node id first.  Tests pin this
-contract.
+The driver is deterministic, and picks what an exhaustive scan in
+ascending node order with ``np.argmax`` (the first maximum) would pick:
+among equal best gains, the smallest node id wins.  Per round:
+
+* a candidate's key is its certified bound, which carries a relative
+  slack (:data:`~repro.core.engine.GAIN_BOUND_SLACK`) so float rounding
+  cannot prune a true argmax; ``+inf`` where the session certifies none
+  (Copeland, walk estimators, custom scores, black-box functions); with
+  ``lazy``, at most its last exact gain;
+* all ``+inf`` keys are evaluated in one call, in ascending node order —
+  a round of only ``+inf`` keys is the exhaustive scan's one call;
+* the rest are evaluated in chunks (:data:`BOUND_CHUNK` wide for
+  bound-keyed rounds, one at a time when keys are stale gains only) in
+  descending key order, ties by ascending node;
+* evaluation stops once the next key is below the best exact gain, or
+  equal to it on a larger node — a candidate whose key equals the best
+  gain on a smaller node is always evaluated, since it could win the tie.
+
+Tests pin this contract against a full-scan oracle.
 """
 
 from __future__ import annotations
 
-import heapq
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -53,23 +74,29 @@ class GreedyResult:
     gains:
         Marginal gain recorded at each pick.
     evaluations:
-        Number of candidate-objective evaluations performed (CELF
-        effectiveness metric; a batched round of ``C`` candidates counts
-        as ``C`` evaluations).
+        Number of candidate-objective evaluations performed (a batched
+        call over ``C`` candidates counts as ``C`` evaluations).
+    full_scan:
+        Evaluations an exhaustive scan would have performed: the
+        remaining pool size summed over the rounds.
+    bound_s:
+        Seconds spent computing the sessions' certified gain bounds.
     """
 
     seeds: np.ndarray
     objective: float
     gains: np.ndarray
     evaluations: int
+    full_scan: int = 0
+    bound_s: float = 0.0
 
 
 class _FunctionSession:
     """A black-box set function behind the session protocol.
 
     Lets :func:`run_selection_rounds` drive arbitrary ``value_fn`` callers
-    (coverage, equilibrium sums, test doubles) through the same exhaustive
-    and CELF code paths the engine sessions use.
+    (coverage, equilibrium sums, test doubles) through the same round loop
+    the engine sessions use.  It certifies no gain bounds.
     """
 
     def __init__(self, value_fn: Callable[[tuple[int, ...]], float]) -> None:
@@ -91,6 +118,9 @@ class _FunctionSession:
         self.value += float(gain)
         return self.value
 
+    def gain_bounds(self, candidates: np.ndarray) -> None:
+        return None
+
 
 def _candidate_pool(
     n: int, k: int, candidates: Sequence[int] | None
@@ -102,6 +132,15 @@ def _candidate_pool(
     return k, pool
 
 
+#: Candidates per call once a round is ordered by certified bounds.  A
+#: sweep of the two exact end-to-end selections on a 2-core Xeon (see
+#: CHANGES.md) put 32 at or near the fastest for both: narrower chunks
+#: pay the fixed cost of a call more often, wider ones evaluate columns
+#: that the next chunk's best gain would have pruned.  Rounds keyed by
+#: stale gains alone re-evaluate one candidate at a time, as CELF does.
+BOUND_CHUNK = 32
+
+
 def run_selection_rounds(
     session: "SelectionSession | _FunctionSession",
     k: int,
@@ -111,60 +150,79 @@ def run_selection_rounds(
 ) -> GreedyResult:
     """The shared greedy round-driver: ``k`` commits against one session.
 
-    The exhaustive path performs *one* ``session.marginal_gains`` call per
-    round — a warm-started batched backend collapses the whole round into a
-    single vectorized evolution against the committed state.  The CELF path
-    batches the first round (all initial gains at once) and then
-    re-evaluates individual stale entries on demand; only sound for
-    submodular objectives.  Each pick is folded into the session via
-    ``commit``, so the next round (and any later prefix probe) starts from
-    the committed state instead of replaying the selection.
+    Each round keys every remaining candidate by an upper bound on its
+    gain — the session's certified bound (``+inf`` where it has none) or,
+    with ``lazy``, the smaller of that and the candidate's last exact gain
+    (stale gains over-estimate only for submodular objectives).  ``+inf``
+    keys are evaluated in one ``session.marginal_gains`` call; the rest in
+    chunks, in descending key order, until no unevaluated key can beat
+    the best exact gain (see the module docstring for the tie rule).  Each
+    pick is folded into the session via ``commit``, so the next round (and
+    any later prefix probe) starts from the committed state.
     """
+    remaining = np.asarray(pool, dtype=np.int64).copy()
+    stale = np.full(remaining.size, np.inf)
     selected: list[int] = []
     gains_trace: list[float] = []
-    evaluations = 0
-    if lazy:
-        # CELF: heap entries are (-cached_gain, node, stamp) where stamp is
-        # the size of the selected set when the gain was computed.  A cached
-        # gain is exact iff stamp == len(selected); by submodularity stale
-        # gains only over-estimate, so popping a fresh maximum is safe.
-        # Tuple comparison breaks equal -gain ties by ascending node id.
-        initial = session.marginal_gains(pool)
-        evaluations += pool.size
-        heap: list[tuple[float, int, int]] = [
-            (-float(g), int(v), 0) for g, v in zip(initial, pool)
-        ]
-        heapq.heapify(heap)
-        for _ in range(k):
-            while True:
-                neg_gain, v, stamp = heapq.heappop(heap)
-                if stamp == len(selected):
-                    best, best_gain = v, -neg_gain
+    evaluations = full_scan = 0
+    bound_s = 0.0
+    for _ in range(k):
+        full_scan += remaining.size
+        start = time.perf_counter()
+        bounds = session.gain_bounds(remaining)
+        bound_s += time.perf_counter() - start
+        if bounds is None:
+            keys, chunk = np.full(remaining.size, np.inf), 1
+        else:
+            keys = np.array(bounds, dtype=np.float64)
+            keys[np.isnan(keys)] = np.inf
+            chunk = BOUND_CHUNK
+        if lazy:
+            keys = np.minimum(keys, stale)
+        # Indices into ``remaining`` (ascending nodes) stand for nodes.
+        gains = np.full(remaining.size, -np.inf)
+        done = np.isposinf(keys)
+        if done.any():
+            gains[done] = session.marginal_gains(remaining[done])
+            evaluations += int(done.sum())
+        order = np.flatnonzero(~done)
+        if order.size:
+            order = order[np.argsort(-keys[order], kind="stable")]
+        while order.size:
+            if not done.any():
+                # The top key alone first: when it is tight, its exact
+                # gain prunes the rest without a wide call.
+                head = order[:1]
+            else:
+                # np.argmax keeps the first maximum: the smallest node.
+                best = int(np.argmax(gains))
+                head = order[:chunk]
+                wins = (keys[head] > gains[best]) | (
+                    (keys[head] == gains[best]) & (head < best)
+                )
+                head = head[: head.size if wins.all() else int(np.argmin(wins))]
+                if not head.size:
                     break
-                gain = float(session.marginal_gains(np.array([v]))[0])
-                evaluations += 1
-                heapq.heappush(heap, (-gain, v, len(selected)))
-            selected.append(best)
-            gains_trace.append(best_gain)
-            session.commit(best, gain=best_gain)
-    else:
-        # Candidates stay in ascending node order and np.argmax keeps the
-        # first maximum, so the smallest node id wins equal-gain ties.
-        remaining = np.asarray(pool).copy()
-        for _ in range(k):
-            gains = session.marginal_gains(remaining)
-            evaluations += remaining.size
-            idx = int(np.argmax(gains))
-            best, best_gain = int(remaining[idx]), float(gains[idx])
-            selected.append(best)
-            gains_trace.append(best_gain)
-            session.commit(best, gain=best_gain)
-            remaining = np.delete(remaining, idx)
+            order = order[head.size :]
+            head = np.sort(head)
+            gains[head] = session.marginal_gains(remaining[head])
+            done[head] = True
+            evaluations += head.size
+        best = int(np.argmax(gains))
+        best_node, best_gain = int(remaining[best]), float(gains[best])
+        selected.append(best_node)
+        gains_trace.append(best_gain)
+        session.commit(best_node, gain=best_gain)
+        stale[done] = gains[done]
+        remaining = np.delete(remaining, best)
+        stale = np.delete(stale, best)
     return GreedyResult(
         seeds=np.array(selected, dtype=np.int64),
         objective=session.value,
         gains=np.array(gains_trace, dtype=np.float64),
         evaluations=evaluations,
+        full_scan=full_scan,
+        bound_s=bound_s,
     )
 
 
@@ -188,12 +246,13 @@ def greedy_select(
     k:
         Number of elements to pick.
     lazy:
-        Use CELF lazy evaluation.  Only sound for submodular objectives.
+        Treat stale gains as upper bounds (CELF lazy evaluation).  Only
+        sound for submodular objectives.
     candidates:
         Optional restriction of the ground set.
 
-    Equal-gain ties resolve to the smallest node id on both paths (see the
-    module docstring), so results are reproducible across runs.
+    Equal-gain ties resolve to the smallest node id (see the module
+    docstring), so results are reproducible across runs.
     """
     k, pool = _candidate_pool(n, k, candidates)
     return run_selection_rounds(_FunctionSession(value_fn), k, pool, lazy=lazy)
@@ -215,9 +274,8 @@ def greedy_engine(
     the committed ranking afterwards) and hands it to
     :func:`run_selection_rounds`.
 
-    Tie-breaking matches :func:`greedy_select`: candidates are scanned in
-    ascending node order and ``np.argmax`` keeps the first maximum, so
-    equal-gain ties resolve to the smallest node id.
+    Tie-breaking matches :func:`greedy_select`: equal-gain ties resolve to
+    the smallest node id, as in an exhaustive ascending-node scan.
     """
     k, pool = _candidate_pool(engine.problem.n, k, candidates)
     # Estimator backends account the (ε, δ) their sample certifies for
@@ -246,8 +304,9 @@ def greedy_dm(
     """Algorithm 1 with exact (direct matrix multiplication) opinions.
 
     ``lazy="auto"`` enables CELF exactly when the score is cumulative (the
-    submodular case, Theorem 3); other scores use exhaustive re-evaluation
-    each round as in the paper.
+    submodular case, Theorem 3); other scores re-evaluate every candidate
+    that its certified bound cannot rule out, each round, picking the
+    paper's exhaustive choice.
 
     ``engine`` selects the evaluation backend: an
     :class:`~repro.core.engine.ObjectiveEngine` instance, a spec name from

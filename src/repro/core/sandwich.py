@@ -83,8 +83,9 @@ def lower_bound_greedy(
     over ``favorable`` — submodular by Theorem 3, hence CELF-safe.  The
     weighted restriction is expressed as a batched DM engine over the
     cumulative score with per-user weights ``ω[p]·1[v ∈ favorable]``, so
-    the CELF initialization round is a single vectorized evolution and
-    every later pick is folded into the LB session's committed trajectory.
+    each round evaluates only the candidates whose certified gain bound
+    (weighted the same way) can win, and every pick is folded into the
+    LB session's committed trajectory.
     Running in its own session also means the LB greedy can interleave
     with the feasible greedy on a shared problem without either one
     invalidating the other's cached base state.

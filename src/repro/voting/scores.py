@@ -16,12 +16,20 @@ import numpy as np
 
 from repro.voting.rank import rank_against
 
+#: Opinion margins this close to a tie count as ties in
+#: :meth:`PositionalPApprovalScore.gain_weights`.
+TIE_MARGIN = 1e-12
+
 
 class VotingScore(ABC):
     """A scoring function ``F(B(t), c_q)`` over the opinion matrix."""
 
     #: short identifier used in reports ("cumulative", "plurality", ...)
     name: str = "abstract"
+
+    #: True when every score value is an integer count, so a gain bound
+    #: may be rounded down (see :meth:`gain_weights`).
+    integral_gains: bool = False
 
     @abstractmethod
     def evaluate(self, opinions: np.ndarray, q: int) -> float:
@@ -58,6 +66,21 @@ class VotingScore(ABC):
             opinions = np.vstack([values_T[None, :, i], others])
             out[i] = self.evaluate(opinions, 0)
         return out
+
+    def gain_weights(
+        self, values: np.ndarray, others_by_user: np.ndarray
+    ) -> np.ndarray | None:
+        """Per-user weights ``w >= 0`` that bound this score's gain linearly.
+
+        For target opinions ``values`` and any opinion rise ``δ >= 0``,
+        ``F(values + δ) - F(values) <= Σ_v w_v δ_v``; ``w_v = +inf`` marks a
+        user whose contribution any rise at all may change.  The exact
+        greedy turns these into certified per-candidate gain bounds (see
+        :func:`repro.core.engine.gain_bounds`).  ``None`` — the default,
+        kept by Copeland and custom scores — means no such weights exist,
+        and every candidate is evaluated.
+        """
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -128,6 +151,12 @@ class CumulativeScore(SeparableScore):
     ) -> np.ndarray:
         return np.asarray(values_T, dtype=np.float64)
 
+    def gain_weights(
+        self, values: np.ndarray, others_by_user: np.ndarray
+    ) -> np.ndarray:
+        # Linear: the gain is exactly the summed opinion rise.
+        return np.ones(np.shape(values), dtype=np.float64)
+
 
 class PositionalPApprovalScore(SeparableScore):
     """Positional-p-approval (Eq. 6): ``Σ_v ω[β(b_qv)] · 1[β(b_qv) ≤ p]``.
@@ -182,6 +211,33 @@ class PositionalPApprovalScore(SeparableScore):
         idx = np.minimum(beta - 1, padded.size - 1)
         return np.where(beta <= self.p, padded[idx], 0.0)
 
+    def gain_weights(
+        self, values: np.ndarray, others_by_user: np.ndarray
+    ) -> np.ndarray:
+        """Σ over the competitors a user must pass of step / margin.
+
+        A rise ``δ`` passes a competitor at or above the target only when
+        ``δ`` exceeds the margin to it, and passing it raises the user's
+        contribution by one score step (the weight difference of the two
+        ranks), so ``step · 1[δ > margin] <= step · δ / margin``.  Users
+        already at their best rank get 0; a tie with a positive step gets
+        ``+inf``, and so does a margin within :data:`TIE_MARGIN` of one on
+        either side — an engine that re-evolves a seeded set from scratch
+        can land a few ulps either side of a competitor.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        others = np.asarray(others_by_user, dtype=np.float64)
+        m = others.shape[1]
+        # Contribution at ranks 1 .. m+1; passing the j-th lowest
+        # competitor moves rank m-j+1 to m-j.
+        at_rank = self._weights_of_ranks(np.arange(1, m + 2))
+        steps = (at_rank[:-1] - at_rank[1:])[::-1]
+        margins = np.sort(others, axis=1) - values[:, None]
+        live = (margins >= -TIE_MARGIN) & (steps > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(margins <= TIE_MARGIN, np.inf, steps / margins)
+        return np.where(live, terms, 0.0).sum(axis=1)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PositionalPApprovalScore(p={self.p}, weights={self.weights.tolist()})"
 
@@ -190,6 +246,7 @@ class PApprovalScore(PositionalPApprovalScore):
     """p-approval (Eq. 5): number of users ranking the target in the top p."""
 
     name = "p-approval"
+    integral_gains = True
 
     def __init__(self, p: int, r: int | None = None) -> None:
         size = max(int(p), 1) if r is None else int(r)

@@ -71,11 +71,16 @@ def test_select_engine_dm_variants_agree(capsys):
                 "--seed", "2",
             ]
         ) == 0
-        out = capsys.readouterr().out
-        outs.append(
-            (out.splitlines()[-1], out.splitlines()[-2].split("(")[0])
-        )  # seeds line + score line sans timing
+        lines = capsys.readouterr().out.splitlines()
+        seeds = [line for line in lines if line.startswith("seeds:")]
+        score = [line.split("(")[0] for line in lines if line.startswith("method=")]
+        # The greedy line's counts, sans the bound timing.
+        greedy = [
+            line.split(" bound_s=")[0] for line in lines if line.startswith("greedy:")
+        ]
+        outs.append((seeds, score, greedy))
     assert outs[0] == outs[1] == outs[2]
+    assert all(len(part) == 1 for part in outs[0])
 
 
 def test_unknown_engine_rejected(capsys):

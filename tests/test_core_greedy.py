@@ -9,6 +9,7 @@ from repro.core.problem import FJVoteProblem
 from repro.opinion.state import CampaignState
 from repro.voting.scores import CumulativeScore, PluralityScore
 from tests.conftest import random_instance
+from tests.oracles import full_scan_rounds
 
 
 def test_greedy_on_modular_function_is_exact():
@@ -146,12 +147,27 @@ def test_engine_greedy_ties_break_to_smallest_node(random_state):
         assert lazy.seeds.tolist() == [0, 1, 2]
 
 
-def test_greedy_dm_auto_lazy_only_for_cumulative(random_state):
-    cumulative = FJVoteProblem(random_state, 0, 2, CumulativeScore())
-    plurality = FJVoteProblem(random_state, 0, 2, PluralityScore())
-    # Exhaustive greedy evaluates n + (n-1) gains for k=2; CELF fewer.
-    lazy_evals = greedy_dm(cumulative, 2).evaluations
-    eager_evals = greedy_dm(plurality, 2).evaluations
-    n = random_state.n
-    assert eager_evals == 2 * n - 1
-    assert lazy_evals <= eager_evals
+def test_greedy_dm_auto_lazy_only_for_cumulative(random_state, monkeypatch):
+    """``lazy="auto"`` hands CELF's stale-gain keys to the round loop only
+    for the (submodular) cumulative score; both picks equal the full scan."""
+    from repro.core import greedy
+    from repro.core.engine import BatchedDMEngine
+
+    received = []
+    real = greedy.greedy_engine
+
+    def spy(engine, k, **kwargs):
+        received.append(kwargs["lazy"])
+        return real(engine, k, **kwargs)
+
+    monkeypatch.setattr(greedy, "greedy_engine", spy)
+    for score, lazy in ((CumulativeScore(), True), (PluralityScore(), False)):
+        problem = FJVoteProblem(random_state, 0, 2, score)
+        result = greedy_dm(problem, 2)
+        assert received.pop() is lazy
+        seeds, gains, objective = full_scan_rounds(
+            BatchedDMEngine(problem).open_session(), 2, np.arange(problem.n)
+        )
+        assert result.seeds.tolist() == seeds.tolist()
+        assert result.gains.tobytes() == gains.tobytes()
+        assert result.objective == objective

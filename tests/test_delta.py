@@ -60,6 +60,7 @@ from repro.datasets.yelp import yelp_like
 from repro.voting.scores import CumulativeScore, PluralityScore
 
 from tests.conftest import random_instance, start_worker
+from tests.oracles import dense_trajectory
 
 
 def make_problem(seed, *, n=24, r=3, horizon=4, score=None):
@@ -445,24 +446,6 @@ def test_tcp_session_replayed_bitwise_after_small_and_large_delta(loopback_hosts
             )
     finally:
         engine.close()
-
-
-def dense_trajectory(state, q, seeds, horizon):
-    """``(horizon+1, n)`` opinions about ``q`` with ``seeds`` pinned, from a
-    dense numpy form of the FJ recurrence ``b(s+1) = (b(s) W)(1-d) + b⁰d``
-    (seeded rows have ``d = 1`` and ``b⁰ = 1``): no pre-scaled operator,
-    no sparse kernel."""
-    src, dst, weight = state.graph(q).edges()
-    w = np.zeros((state.n, state.n))
-    w[src, dst] = weight
-    b0 = np.array(state.initial_opinions[q], dtype=np.float64)
-    d = np.array(state.stubbornness[q], dtype=np.float64)
-    b0[list(seeds)] = 1.0
-    d[list(seeds)] = 1.0
-    rows = [b0]
-    for _ in range(horizon):
-        rows.append((rows[-1] @ w) * (1.0 - d) + b0 * d)
-    return np.stack(rows)
 
 
 class WarmSessionMachine(RuleBasedStateMachine):

@@ -29,6 +29,7 @@ from repro.core.engine import (
 )
 from repro.core.engine_mp import HostPool
 from repro.core.engine_net import FramedSocket
+from repro.core.greedy import greedy_engine
 from repro.eval.harness import select_seeds
 from tests.conftest import start_worker
 from tests.test_core_engine import make_problem
@@ -108,7 +109,10 @@ def test_tcp_session_commits_match_batched(two_hosts):
 
 
 def test_tcp_selection_matches_dm(two_hosts):
-    problem = make_problem(11, "cumulative", 10)
+    # Copeland certifies no gain bound, so every round is one call over all
+    # remaining candidates: wide enough to fan out to both hosts, which the
+    # fixture needs to see served.
+    problem = make_problem(11, "copeland", 10)
     expected = select_seeds("dm", problem, 4, rng=np.random.default_rng(0))
     got = select_seeds(
         "dm",
@@ -118,6 +122,22 @@ def test_tcp_selection_matches_dm(two_hosts):
         engine=EngineSpec(name="dm-mp", hosts=tuple(two_hosts)),
     )
     assert list(map(int, expected)) == list(map(int, got))
+
+
+def test_tcp_pruned_greedy_matches_batched(two_hosts):
+    """The bound-pruned round loop over tcp hosts, every chunk fanned out,
+    picks the in-process engine's seeds, gain bytes and objective, and
+    evaluates the same candidates."""
+    problem = make_problem(13, "plurality", 10)
+    with make_engine("dm-batched", problem) as ref:
+        expected = greedy_engine(ref, 4)
+    with _tcp_engine(problem, two_hosts) as engine:
+        got = greedy_engine(engine, 4)
+        assert engine.stats.ipc_bytes > 0
+    assert got.seeds.tolist() == expected.seeds.tolist()
+    assert got.gains.tobytes() == expected.gains.tobytes()
+    assert got.objective == expected.objective
+    assert got.evaluations == expected.evaluations < expected.full_scan
 
 
 def test_net_worker_host_engine_uses_every_core(monkeypatch):
@@ -594,8 +614,10 @@ def _cli_select(engine_spec):
             "4",
             "--method",
             "dm",
+            # A full-scan score: a bound-pruned cumulative round is one
+            # column, which never fans out, so no host would be served.
             "--score",
-            "cumulative",
+            "copeland",
             "-k",
             "4",
             "--seed",
