@@ -144,6 +144,8 @@ from repro.voting.scores import CumulativeScore, SeparableScore
 
 SeedSet = Sequence[int] | np.ndarray | tuple
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
 
 def _usable_cores() -> int:
     """Cores this process may run on (its CPU affinity, where the OS has one)."""
@@ -180,9 +182,20 @@ def _scaled_transpose(problem: FJVoteProblem) -> sparse.csr_matrix:
 GAIN_BOUND_SLACK = 1e-9
 
 
+def _bound_transpose(operator: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``operator``'s transpose as a CSR matrix with sorted indices.
+
+    :func:`gain_bounds` steps ``M^T x`` with ``csr_matvec`` on it: each
+    output entry sums its row in ascending column order from 0, the order
+    ``csc_matvec`` (what ``operator.T @ x`` runs) adds the same products
+    in, so the bytes are those of ``operator.T @ x``.
+    """
+    return operator.T.tocsr()
+
+
 def gain_bounds(
     problem: FJVoteProblem,
-    operator: sparse.csr_matrix | None,
+    transpose: sparse.csr_matrix | None,
     traj: np.ndarray,
     committed: np.ndarray,
     candidates: np.ndarray,
@@ -191,8 +204,8 @@ def gain_bounds(
     """Certified upper bound on each candidate's exact marginal gain.
 
     ``traj`` is the committed set's ``(horizon+1, n)`` trajectory and
-    ``operator`` is :func:`_scaled_transpose` of the problem (``M``;
-    ``None`` builds it once the score has declared weights).
+    ``transpose`` is :func:`_bound_transpose` of :func:`_scaled_transpose`
+    (``M``; ``None`` builds both once the score has declared weights).
     Pinning ``c`` adds a delta that obeys ``delta(s) <= Z M delta(s-1) +
     a_s[c] e_c`` elementwise, with ``a_s = 1 - traj[s]`` and ``Z`` zeroing
     the committed rows: FJ is linear with nonnegative weights, so a pinned
@@ -200,10 +213,11 @@ def gain_bounds(
     (the absorbing-walk view of Gionis et al., arXiv 1301.7455).  For the
     score's per-user weights ``w >= 0`` (:meth:`VotingScore.gain_weights`,
     times ``user_weights``) the gain is therefore at most
-    ``Σ_τ a_τ[c] · ((M^T Z)^(t-τ) w)[c]`` — ``t`` sparse mat-vecs give it
-    for every candidate at once.  Users with ``w = +inf`` make the bound
-    ``+inf`` for every candidate whose walks can reach them (a
-    reachability pass over ``M``'s pattern, never ``0 · inf``).
+    ``Σ_τ a_τ[c] · ((M^T Z)^(t-τ) w)[c]`` — ``t`` ``csr_matvec`` steps on
+    two vectors give it for every candidate at once.  Users with ``w =
+    +inf`` make the bound ``+inf`` for every candidate whose walks can
+    reach them (a reachability pass over ``M``'s pattern, never ``0 ·
+    inf``).
 
     The bound carries :data:`GAIN_BOUND_SLACK`, so a float gain never
     exceeds it, and is rounded down for scores whose gains are integers.
@@ -223,37 +237,48 @@ def gain_bounds(
             weights = np.where(positive > 0.0, weights * positive, 0.0)
     if not np.all(weights >= 0.0):  # a negative or NaN weight certifies nothing
         return None
-    if operator is None:
-        operator = _scaled_transpose(problem)
+    if transpose is None:
+        transpose = _bound_transpose(_scaled_transpose(problem))
     committed = np.asarray(committed, dtype=np.int64)
-    a = np.maximum(1.0 - traj, 0.0)
-    a[:, committed] = 0.0
+    n = traj.shape[1]
+    horizon = traj.shape[0] - 1
+    matvec = partial(_sparsetools.csr_matvec, n, n, transpose.indptr, transpose.indices)
+    a = np.empty(n, dtype=np.float64)
+
+    def a_row(tau: int) -> np.ndarray:
+        """``a_τ = max(1 - traj[τ], 0)``, zero on the committed rows."""
+        np.subtract(1.0, traj[tau], out=a)
+        np.maximum(a, 0.0, out=a)
+        a[committed] = 0.0
+        return a
+
     infinite = np.isinf(weights)
     weights[infinite] = 0.0
     weights[committed] = 0.0
-    transpose = operator.T
-    horizon = traj.shape[0] - 1
-    bound = a[horizon] * weights
+    bound = a_row(horizon) * weights
+    step = np.empty(n, dtype=np.float64)
     for tau in range(horizon - 1, -1, -1):
-        weights = transpose @ weights
-        weights[committed] = 0.0
-        bound += a[tau] * weights
+        step.fill(0.0)
+        matvec(transpose.data, weights, step)
+        step[committed] = 0.0
+        weights, step = step, weights
+        bound += a_row(tau) * weights
     bound = bound[candidates]
     bound += GAIN_BOUND_SLACK * (bound + scale)
     if score.integral_gains and user_weights is None:
         np.floor(bound, out=bound)
     infinite[committed] = False
     if infinite.any():
-        pattern = sparse.csr_matrix(
-            (np.ones(operator.nnz), operator.indices, operator.indptr),
-            shape=operator.shape,
-        ).T
+        ones = np.ones(transpose.nnz, dtype=np.float64)
         reach = infinite.astype(np.float64)
-        hit = (a[horizon] > 0.0) & infinite
+        hit = (a_row(horizon) > 0.0) & infinite
         for tau in range(horizon - 1, -1, -1):
-            reach = np.minimum(pattern @ reach, 1.0)
-            reach[committed] = 0.0
-            hit |= (a[tau] > 0.0) & (reach > 0.0)
+            step.fill(0.0)
+            matvec(ones, reach, step)
+            np.minimum(step, 1.0, out=step)
+            step[committed] = 0.0
+            reach, step = step, reach
+            hit |= (a_row(tau) > 0.0) & (reach > 0.0)
         bound[hit[candidates]] = np.inf
     return bound
 
@@ -678,6 +703,23 @@ class BatchedDMSession(SelectionSession):
     many seeds are already committed.  ``prefix_wins`` keeps a bounded
     cache of probe trajectories so win-min's binary search extends the
     nearest smaller prefix instead of replaying from the empty set.
+
+    Adopted commits: a one-candidate ``marginal_gains`` evolves exactly
+    the delta that committing that candidate would, so its steps write
+    each ``delta(s)`` into a row of the session's spare ``(horizon+1, n)``
+    buffer instead of a scratch vector (no extra pass).  A ``commit`` of
+    that seed that follows with no other ``marginal_gains`` or ``commit``
+    and no delta in between adopts it — one add of the committed
+    trajectory instead of ``horizon`` steps — so the greedy's round won
+    by its top key alone evolves one column once.  The bytes are
+    :meth:`BatchedDMEngine.extend_trajectory`'s (both run
+    :meth:`BatchedDMEngine._block_steps` on one column from delta(0) and
+    add ``traj``), so ``stats.trajectory_steps`` is the only thing that
+    differs.  The session owns two trajectory buffers at most and swaps
+    them on every commit; it never writes into an array held by the
+    problem's ``target_trajectory`` cache or the probe cache.  A wider
+    call drops the spare (its block buffers need the room), so a session
+    serving one-candidate calls allocates it once.
     """
 
     #: Probe trajectories kept alive; a binary search over k needs at most
@@ -691,6 +733,11 @@ class BatchedDMSession(SelectionSession):
         engine._register_session(self)
         self._seeds = check_index_array(base, "base").tolist()
         self._traj = engine.problem.target_trajectory(tuple(self._seeds))
+        # ``_traj`` is the problem's cached array until the first commit.
+        self._owns_traj = False
+        self._spare: np.ndarray | None = None
+        # The seed whose trajectory ``_spare`` holds, if a commit may adopt it.
+        self._kept: int | None = None
         self._value = float(engine.score_target_row(self._traj[-1]))
         self._base_size = len(self._seeds)
         self._prefix_values = [self._value]
@@ -703,17 +750,33 @@ class BatchedDMSession(SelectionSession):
         self._ensure_fresh()
         return self._value
 
+    def _spare_buffer(self) -> np.ndarray:
+        """The session's own ``(horizon+1, n)`` scratch trajectory."""
+        if self._spare is None:
+            self._spare = np.empty_like(self._traj)
+        return self._spare
+
     def marginal_gains(self, candidates: SeedSet) -> np.ndarray:
         self._ensure_fresh()
+        self._kept = None
         committed = np.asarray(self._seeds, dtype=np.int64)
-        values = self.engine.extension_values(self._traj, committed, candidates)
+        record = self._spare_buffer() if np.size(candidates) == 1 else None
+        if record is None:
+            # A wide call's block buffers would sit on top of an idle
+            # spare: release it, so the peak stays one trajectory.
+            self._spare = None
+        values = self.engine.extension_values(
+            self._traj, committed, candidates, record=record
+        )
+        if record is not None:
+            self._kept = int(np.ravel(candidates)[0])
         return values - self._value
 
     def gain_bounds(self, candidates: np.ndarray) -> np.ndarray | None:
         self._ensure_fresh()
         return gain_bounds(
             self.engine.problem,
-            self.engine._wt_scaled,
+            self.engine._bound_operator,
             self._traj,
             np.asarray(self._seeds, dtype=np.int64),
             candidates,
@@ -723,11 +786,20 @@ class BatchedDMSession(SelectionSession):
     def commit(self, seed: int, *, gain: float | None = None) -> float:
         self._ensure_fresh()
         seed = check_index(seed, "seed")
-        self._traj = self.engine.extend_trajectory(
-            self._traj,
-            np.asarray(self._seeds, dtype=np.int64),
-            np.array([seed], dtype=np.int64),
-        )
+        kept, self._kept = self._kept, None
+        if kept == seed:
+            np.add(self._traj, self._spare, out=self._spare)
+        else:
+            self.engine.extend_trajectory(
+                self._traj,
+                np.asarray(self._seeds, dtype=np.int64),
+                np.array([seed], dtype=np.int64),
+                out=self._spare_buffer(),
+            )
+        # The spare now holds the new trajectory; the old one becomes the
+        # spare unless it is the problem's cached array.
+        self._traj, self._spare = self._spare, self._traj if self._owns_traj else None
+        self._owns_traj = True
         if gain is None:
             gain = float(self.engine.score_target_row(self._traj[-1])) - self._value
         self._seeds.append(seed)
@@ -752,6 +824,7 @@ class BatchedDMSession(SelectionSession):
         dirty = report.dirty
         if not dirty:
             return
+        self._kept = None
         self._probe_cache.clear()
         if self.engine.problem.target in dirty:
             self._needs_rebuild = True
@@ -776,7 +849,8 @@ class BatchedDMSession(SelectionSession):
         """
         self._needs_rebuild = False
         engine = self.engine
-        traj = engine.problem.target_trajectory(tuple(self._seeds[: self._base_size]))
+        base = engine.problem.target_trajectory(tuple(self._seeds[: self._base_size]))
+        traj = base
         values = [float(engine.score_target_row(traj[-1]))]
         for i in range(self._base_size, len(self._seeds)):
             traj = engine.extend_trajectory(
@@ -786,6 +860,7 @@ class BatchedDMSession(SelectionSession):
             )
             values.append(float(engine.score_target_row(traj[-1])))
         self._traj = traj
+        self._owns_traj = traj is not base
         self._value = values[-1]
         self._prefix_values = values
         self._prefix_dirty = False
@@ -887,7 +962,9 @@ class _PinLayout:
 class _ColumnGroup:
     """Columns ``[lo, hi)`` of one ``_evolve_blocks`` call: a contiguous run
     of whole blocks, its pins (``cols`` relative to ``lo``) and, through
-    the sparse phase, its own sparse delta."""
+    the sparse phase, its own sparse delta as raw CSR ``(data, indices,
+    indptr)`` arrays; ``part`` is that delta as a csc matrix from the
+    switch to dense steps on."""
 
     def __init__(self, lo: int, hi: int, pin_rows: np.ndarray, pin_cols: np.ndarray):
         self.lo = lo
@@ -895,15 +972,17 @@ class _ColumnGroup:
         first, last = np.searchsorted(pin_cols, (lo, hi))
         self.rows = pin_rows[first:last]
         self.cols = pin_cols[first:last] - lo
-        self.delta: sparse.csr_matrix | None = None
+        self.delta: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.part: sparse.csc_matrix | None = None
         self.pins: _PinLayout | None = None
 
     def start(self, base0: np.ndarray, sizes: np.ndarray) -> None:
         """delta(0): seeded coordinates jump to 1, everything else unchanged."""
         c = self.hi - self.lo
-        self.delta = sparse.csr_matrix(
+        first = sparse.csr_matrix(
             (1.0 - base0[self.rows], (self.rows, self.cols)), shape=(base0.size, c)
         )
+        self.delta = (first.data, first.indices, first.indptr)
         self.pins = _PinLayout(
             self.rows, self.cols, c, int(sizes[self.lo : self.hi].max())
         )
@@ -1005,12 +1084,15 @@ class BatchedDMEngine(ObjectiveEngine):
 
     def _build_wt_scaled(self) -> None:
         self._wt_scaled = _scaled_transpose(self.problem)
+        #: The sorted CSR transpose :func:`gain_bounds` steps on.
+        self._bound_operator = _bound_transpose(self._wt_scaled)
 
     def apply_delta(self, report) -> None:
         """Refresh the pre-scaled operator, then mark live sessions stale.
 
-        ``_wt_scaled`` derives from the target graph, so it is rebuilt
-        (O(nnz), no FJ work) whenever the target's graph was touched.  A
+        ``_wt_scaled`` and its bound transpose derive from the target
+        graph, so both are rebuilt (O(nnz), no FJ work) whenever the
+        target's graph was touched.  A
         session whose target the delta touched replays its commits lazily,
         bitwise, on next use (see :meth:`BatchedDMSession._on_delta`).
         """
@@ -1072,6 +1154,7 @@ class BatchedDMEngine(ObjectiveEngine):
         *,
         traj: np.ndarray | None = None,
         zero_rows: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Evolve and score block by block, never materializing all rows.
 
@@ -1086,7 +1169,7 @@ class BatchedDMEngine(ObjectiveEngine):
         def score(lo: int, hi: int, cols: np.ndarray) -> None:
             out[lo:hi] = self._score_cols(cols)
 
-        self._evolve_blocks(sets, score, traj=traj, zero_rows=zero_rows)
+        self._evolve_blocks(sets, score, traj=traj, zero_rows=zero_rows, record=record)
         return out
 
     def _evolve_blocks(
@@ -1096,17 +1179,27 @@ class BatchedDMEngine(ObjectiveEngine):
         *,
         traj: np.ndarray | None = None,
         zero_rows: np.ndarray | None = None,
+        record: np.ndarray | None = None,
     ) -> None:
         """Evolve all deltas; ``consume(lo, hi, (n, hi-lo) horizon values)``.
 
         Two phases.  While influence has spread to few nodes, the seed sets
-        evolve as sparse ``(n, C)`` matrices — the sparse phase's fixed
-        per-product cost is paid once per column group, not once per
-        block — and each product is re-pinned without ever being sorted
-        (see :meth:`_repin`).  Once the delta fill approaches the densify
+        evolve as sparse ``(n, C)`` deltas held as raw CSR ``(data,
+        indices, indptr)`` arrays — the sparse phase's fixed per-product
+        cost is paid once per column group, not once per block — and each
+        product is re-pinned without ever being sorted (see
+        :meth:`_repin`).  Once the delta fill approaches the densify
         threshold, columns are sliced into dense ``(n, batch_rows)`` blocks
         (sized to stay cache-resident) that finish the remaining steps
         independently and are handed to ``consume`` one by one.
+
+        Both phases call scipy's kernels directly, never the sparse ``@``
+        wrapper (whose format checks, index-dtype pass and two matrix
+        constructions per step cost about what two kernel calls do on the
+        greedy's 32-column calls): a sparse step is
+        ``csr_matmat_maxnnz`` + ``csr_matmat`` (:meth:`_sparse_product`),
+        exactly what ``W @ delta`` runs, with the same index dtype, and the
+        switch builds one csc matrix per group with ``csr_tocsc``.
 
         Columns never read each other, and the sparse kernels and
         ``csr_matvecs`` release the GIL, so a call with two or more blocks
@@ -1120,7 +1213,7 @@ class BatchedDMEngine(ObjectiveEngine):
         no idle thread is alive at a later ``fork``.
 
         * **Sparse phase, in lockstep.**  Each group steps its own sparse
-          delta — product, :meth:`_repin`, and ``tocsc`` at the switch —
+          delta — product, :meth:`_repin`, and ``csr_tocsc`` at the switch —
           and every group finishes a step before the next begins.  The
           switch to dense steps is decided between steps from the summed
           ``nnz`` and growth, and every counter is added on the calling
@@ -1151,7 +1244,11 @@ class BatchedDMEngine(ObjectiveEngine):
 
         A narrow call (``C <= 2``) skips the sparse phase and every sparse
         conversion: its delta(0) is written straight into dense blocks
-        that take all ``horizon`` steps.  ``csr_matmat_maxnnz`` and
+        that take all ``horizon`` steps.  A one-set call may pass
+        ``record``, a ``(horizon+1, n)`` buffer whose row ``s`` receives
+        ``delta(s)``: ``traj + record`` is the trajectory
+        :meth:`extend_trajectory` would build for that set (see
+        :meth:`_block_steps`).  ``csr_matmat_maxnnz`` and
         ``csr_matmat`` each walk every row and nonzero of ``W`` whatever
         delta holds, so a sparse product never costs less than two dense
         column-steps.  Both kernels sum each output entry in ``W``'s row
@@ -1177,6 +1274,8 @@ class BatchedDMEngine(ObjectiveEngine):
             zero = np.asarray(zero_rows, dtype=np.int64)
             if not zero.size:
                 zero = None
+        if record is not None and c != 1:
+            raise ValueError(f"record needs a one-set call, got {c} sets")
         horizon = self.problem.horizon
         width = self.batch_rows
         sizes = np.array([s.size for s in sets], dtype=np.int64)
@@ -1219,22 +1318,36 @@ class BatchedDMEngine(ObjectiveEngine):
 
         def sparse_step(g: int, s: int) -> tuple[int, int, int]:
             group = groups[g]
-            group.delta = wt @ group.delta  # drops the previous delta first
-            product_nnz = group.delta.nnz
+            # Drops the previous delta first.
+            group.delta = self._sparse_product(wt, group.delta, group.hi - group.lo)
+            product_nnz = int(group.delta[2][-1])
             # Re-pin in sparse form: zero whatever propagated into the
             # seeded coordinates (including the base's committed ones),
             # then write the pinned values back in.
             group.delta, inserted = self._repin(
                 group.delta, group.pins, 1.0 - traj[s][group.rows], zero
             )
-            return product_nnz, group.delta.nnz, inserted
+            return product_nnz, int(group.delta[2][-1]), inserted
 
         def to_csc(g: int) -> None:
-            groups[g].delta = groups[g].delta.tocsc()
+            group = groups[g]
+            data, indices, indptr = group.delta
+            c_g = group.hi - group.lo
+            nnz = int(indptr[-1])
+            csc = (
+                np.empty(nnz, dtype=data.dtype),
+                np.empty(nnz, dtype=indices.dtype),
+                np.empty(c_g + 1, dtype=indptr.dtype),
+            )
+            _sparsetools.csr_tocsc(
+                n, c_g, indptr, indices, data, csc[2], csc[1], csc[0]
+            )
+            group.part = sparse.csc_matrix(csc, shape=(n, c_g))
+            group.delta = None
 
         def finish(g: int, steps: range, buffers: np.ndarray) -> None:
             group = groups[g]
-            part, group.delta = group.delta, None
+            part, group.part = group.part, None
             one, two = buffers[g]
             for lo in range(group.lo, group.hi, width):
                 if stop.is_set():
@@ -1253,6 +1366,7 @@ class BatchedDMEngine(ObjectiveEngine):
                     group.block_pins(lo, hi),
                     zero,
                     base,
+                    record,
                 )
                 consume(lo, hi, block)
 
@@ -1269,7 +1383,7 @@ class BatchedDMEngine(ObjectiveEngine):
                 # of a fresh delta) and tracks observed growth.
                 nnz_cap = min(self.densify_threshold * n * c, self.max_batch_bytes / 16)
                 growth = max(1.0, wt.nnz / max(n, 1))
-                nnz = sum(group.delta.nnz for group in groups)
+                nnz = sum(int(group.delta[2][-1]) for group in groups)
                 next_step = horizon + 1
                 for s in range(1, horizon + 1):
                     if nnz > nnz_cap or nnz * growth > 3 * nnz_cap:
@@ -1304,27 +1418,37 @@ class BatchedDMEngine(ObjectiveEngine):
         pins: tuple[np.ndarray, np.ndarray],
         zero: np.ndarray | None,
         base: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """One dense block's remaining ``steps``, in two reused buffers.
 
-        ``delta`` arrives zeroed and ``scratch`` uninitialized, both
-        ``(n, width)`` C-order views of buffers the calling thread
-        allocated, and ``part`` is the block's slice of the sparse phase's
-        delta (``None`` for a narrow call, whose pins are delta(0)).  Each
-        step is :meth:`_dense_steps`' — product, zero the committed rows,
-        write the pins — with the product written into the freshly zeroed
-        other buffer by the kernel and zeroed output that ``wt @ delta``
-        uses (``csr_matvecs``, or ``csr_matvec`` for one column), so the
-        bytes are the same and no step allocates an ``(n, width)`` array.
-        Returns ``base + delta(horizon)``, written into a column-major view
-        of the buffer the last step freed, so :meth:`_score_cols` reduces
-        each column contiguously.
+        The engine's one dense step loop.  ``delta`` arrives zeroed and
+        ``scratch`` uninitialized, both ``(n, width)`` C-order views of
+        buffers the caller allocated, and ``part`` is the block's slice of
+        the sparse phase's delta (``None`` for a narrow call, whose pins
+        are delta(0)).  Each step is the product, written by the kernel
+        into the freshly zeroed other buffer (``csr_matvecs``, or
+        ``csr_matvec`` for one column: the kernel and zeroed output that
+        ``wt @ delta`` uses, so the bytes are the same and no step
+        allocates an ``(n, width)`` array), then the rows ``zero`` pins in
+        the base (committed seeds) are zeroed and the pins written, ``1 -
+        traj[s]`` at their rows.  With ``out`` (one column, ``part`` None,
+        ``steps`` from 1), delta(0) is copied to ``out[0]`` and each step
+        writes its product into row ``out[s]`` instead of the other
+        buffer, so the call leaves every ``delta(s)`` behind at no extra
+        pass; ``traj + out`` is then the seeded trajectory
+        :meth:`extend_trajectory` returns.  Returns ``base +
+        delta(horizon)``, written into a column-major view of the buffer
+        the last step freed (``scratch`` itself with ``out``), so
+        :meth:`_score_cols` reduces each column contiguously.
         """
         if part is None:
             delta[pins] = 1.0 - traj[0][pins[0]]
         else:
             part.toarray(out=delta)
         n, width = delta.shape
+        if out is not None:
+            out[0] = delta.ravel()
         # One column: csr_matvec, which W @ x uses, skips csr_matvecs'
         # per-nonzero inner loop of length one.
         kernel = (
@@ -1333,64 +1457,91 @@ class BatchedDMEngine(ObjectiveEngine):
             else partial(_sparsetools.csr_matvecs, n, n, width)
         )
         for s in steps:
-            scratch.fill(0.0)
-            kernel(wt.indptr, wt.indices, wt.data, delta.ravel(), scratch.ravel())
+            into = scratch if out is None else out[s].reshape(n, 1)
+            into.fill(0.0)
+            kernel(wt.indptr, wt.indices, wt.data, delta.ravel(), into.ravel())
             if zero is not None:
-                scratch[zero] = 0.0
-            scratch[pins] = 1.0 - traj[s][pins[0]]
-            delta, scratch = scratch, delta
-        out = scratch.reshape(-1).reshape((n, width), order="F")
-        np.add(delta, base, out=out)
-        return out
+                into[zero] = 0.0
+            into[pins] = 1.0 - traj[s][pins[0]]
+            if out is None:
+                delta, scratch = into, delta
+            else:
+                delta = into
+        result = scratch.reshape(-1).reshape((n, width), order="F")
+        np.add(delta, base, out=result)
+        return result
 
-    def _dense_steps(
-        self,
-        delta: np.ndarray,
-        traj: np.ndarray,
-        steps: range,
-        pins: tuple[np.ndarray, ...],
-        zero: np.ndarray | None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Push a dense delta through FJ ``steps``; returns the last one.
+    @staticmethod
+    def _sparse_product(
+        wt: sparse.csr_matrix,
+        delta: tuple[np.ndarray, np.ndarray, np.ndarray],
+        c: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``wt @ delta`` on raw CSR ``(data, indices, indptr)`` arrays.
 
-        The one dense step loop: product, zero the rows ``zero`` pins in
-        the base (committed seeds), write the pins — ``delta[pins] = 1 -
-        traj[s][pins[0]]``, so ``pins`` is ``(rows,)`` for an ``(n,)``
-        delta and ``(rows, cols)`` for an ``(n, C)`` one.  With ``out``,
-        ``traj[s] + delta(s)`` is recorded in ``out[s]`` after each step.
-        Counters are the caller's.
+        The two kernels ``wt @ delta`` runs, called directly:
+        ``csr_matmat_maxnnz`` bounds the output's ``nnz`` and
+        ``csr_matmat`` fills it (summing each entry in ``wt``'s row order
+        from 0 and dropping exact zeros); the arrays are trimmed to
+        ``indptr[-1]``.  Index dtypes are scipy's choice: ``wt``'s and the
+        delta's, promoted, and int64 for all four index arrays once the
+        ``nnz`` bound exceeds int32.
         """
-        for s in steps:
-            delta = self._wt_scaled @ delta
-            if zero is not None:
-                delta[zero] = 0.0
-            delta[pins] = 1.0 - traj[s][pins[0]]
-            if out is not None:
-                out[s] = traj[s] + delta
-        return delta
+        data, indices, indptr = delta
+        n = wt.shape[0]
+        dtype = np.promote_types(wt.indices.dtype, indices.dtype)
+        index = [
+            a.astype(dtype, copy=False)
+            for a in (wt.indptr, wt.indices, indptr, indices)
+        ]
+        nnz = _sparsetools.csr_matmat_maxnnz(n, c, *index)
+        if nnz > _INT32_MAX and dtype != np.int64:
+            dtype = np.dtype(np.int64)
+            index = [a.astype(dtype) for a in index]
+        out_indptr = np.empty(n + 1, dtype=dtype)
+        out_indices = np.empty(nnz, dtype=dtype)
+        out_data = np.empty(nnz, dtype=np.float64)
+        w_indptr, w_indices, d_indptr, d_indices = index
+        _sparsetools.csr_matmat(
+            n,
+            c,
+            w_indptr,
+            w_indices,
+            wt.data,
+            d_indptr,
+            d_indices,
+            data,
+            out_indptr,
+            out_indices,
+            out_data,
+        )
+        end = out_indptr[-1]
+        return out_data[:end], out_indices[:end], out_indptr
 
     @staticmethod
     def _repin(
-        delta: sparse.csr_matrix,
+        delta: tuple[np.ndarray, np.ndarray, np.ndarray],
         pins: _PinLayout,
         pin_values: np.ndarray,
         zero: np.ndarray | None,
-    ) -> tuple[sparse.csr_matrix, int]:
-        """Sort-free re-pin of one sparse-phase product; also returns the
-        number of pins inserted (the caller counts them).
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+        """Sort-free re-pin of one sparse-phase product's raw CSR ``(data,
+        indices, indptr)`` arrays; also returns the number of pins
+        inserted (the caller counts them).
 
         Pinned coordinates the product already stores get data-only
-        writes; the rest are appended at the end of their rows.  The
-        product's rows are left in ``csr_matmat`` order and the result's
-        need not be sorted either: the next product sums each entry in
-        ``_wt_scaled``'s row order and every ``delta`` row holds a column
-        at most once, so column order changes no value, no ``nnz`` and no
-        dropped exact zero — nor does it matter to ``tocsc`` or the dense
-        blocks.  The result is therefore never flagged canonical.
+        writes, in place; the rest are appended at the end of their rows
+        in new arrays.  No matrix object is built: the next
+        :meth:`_sparse_product` and the switch's ``csr_tocsc`` call their
+        kernels on the arrays.  The product's rows are left in
+        ``csr_matmat`` order and the result's need not be sorted either:
+        the next product sums each entry in ``_wt_scaled``'s row order and
+        every ``delta`` row holds a column at most once, so column order
+        changes no value, no ``nnz`` and no dropped exact zero — nor does
+        it matter to ``csr_tocsc`` or the dense blocks.
         """
-        n, c = delta.shape
-        data, indices, indptr = delta.data, delta.indices, delta.indptr
+        data, indices, indptr = delta
+        n = indptr.size - 1
         if zero is not None:
             for r in zero:
                 data[indptr[r] : indptr[r + 1]] = 0.0
@@ -1422,7 +1573,7 @@ class BatchedDMEngine(ObjectiveEngine):
         new_indptr[1:] += np.cumsum(np.bincount(miss_rows, minlength=n)).astype(
             indptr.dtype
         )
-        return sparse.csr_matrix((new_data, new_indices, new_indptr), shape=(n, c)), m
+        return (new_data, new_indices, new_indptr), m
 
     # ------------------------------------------------------------------
     # Warm-start primitives (the session's backend)
@@ -1432,49 +1583,60 @@ class BatchedDMEngine(ObjectiveEngine):
         traj: np.ndarray,
         committed: np.ndarray,
         candidates: SeedSet,
+        *,
+        record: np.ndarray | None = None,
     ) -> np.ndarray:
         """Objective of ``committed ∪ {c}`` per candidate, against ``traj``.
 
         ``traj`` must be the committed set's trajectory, so every column
         carries exactly one pinned coordinate — its fresh candidate — and
-        the committed coordinates are zeroed by the base contract.
+        the committed coordinates are zeroed by the base contract.  With
+        one candidate, ``record`` (a ``(horizon+1, n)`` buffer) receives
+        that extension's deltas: ``traj + record`` is bitwise
+        :meth:`extend_trajectory`'s trajectory.
         """
         sets = self._candidate_sets(candidates)
         if not sets:
             return np.empty(0, dtype=np.float64)
-        return self._chunked_scores(sets, traj=traj, zero_rows=committed)
+        return self._chunked_scores(sets, traj=traj, zero_rows=committed, record=record)
 
     def extend_trajectory(
         self,
         traj: np.ndarray,
         committed: np.ndarray,
         new_seeds: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Trajectory of ``committed ∪ new_seeds``, warm-started from ``traj``.
 
-        One dense ``(n,)`` delta pushed through the horizon — the commit /
-        prefix-probe path.  Each step costs one column-step
-        (``stats.trajectory_steps``).
+        One dense one-column delta pushed through the horizon by
+        :meth:`_block_steps` — the commit / prefix-probe path — written
+        into ``out`` (default: a new array).  Each step costs one
+        column-step (``stats.trajectory_steps``).
         """
         new = np.unique(check_index_array(new_seeds, "new seeds"))
         if new.size and (new[0] < 0 or new[-1] >= self.problem.n):
             raise ValueError("seed indices out of range")
         committed = check_index_array(committed, "committed seeds")
         horizon = traj.shape[0] - 1
-        out = np.empty_like(traj)
-        delta = np.zeros(self.problem.n, dtype=np.float64)
-        delta[new] = 1.0 - traj[0][new]
-        out[0] = traj[0] + delta
-        self._dense_steps(
-            delta,
+        if out is None:
+            out = np.empty_like(traj)
+        buffers = np.zeros((2, self.problem.n, 1), dtype=np.float64)
+        self._block_steps(
+            self._wt_scaled,
+            buffers[0],
+            buffers[1],
+            None,
             traj,
             range(1, horizon + 1),
-            (new,),
+            (new, np.zeros(new.size, dtype=np.int64)),
             committed if committed.size else None,
+            traj[horizon][:, None],
             out,
         )
         self.stats.trajectory_steps += horizon
-        return out
+        return np.add(traj, out, out=out)
 
     # ------------------------------------------------------------------
     def _score_cols(self, cols: np.ndarray) -> np.ndarray:

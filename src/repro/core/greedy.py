@@ -35,12 +35,23 @@ among equal best gains, the smallest node id wins.  Per round:
   ``lazy``, at most its last exact gain;
 * all ``+inf`` keys are evaluated in one call, in ascending node order —
   a round of only ``+inf`` keys is the exhaustive scan's one call;
+* without ``+inf`` keys the top key (``np.argmax``: the first maximum,
+  the smallest node among equal keys) is evaluated alone first;
 * the rest are evaluated in chunks (:data:`BOUND_CHUNK` wide for
   bound-keyed rounds, one at a time when keys are stale gains only) in
   descending key order, ties by ascending node;
 * evaluation stops once the next key is below the best exact gain, or
   equal to it on a larger node — a candidate whose key equals the best
   gain on a smaller node is always evaluated, since it could win the tie.
+
+Each round does its whole-graph passes once.  The bound pass is one
+reverse sweep.  Only the keys that can still win after the first
+evaluations are sorted: the best gain only rises, so they are a prefix
+of the descending order and give the chunks a full sort would.  A round
+won by its top key alone evolves that column once: the exact sessions'
+one-candidate ``marginal_gains`` keeps its deltas, and the ``commit``
+that follows adopts them
+(:class:`~repro.core.engine.BatchedDMSession`).
 
 Tests pin this contract against a full-scan oracle.
 """
@@ -185,24 +196,32 @@ def run_selection_rounds(
         if done.any():
             gains[done] = session.marginal_gains(remaining[done])
             evaluations += int(done.sum())
-        order = np.flatnonzero(~done)
-        if order.size:
+        else:
+            # The top key alone first: when it is tight, its exact gain
+            # prunes the rest without a wide call.  np.argmax keeps the
+            # first maximum, the key a stable descending sort puts first.
+            top = int(np.argmax(keys))
+            gains[top] = session.marginal_gains(remaining[top : top + 1])[0]
+            done[top] = True
+            evaluations += 1
+        # Only keys that can still win are ordered: they are a prefix of
+        # the descending order, and the best gain only rises.
+        best = int(np.argmax(gains))
+        order = keys > gains[best]
+        order[:best] |= keys[:best] == gains[best]
+        order = np.flatnonzero(order & ~done)
+        if order.size > 1:
             order = order[np.argsort(-keys[order], kind="stable")]
         while order.size:
-            if not done.any():
-                # The top key alone first: when it is tight, its exact
-                # gain prunes the rest without a wide call.
-                head = order[:1]
-            else:
-                # np.argmax keeps the first maximum: the smallest node.
-                best = int(np.argmax(gains))
-                head = order[:chunk]
-                wins = (keys[head] > gains[best]) | (
-                    (keys[head] == gains[best]) & (head < best)
-                )
-                head = head[: head.size if wins.all() else int(np.argmin(wins))]
-                if not head.size:
-                    break
+            # np.argmax keeps the first maximum: the smallest node.
+            best = int(np.argmax(gains))
+            head = order[:chunk]
+            wins = (keys[head] > gains[best]) | (
+                (keys[head] == gains[best]) & (head < best)
+            )
+            head = head[: head.size if wins.all() else int(np.argmin(wins))]
+            if not head.size:
+                break
             order = order[head.size :]
             head = np.sort(head)
             gains[head] = session.marginal_gains(remaining[head])

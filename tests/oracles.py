@@ -7,6 +7,8 @@
   the ascending-node scan.
 * :func:`celf_rounds` — CELF's ``(-gain, node, stamp)`` heap [Leskovec et
   al. 2007] over a black-box set function.
+* :func:`matmul_gain_bounds` — the certified gain bound's reverse pass
+  through scipy's ``operator.T @ x``, over whole-trajectory arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+from scipy import sparse
 
 
 def dense_trajectory(state, q, seeds, horizon):
@@ -81,3 +84,57 @@ def celf_rounds(value_fn, k, n):
         gains.append(-neg_gain)
         value += -neg_gain
     return np.array(seeds, dtype=np.int64), np.array(gains), evaluations
+
+
+def matmul_gain_bounds(
+    problem, operator, traj, committed, candidates, user_weights=None
+):
+    """:func:`repro.core.engine.gain_bounds` written with ``operator.T @ x``
+    and the whole ``a = max(1 - traj, 0)`` array (``operator`` is the
+    engine's ``_wt_scaled``); the engine's ``csr_matvec`` pass on the
+    sorted explicit transpose must give these bytes."""
+    from repro.core.engine import GAIN_BOUND_SLACK
+
+    score = problem.score
+    weights = score.gain_weights(traj[-1], problem.others_by_user())
+    if weights is None:
+        return None
+    weights = np.array(weights, dtype=np.float64)
+    scale = float(problem.n)
+    if user_weights is not None:
+        positive = np.maximum(user_weights, 0.0)
+        scale = float(positive.sum())
+        with np.errstate(invalid="ignore"):
+            weights = np.where(positive > 0.0, weights * positive, 0.0)
+    if not np.all(weights >= 0.0):
+        return None
+    committed = np.asarray(committed, dtype=np.int64)
+    a = np.maximum(1.0 - traj, 0.0)
+    a[:, committed] = 0.0
+    infinite = np.isinf(weights)
+    weights[infinite] = 0.0
+    weights[committed] = 0.0
+    horizon = traj.shape[0] - 1
+    bound = a[horizon] * weights
+    for tau in range(horizon - 1, -1, -1):
+        weights = operator.T @ weights
+        weights[committed] = 0.0
+        bound += a[tau] * weights
+    bound = bound[candidates]
+    bound += GAIN_BOUND_SLACK * (bound + scale)
+    if score.integral_gains and user_weights is None:
+        np.floor(bound, out=bound)
+    infinite[committed] = False
+    if infinite.any():
+        pattern = sparse.csr_matrix(
+            (np.ones(operator.nnz), operator.indices, operator.indptr),
+            shape=operator.shape,
+        ).T
+        reach = infinite.astype(np.float64)
+        hit = (a[horizon] > 0.0) & infinite
+        for tau in range(horizon - 1, -1, -1):
+            reach = np.minimum(pattern @ reach, 1.0)
+            reach[committed] = 0.0
+            hit |= (a[tau] > 0.0) & (reach > 0.0)
+        bound[hit[candidates]] = np.inf
+    return bound

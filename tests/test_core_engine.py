@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -648,6 +649,67 @@ def test_sparse_phase_never_sorts(monkeypatch):
     assert np.array_equal(session.marginal_gains(candidates), expected)
     engine.evaluate([(1,), (2, 5, 9), (0, 12)])
     assert engine.stats.sparse_steps > steps
+
+
+def test_sparse_phase_calls_its_kernels_directly(monkeypatch):
+    """Sparse steps call ``csr_matmat_maxnnz``/``csr_matmat`` on raw
+    arrays, as the dense steps call ``csr_matvecs``: scipy's sparse ``@``
+    is never entered, and the bytes are those it would give."""
+    problem = _sparse_retweet_problem()
+    sets = [(v, (v * 7) % problem.n) for v in range(70)]
+    engines = _engines_by_threads(problem)
+    expected = [engine.target_opinion_rows(sets) for engine in engines]
+    counters = [replace(engine.stats) for engine in engines]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the sparse phase went through scipy's @")
+
+    for cls in (sparse.csr_matrix, sparse.csr_array, sparse.csc_matrix):
+        monkeypatch.setattr(cls, "__matmul__", refuse)
+        monkeypatch.setattr(cls, "_matmul_sparse", refuse)
+    for engine, rows, before in zip(engines, expected, counters):
+        engine.stats.reset()
+        assert engine.target_opinion_rows(sets).tobytes() == rows.tobytes()
+        assert engine.stats.sparse_steps == before.sparse_steps > 0
+        assert engine.stats.sparse_nnz == before.sparse_nnz
+        assert engine.stats.repin_inserted == before.repin_inserted
+    # The same rows, every product through scipy's @ (the parity oracle).
+    monkeypatch.undo()
+    engine = engines[0]
+    calls = []
+
+    def through_matmul(wt_, delta, c):
+        data, indices, indptr = delta
+        product = wt_ @ sparse.csr_matrix((data, indices, indptr), shape=(problem.n, c))
+        calls.append(c)
+        return product.data, product.indices, product.indptr
+
+    monkeypatch.setattr(engine, "_sparse_product", through_matmul)
+    assert engine.target_opinion_rows(sets).tobytes() == expected[0].tobytes()
+    assert calls
+
+
+def test_sparse_product_index_dtype_follows_the_operator():
+    """int64 operator indices carry through the product (scipy's choice),
+    with the bytes of the int32 product."""
+    problem = _sparse_retweet_problem()
+    engine = BatchedDMEngine(problem)
+    wt = engine._wt_scaled
+    rng = np.random.default_rng(2)
+    delta = sparse.random(problem.n, 5, density=0.01, format="csr", random_state=rng)
+    arrays = (delta.data, delta.indices, delta.indptr)
+    narrow = BatchedDMEngine._sparse_product(wt, arrays, 5)
+    wide_wt = wt.copy()  # the constructor would narrow int64 indices again
+    wide_wt.indices = wt.indices.astype(np.int64)
+    wide_wt.indptr = wt.indptr.astype(np.int64)
+    wide = BatchedDMEngine._sparse_product(wide_wt, arrays, 5)
+    reference = wt @ delta
+    assert narrow[1].dtype == np.int32 and wide[1].dtype == np.int64
+    assert wide[2].dtype == np.int64
+    for got in (narrow, wide):
+        assert got[0].tobytes() == reference.data.tobytes()
+        assert np.array_equal(got[1], reference.indices)
+        assert np.array_equal(got[2], reference.indptr)
 
 
 # ----------------------------------------------------------------------

@@ -481,6 +481,16 @@ class WarmSessionMachine(RuleBasedStateMachine):
         gains = self.session.marginal_gains(candidates)
         self.session.commit(int(candidates[np.argmax(gains)]))
 
+    @precondition(lambda self: len(self.session.seeds) < 5)
+    @rule(pick=st.integers(0, 2**16))
+    def commit_after_one_candidate_call(self, pick):
+        # A round won by its one evaluated candidate: the commit adopts
+        # the trajectory that call recorded.
+        candidates = self._candidates()
+        seed = int(candidates[pick % candidates.size])
+        self.session.marginal_gains([seed])
+        self.session.commit(seed)
+
     @rule(
         candidate=st.integers(0, 2),
         column=st.integers(0, 23),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,12 @@ from repro.voting.scores import (
     PositionalPApprovalScore,
 )
 from tests.conftest import random_instance
-from tests.oracles import celf_rounds, dense_trajectory, full_scan_rounds
+from tests.oracles import (
+    celf_rounds,
+    dense_trajectory,
+    full_scan_rounds,
+    matmul_gain_bounds,
+)
 
 SCORES = {
     "cumulative": lambda r: CumulativeScore(),
@@ -105,6 +111,59 @@ def test_bound_covers_every_exact_gain(problem, data):
         assert not np.isnan(bounds).any()
         assert np.all(gains <= bounds), (gains, bounds)
         assert np.all(oracle <= bounds), (oracle, bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems(), data=st.data(), weighted=st.booleans())
+def test_bound_pass_bytes_equal_the_matmul_pass(problem, data, weighted):
+    """The ``csr_matvec`` pass on the sorted explicit transpose gives the
+    bytes of ``operator.T @ x`` over whole-trajectory arrays, ``+inf``
+    reach included, for every score, prefix and the weighted engine."""
+    weights = None
+    if weighted and isinstance(problem.score, CumulativeScore):
+        weights = np.array(
+            data.draw(
+                st.lists(
+                    st.sampled_from([0.0, 0.5, 1.0]),
+                    min_size=problem.n,
+                    max_size=problem.n,
+                )
+            )
+        )
+    prefix = _prefix(data.draw, problem.n)
+    candidates = np.setdiff1d(np.arange(problem.n), prefix)
+    engine = BatchedDMEngine(problem, user_weights=weights)
+    session = engine.open_session()
+    for seed in prefix:
+        session.commit(seed)
+    bounds = session.gain_bounds(candidates)
+    expected = matmul_gain_bounds(
+        problem, engine._wt_scaled, session._traj, prefix, candidates, weights
+    )
+    if expected is None:
+        assert bounds is None
+        return
+    assert bounds.tobytes() == expected.tobytes()
+    assert engine._bound_operator.has_sorted_indices
+
+
+def test_bound_pass_bytes_on_the_sparse_retweet_graph():
+    """Twenty chained steps on a 1,500-user retweet graph (the
+    ``select-sparse-celf`` shape), with committed seeds."""
+    from repro.datasets.twitter import twitter_social_distancing
+
+    problem = twitter_social_distancing(n=1500, horizon=20, rng=5).problem(
+        CumulativeScore()
+    )
+    engine = BatchedDMEngine(problem)
+    session = engine.open_session()
+    for seed in (3, 140, 977):
+        session.commit(seed)
+    candidates = np.arange(problem.n)
+    expected = matmul_gain_bounds(
+        problem, engine._wt_scaled, session._traj, session.seeds, candidates
+    )
+    assert session.gain_bounds(candidates).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,3 +263,59 @@ def test_black_box_lazy_rounds_are_celf(sets, data):
     assert result.evaluations == evaluations
     eager = greedy_select(fn, len(sets), k)
     assert eager.evaluations == eager.full_scan
+
+
+def test_sparse_celf_rounds_never_argsort_the_pool(monkeypatch):
+    """A CELF run on a sparse retweet graph (the ``select-sparse-celf``
+    shape) orders only the keys that can still beat a round's best gain:
+    no argsort ever sees an array as long as a round's pool, and the
+    picks are the full scan's."""
+    from repro.datasets.twitter import twitter_social_distancing
+
+    problem = twitter_social_distancing(n=600, horizon=8, rng=3).problem(
+        CumulativeScore()
+    )
+    k = 10
+    seeds, gains, objective = full_scan_rounds(
+        BatchedDMEngine(problem).open_session(), k, np.arange(problem.n)
+    )
+    expected = greedy_engine(BatchedDMEngine(problem), k, lazy=True)
+    sizes = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    result = greedy_engine(BatchedDMEngine(problem), k, lazy=True)
+    assert sizes and max(sizes) < problem.n - k
+    assert result.seeds.tolist() == seeds.tolist() == expected.seeds.tolist()
+    assert result.gains.tobytes() == gains.tobytes() == expected.gains.tobytes()
+    assert result.objective == objective == expected.objective
+    assert result.evaluations == expected.evaluations < result.full_scan // 10
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9])
+@pytest.mark.parametrize("chunk", [1, 2, 32])
+def test_floored_plurality_ties_match_full_scan(seed, chunk):
+    """Plurality bounds are floored to integers, so keys equal to a
+    round's best gain are common: the ones on smaller nodes must be
+    evaluated, in ascending node order, and the first maximum wins."""
+    state = random_instance(n=30, r=3, seed=seed)
+    problem = FJVoteProblem(state, 0, 4, PluralityScore())
+    engine = BatchedDMEngine(problem)
+    session = engine.open_session()
+    first = session.marginal_gains(np.arange(problem.n))
+    keys = session.gain_bounds(np.arange(problem.n))
+    # The case this test is for: a tied best gain, and keys equal to it.
+    assert (first == first.max()).sum() > 1
+    assert (keys == first.max()).any()
+    seeds, gains, objective = full_scan_rounds(
+        engine.open_session(), 4, np.arange(problem.n)
+    )
+    with mock.patch.object(greedy, "BOUND_CHUNK", chunk):
+        result = greedy_engine(engine, 4)
+    assert result.seeds.tolist() == seeds.tolist()
+    assert result.gains.tobytes() == gains.tobytes()
+    assert result.objective == objective
